@@ -11,7 +11,7 @@ interior.  Modules:
 * ``curves``    — the scalar objective/ratio curves and their derivative
   sign factors
 * ``halfline``  — guarded scalar optimization on (0, inf)
-* ``constants`` — sharp Sobolev constant (quadrature), interpolation
+* ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (variational ascent), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
 * ``profiles``  — radial profiles, norms, bubbles, truncations

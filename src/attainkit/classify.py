@@ -32,7 +32,7 @@ from .curves import (
     value_f,
 )
 from .errors import NumericalError, ParamError
-from .halfline import maximize_halfline, minimize_halfline
+from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (
     Exponents,
     ProblemParams,
@@ -103,12 +103,11 @@ class ConstantSet:
 def resolve_constants(params: ProblemParams,
                       constants: ConstantSet | None = None,
                       *,
-                      quadrature_resolution: int = 64,
                       ascent_budget: int = 1200,
                       ascent_grid_n: int = 200) -> ConstantSet:
     """Fill in whichever constant the regime needs, if it is computable.
 
-    The local constants are computed on demand (Sobolev by quadrature,
+    The local constants are computed on demand (Sobolev in closed form,
     interpolation by a coordinate-ascent lower bound at a moderate default
     budget -- pass a precomputed ``ConstantSet`` when more accuracy is
     needed).  Fractional constants cannot be computed here and must be
@@ -118,8 +117,7 @@ def resolve_constants(params: ProblemParams,
     cs = constants if constants is not None else ConstantSet()
     if regime is Regime.CRITICAL_LOCAL:
         if cs.sobolev is None:
-            cs = replace(cs, sobolev=sobolev_constant(
-                params.N, params.p, resolution=quadrature_resolution))
+            cs = replace(cs, sobolev=sobolev_constant(params.N, params.p))
     elif regime is Regime.SUBCRITICAL_LOCAL:
         if cs.interpolation is None:
             cs = replace(cs, interpolation=gns_constant_estimate(
@@ -217,16 +215,20 @@ def threshold_alpha(params: ProblemParams,
     return opt.value / C
 
 
+def _objective_max(cp: CurveParams) -> OptResult:
+    """Maximum of the objective curve; its value is D."""
+    opt = maximize_halfline(objective_curve(cp))
+    if not math.isfinite(opt.value) or opt.value <= 0:
+        raise NumericalError(f"objective-curve supremum came out {opt.value}")
+    return opt
+
+
 def d_value(params: ProblemParams,
             constants: ConstantSet | None = None) -> float:
     """Supremum of the functional: maximum of the objective curve."""
     constants = resolve_constants(params, constants)
     C = kappa_multiplier(params, constants)
-    cp = CurveParams.from_problem(params, C)
-    opt = maximize_halfline(objective_curve(cp))
-    if not math.isfinite(opt.value) or opt.value <= 0:
-        raise NumericalError(f"objective-curve supremum came out {opt.value}")
-    return opt.value
+    return _objective_max(CurveParams.from_problem(params, C)).value
 
 
 def _closed_form_d(params: ProblemParams, exps: Exponents, regime: Regime,
@@ -243,10 +245,10 @@ def _closed_form_d(params: ProblemParams, exps: Exponents, regime: Regime,
     return None
 
 
-def _attained_t_star(cp: CurveParams) -> float:
+def _attained_t_star(cp: CurveParams, opt: OptResult) -> float:
     """Maximizer location for a verdict the table says is attained.
 
-    Uses the objective-curve maximizer; at an exact threshold tie the
+    Uses the objective-curve maximizer ``opt``; at an exact threshold tie the
     optimizer reports a marginal result whose candidate location is still
     the interior maximizer.  When the grid scan resolves nothing at all --
     tiny weights push the maximum to t values whose excess over the
@@ -254,7 +256,6 @@ def _attained_t_star(cp: CurveParams) -> float:
     of f are located by log-domain derivative root-finding instead, and
     the one with the largest curve value wins.
     """
-    opt = maximize_halfline(objective_curve(cp))
     if opt.argopt is not None:
         return opt.argopt
     roots = stationary_points(cp)
@@ -273,17 +274,19 @@ def classify(params: ProblemParams,
     rescues attainment) is checked first; a zero weight is refused next;
     then gamma is located against the regime's boundaries and alpha
     against the threshold, with equalities resolved by the analytic table
-    rather than by floating-point optimizer ties.
+    rather than by floating-point optimizer ties.  The objective curve is
+    maximized once: its maximum is D and its maximizer is t_star.
     """
     regime = params.regime()
     exps = exponents(params)
     constants = resolve_constants(params, constants)
     C = kappa_multiplier(params, constants)
     thr = threshold_alpha(params, constants)
-    D = d_value(params, constants)
+    cp = CurveParams.from_problem(params, C)
+    opt = _objective_max(cp)
+    D = opt.value
     band = _gamma_band(params.gamma, exps, regime.is_critical)
     rel_alpha = _alpha_vs_threshold(params.alpha, thr)
-    cp = CurveParams.from_problem(params, C)
 
     def verdict(attained: bool, reason: Reason,
                 t_star: float | None, cf: float | None) -> Verdict:
@@ -303,14 +306,14 @@ def classify(params: ProblemParams,
 
     if band == "gt_upper":
         # threshold is zero: every positive weight admits a maximizer
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp), cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
     if band == "le_base":
         # critical regimes only: convexity excludes attainment at every alpha
         return verdict(False, Reason.CONVEXITY_EXCLUSION, None, cf)
     if band == "eq_upper":
         # on the upper gamma boundary equality with the threshold loses
         if rel_alpha > 0:
-            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp), cf)
+            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
         if rel_alpha == 0:
             at = (Reason.AT_THRESHOLD_CRITICAL_GAMMA_EQ_PSTAR if regime.is_critical
                   else Reason.AT_THRESHOLD_GAMMA_EQ_GAMMA_C)
@@ -318,7 +321,7 @@ def classify(params: ProblemParams,
         return verdict(False, Reason.BELOW_THRESHOLD, None, cf)
     # interior band: equality with the threshold wins
     if rel_alpha >= 0:
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp), cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
     return verdict(False, Reason.BELOW_THRESHOLD, None, cf)
 
 

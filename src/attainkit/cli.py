@@ -3,7 +3,7 @@
 JSON goes to stdout by default; ``--csv`` switches the tabular commands to
 RFC-4180-style CSV with LF line endings.  Identical invocations produce
 byte-identical output: keys are emitted in fixed order and floats are
-formatted with 17 significant digits.  Exit codes: 0 success, 1 invalid
+written at shortest round-trip precision.  Exit codes: 0 success, 1 invalid
 parameters or usage, 2 numerical failure, 3 failed verification.
 
 ``--q critical`` is the exact way to request the critical exponent; a
@@ -18,24 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-
-
-def apply_thread_cap() -> None:
-    """Honor ATTAIN_KIT_THREADS by capping the numeric libraries' pools.
-
-    Effective when it runs before the numeric libraries initialize, which
-    the package __init__ guarantees for every entry point.
-    """
-    cap = os.environ.get("ATTAIN_KIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-apply_thread_cap()
 
 import numpy as np
 
@@ -74,7 +57,7 @@ def _json_scalar(x) -> str:
             return '"nan"'
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
+        return repr(x)
     if isinstance(x, str):
         return json.dumps(x, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -82,7 +65,7 @@ def _json_scalar(x) -> str:
 
 def to_json(obj, indent: int = 0) -> str:
     """Render nested dict/list/scalar data with stable key order and
-    fixed 17-significant-digit float formatting."""
+    shortest round-trip float formatting."""
     pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
@@ -114,7 +97,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, (float, np.floating)):
-            return format(float(v), ".17g")
+            return repr(float(v))
         text = str(v)
         if any(ch in text for ch in ',"\n'):
             text = '"' + text.replace('"', '""') + '"'
@@ -171,7 +154,6 @@ def _constants_for(ns, params: ProblemParams) -> ConstantSet:
         given = ConstantSet(fractional=fractional_constant(ns.frac_constant))
     return resolve_constants(
         params, given,
-        quadrature_resolution=getattr(ns, "resolution", None) or 64,
         ascent_budget=getattr(ns, "budget", None) or 1200,
         ascent_grid_n=getattr(ns, "grid", None) or 200)
 
@@ -244,8 +226,7 @@ def _cmd_constants(ns) -> int:
         if ns.p is None:
             raise ParamError("p", "--p is required")
         doc["p"] = ns.p
-        doc["sobolev"] = _constant_dict(sobolev_constant(
-            ns.N, ns.p, resolution=ns.resolution or 64))
+        doc["sobolev"] = _constant_dict(sobolev_constant(ns.N, ns.p))
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 
@@ -390,7 +371,6 @@ def _add_problem_flags(sub, with_gamma=True):
 def _add_numeric_flags(sub, tol=False):
     if tol:
         sub.add_argument("--tol", type=float, help="verification tolerance")
-    sub.add_argument("--resolution", type=int, help="quadrature resolution")
     sub.add_argument("--budget", type=int, help="ascent sweep budget")
     sub.add_argument("--grid", type=int, help="grid size (ascent nodes / curve samples)")
 
@@ -449,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    apply_thread_cap()
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:

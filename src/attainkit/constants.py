@@ -2,28 +2,13 @@
 
 Three constants are consumed downstream:
 
-* the sharp Sobolev ratio S(N, p) = ||u||_{p*} / ||grad u||_p evaluated on
-  the explicit optimal bubble profile (computed here by quadrature),
+* the sharp Sobolev constant S(N, p) = ||u||_{p*} / ||grad u||_p on the
+  optimal bubble (Talenti-Aubin closed form),
 * the sharp subcritical interpolation constant
   B(N, p, q) = sup ||u||_q^q / ( ||grad u||_p^gc * ||u||_p^(q-gc) ),
   gc = N(q-p)/p  (estimated here from below by profile ascent),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
-
-Quadrature design: every radial integral of the bubble reduces, after the
-substitutions w = (b r)^{p'} on r <= 1/b and v = r^{-p'} on r >= 1/b
-(p' = p/(p-1), b the optional dilation), to
-
-    integral_0^W  v^(theta-1) * (v + B)^(-k) dv        (theta > 0, B > 0).
-
-The endpoint power is integrated *exactly*: on [0, delta] the analytic
-factor is expanded binomially, term-wise integration giving
-sum_l c_l delta^(theta+l)/(theta+l), so theta -> 0 (which happens as
-p -> N and defeats both adaptive panels and Gauss-Jacobi rule
-construction in floating point) costs no accuracy at all; on
-[delta, W] the integrand is smooth and geometric Gauss-Legendre panels
-converge at machine speed.  The reported err_bound is a Richardson
-comparison against half resolution plus a roundoff floor.
 """
 
 from __future__ import annotations
@@ -33,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentNormError, NumericalError, ParamError
+from .errors import NumericalError, ParamError
 from .params import critical_exponent, gamma_threshold_exponent
 
 
@@ -41,7 +26,7 @@ from .params import critical_exponent, gamma_threshold_exponent
 class SharpConstant:
     """A constant plus a record of how it was obtained.
 
-    method "quadrature":      value carries the quadrature err_bound.
+    method "closed-form":     value carries a roundoff err_bound.
     method "ascent-estimate": value is a rigorous lower bound (it is the
                               ratio of an explicit admissible profile);
                               err_bound is a grid-refinement extrapolation
@@ -62,87 +47,32 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def _power_weighted_integral(theta: float, k: float, B: float, W: float,
-                             resolution: int) -> float:
-    """integral_0^W v^(theta-1) (v + B)^(-k) dv for theta > 0, B > 0, W > 0."""
-    # delta <= B/(2k) makes successive series terms shrink by >= 1/2 from the
-    # first one on, so the alternating sum never cancels regardless of k
-    delta = min(W, B / (2.0 * max(k, 1.0)))
-    terms = max(60, resolution)
-    total = 0.0
-    coef = B ** (-k)
-    for l in range(terms):
-        inc = coef * delta ** (theta + l) / (theta + l)
-        total += inc
-        if abs(inc) < 1e-18 * abs(total) and l > 4:
-            break
-        coef *= -(k + l) / ((l + 1.0) * B)
-    # geometric Gauss-Legendre panels on [delta, W]
-    order = min(max(16, resolution // 2), 64)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    a = delta
-    while a < W:
-        b_end = min(2.0 * a, W)
-        mid, half = (a + b_end) / 2.0, (b_end - a) / 2.0
-        v = mid + half * xg
-        total += half * float(np.dot(wg, v ** (theta - 1.0) * (v + B) ** (-k)))
-        a = b_end
-    return total
+def sobolev_constant(N: int, p: float) -> SharpConstant:
+    """Sharp Sobolev constant S in ||u||_{p*} <= S ||grad u||_p, 1 < p < N.
 
+    Talenti-Aubin closed form (Talenti 1976, Aubin 1976), evaluated in the
+    log domain:
 
-def _bubble_radial_integral(m: float, k: float, p_prime: float, n: int,
-                            dilation: float = 1.0) -> float:
-    """integral_0^inf r^m (1 + (b r)^{p'})^{-k} dr by split weighted quadrature."""
-    theta_head = (m + 1.0) / p_prime
-    theta_tail = k - theta_head
-    if theta_head <= 0 or theta_tail <= 0:
-        raise DivergentNormError(
-            f"r^{m}(1+r^{p_prime})^-{k}",
-            f"radial integral diverges: exponents ({theta_head}, {theta_tail})")
-    B = dilation**p_prime
-    head = _power_weighted_integral(theta_head, k, 1.0, B, n) \
-        / (p_prime * dilation ** (m + 1.0))
-    tail = _power_weighted_integral(theta_tail, k, B, 1.0, n) / p_prime
-    return head + tail
+        log S = -1/2 log pi - (log N)/p + (1 - 1/p) log((p-1)/(N-p))
+                + [lgamma(1+N/2) + lgamma(N) - lgamma(N/p)
+                   - lgamma(1+N-N/p)] / N.
 
-
-def _sobolev_ratio(N: int, p: float, n: int, dilation: float) -> float:
-    pstar = critical_exponent(N, p)
-    p_prime = p / (p - 1.0)
-    omega = sphere_area(N)
-    i_mass = _bubble_radial_integral(N - 1.0, float(N), p_prime, n, dilation)
-    i_grad = _bubble_radial_integral(N - 1.0 + p_prime, float(N), p_prime, n, dilation)
-    # |d/dr u(br)|^p = A^p b^(p+p') r^(p') (1+(br)^(p'))^(-N)
-    amp = ((N - p) / (p - 1.0)) ** p * dilation ** (p + p_prime)
-    num = (omega * i_mass) ** (1.0 / pstar)
-    den = (amp * omega * i_grad) ** (1.0 / p)
-    return num / den
-
-
-def sobolev_constant(N: int, p: float, resolution: int = 64,
-                     dilation: float = 1.0) -> SharpConstant:
-    """Sharp Sobolev ratio on the optimal bubble, 1 < p < N.
-
-    ``dilation`` rescales the bubble before integrating; the ratio is
-    scale-invariant, so this is a diagnostic knob for validating the
-    quadrature pipeline rather than a modelling input.
+    err_bound is a roundoff bound: a few ulps of every summand, carried
+    through the exponential.
     """
     if not (isinstance(N, int) and N >= 2):
         raise ParamError("N", f"need integer N >= 2, got {N!r}")
     if not 1.0 < p < N:
         raise ParamError("p", f"need 1 < p < N, got p={p}")
-    if not (resolution >= 4):
-        raise ParamError("resolution", f"resolution must be >= 4, got {resolution}")
-    if not (math.isfinite(dilation) and dilation > 0):
-        raise ParamError("dilation", f"dilation must be positive, got {dilation}")
-    coarse = _sobolev_ratio(N, p, resolution // 2, dilation)
-    value = _sobolev_ratio(N, p, resolution, dilation)
-    if not math.isfinite(value):
-        raise NumericalError(f"Sobolev ratio quadrature returned {value}")
-    err = abs(value - coarse) + 8e-15 * abs(value)
-    return SharpConstant(value=value, method="quadrature", err_bound=err,
-                         meta={"N": N, "p": p, "resolution": resolution,
-                               "coarse_value": coarse, "dilation": dilation})
+    terms = (-0.5 * math.log(math.pi), -math.log(N) / p,
+             (1.0 - 1.0 / p) * math.log((p - 1.0) / (N - p)))
+    gammas = (math.lgamma(1.0 + N / 2.0), math.lgamma(N),
+              -math.lgamma(N / p), -math.lgamma(1.0 + N - N / p))
+    value = math.exp(sum(terms) + sum(gammas) / N)
+    size = 1.0 + sum(map(abs, terms)) + sum(map(abs, gammas)) / N
+    err = 4.0 * math.ulp(1.0) * value * size
+    return SharpConstant(value=value, method="closed-form", err_bound=err,
+                         meta={"N": N, "p": p})
 
 
 # -- subcritical interpolation constant ---------------------------------

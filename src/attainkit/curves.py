@@ -126,7 +126,7 @@ class CurveParams:
 
 # -- raw evaluations ---------------------------------------------------
 
-def _shape(x, out):
+def _shape(out):
     return float(out) if out.ndim == 0 else out
 
 
@@ -136,30 +136,39 @@ def value_f(cp: CurveParams, t):
     L = np.log1p(t)
     first = np.exp(-cp.pgamma * L)
     second = cp.kappa * np.exp(cp.c * np.log(t) - cp.b * L) if cp.kappa else 0.0
-    return _shape(t, first + second)
+    return _shape(first + second)
 
 
 def value_g(cp: CurveParams, t):
     """Ratio curve g(t) on (0, inf) (independent of kappa)."""
     t = np.asarray(t, dtype=float)
     L = np.log1p(t)
-    return _shape(t, np.exp(cp.a * L - cp.c * np.log(t)) * np.expm1(cp.pgamma * L))
+    return _shape(np.exp(cp.a * L - cp.c * np.log(t)) * np.expm1(cp.pgamma * L))
+
+
+def _k_of_logs(cp: CurveParams, log_s, log_u):
+    """k(s) from log(s) and log(1-s)."""
+    out = np.exp(cp.pgamma * log_u)
+    if cp.kappa:
+        out = out + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u)
+    return out
+
+
+def _l_of_logs(cp: CurveParams, log_s, log_u):
+    """l(s) from log(s) and log(1-s)."""
+    return np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u) * (-np.expm1(cp.pgamma * log_u))
 
 
 def value_k(cp: CurveParams, s):
     """Compactified objective k(s) = f(t(s)) on (0, 1), evaluated directly in s."""
     s = np.asarray(s, dtype=float)
-    lu = np.log1p(-s)  # log(1-s), stable
-    first = np.exp(cp.pgamma * lu)
-    second = cp.kappa * np.exp(cp.c * np.log(s) + (cp.b - cp.c) * lu) if cp.kappa else 0.0
-    return _shape(s, first + second)
+    return _shape(_k_of_logs(cp, np.log(s), np.log1p(-s)))  # log1p: stable log(1-s)
 
 
 def value_l(cp: CurveParams, s):
     """Compactified ratio l(s) = g(t(s)) on (0, 1), evaluated directly in s."""
     s = np.asarray(s, dtype=float)
-    lu = np.log1p(-s)
-    return _shape(s, np.exp(-cp.c * np.log(s) + (cp.c - cp.b) * lu) * (-np.expm1(cp.pgamma * lu)))
+    return _shape(_l_of_logs(cp, np.log(s), np.log1p(-s)))
 
 
 def h_factor(cp: CurveParams, t):
@@ -176,7 +185,7 @@ def h_factor(cp: CurveParams, t):
         out = out + cp.kappa * cp.c * np.exp((cp.c - 1.0) * lt)
         if cp.c != cp.b:
             out = out + cp.kappa * (cp.c - cp.b) * np.exp(cp.c * lt)
-    return _shape(t, out)
+    return _shape(out)
 
 
 def m_factor(cp: CurveParams, s):
@@ -199,7 +208,7 @@ def m_factor(cp: CurveParams, s):
     out = (1.0 - r) * np.exp(cp.pgamma * lu) + r * np.exp((cp.pgamma - 1.0) * lu) - 1.0
     if cp.c != cp.b:
         out = out - ((cp.c - cp.b) / cp.c) * (s / u) * (-np.expm1(cp.pgamma * lu))
-    return _shape(s, out)
+    return _shape(out)
 
 
 def stationary_points(cp: CurveParams, n: int = 8192) -> list[float]:
@@ -310,15 +319,10 @@ class ScalarCurve:
     def value_s(self, s):
         return (value_k if self.kind == "objective" else value_l)(self.params, s)
 
-    def value_s_logs(self, s, log_s, log_u):
+    def value_s_logs(self, log_s, log_u):
         """Fast path: evaluate at s given precomputed log(s) and log(1-s)."""
-        cp = self.params
-        if self.kind == "objective":
-            out = np.exp(cp.pgamma * log_u)
-            if cp.kappa:
-                out = out + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u)
-            return out
-        return np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u) * (-np.expm1(cp.pgamma * log_u))
+        return (_k_of_logs if self.kind == "objective" else _l_of_logs)(
+            self.params, log_s, log_u)
 
     def limits(self) -> tuple[float, float]:
         return (f_limits if self.kind == "objective" else g_limits)(self.params)

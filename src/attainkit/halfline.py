@@ -104,7 +104,7 @@ def _optimize(curve: ScalarCurve, tol: float, sign: float) -> OptResult:
     if not 0.0 < tol < 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2), got {tol}")
     s, log_s, log_u = _scan_grid(_SCAN_N, _TAIL_N)
-    vals = np.asarray(curve.value_s_logs(s, log_s, log_u), dtype=float)
+    vals = np.asarray(curve.value_s_logs(log_s, log_u), dtype=float)
     n_evals = s.size
     if np.any(np.isnan(vals)):
         bad = s[np.isnan(vals)][0]
@@ -190,7 +190,7 @@ def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptRes
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     s, log_s, log_u = _oracle_grid(n)
-    vals = np.asarray(curve.value_s_logs(s, log_s, log_u), dtype=float)
+    vals = np.asarray(curve.value_s_logs(log_s, log_u), dtype=float)
     if np.any(np.isnan(vals)):
         raise NumericalError("curve evaluated to NaN on the oracle grid")
     limits = curve.limits()

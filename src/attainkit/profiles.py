@@ -25,7 +25,7 @@ A moment whose tail exponent fails d*e > N is divergent and raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,13 +58,12 @@ class GridSpec:
 class Tail:
     """How a profile behaves beyond the sampled range.
 
-    kind "algebraic": u(r) ~ amplitude * r^(-rate) as r -> inf.
+    kind "algebraic": u(r) ~ const * r^(-rate) as r -> inf.
     kind "compact":   u(r) = 0 for r >= support.
     """
 
     kind: str
     rate: float = math.nan
-    amplitude: float = math.nan
     support: float = math.nan
 
     def __post_init__(self):
@@ -218,7 +217,10 @@ def _moment(profile: RadialProfile, e: float, use_deriv: bool,
                 norm_name,
                 f"tail decay rate {rate} with exponent {e} gives a "
                 f"divergent moment in dimension {N}")
-        r_cut = min(grid.r_cut_max, max(1e2, 10.0 ** (-math.log10(grid.tail_target) / excess)))
+        # clamp the base-10 exponent first: 10**x overflows for a tiny excess
+        expo = min(max(-math.log10(grid.tail_target) / excess, 2.0),
+                   math.log10(grid.r_cut_max))
+        r_cut = min(grid.r_cut_max, 10.0 ** expo)
         u_cut = float(abs(sample(profile, np.array([r_cut]))[0]))
         tail_val = u_cut ** e * r_cut ** N / excess
 
@@ -296,7 +298,7 @@ def build_u_star(N: int, p: float) -> RadialProfile:
 
     grid = _default_store_grid(1e4)
     return RadialProfile(grid=grid, values=fn(grid), N=N,
-                         tail=Tail(kind="algebraic", rate=rate, amplitude=1.0),
+                         tail=Tail(kind="algebraic", rate=rate),
                          deriv=dfn(grid), fn=fn, dfn=dfn)
 
 
@@ -328,8 +330,7 @@ def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
         new_tail = Tail(kind="compact", support=tail.support / scale)
         grid_hi = tail.support / scale
     else:
-        new_tail = Tail(kind="algebraic", rate=tail.rate,
-                        amplitude=tail.amplitude * amp * scale ** (-tail.rate))
+        new_tail = tail
         grid_hi = profile.grid[-1] / scale
     grid = _default_store_grid(grid_hi)
     return RadialProfile(grid=grid, values=fn(grid), N=profile.N, tail=new_tail,
@@ -344,11 +345,8 @@ def scale_amplitude(profile: RadialProfile, factor: float) -> RadialProfile:
     base_fn, base_dfn = profile.fn, profile.dfn
     fn = (lambda r: factor * base_fn(r)) if base_fn is not None else None
     dfn = (lambda r: factor * base_dfn(r)) if base_dfn is not None else None
-    tail = profile.tail
-    if tail.kind == "algebraic":
-        tail = replace(tail, amplitude=tail.amplitude * factor)
     return RadialProfile(grid=profile.grid, values=factor * profile.values,
-                         N=profile.N, tail=tail,
+                         N=profile.N, tail=profile.tail,
                          deriv=None if profile.deriv is None else factor * profile.deriv,
                          fn=fn, dfn=dfn)
 

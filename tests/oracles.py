@@ -25,6 +25,19 @@ FROZEN_GROUND_STATE_HEIGHT = 2.2062008646442175
 FROZEN_GROUND_STATE_MASS2 = 11.700896524325204
 FROZEN_INTERPOLATION_B_2_2_4 = 0.1709270734806606
 
+#: sharp Sobolev constants S(N, p) for p just below N, frozen from a
+#: 50-digit computation: mpmath 1.3.0 at mp.dps = 50, evaluating
+#: sobolev_constant_oracle's Beta-function formula (mp.beta, mp.gamma) at the
+#: double nearest each p and rounding to the nearest double; the
+#: Talenti-Aubin log-Gamma formula at the same precision gives the same doubles
+FROZEN_SOBOLEV_50_DIGITS = {
+    (2, 1.9999): 39.88335436570564,
+    (3, 2.99999): 1470.9894741368357,
+    (7, 6.999999): 391539.3345905428,
+    (4, 3.9999999): 192312.91462768515,
+    (10, 9.99): 329.19564752081345,
+}
+
 
 def sphere_area_oracle(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)

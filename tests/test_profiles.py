@@ -256,6 +256,6 @@ def test_gridspec_validation():
 
 def test_tail_validation():
     with pytest.raises(ParamError):
-        Tail(kind="exponential", rate=1.0, amplitude=1.0)
+        Tail(kind="exponential", rate=1.0)
     with pytest.raises(ParamError):
-        Tail(kind="compact", rate=1.0, amplitude=1.0, support=-2.0)
+        Tail(kind="compact", rate=1.0, support=-2.0)
