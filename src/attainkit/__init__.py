@@ -12,7 +12,7 @@ interior.  Modules:
   sign factors
 * ``halfline``  — guarded scalar optimization on (0, inf)
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
-  constant (variational ascent), fractional constant (user input)
+  constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
 * ``profiles``  — radial profiles, norms, bubbles, truncations
 * ``verify``    — cross-cutting consistency checks
@@ -39,7 +39,7 @@ from .curves import (CurveParams, ScalarCurve, h_factor, m_factor,
                      value_l)
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
-from .halfline import OptResult, grid_oracle, maximize_halfline, minimize_halfline
+from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      exponents, extremal_in_energy_space,
                      fractional_critical_exponent,
@@ -66,7 +66,7 @@ __all__ = [
     "critical_exponent", "d_value", "dilate", "evaluate_I", "evaluate_J",
     "exponents", "extremal_in_energy_space", "fractional_constant",
     "fractional_critical_exponent", "fractional_gamma_threshold_exponent",
-    "gamma_threshold_exponent", "gns_constant_estimate", "grid_oracle",
+    "gamma_threshold_exponent", "gns_constant_estimate",
     "h_factor", "kappa_multiplier", "lambda_from_tstar", "m_factor",
     "maximize_halfline", "minimize_halfline", "normalize_scaled", "norms",
     "objective_curve", "random_profiles", "ratio_curve", "resolve_constants",

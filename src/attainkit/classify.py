@@ -101,17 +101,13 @@ class ConstantSet:
 
 
 def resolve_constants(params: ProblemParams,
-                      constants: ConstantSet | None = None,
-                      *,
-                      ascent_budget: int = 1200,
-                      ascent_grid_n: int = 200) -> ConstantSet:
+                      constants: ConstantSet | None = None) -> ConstantSet:
     """Fill in whichever constant the regime needs, if it is computable.
 
     The local constants are computed on demand (Sobolev in closed form,
-    interpolation by a coordinate-ascent lower bound at a moderate default
-    budget -- pass a precomputed ``ConstantSet`` when more accuracy is
-    needed).  Fractional constants cannot be computed here and must be
-    supplied; a missing one raises ``ParamError``.
+    interpolation as the certified ground-state lower bound).  Fractional
+    constants cannot be computed here and must be supplied; a missing one
+    raises ``ParamError``.
     """
     regime = params.regime()
     cs = constants if constants is not None else ConstantSet()
@@ -121,8 +117,7 @@ def resolve_constants(params: ProblemParams,
     elif regime is Regime.SUBCRITICAL_LOCAL:
         if cs.interpolation is None:
             cs = replace(cs, interpolation=gns_constant_estimate(
-                params.N, params.p, params.q,
-                budget=ascent_budget, grid_n=ascent_grid_n))
+                params.N, params.p, params.q))
     else:
         if cs.fractional is None:
             raise ParamError(

@@ -152,10 +152,7 @@ def _constants_for(ns, params: ProblemParams) -> ConstantSet:
     given = ConstantSet()
     if getattr(ns, "frac_constant", None) is not None:
         given = ConstantSet(fractional=fractional_constant(ns.frac_constant))
-    return resolve_constants(
-        params, given,
-        ascent_budget=getattr(ns, "budget", None) or 1200,
-        ascent_grid_n=getattr(ns, "grid", None) or 200)
+    return resolve_constants(params, given)
 
 
 def _problem_dict(params: ProblemParams) -> dict:
@@ -219,9 +216,8 @@ def _cmd_constants(ns) -> int:
             raise ParamError("p", "--p is required")
         doc["p"] = ns.p
         doc["q"] = float(ns.q)
-        doc["interpolation"] = _constant_dict(gns_constant_estimate(
-            ns.N, ns.p, float(ns.q), budget=ns.budget or 4000,
-            grid_n=ns.grid or 800))
+        doc["interpolation"] = _constant_dict(
+            gns_constant_estimate(ns.N, ns.p, float(ns.q)))
     else:
         if ns.p is None:
             raise ParamError("p", "--p is required")
@@ -368,13 +364,6 @@ def _add_problem_flags(sub, with_gamma=True):
                      help="user-supplied sharp constant for the fractional family")
 
 
-def _add_numeric_flags(sub, tol=False):
-    if tol:
-        sub.add_argument("--tol", type=float, help="verification tolerance")
-    sub.add_argument("--budget", type=int, help="ascent sweep budget")
-    sub.add_argument("--grid", type=int, help="grid size (ascent nodes / curve samples)")
-
-
 def _add_output_flags(sub, csv=True):
     sub.add_argument("--json", action="store_true", help="JSON output (the default)")
     if csv:
@@ -390,26 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("classify", parents=[], help="full attainability verdict")
     _add_problem_flags(sub)
-    _add_numeric_flags(sub)
     _add_output_flags(sub, csv=False)
     sub.set_defaults(handler=_cmd_classify)
 
     sub = subs.add_parser("constants", help="sharp constants")
     _add_problem_flags(sub, with_gamma=False)
     sub.set_defaults(gamma=None, alpha=None, beta=None)
-    _add_numeric_flags(sub)
     _add_output_flags(sub, csv=False)
     sub.set_defaults(handler=_cmd_constants)
 
     sub = subs.add_parser("curve", help="sample the scalar curves")
     _add_problem_flags(sub)
-    _add_numeric_flags(sub)
+    sub.add_argument("--grid", type=int, help="number of curve samples (default 512)")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_curve)
 
     sub = subs.add_parser("maximizer", help="construct and check an explicit maximizer")
     _add_problem_flags(sub)
-    _add_numeric_flags(sub, tol=True)
+    sub.add_argument("--tol", type=float, help="verification tolerance")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_maximizer)
 
@@ -417,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(sub, with_gamma=False)
     sub.add_argument("--gamma-range", dest="gamma_range",
                      help="start:stop:step, e.g. 0.5:4:0.01")
-    _add_numeric_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_sweep)
 

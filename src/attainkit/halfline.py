@@ -8,9 +8,6 @@ search, and the polished interior best is compared against the curve's
 interior point is decided by that comparison with a safety margin; ties
 within the margin are reported as marginal rather than guessed, because
 boundary cases belong to the analytic classifier, not to float luck.
-
-``grid_oracle`` is a deliberately naive reference evaluator (dense nested
-grids, no refinement) used to cross-check the optimizer in tests.
 """
 
 from __future__ import annotations
@@ -171,41 +168,3 @@ def maximize_halfline(curve: ScalarCurve, tol: float = 1e-12) -> OptResult:
 def minimize_halfline(curve: ScalarCurve, tol: float = 1e-12) -> OptResult:
     """Infimum of the curve over (0, inf), boundary limits included."""
     return _optimize(curve, tol, -1.0)
-
-
-@lru_cache(maxsize=4)
-def _oracle_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = np.arange(1, n, dtype=float) / n
-    return s, np.log(s), np.log1p(-s)
-
-
-def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptResult:
-    """Reference evaluator: dense uniform grid s_j = j/n, no refinement.
-
-    Grids are nested under doubling of n.  Intended for cross-checks only;
-    requires n >= 1e5 so the answer is meaningful.
-    """
-    if n < 10**5:
-        raise ValueError(f"grid_oracle needs n >= 1e5, got {n}")
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    s, log_s, log_u = _oracle_grid(n)
-    vals = np.asarray(curve.value_s_logs(log_s, log_u), dtype=float)
-    if np.any(np.isnan(vals)):
-        raise NumericalError("curve evaluated to NaN on the oracle grid")
-    limits = curve.limits()
-    if mode == "max":
-        i = int(np.argmax(vals))
-        boundary = max(limits)
-        inner_wins = vals[i] > boundary
-        value = max(vals[i], boundary)
-    else:
-        i = int(np.argmin(vals))
-        boundary = min(limits)
-        inner_wins = vals[i] < boundary
-        value = min(vals[i], boundary)
-    return OptResult(value=float(value),
-                     argopt=t_of_s(s[i]) if inner_wins else None,
-                     attained=bool(inner_wins),
-                     err_bound=math.inf,  # no refinement: deliberately unsophisticated
-                     n_evals=s.size)

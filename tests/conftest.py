@@ -41,21 +41,14 @@ def constants_crit3() -> ConstantSet:
 
 
 @pytest.fixture(scope="session")
-def gns_small():
-    """Cheap interpolation-constant estimate for wiring tests (not sharp).
-
-    The ascent stops on its budget (400 sweeps) without converging, so the
-    digits of its value follow roundoff and differ across numpy and CPU
-    builds. Tests that use it may assert what the method promises (a lower
-    bound, an honest ``err_bound``, a monotone ascent log, the wiring of
-    options into the call), never its digits.
-    """
-    return gns_constant_estimate(2, 2.0, 4.0, budget=400, grid_n=100)
+def gns_224():
+    """The converged interpolation-constant estimate for (N, p, q) = (2, 2, 4)."""
+    return gns_constant_estimate(2, 2.0, 4.0)
 
 
 @pytest.fixture(scope="session")
-def constants_sub224(gns_small) -> ConstantSet:
-    return ConstantSet(interpolation=gns_small)
+def constants_sub224(gns_224) -> ConstantSet:
+    return ConstantSet(interpolation=gns_224)
 
 
 @pytest.fixture(scope="session")

@@ -1,29 +1,52 @@
 """Independent reference computations used only by the tests.
 
-Two oracles, both methodologically independent of the library code:
+Three oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
   can be checked to machine precision);
-* an ODE-shooting computation of the sharp interpolation constant for
-  (N, p, q) = (2, 2, 4): the ground state of  w'' + w'/r - w + w^3 = 0
-  is found by bisection on the initial height, and the constant is
-  2 / ||w||_2^2.
+* ODE-shooting computations of the sharp interpolation constant for
+  p = 2 with scipy's adaptive LSODA: the ground state of
+  w'' + (N-1) w'/r - w + w^(q-1) = 0 is found by bisection on the initial
+  height, and the constant follows from ||w||_2^2 alone through the
+  Pohozaev identities (for (N, p, q) = (2, 2, 4) it is 2 / ||w||_2^2);
+* a dense-grid evaluator of the half-line curves with no refinement, to
+  cross-check the library's optimizer.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
+
+from attainkit.curves import ScalarCurve, t_of_s
+from attainkit.errors import NumericalError
+from attainkit.halfline import OptResult
 
 #: frozen outputs of shooting_oracle_2_2_4 (LSODA, rtol 1e-12, atol 1e-14),
 #: recorded once so every later run can cross-check determinism
 FROZEN_GROUND_STATE_HEIGHT = 2.2062008646442175
 FROZEN_GROUND_STATE_MASS2 = 11.700896524325204
 FROZEN_INTERPOLATION_B_2_2_4 = 0.1709270734806606
+
+#: rigorous floors on B(N, p, q): the values the multigrid coordinate ascent
+#: that preceded the ground-state solver returned at gns_constant_estimate(
+#: N, p, q, budget=1200, grid_n=200), its classify default.  Each is the
+#: ratio of an explicit admissible profile, so B can only lie above it.
+FROZEN_ASCENT_LOWER_BOUNDS = {
+    (3, 1.5, 2.5): 0.06073858500516228,
+    (3, 2.5, 4.0): 0.18854227906437246,
+    (5, 3.0, 4.0): 0.17424228593699256,
+    (2, 1.2, 2.8): 0.03256866947657911,
+    (4, 4.0, 6.0): 0.2924012494972844,
+    (3, 2.0, 5.5): 0.007863965382797452,
+    (6, 1.1, 1.3): 0.10247358076907877,
+    (8, 5.0, 12.0): 0.014247603210991142,
+}
 
 #: sharp Sobolev constants S(N, p) for p just below N, frozen from a
 #: 50-digit computation: mpmath 1.3.0 at mp.dps = 50, evaluating
@@ -125,3 +148,100 @@ def shooting_oracle_2_2_4() -> dict:
     height = 0.5 * (lo + hi)
     mass2 = best_mass if best_mass is not None else float(_shoot(lo).y[2, -1])
     return {"height": height, "mass2": mass2, "B": 2.0 / mass2}
+
+
+def _shoot_p2(N: int, q: float, height: float, r_max: float = 60.0):
+    """Integrate w'' + (N-1) w'/r - w + w^(q-1) = 0 from w(0) = height.
+
+    The state is (w, w', m) with m' = r^(N-1) w^2, so that m times the
+    sphere area accumulates ||w||_2^2.
+    """
+
+    def rhs(r, y):
+        w, dw, _ = y
+        return (dw, w - abs(w) ** (q - 1.0) - (N - 1) * dw / r,
+                r ** (N - 1) * w * w)
+
+    r0 = 1e-5  # the series below is exact to O(r0^4); starting at 1e-8
+    # makes LSODA crawl on some shots, the mass being ~r0^N below atol
+    c2 = (height - height ** (q - 1.0)) / (2.0 * N)
+    y0 = (height + c2 * r0 * r0, 2.0 * c2 * r0, r0**N / N * height**2)
+
+    crossed = lambda r, y: y[0]
+    crossed.terminal = True
+    crossed.direction = -1
+    turned = lambda r, y: y[1]
+    turned.terminal = True
+    turned.direction = 1
+
+    return solve_ivp(rhs, (r0, r_max), y0, method="LSODA",
+                     rtol=1e-12, atol=1e-14, events=(crossed, turned))
+
+
+@lru_cache(maxsize=None)
+def shooting_oracle_p2(N: int, q: float) -> float:
+    """Sharp constant B(N, 2, q) from the LSODA-shot ground state Q.
+
+    Bisection on the height as in shooting_oracle_2_2_4, starting from the
+    height where the energy at the origin vanishes (every lower one
+    undershoots) and doubling until a shot crosses zero.  With
+    P = ||Q||_2^2 over R^N and gc = N (q-2)/2 the Pohozaev identities give
+
+        B = q/(q-gc) * (gc/(q-gc))^(-gc/2) * P^(1-q/2).
+    """
+    lo = (q / 2.0) ** (1.0 / (q - 2.0))
+    hi = 2.0 * lo
+    while not _shoot_p2(N, q, hi).t_events[0].size:
+        lo, hi = hi, 2.0 * hi
+    mass = None
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        sol = _shoot_p2(N, q, mid)
+        if sol.t_events[0].size:  # crossed zero: height too large
+            hi = mid
+        else:
+            lo = mid
+            mass = float(sol.y[2, -1])
+    if mass is None:
+        mass = float(_shoot_p2(N, q, lo).y[2, -1])
+    P = sphere_area_oracle(N) * mass
+    gc = N * (q - 2.0) / 2.0
+    return q / (q - gc) * (gc / (q - gc)) ** (-gc / 2.0) * P ** (1.0 - q / 2.0)
+
+
+@lru_cache(maxsize=4)
+def _oracle_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s = np.arange(1, n, dtype=float) / n
+    return s, np.log(s), np.log1p(-s)
+
+
+def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptResult:
+    """Reference evaluator: dense uniform grid s_j = j/n, no refinement.
+
+    Grids are nested under doubling of n.  Requires n >= 1e5 so the answer
+    is meaningful.  err_bound is inf: it deliberately does not refine.
+    """
+    if n < 10**5:
+        raise ValueError(f"grid_oracle needs n >= 1e5, got {n}")
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+    s, log_s, log_u = _oracle_grid(n)
+    vals = np.asarray(curve.value_s_logs(log_s, log_u), dtype=float)
+    if np.any(np.isnan(vals)):
+        raise NumericalError("curve evaluated to NaN on the oracle grid")
+    limits = curve.limits()
+    if mode == "max":
+        i = int(np.argmax(vals))
+        boundary = max(limits)
+        inner_wins = vals[i] > boundary
+        value = max(vals[i], boundary)
+    else:
+        i = int(np.argmin(vals))
+        boundary = min(limits)
+        inner_wins = vals[i] < boundary
+        value = min(vals[i], boundary)
+    return OptResult(value=float(value),
+                     argopt=t_of_s(s[i]) if inner_wins else None,
+                     attained=bool(inner_wins),
+                     err_bound=math.inf,
+                     n_evals=s.size)

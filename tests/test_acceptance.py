@@ -21,7 +21,6 @@ from attainkit import (
     build_w_lambda,
     evaluate_J,
     gns_constant_estimate,
-    grid_oracle,
     kappa_multiplier,
     lambda_from_tstar,
     maximize_halfline,
@@ -38,8 +37,8 @@ from attainkit import (
     value_f,
 )
 from attainkit.curves import f_limits
-from oracles import (FROZEN_SOBOLEV_50_DIGITS, shooting_oracle_2_2_4,
-                     sobolev_constant_oracle)
+from oracles import (FROZEN_SOBOLEV_50_DIGITS, grid_oracle,
+                     shooting_oracle_2_2_4, sobolev_constant_oracle)
 
 N5 = 5
 P2 = 2.0
@@ -204,9 +203,9 @@ def test_acceptance_06_interpolation_constant(capsys):
         worst_ratio = max(worst_ratio, ratio / live["B"])
         ratios_ok &= ratio <= live["B"] * (1.0 + 1e-9)
     dt = time.time() - t0
-    ok = rel <= 1e-4 and lower_bound and ratios_ok and dt < 60.0
-    _report(6, ok, f"interpolation constant: ascent vs shooting oracle rel "
-                   f"{rel:.1e} (allow 1e-4), estimate is a lower bound: "
+    ok = rel <= 1e-9 and lower_bound and ratios_ok and dt < 60.0
+    _report(6, ok, f"interpolation constant: ground state vs shooting oracle "
+                   f"rel {rel:.1e} (allow 1e-9), estimate is a lower bound: "
                    f"{lower_bound}, 50 random profiles respect the inequality "
                    f"(max ratio {worst_ratio:.6f} of sharp) in {dt:.1f}s "
                    f"(limit 60s)", capsys)

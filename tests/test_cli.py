@@ -58,28 +58,44 @@ def test_constants_sobolev_json(capsys):
     assert doc["sobolev"]["err_bound"] < 1e-12
 
 
-def test_constants_interpolation_small_budget(capsys, gns_small):
-    # gns_small is the same library call. At this budget the ascent stops
-    # unconverged, so its digits are compared with the library's, not pinned.
-    code, out, _ = run_cli(capsys, "constants", "--N", "2", "--p", "2", "--q", "4",
-                           "--budget", "400", "--grid", "100")
+def test_constants_interpolation_matches_library(capsys, gns_224):
+    # gns_224 is the same library call
+    code, out, _ = run_cli(capsys, "constants", "--N", "2", "--p", "2", "--q", "4")
     assert code == 0
     doc = json.loads(out)
     interp = doc["interpolation"]
-    assert interp["method"] == "ascent-estimate"
+    assert interp["method"] == "ground-state"
     # the result comes back intact, and its floats round-trip through JSON
-    assert interp["value"] == gns_small.value
-    assert interp["err_bound"] == gns_small.err_bound
-    # both flags reached the estimator (the defaults give 4000 and 800)
-    assert interp["meta"]["sweeps"] == 400
-    assert interp["meta"]["levels"][-1] == 100
+    assert interp["value"] == gns_224.value
+    assert interp["err_bound"] == gns_224.err_bound
+    assert interp["meta"]["height"] == gns_224.meta["height"]
+    assert interp["meta"]["sweeps"] == gns_224.meta["sweeps"]
     # what the method promises: a lower bound whose err_bound reaches B
     B = FROZEN_INTERPOLATION_B_2_2_4
     assert interp["value"] <= B * (1.0 + 1e-9)
     assert interp["value"] + interp["err_bound"] >= B
     # bulky arrays are filtered out of the echoed metadata
-    assert "ascent_log" not in interp["meta"]
+    assert "grid" not in interp["meta"]
     assert "profile" not in interp["meta"]
+
+
+def test_curve_grid_sets_samples_only(capsys):
+    args = ("curve", "--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5",
+            "--alpha", "1")
+    _, small, _ = run_cli(capsys, *args, "--grid", "64")
+    _, large, _ = run_cli(capsys, *args, "--grid", "2048")
+    small, large = json.loads(small), json.loads(large)
+    assert len(small["rows"]) == 64 and len(large["rows"]) == 2048
+    assert small["curve_params"]["kappa"] == large["curve_params"]["kappa"]
+
+
+@pytest.mark.parametrize("sub", ["classify", "constants", "maximizer", "sweep"])
+@pytest.mark.parametrize("flag", ["--grid", "--budget"])
+def test_grid_and_budget_flags_are_gone(capsys, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--N", "5", "--p", "2", "--q", "critical", flag, "64"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_constants_fractional_passthrough(capsys):
@@ -163,8 +179,7 @@ def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv, want_code):
 
 def test_maximizer_rejects_subcritical(capsys):
     code, _, err = run_cli(capsys, "maximizer", "--N", "2", "--p", "2",
-                           "--q", "4", "--gamma", "1.5", "--alpha", "50",
-                           "--budget", "400", "--grid", "100")
+                           "--q", "4", "--gamma", "1.5", "--alpha", "50")
     assert code == 1
     assert err
 

@@ -11,7 +11,6 @@ import attainkit as ak
 from attainkit import (
     CurveParams,
     OptResult,
-    grid_oracle,
     maximize_halfline,
     minimize_halfline,
     objective_curve,
@@ -20,6 +19,7 @@ from attainkit import (
     value_f,
     value_g,
 )
+from oracles import grid_oracle
 
 
 @st.composite
