@@ -15,6 +15,11 @@ Boundary cases (gamma at an endpoint, alpha exactly at the threshold) are
 decided analytically by the decision table, never by comparing two nearly
 equal floating-point optimizer outputs: the numeric layer flags such ties
 as marginal and this module breaks them by rule.
+
+One ``classify`` call validates the parameters once (``ProblemParams``
+caches its regime) and resolves the constant once, then passes the
+regime, the exponents and ``C`` to the private steps that
+``threshold_alpha`` wraps.
 """
 
 from __future__ import annotations
@@ -172,26 +177,19 @@ def _gamma_band(gamma: float, exps: Exponents, critical: bool) -> str:
 
 
 def _alpha_vs_threshold(alpha: float, threshold: float) -> int:
-    """-1 below, 0 at (within snap), +1 above the threshold."""
-    if _close(alpha, threshold, ALPHA_THRESHOLD_RTOL):
+    """-1 below, 0 at (within snap), +1 above the threshold.
+
+    The snap is relative to the two weights themselves: thresholds span
+    hundreds of decades (1/C with C = S^(p*) reaches 1e49 as p nears N),
+    so an absolute floor would call every small weight a tie.
+    """
+    if abs(alpha - threshold) <= ALPHA_THRESHOLD_RTOL * max(alpha, threshold):
         return 0
     return -1 if alpha < threshold else 1
 
 
-def threshold_alpha(params: ProblemParams,
-                    constants: ConstantSet | None = None) -> float:
-    """The critical weight alpha(gamma): infimum of the ratio curve over C.
-
-    Closed forms are used where the decision table provides them (zero
-    above the upper gamma boundary, base/(upper*C) on it, 1/C at or below
-    the base exponent in critical regimes); elsewhere the infimum is
-    computed numerically.  The result is 0 exactly when every positive
-    weight admits a maximizer.
-    """
-    regime = params.regime()
-    exps = exponents(params)
-    constants = resolve_constants(params, constants)
-    C = kappa_multiplier(params, constants)
+def _threshold(params: ProblemParams, regime: Regime, exps: Exponents,
+               C: float) -> float:
     if C <= 0:
         raise ParamError("constants", f"normalizing constant must be positive, got {C}")
     band = _gamma_band(params.gamma, exps, regime.is_critical)
@@ -208,6 +206,26 @@ def threshold_alpha(params: ProblemParams,
     if not math.isfinite(opt.value) or opt.value <= 0:
         raise NumericalError(f"ratio-curve infimum came out {opt.value}")
     return opt.value / C
+
+
+def _setup(params: ProblemParams, constants: ConstantSet | None
+           ) -> tuple[Regime, Exponents, float]:
+    """(regime, exponents, C) of one problem, its constant resolved once."""
+    C = kappa_multiplier(params, resolve_constants(params, constants))
+    return params.regime(), exponents(params), C
+
+
+def threshold_alpha(params: ProblemParams,
+                    constants: ConstantSet | None = None) -> float:
+    """The critical weight alpha(gamma): infimum of the ratio curve over C.
+
+    Closed forms are used where the decision table provides them (zero
+    above the upper gamma boundary, base/(upper*C) on it, 1/C at or below
+    the base exponent in critical regimes); elsewhere the infimum is
+    computed numerically.  The result is 0 exactly when every positive
+    weight admits a maximizer.
+    """
+    return _threshold(params, *_setup(params, constants))
 
 
 def _objective_max(cp: CurveParams) -> OptResult:
@@ -272,11 +290,8 @@ def classify(params: ProblemParams,
     rather than by floating-point optimizer ties.  The objective curve is
     maximized once: its maximum is D and its maximizer is t_star.
     """
-    regime = params.regime()
-    exps = exponents(params)
-    constants = resolve_constants(params, constants)
-    C = kappa_multiplier(params, constants)
-    thr = threshold_alpha(params, constants)
+    regime, exps, C = _setup(params, constants)
+    thr = _threshold(params, regime, exps, C)
     cp = CurveParams.from_problem(params, C)
     opt = _objective_max(cp)
     D = opt.value

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .constants import (fractional_constant, gns_constant_estimate,
 from .curves import CurveParams, sample_rows
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
-from .params import ProblemParams
+from .params import ProblemParams, Regime
 from .profiles import (build_u_star, build_w_lambda, evaluate_J,
                        lambda_from_tstar, norms)
 from .verify import run_all
@@ -44,42 +45,31 @@ EXIT_VERIFY_FAILED = 3
 
 # -- deterministic JSON ----------------------------------------------------
 
-def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
+def _plain(obj):
+    """Python values ``json.dumps`` writes as the README promises: numpy
+    scalars and arrays become Python ones, nan/inf become strings."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
         if math.isnan(x):
-            return '"nan"'
+            return "nan"
         if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return repr(x)
-    if isinstance(x, str):
-        return json.dumps(x, ensure_ascii=False)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+            return "inf" if x > 0 else "-inf"
+        return x
+    return obj
 
 
-def to_json(obj, indent: int = 0) -> str:
+def to_json(obj) -> str:
     """Render nested dict/list/scalar data with stable key order and
     shortest round-trip float formatting."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f'{inner}{json.dumps(str(k))}: {to_json(v, indent + 1)}'
-                 for k, v in obj.items())
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = (f"{inner}{to_json(v, indent + 1)}" for v in seq)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(obj)
+    return json.dumps(_plain(obj), indent=2, ensure_ascii=False)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -249,8 +239,12 @@ def _cmd_curve(ns) -> int:
 
 def _cmd_maximizer(ns) -> int:
     params = _build_params(ns)
-    cset = _constants_for(ns, params)
-    v = classify(params, constants=cset)
+    if params.regime() is not Regime.CRITICAL_LOCAL:
+        raise ParamError(
+            "params",
+            "explicit maximizer profiles are available for the critical "
+            "local family only; other regimes have no closed-form extremal")
+    v = classify(params, constants=_constants_for(ns, params))
     if not v.attained:
         doc = {"schema": SCHEMA, "command": "maximizer",
                "problem": _problem_dict(params), "verdict": _verdict_dict(v),
@@ -258,11 +252,6 @@ def _cmd_maximizer(ns) -> int:
                "note": "no maximizer exists for these parameters"}
         _emit(to_json(doc), ns.out)
         return EXIT_OK
-    if params.is_fractional or not params.regime().is_critical:
-        raise ParamError(
-            "params",
-            "explicit maximizer profiles are available for the critical "
-            "local family only; other regimes have no closed-form extremal")
     N, p, gamma = params.N, params.p, params.gamma
     star = build_u_star(N, p)
     u_norms = norms(star, p, params.q, gamma)
@@ -414,9 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call (not at import) and
+    reused: parsing leaves it unchanged and fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.handler(ns)
     except ParamError as exc:

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NearCriticalWarning, ParamError
 
@@ -139,6 +140,11 @@ class ProblemParams:
     # -- derived --------------------------------------------------------
 
     def regime(self) -> Regime:
+        return self._regime
+
+    @cached_property
+    def _regime(self) -> Regime:
+        # the fields are frozen, so one validation per instance is enough
         return validate(self)
 
     @property
@@ -218,7 +224,7 @@ def validate(params: ProblemParams) -> Regime:
 
 def exponents(params: ProblemParams) -> Exponents:
     """Derived exponents (validates first)."""
-    regime = validate(params)
+    regime = params.regime()
     if regime is Regime.CRITICAL_LOCAL:
         crit = critical_exponent(params.N, params.p)
         return Exponents(base=params.p, crit=crit, gamma_crit=crit)
@@ -241,7 +247,7 @@ def extremal_in_energy_space(params: ProblemParams) -> bool:
     finite exactly then); critical fractional problems require s < N/4.
     For subcritical problems this obstruction never applies.
     """
-    regime = validate(params)
+    regime = params.regime()
     if regime is Regime.CRITICAL_LOCAL:
         return params.p * params.p < params.N
     if regime is Regime.CRITICAL_FRACTIONAL:

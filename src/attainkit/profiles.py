@@ -10,13 +10,20 @@ functional J and the threshold functional I on normalized profiles.
 
 Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr:
 
-* head [0, r_min]: |u(r_min)|^e r_min^N / N (relative weight ~ r_min^N);
+* head [0, r_min]: |u(r_min)|^e r_min^N / N (relative weight ~ r_min^N),
+  read from the first node;
 * body [r_min, r_cut]: Simpson in x = log r at a fixed density per decade,
-  with the nested half-density pass giving the error bound;
+  on an interval count rounded up to a multiple of 4, so that the nested
+  half-density pass on every other node (which gives the error bound) is
+  a Simpson rule too;
 * tail [r_cut, inf): zero for compact support; for algebraic decay of
   rate d the closed form |u(r_cut)|^e r_cut^N / (d e - N), with r_cut
   placed from the decay rate so the tail is far inside the body's error
   (capped when slow decay would push it astronomically far).
+
+u and u' are each sampled once per distinct r_cut on that one grid, and
+all three moments are read from those samples: a compactly supported
+profile is sampled once for u and once for u'.
 
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
@@ -190,80 +197,73 @@ def _sample_dfn(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simpson_log(evaluate: Callable, x_lo: float, x_hi: float, n_intervals: int) -> float:
-    """Simpson rule for integral of evaluate(x) dx on [x_lo, x_hi]."""
-    n = max(2, n_intervals + (n_intervals % 2))
-    x = np.linspace(x_lo, x_hi, n + 1)
-    y = evaluate(x)
-    h = (x_hi - x_lo) / n
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule on equally spaced samples (even interval count)."""
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def _moment(profile: RadialProfile, e: float, use_deriv: bool,
-            grid: GridSpec, norm_name: str) -> tuple[float, float]:
-    """(integral of |u or u'|^e r^(N-1) dr over (0, inf), error bound)."""
-    N = profile.N
+def _cut_off(profile: RadialProfile, e: float, use_deriv: bool,
+             grid: GridSpec, norm_name: str) -> tuple[float, float | None]:
+    """(r_cut, tail decay excess) of one moment; no excess when compact."""
     tail = profile.tail
-    sample = _sample_dfn if use_deriv else _sample_fn
-
     if tail.kind == "compact":
-        r_cut = tail.support
-        tail_val = 0.0
+        r_cut, excess = tail.support, None
     else:
         rate = tail.rate + (1.0 if use_deriv else 0.0)
-        excess = rate * e - N
+        excess = rate * e - profile.N
         if excess <= 0:
             raise DivergentNormError(
                 norm_name,
                 f"tail decay rate {rate} with exponent {e} gives a "
-                f"divergent moment in dimension {N}")
+                f"divergent moment in dimension {profile.N}")
         # clamp the base-10 exponent first: 10**x overflows for a tiny excess
         expo = min(max(-math.log10(grid.tail_target) / excess, 2.0),
                    math.log10(grid.r_cut_max))
         r_cut = min(grid.r_cut_max, 10.0 ** expo)
-        u_cut = float(abs(sample(profile, np.array([r_cut]))[0]))
-        tail_val = u_cut ** e * r_cut ** N / excess
-
-    r_lo = grid.r_min
-    if r_cut <= r_lo:
-        raise ParamError("grid", f"profile support {r_cut} does not exceed r_min {r_lo}")
-    head = float(abs(sample(profile, np.array([r_lo]))[0])) ** e * r_lo ** N / N
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        r = np.exp(x)
-        return np.abs(sample(profile, r)) ** e * np.exp(N * x)
-
-    decades = math.log10(r_cut / r_lo)
-    n_fine = int(math.ceil(decades * grid.points_per_decade))
-    body_fine = _simpson_log(integrand, math.log(r_lo), math.log(r_cut), n_fine)
-    body_half = _simpson_log(integrand, math.log(r_lo), math.log(r_cut), n_fine // 2)
-    total = head + body_fine + tail_val
-    err = abs(body_fine - body_half) / 15.0 + 1e-15 * abs(total)
-    return total, err
+    if r_cut <= grid.r_min:
+        raise ParamError("grid", f"profile support {r_cut} does not exceed r_min {grid.r_min}")
+    return r_cut, excess
 
 
 def norms(profile: RadialProfile, p: float, q: float, gamma: float,
           grid: GridSpec | None = None) -> Norms:
-    """All three norms of a radial profile by log-Simpson quadrature."""
+    """All three norms of a radial profile by log-Simpson quadrature.
+
+    u and u' are sampled once per distinct cut-off radius, and every
+    moment on that cut-off reads the same samples.
+    """
     if not (p > 1 and q > 0 and gamma > 0):
         raise ParamError("p", f"need p > 1, q > 0, gamma > 0; got {p}, {q}, {gamma}")
     grid = grid or GridSpec()
-    omega = sphere_area(profile.N)
-
-    def build(e: float, use_deriv: bool, name: str) -> NormValue:
-        raw, err = _moment(profile, e, use_deriv, grid, name)
+    N, r_lo = profile.N, grid.r_min
+    omega = sphere_area(N)
+    nodes: dict[float, tuple] = {}  # r_cut -> (h, r, r^N, {use_deriv: |u| or |u'|})
+    out = {}
+    for name, e, use_deriv in (("lp", p, False), ("grad_lp", p, True), ("lq", q, False)):
+        r_cut, excess = _cut_off(profile, e, use_deriv, grid, name)
+        if r_cut not in nodes:
+            n = int(math.ceil(math.log10(r_cut / r_lo) * grid.points_per_decade))
+            n = -(-n // 4) * 4  # the nested half pass needs an even count too
+            x = np.linspace(math.log(r_lo), math.log(r_cut), n + 1)
+            r = np.exp(x)
+            r[0], r[-1] = r_lo, r_cut  # head and tail read the end nodes
+            nodes[r_cut] = ((x[-1] - x[0]) / n, r, np.exp(N * x), {})
+        h, r, weight, sampled = nodes[r_cut]
+        if use_deriv not in sampled:
+            sampled[use_deriv] = np.abs(
+                _sample_dfn(profile, r) if use_deriv else _sample_fn(profile, r))
+        ue = sampled[use_deriv] ** e
+        y = ue * weight
+        body_fine = _simpson(y, h)
+        body_half = _simpson(y[::2], 2.0 * h)
+        head = float(ue[0]) * r_lo ** N / N
+        tail_val = 0.0 if excess is None else float(ue[-1]) * r_cut ** N / excess
+        raw = head + body_fine + tail_val
+        err = abs(body_fine - body_half) / 15.0 + 1e-15 * abs(raw)
         value = (omega * raw) ** (1.0 / e)
-        if raw > 0:
-            err_norm = value * (err / raw) / e
-        else:
-            err_norm = err ** (1.0 / e)
-        return NormValue(value=value, err_bound=err_norm)
-
-    return Norms(
-        lp=build(p, False, "lp"),
-        grad_lp=build(p, True, "grad_lp"),
-        lq=build(q, False, "lq"),
-    )
+        err_norm = value * (err / raw) / e if raw > 0 else err ** (1.0 / e)
+        out[name] = NormValue(value=value, err_bound=err_norm)
+    return Norms(**out)
 
 
 # -- the optimal bubble and its families ---------------------------------

@@ -1,6 +1,7 @@
 """Attainability verdicts: decision table, thresholds, constants resolution."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -108,6 +109,60 @@ def test_alpha_snap_to_threshold(crit5, constants_crit5):
     thr = threshold_alpha(pp, constants_crit5)
     v = classify(dataclasses.replace(pp, alpha=thr * (1 + 1e-12)), constants_crit5)
     assert v.reason == Reason.AT_THRESHOLD_CRITICAL_GAMMA_EQ_PSTAR
+
+
+# p near N: C = S^(p*) is about 1e50, so the threshold is about 1e-50
+NEAR_N = dict(N=9, p=8.084487398446278, gamma=78.56235771963881)
+
+
+def test_alpha_snap_is_relative_for_tiny_thresholds():
+    pp = ProblemParams.local_critical(**NEAR_N, alpha=1.0)
+    thr = threshold_alpha(pp)
+    assert 0.0 < thr < 1e-49
+    # a weight 67 times the threshold is above it, not a tie
+    above = classify(dataclasses.replace(pp, alpha=6.2172084484482235e-49))
+    assert above.threshold == thr
+    assert above.reason == Reason.SOBOLEV_NOT_ATTAINED  # p*p >= N
+    assert above.closed_form_D is None
+    assert above.D > 1.0
+    # below the threshold the table's closed form D = 1 holds
+    below = classify(dataclasses.replace(pp, alpha=0.5 * thr))
+    assert below.closed_form_D == 1.0
+    assert below.D == pytest.approx(1.0, rel=1e-9)
+
+
+def test_alpha_snap_tolerance_scales_with_the_threshold():
+    pp = ProblemParams.local_critical(N=5, p=2.0, gamma=P_STAR_5, alpha=1.0)
+    cs = ConstantSet(sobolev=ak.SharpConstant(
+        value=1e3, method="user-input", err_bound=0.0, meta={}))
+    thr = threshold_alpha(pp, cs)
+    assert thr < 1e-9  # an absolute 1e-11 snap would swallow 1e-3 relative
+    at = classify(dataclasses.replace(pp, alpha=thr * (1 + 1e-12)), cs)
+    assert at.reason == Reason.AT_THRESHOLD_CRITICAL_GAMMA_EQ_PSTAR
+    above = classify(dataclasses.replace(pp, alpha=thr * (1 + 1e-3)), cs)
+    assert above.attained
+
+
+def test_classify_validates_and_resolves_once(monkeypatch, crit5):
+    # the package re-exports the function classify under the module's name
+    classify_mod = importlib.import_module("attainkit.classify")
+    params_mod = importlib.import_module("attainkit.params")
+    calls = {"validate": 0, "sobolev": 0}
+    validate, sobolev = params_mod.validate, classify_mod.sobolev_constant
+
+    def counting_validate(params):
+        calls["validate"] += 1
+        return validate(params)
+
+    def counting_sobolev(N, p):
+        calls["sobolev"] += 1
+        return sobolev(N, p)
+
+    monkeypatch.setattr(params_mod, "validate", counting_validate)
+    monkeypatch.setattr(classify_mod, "sobolev_constant", counting_sobolev)
+    v = classify(dataclasses.replace(crit5, gamma=3.0, alpha=500.0))
+    assert v.attained
+    assert calls == {"validate": 1, "sobolev": 1}
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0])

@@ -1,6 +1,10 @@
 """Command-line interface: JSON/CSV contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,11 +181,66 @@ def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv, want_code):
         assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-6)
 
 
-def test_maximizer_rejects_subcritical(capsys):
-    code, _, err = run_cli(capsys, "maximizer", "--N", "2", "--p", "2",
-                           "--q", "4", "--gamma", "1.5", "--alpha", "50")
-    assert code == 1
-    assert err
+def test_maximizer_rejects_subcritical(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the regime check must come before any numerics")
+
+    monkeypatch.setattr(cli, "classify", no_solve)
+    monkeypatch.setattr(cli, "resolve_constants", no_solve)
+    for argv in [
+        # subcritical local, above and below the threshold: the exit code
+        # does not depend on the weight, and no constant is computed
+        ("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "50"),
+        ("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "0.01"),
+        ("--N", "5", "--s", "0.6", "--q", "critical", "--gamma", "2.3",
+         "--beta", "5", "--frac-constant", "1.7"),
+    ]:
+        code, out, err = run_cli(capsys, "maximizer", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "critical local family only" in err
+
+
+def test_maximizer_tiny_threshold_is_not_a_tie(capsys):
+    # alpha is 67 times a threshold of 9.2e-51; an absolute snap called it a
+    # tie and then refused the numeric D against the closed form D = 1
+    code, out, err = run_cli(capsys, "maximizer", "--N", "9",
+                             "--p", "8.084487398446278", "--q", "critical",
+                             "--gamma", "78.56235771963881",
+                             "--alpha", "6.2172084484482235e-49")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["maximizer"] is None
+    assert doc["verdict"]["reason"] == "SobolevNotAttained"
+
+
+def test_parser_reuse_carries_nothing_between_calls(capsys, tmp_path):
+    # the parser is built once per process; every call must still behave
+    # as it does in a fresh process
+    calls = [
+        CLASSIFY_ARGS,
+        ("maximizer", "--N", "5", "--p", "2", "--q", "critical",
+         "--gamma", "2.2", "--alpha", "180", "--tol", "1e-18"),
+        ("classify", "--N", "5", "--p", "2", "--q", "critical",
+         "--gamma", "2.2", "--alpha", "180", "--bogus"),
+        ("maximizer", "--N", "5", "--p", "2", "--q", "critical",
+         "--gamma", "2.2", "--alpha", "180"),
+        ("classify", "--N", "5", "--s", "0.6", "--q", "critical",
+         "--gamma", "1.0", "--beta", "1", "--frac-constant", "1.7"),
+        CLASSIFY_ARGS,
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "attainkit", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
+        assert captured.err == fresh.stderr, argv
 
 
 def test_maximizer_tight_tol_exits_numerical(capsys):

@@ -236,6 +236,35 @@ def test_random_profiles_envelope(crit5, constants_crit5):
         assert evaluate_J(w, crit5) <= float(value_f(cp, t)) + 1e-8
 
 
+def _counting(profile):
+    """The profile with fn/dfn wrapped to record the radii of every call."""
+    calls = {"fn": [], "dfn": []}
+
+    def wrap(name, f):
+        def counted(r):
+            calls[name].append(float(np.max(r)))
+            return f(r)
+        return counted
+
+    return dataclasses.replace(profile, fn=wrap("fn", profile.fn),
+                               dfn=wrap("dfn", profile.dfn)), calls
+
+
+def test_norms_sample_a_compact_profile_once():
+    prof, calls = _counting(random_profiles(1, N=N5, seed=11)[0])
+    norms(prof, p=P2, q=Q_CRIT5, gamma=2.5)
+    assert len(calls["fn"]) == 1 and len(calls["dfn"]) == 1
+
+
+def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
+    prof, calls = _counting(star5)
+    got = norms(prof, p=P2, q=Q_CRIT5, gamma=2.5)
+    assert got == star5_norms
+    # the mass and q moments decay at different rates, so their cut-offs differ
+    assert len(calls["fn"]) == len(set(calls["fn"])) == 2
+    assert len(calls["dfn"]) == 1
+
+
 def test_finite_difference_derivative_close_to_analytic(star5):
     # strip the analytic derivative; the log-grid stencil must recover it
     r = np.geomspace(1e-6, 1e6, 4097)
