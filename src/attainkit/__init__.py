@@ -10,7 +10,8 @@ interior.  Modules:
 * ``params``    — parameter validation and regime selection
 * ``curves``    — the scalar objective/ratio curves and their derivative
   sign factors
-* ``halfline``  — guarded scalar optimization on (0, inf)
+* ``halfline``  — the curves' optima on (0, inf), by root-finding on the
+  derivative signs
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
@@ -35,11 +36,11 @@ from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
 from .curves import (CurveParams, ScalarCurve, h_factor, m_factor,
                      objective_curve, ratio_curve, sample_rows, s_of_t,
-                     stationary_points, t_of_s, value_f, value_g, value_k,
-                     value_l)
+                     t_of_s, value_f, value_g, value_l)
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
-from .halfline import OptResult, maximize_halfline, minimize_halfline
+from .halfline import (OptResult, maximize_halfline, minimize_halfline,
+                       stationary_points)
 from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      exponents, extremal_in_energy_space,
                      fractional_critical_exponent,
@@ -75,5 +76,5 @@ __all__ = [
     "scale_amplitude", "smoothstep_cutoff", "smoothstep_cutoff_deriv",
     "sobolev_constant",
     "sphere_area", "stationary_points", "t_of", "t_of_s", "threshold_alpha",
-    "threshold_curve", "value_f", "value_g", "value_k", "value_l",
+    "threshold_curve", "value_f", "value_g", "value_l",
 ]

@@ -29,13 +29,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .constants import SharpConstant, gns_constant_estimate, sobolev_constant
-from .curves import (
-    CurveParams,
-    objective_curve,
-    ratio_curve,
-    stationary_points,
-    value_f,
-)
+from .curves import CurveParams, objective_curve, ratio_curve, t_from_log
 from .errors import NumericalError, ParamError
 from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (
@@ -74,8 +68,8 @@ class Verdict:
     reason         the decision-table rule that fired
     D              supremum of the functional (numeric, curve-based)
     threshold      critical weight alpha(gamma) (0 when none)
-    t_star         gradient-to-mass ratio of a maximizer, when one exists;
-                   may also be populated for marginal boundary ties
+    log_t_star     log of the gradient-to-mass ratio t* of a maximizer,
+                   exactly when the verdict is attained
     closed_form_D  closed-form value of D when the table provides one;
                    always within CLOSED_FORM_RTOL of D
     regime         which of the four problem families was classified
@@ -85,9 +79,14 @@ class Verdict:
     reason: Reason
     D: float
     threshold: float
-    t_star: float | None
+    log_t_star: float | None
     closed_form_D: float | None
     regime: Regime
+
+    @property
+    def t_star(self) -> float | None:
+        """t* = exp(log_t_star) when a double holds it, else None."""
+        return t_from_log(self.log_t_star)
 
 
 @dataclass(frozen=True)
@@ -258,26 +257,6 @@ def _closed_form_d(params: ProblemParams, exps: Exponents, regime: Regime,
     return None
 
 
-def _attained_t_star(cp: CurveParams, opt: OptResult) -> float:
-    """Maximizer location for a verdict the table says is attained.
-
-    Uses the objective-curve maximizer ``opt``; at an exact threshold tie the
-    optimizer reports a marginal result whose candidate location is still
-    the interior maximizer.  When the grid scan resolves nothing at all --
-    tiny weights push the maximum to t values whose excess over the
-    boundary limit is far below double precision -- the stationary points
-    of f are located by log-domain derivative root-finding instead, and
-    the one with the largest curve value wins.
-    """
-    if opt.argopt is not None:
-        return opt.argopt
-    roots = stationary_points(cp)
-    if not roots:
-        raise NumericalError(
-            "verdict says attained but no interior stationary point was found")
-    return max(roots, key=lambda t: value_f(cp, t))
-
-
 def classify(params: ProblemParams,
              constants: ConstantSet | None = None) -> Verdict:
     """Full attainability verdict for one parameter point.
@@ -288,51 +267,55 @@ def classify(params: ProblemParams,
     then gamma is located against the regime's boundaries and alpha
     against the threshold, with equalities resolved by the analytic table
     rather than by floating-point optimizer ties.  The objective curve is
-    maximized once: its maximum is D and its maximizer is t_star.
+    maximized once: its maximum is D and its maximizer is t*.
     """
     regime, exps, C = _setup(params, constants)
     thr = _threshold(params, regime, exps, C)
-    cp = CurveParams.from_problem(params, C)
-    opt = _objective_max(cp)
+    opt = _objective_max(CurveParams.from_problem(params, C))
     D = opt.value
     band = _gamma_band(params.gamma, exps, regime.is_critical)
     rel_alpha = _alpha_vs_threshold(params.alpha, thr)
 
-    def verdict(attained: bool, reason: Reason,
-                t_star: float | None, cf: float | None) -> Verdict:
+    def verdict(attained: bool, reason: Reason, cf: float | None) -> Verdict:
         if cf is not None and not _close(D, cf, CLOSED_FORM_RTOL):
             raise NumericalError(
                 f"numeric D={D!r} disagrees with closed form {cf!r} "
                 f"beyond relative {CLOSED_FORM_RTOL}")
+        # at an exact threshold tie the optimizer reports a marginal result
+        # whose candidate is still f's interior stationary point
+        if attained and opt.log_argopt is None:
+            raise NumericalError(
+                "verdict says attained but the objective curve has no interior maximum")
         return Verdict(attained=attained, reason=reason, D=D, threshold=thr,
-                       t_star=t_star, closed_form_D=cf, regime=regime)
+                       log_t_star=opt.log_argopt if attained else None,
+                       closed_form_D=cf, regime=regime)
 
     cf = _closed_form_d(params, exps, regime, band, rel_alpha, C)
 
     if regime.is_critical and not extremal_in_energy_space(params):
-        return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, None, cf)
+        return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, cf)
     if params.alpha == 0.0:
-        return verdict(False, Reason.ALPHA_ZERO, None, 1.0)
+        return verdict(False, Reason.ALPHA_ZERO, 1.0)
 
     if band == "gt_upper":
         # threshold is zero: every positive weight admits a maximizer
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
     if band == "le_base":
         # critical regimes only: convexity excludes attainment at every alpha
-        return verdict(False, Reason.CONVEXITY_EXCLUSION, None, cf)
+        return verdict(False, Reason.CONVEXITY_EXCLUSION, cf)
     if band == "eq_upper":
         # on the upper gamma boundary equality with the threshold loses
         if rel_alpha > 0:
-            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
+            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
         if rel_alpha == 0:
             at = (Reason.AT_THRESHOLD_CRITICAL_GAMMA_EQ_PSTAR if regime.is_critical
                   else Reason.AT_THRESHOLD_GAMMA_EQ_GAMMA_C)
-            return verdict(False, at, None, cf)
-        return verdict(False, Reason.BELOW_THRESHOLD, None, cf)
+            return verdict(False, at, cf)
+        return verdict(False, Reason.BELOW_THRESHOLD, cf)
     # interior band: equality with the threshold wins
     if rel_alpha >= 0:
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, _attained_t_star(cp, opt), cf)
-    return verdict(False, Reason.BELOW_THRESHOLD, None, cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
+    return verdict(False, Reason.BELOW_THRESHOLD, cf)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,7 @@ def _verdict_dict(v) -> dict:
         "D": v.D,
         "threshold": v.threshold,
         "t_star": v.t_star,
+        "log_t_star": v.log_t_star,
         "closed_form_D": v.closed_form_D,
         "regime": v.regime.value,
     }
@@ -252,6 +253,10 @@ def _cmd_maximizer(ns) -> int:
                "note": "no maximizer exists for these parameters"}
         _emit(to_json(doc), ns.out)
         return EXIT_OK
+    if v.t_star is None:
+        raise NumericalError(
+            f"the maximizer sits at log t* = {v.log_t_star!r}, a dilation "
+            "outside the double range")
     N, p, gamma = params.N, params.p, params.gamma
     star = build_u_star(N, p)
     u_norms = norms(star, p, params.q, gamma)

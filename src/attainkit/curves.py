@@ -13,22 +13,23 @@ with exponents
     a = (q - p)/gamma,   b = q/gamma,   c = gamma_crit/gamma,
     pgamma = p/gamma,    kappa = alpha * (sharp constant normalization),
 
-satisfying a = b - pgamma, 0 < c <= b.  The problem's supremum is
+satisfying a = b - pgamma > 0, 0 < c <= b.  The problem's supremum is
 sup_t f(t) and the attainability threshold weight is inf_t g(t) divided by
 the normalization.  The critical case is exactly c = b.
 
-The substitution s = t/(1+t) compactifies the half-line to (0,1):
+With s = t/(1+t) and u = 1 - s = 1/(1+t) the curves read
 
-    k(s) = f(t(s)) = (1-s)^pgamma + kappa * s^c * (1-s)^(b-c)
-    l(s) = g(t(s)) = s^(-c) * (1-s)^(c-b) * (1 - (1-s)^pgamma)
+    f = u^pgamma + kappa * s^c * u^(b-c)
+    g = s^(-c) * u^(c-b) * (1 - u^pgamma)
 
-All evaluations run in log space (log1p/expm1), which is cancellation-free
-for t near 0 and s near 1; in particular (1+t)^pgamma - 1 is computed as
-expm1(pgamma*log1p(t)), exact to machine precision for all t.
+and every evaluation runs on log s and log u, both computed from log t by
+softplus without cancellation, with 1 - u^pgamma as -expm1(pgamma log u).
+So the curves stay accurate at any t, including values of t no double can
+hold (``ScalarCurve.value_log_t``).
 
 ``h_factor`` and ``m_factor`` are elementary expressions with the same sign
-as f'(t) and l'(s) respectively; the classifier reasons about monotonicity
-through them rather than through finite differences.
+as f'(t) and l'(s) = d g(t(s))/ds respectively; the half-line optimizer
+finds the optima as sign changes of their log forms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NumericalError, ParamError
+from .errors import ParamError
 from .params import ProblemParams, Regime, exponents
 
 
@@ -61,13 +62,25 @@ def t_of_s(s):
     return float(out) if out.ndim == 0 else out
 
 
+def t_from_log(log_t: float | None) -> float | None:
+    """t = e^log_t when 0 < t < inf in doubles, else None."""
+    if log_t is None:
+        return None
+    try:
+        t = math.exp(log_t)
+    except OverflowError:
+        return None
+    return t if 0.0 < t < math.inf else None
+
+
 @dataclass(frozen=True)
 class CurveParams:
     """Exponent tuple (a, b, c, kappa, pgamma) of one curve family.
 
-    Invariants enforced: a = b - pgamma exactly, 0 < c <= b, kappa >= 0,
-    pgamma > 0.  Use :meth:`make` or :meth:`from_problem`, which build ``a``
-    from the other two so the identity holds to the last bit.
+    Invariants enforced: a = b - pgamma exactly, a > 0, 0 < c <= b,
+    kappa >= 0, pgamma > 0.  Use :meth:`make` or :meth:`from_problem`,
+    which build ``a`` from the other two so the identity holds to the last
+    bit.
     """
 
     a: float
@@ -89,6 +102,8 @@ class CurveParams:
             raise ParamError("c", f"need 0 < c <= b, got c={self.c}, b={self.b}")
         if self.a != self.b - self.pgamma:
             raise ParamError("a", "a must equal b - pgamma exactly; use CurveParams.make")
+        if self.a <= 0:
+            raise ParamError("pgamma", f"need pgamma < b, got pgamma={self.pgamma}, b={self.b}")
 
     @classmethod
     def make(cls, b: float, c: float, kappa: float, pgamma: float) -> "CurveParams":
@@ -124,51 +139,51 @@ class CurveParams:
         return self.c == self.b
 
 
-# -- raw evaluations ---------------------------------------------------
+# -- evaluation --------------------------------------------------------
 
 def _shape(out):
     return float(out) if out.ndim == 0 else out
 
 
-def value_f(cp: CurveParams, t):
-    """Objective curve f(t) on (0, inf)."""
-    t = np.asarray(t, dtype=float)
-    L = np.log1p(t)
-    first = np.exp(-cp.pgamma * L)
-    second = cp.kappa * np.exp(cp.c * np.log(t) - cp.b * L) if cp.kappa else 0.0
-    return _shape(first + second)
+def _log_s_u(x):
+    """(log s, log u) = (log t/(1+t), -log(1+t)) from x = log t, by softplus."""
+    x = np.asarray(x, dtype=float)
+    return -np.logaddexp(0.0, -x), -np.logaddexp(0.0, x)
 
 
-def value_g(cp: CurveParams, t):
-    """Ratio curve g(t) on (0, inf) (independent of kappa)."""
-    t = np.asarray(t, dtype=float)
-    L = np.log1p(t)
-    return _shape(np.exp(cp.a * L - cp.c * np.log(t)) * np.expm1(cp.pgamma * L))
+def _log_s_u_of_t(t):
+    """(log s, log u) from t itself; log s loses only eps*log t absolutely."""
+    log_u = -np.log1p(np.asarray(t, dtype=float))
+    return np.log(t) + log_u, log_u
 
 
-def _k_of_logs(cp: CurveParams, log_s, log_u):
-    """k(s) from log(s) and log(1-s)."""
+def _f_logs(cp: CurveParams, log_s, log_u):
+    """f = u^pgamma + kappa s^c u^(b-c) from log s and log u."""
     out = np.exp(cp.pgamma * log_u)
     if cp.kappa:
         out = out + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u)
     return out
 
 
-def _l_of_logs(cp: CurveParams, log_s, log_u):
-    """l(s) from log(s) and log(1-s)."""
+def _g_logs(cp: CurveParams, log_s, log_u):
+    """g = s^(-c) u^(c-b) (1 - u^pgamma) from log s and log u."""
     return np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u) * (-np.expm1(cp.pgamma * log_u))
 
 
-def value_k(cp: CurveParams, s):
-    """Compactified objective k(s) = f(t(s)) on (0, 1), evaluated directly in s."""
-    s = np.asarray(s, dtype=float)
-    return _shape(_k_of_logs(cp, np.log(s), np.log1p(-s)))  # log1p: stable log(1-s)
+def value_f(cp: CurveParams, t):
+    """Objective curve f(t) on (0, inf)."""
+    return _shape(_f_logs(cp, *_log_s_u_of_t(t)))
+
+
+def value_g(cp: CurveParams, t):
+    """Ratio curve g(t) on (0, inf) (independent of kappa)."""
+    return _shape(_g_logs(cp, *_log_s_u_of_t(t)))
 
 
 def value_l(cp: CurveParams, s):
     """Compactified ratio l(s) = g(t(s)) on (0, 1), evaluated directly in s."""
     s = np.asarray(s, dtype=float)
-    return _shape(_l_of_logs(cp, np.log(s), np.log1p(-s)))
+    return _shape(_g_logs(cp, np.log(s), np.log1p(-s)))  # log1p: stable log(1-s)
 
 
 def h_factor(cp: CurveParams, t):
@@ -211,64 +226,6 @@ def m_factor(cp: CurveParams, s):
     return _shape(out)
 
 
-def stationary_points(cp: CurveParams, n: int = 8192) -> list[float]:
-    """All interior stationary points of f, by log-domain root-finding.
-
-    The zero set of h rearranges to G(lt) = 0 with lt = log t and
-
-        G(lt) = log kappa + (c-1) lt + log(c + (c-b) e^lt)
-                - log pgamma - a log(1 + e^lt),
-
-    valid wherever c + (c-b) e^lt > 0 (elsewhere h < 0 outright, so no
-    roots are lost).  Every quantity stays representable for lt spanning
-    hundreds of e-folds, which matters: for weights near zero the maximum
-    of f sits at t values far beyond floating-point grid resolution, and
-    this is the only way to locate it.  Returns the roots as t values in
-    increasing order; empty when f is monotone (e.g. kappa = 0).
-    """
-    if cp.kappa == 0.0:
-        return []
-    lo, hi = -690.0, 690.0
-    if not cp.is_critical:
-        # keep c + (c-b) e^lt positive: lt < log(c / (b-c))
-        hi = min(hi, math.log(cp.c / (cp.b - cp.c)) - 1e-12)
-        if hi <= lo:
-            return []
-    lt = np.linspace(lo, hi, n)
-
-    def G(x):
-        x = np.asarray(x, dtype=float)
-        mid = (math.log(cp.c) if cp.is_critical
-               else np.log(cp.c + (cp.c - cp.b) * np.exp(x)))
-        return (math.log(cp.kappa) + (cp.c - 1.0) * x + mid
-                - math.log(cp.pgamma) - cp.a * np.logaddexp(0.0, x))
-
-    vals = G(lt)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("stationarity function evaluated non-finite")
-    roots: list[float] = []
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in sign_change:
-        a_, b_ = float(lt[i]), float(lt[i + 1])
-        fa = float(vals[i])
-        for _ in range(200):
-            m = 0.5 * (a_ + b_)
-            fm = float(G(m))
-            if fm == 0.0:
-                a_ = b_ = m
-                break
-            if (fa > 0) == (fm > 0):
-                a_, fa = m, fm
-            else:
-                b_ = m
-            if b_ - a_ <= 1e-14 * max(1.0, abs(a_)):
-                break
-        roots.append(math.exp(0.5 * (a_ + b_)))
-    # exact zeros at grid nodes (rare) count too
-    roots.extend(math.exp(float(x)) for x in lt[vals == 0.0])
-    return sorted(roots)
-
-
 # -- analytic boundary limits ------------------------------------------
 
 def f_limits(cp: CurveParams) -> tuple[float, float]:
@@ -300,11 +257,7 @@ Kind = Literal["objective", "ratio"]
 
 @dataclass(frozen=True)
 class ScalarCurve:
-    """One curve (objective f or ratio g) bundled with its boundary limits.
-
-    The half-line optimizer consumes these; evaluation for optimization
-    happens in the compactified variable s.
-    """
+    """One curve (objective f or ratio g) bundled with its boundary limits."""
 
     params: CurveParams
     kind: Kind
@@ -313,16 +266,10 @@ class ScalarCurve:
         if self.kind not in ("objective", "ratio"):
             raise ValueError(f"kind must be 'objective' or 'ratio', got {self.kind!r}")
 
-    def value_t(self, t):
-        return (value_f if self.kind == "objective" else value_g)(self.params, t)
-
-    def value_s(self, s):
-        return (value_k if self.kind == "objective" else value_l)(self.params, s)
-
-    def value_s_logs(self, log_s, log_u):
-        """Fast path: evaluate at s given precomputed log(s) and log(1-s)."""
-        return (_k_of_logs if self.kind == "objective" else _l_of_logs)(
-            self.params, log_s, log_u)
+    def value_log_t(self, x):
+        """The curve at t = e^x, for any x, including t no double can hold."""
+        fn = _f_logs if self.kind == "objective" else _g_logs
+        return _shape(fn(self.params, *_log_s_u(x)))
 
     def limits(self) -> tuple[float, float]:
         return (f_limits if self.kind == "objective" else g_limits)(self.params)

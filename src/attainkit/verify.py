@@ -31,11 +31,10 @@ import numpy as np
 from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
                        resolve_constants, threshold_alpha, threshold_curve)
 from .constants import fractional_constant
-from .curves import (CurveParams, h_factor, m_factor, objective_curve,
-                     stationary_points, value_f, value_l)
+from .curves import CurveParams, h_factor, m_factor, objective_curve, value_f, value_l
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
-from .halfline import maximize_halfline
+from .halfline import maximize_halfline, stationary_points
 from .params import ProblemParams, critical_exponent, exponents
 from .profiles import (build_truncated, build_u_star, build_w_lambda,
                        evaluate_J, lambda_from_tstar, normalize_scaled,
@@ -296,9 +295,8 @@ def run_envelope(params: ProblemParams | None = None,
 def _sign_mismatches_f(cp: CurveParams, n: int) -> int:
     """Count sign disagreements between h_factor and central differences of f."""
     t = np.geomspace(1e-4, 1e4, n)
-    roots = stationary_points(cp)
-    for root in roots:
-        t = t[np.abs(t - root) > 1e-5 * root]
+    for root in stationary_points(cp):
+        t = t[np.abs(np.log(t) - root) > 1e-5]
     delta = 1e-6 * t
     fp = value_f(cp, t + delta) - value_f(cp, t - delta)
     h = h_factor(cp, t)

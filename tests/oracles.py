@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
 
-from attainkit.curves import ScalarCurve, t_of_s
+from attainkit.curves import ScalarCurve
 from attainkit.errors import NumericalError
 from attainkit.halfline import OptResult
 
@@ -211,22 +211,34 @@ def shooting_oracle_p2(N: int, q: float) -> float:
 
 @lru_cache(maxsize=4)
 def _oracle_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, log s, log u) on the grid s_j = j/n, with u = 1 - s = 1/(1+t)."""
     s = np.arange(1, n, dtype=float) / n
-    return s, np.log(s), np.log1p(-s)
+    return s / (1.0 - s), np.log(s), np.log1p(-s)
+
+
+def _curve_on_grid(curve: ScalarCurve, log_s: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+    """f = u^pgamma + kappa s^c u^(b-c) or g = s^-c u^(c-b) (1 - u^pgamma)."""
+    cp = curve.params
+    if curve.kind == "objective":
+        return (np.exp(cp.pgamma * log_u)
+                + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u))
+    return np.exp((cp.c - cp.b) * log_u - cp.c * log_s) * -np.expm1(cp.pgamma * log_u)
 
 
 def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptResult:
     """Reference evaluator: dense uniform grid s_j = j/n, no refinement.
 
-    Grids are nested under doubling of n.  Requires n >= 1e5 so the answer
-    is meaningful.  err_bound is inf: it deliberately does not refine.
+    The curve is evaluated by its own closed form in s (not the library's
+    evaluators) and no root is solved.  Grids are nested under doubling of
+    n.  Requires n >= 1e5 so the answer is meaningful.  err_bound is inf:
+    it deliberately does not refine.
     """
     if n < 10**5:
         raise ValueError(f"grid_oracle needs n >= 1e5, got {n}")
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    s, log_s, log_u = _oracle_grid(n)
-    vals = np.asarray(curve.value_s_logs(log_s, log_u), dtype=float)
+    t, log_s, log_u = _oracle_grid(n)
+    vals = _curve_on_grid(curve, log_s, log_u)
     if np.any(np.isnan(vals)):
         raise NumericalError("curve evaluated to NaN on the oracle grid")
     limits = curve.limits()
@@ -241,7 +253,7 @@ def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptRes
         inner_wins = vals[i] < boundary
         value = min(vals[i], boundary)
     return OptResult(value=float(value),
-                     argopt=t_of_s(s[i]) if inner_wins else None,
                      attained=bool(inner_wins),
                      err_bound=math.inf,
-                     n_evals=s.size)
+                     n_evals=t.size,
+                     log_argopt=math.log(t[i]) if inner_wins else None)

@@ -182,9 +182,36 @@ def test_above_upper_gamma_attained_for_every_weight(crit5, constants_crit5):
     v = classify(pp, constants_crit5)
     assert v.attained and v.reason == Reason.UNIQUE_INTERIOR_MAX
     assert v.threshold == 0.0
-    # the optimum hides far below grid resolution; the stationary-point
-    # fallback must still locate it
+    # the optimum sits where f exceeds its limit by far less than one ulp;
+    # the root of the derivative sign still locates it
     assert v.t_star is not None and 0.0 < v.t_star < 1e-100
+    assert v.log_t_star == pytest.approx(math.log(v.t_star), rel=1e-15)
+    # roots beyond the double range of t: no t_star, but log t* all the same
+    frac = ConstantSet(fractional=fractional_constant(1.7))
+    for pp, cs, log_t_star in [
+        (ProblemParams.local_critical(N=5, p=2.0, gamma=1.001 * P_STAR_5, alpha=1.0),
+         None, -3985.54),
+        # gamma only 1.6e-5 above gamma_c
+        (ProblemParams.fractional(N=5, s=0.6, q=2.2, gamma=0.8333469073689064,
+                                  alpha=0.037747494237528545), frac, -222344.57),
+    ]:
+        v = classify(pp, cs)
+        assert v.attained and v.reason == Reason.UNIQUE_INTERIOR_MAX
+        assert v.threshold == 0.0 and v.D == 1.0
+        assert v.log_t_star == pytest.approx(log_t_star, abs=0.01)
+        assert v.t_star is None
+
+
+def test_maximizer_beyond_the_double_range():
+    # the left root of the derivative sign, a local minimum of f at
+    # t = 2.5e-10, was once reported as the maximizer
+    pp = ProblemParams.local_critical(N=6, p=1.05, gamma=1.0502312310584088,
+                                      alpha=1295.8598210709758)
+    v = classify(pp)
+    assert v.attained and v.reason == Reason.UNIQUE_INTERIOR_MAX
+    assert v.log_t_star == pytest.approx(21277.9414, abs=1e-4)
+    assert v.t_star is None
+    assert v.D == pytest.approx(89.3379053244701, rel=1e-13)
 
 
 def test_energy_space_obstruction_beats_everything(constants_crit3):

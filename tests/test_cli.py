@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV contracts, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,8 @@ def test_classify_json_contract(capsys):
     assert doc["verdict"]["attained"] is True
     assert doc["verdict"]["reason"] == "UniqueInteriorMax"
     assert doc["verdict"]["D"] > 1.0
+    assert doc["verdict"]["log_t_star"] == pytest.approx(
+        math.log(doc["verdict"]["t_star"]), rel=1e-15)
     assert out.endswith("\n")
 
 
@@ -241,6 +244,21 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, tmp_path):
                                capture_output=True, text=True, env=env)
         assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
         assert captured.err == fresh.stderr, argv
+
+
+def test_maximizer_beyond_the_double_range_exits_numerical(capsys, monkeypatch):
+    # the maximizer sits at log t* = 21277.94: no double holds t* or the
+    # dilation, so the command stops before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("no profile may be built")
+
+    monkeypatch.setattr(cli, "build_u_star", no_quadrature)
+    code, out, err = run_cli(capsys, "maximizer", "--N", "6", "--p", "1.05",
+                             "--q", "critical", "--gamma", "1.0502312310584088",
+                             "--alpha", "1295.8598210709758")
+    assert code == 2
+    assert out == ""
+    assert "log t* = 21277.94" in err and "outside the double range" in err
 
 
 def test_maximizer_tight_tol_exits_numerical(capsys):

@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 from attainkit.classify import kappa_multiplier
 from attainkit.curves import (CurveParams, f_limits, g_limits, h_factor,
                               m_factor, objective_curve, ratio_curve,
-                              s_of_t, sample_rows, stationary_points, t_of_s,
-                              value_f, value_g, value_k, value_l)
+                              s_of_t, sample_rows, t_of_s, value_f, value_g,
+                              value_l)
+from attainkit.errors import ParamError
+from attainkit.halfline import stationary_points
 from attainkit.params import ProblemParams
 
 @st.composite
@@ -47,7 +49,6 @@ def test_from_problem_alpha_override(crit5, constants_crit5):
 @given(cp=curve_params(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_compactified_curves_match(cp, s):
     t = t_of_s(s)
-    assert value_k(cp, s) == pytest.approx(value_f(cp, t), rel=1e-12, abs=1e-300)
     assert value_l(cp, s) == pytest.approx(value_g(cp, t), rel=1e-9, abs=1e-300)
 
 
@@ -103,20 +104,20 @@ def test_stationary_points_bracket_sign_change():
     roots = stationary_points(cp)
     assert roots
     for root in roots:
-        assert h_factor(cp, root * (1 - 1e-6)) * h_factor(cp, root * (1 + 1e-6)) < 0
+        assert h_factor(cp, math.exp(root - 1e-6)) * h_factor(cp, math.exp(root + 1e-6)) < 0
 
 
 def test_stationary_points_far_scales():
     # interior stationary points far outside any feasible sampling grid
     tiny = CurveParams.make(b=0.875, c=0.875, kappa=1e-9, pgamma=0.5)
     roots_tiny = stationary_points(tiny)
-    assert roots_tiny and min(roots_tiny) < 1e-12
+    assert roots_tiny and min(roots_tiny) < math.log(1e-12)
     huge = CurveParams.make(b=3.0, c=3.0, kappa=1e-9, pgamma=2.0)
     roots_huge = stationary_points(huge)
-    assert roots_huge and max(roots_huge) > 1e6
+    assert roots_huge and max(roots_huge) > math.log(1e6)
     for cp, roots in ((tiny, roots_tiny), (huge, roots_huge)):
         for root in roots:
-            assert h_factor(cp, root * (1 - 1e-9)) * h_factor(cp, root * (1 + 1e-9)) < 0
+            assert h_factor(cp, math.exp(root - 1e-9)) * h_factor(cp, math.exp(root + 1e-9)) < 0
 
 
 def test_stationary_points_empty_for_zero_kappa():
@@ -124,13 +125,17 @@ def test_stationary_points_empty_for_zero_kappa():
     assert stationary_points(cp) == []
 
 
-def test_scalar_curve_values_match_compactified():
-    cp = CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0)
-    s = np.linspace(0.05, 0.95, 7)
-    np.testing.assert_allclose(
-        [objective_curve(cp).value_s(x) for x in s], value_k(cp, s), rtol=1e-12)
-    np.testing.assert_allclose(
-        [ratio_curve(cp).value_s(x) for x in s], value_l(cp, s), rtol=1e-12)
+def test_scalar_curve_value_log_t():
+    for cp in (CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
+               CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
+        t = np.geomspace(1e-6, 1e6, 7)
+        for curve, value in ((objective_curve(cp), value_f), (ratio_curve(cp), value_g)):
+            np.testing.assert_allclose(curve.value_log_t(np.log(t)), value(cp, t), rtol=1e-12)
+    # beyond the double range of t the log form still meets the limits
+    crit = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
+    assert objective_curve(crit).value_log_t(-1e5) == 1.0
+    assert objective_curve(crit).value_log_t(1e5) == 3.0
+    assert ratio_curve(crit).value_log_t(1e5) == 1.0
 
 
 def test_scalar_curve_limits():
@@ -153,6 +158,10 @@ def test_curve_params_validation():
         CurveParams.make(b=1.0, c=1.5, kappa=1.0, pgamma=1.2)  # c beyond b
     with pytest.raises(Exception):
         CurveParams.make(b=1.0, c=0.5, kappa=-1.0, pgamma=0.5)  # negative kappa
+    with pytest.raises(ParamError):
+        CurveParams.make(b=1.0, c=0.5, kappa=1.0, pgamma=1.0)  # a = 0
+    with pytest.raises(ParamError):
+        CurveParams.make(b=1.0, c=0.8, kappa=1.0, pgamma=1.5)  # a < 0
 
 
 def test_from_problem_fractional_base_two():
