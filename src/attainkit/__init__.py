@@ -46,8 +46,8 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      fractional_critical_exponent,
                      fractional_gamma_threshold_exponent,
                      gamma_threshold_exponent)
-from .profiles import (GridSpec, Norms, NormValue, RadialProfile, Tail,
-                       build_truncated, build_u_star, build_w_lambda, dilate,
+from .profiles import (Norms, NormValue, RadialProfile, Tail, build_truncated,
+                       build_u_star, build_w_lambda, dilate,
                        evaluate_I, evaluate_J, lambda_from_tstar,
                        normalize_scaled, norms, random_profiles,
                        scale_amplitude, smoothstep_cutoff,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "ConstantSet", "CurveParams", "DivergentNormError",
-    "Exponents", "GridSpec", "NearCriticalWarning", "NormValue",
+    "Exponents", "NearCriticalWarning", "NormValue",
     "NormalizationError", "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
     "ScalarCurve", "SharpConstant", "Tail", "ThresholdCurve", "Verdict",

@@ -142,7 +142,12 @@ def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
     if regime is Regime.CRITICAL_LOCAL:
         if constants.sobolev is None:
             raise ParamError("constants", "critical local regime needs ConstantSet.sobolev")
-        return constants.sobolev.value ** exps.crit
+        try:
+            return constants.sobolev.value ** exps.crit
+        except OverflowError:
+            log10_c = exps.crit * math.log10(constants.sobolev.value)
+            raise NumericalError(
+                f"C = S^(p*) leaves the double range: log10 C = {log10_c!r}") from None
     if regime is Regime.SUBCRITICAL_LOCAL:
         if constants.interpolation is None:
             raise ParamError("constants", "subcritical local regime needs ConstantSet.interpolation")

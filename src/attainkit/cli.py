@@ -260,8 +260,24 @@ def _cmd_maximizer(ns) -> int:
     N, p, gamma = params.N, params.p, params.gamma
     star = build_u_star(N, p)
     u_norms = norms(star, p, params.q, gamma)
-    lam = lambda_from_tstar(v.t_star, u_norms, gamma, N)
+    try:
+        lam = lambda_from_tstar(v.t_star, u_norms, gamma, N)
+    except OverflowError:
+        lam = math.inf
+    if not 0.0 < lam < math.inf:
+        log_lam = (N / gamma * v.log_t_star
+                   + N * math.log(u_norms.lp.value / u_norms.grad_lp.value))
+        raise NumericalError(
+            f"the maximizer needs log lambda = {log_lam!r}, a dilation "
+            "outside the double range")
     prof = build_w_lambda(N, p, lam, gamma, u_norms=u_norms)
+    # the table spans the dilated bubble's core and tail: r * lam^(1/N) in [~0, 1e4]
+    r = np.geomspace(1e-6, 1e4 / lam ** (1.0 / N), 512)
+    u = prof.fn(r)
+    if not (np.all(np.diff(r) > 0) and np.all(np.isfinite(u))):
+        raise NumericalError(
+            f"the profile table on [1e-6, {float(r[-1])!r}] is not strictly "
+            f"increasing in r or not finite in u at lambda = {lam!r}")
     j_check = evaluate_J(prof, params)
     tol = ns.tol or 1e-6
     if abs(j_check - v.D) > tol * max(1.0, abs(v.D)):
@@ -276,11 +292,10 @@ def _cmd_maximizer(ns) -> int:
             _emit(to_json(header), None)
         else:
             sys.stderr.write(to_json(header) + "\n")
-        rows = [[float(r), float(u)] for r, u in zip(prof.grid, prof.values)]
+        rows = [[float(ri), float(ui)] for ri, ui in zip(r, u)]
         _emit(_csv_text(["r", "u"], rows), ns.out)
         return EXIT_OK
-    header["profile"] = {"r": [float(x) for x in prof.grid],
-                         "u": [float(x) for x in prof.values]}
+    header["profile"] = {"r": [float(x) for x in r], "u": [float(x) for x in u]}
     _emit(to_json(header), ns.out)
     return EXIT_OK
 

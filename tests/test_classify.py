@@ -11,6 +11,7 @@ import attainkit as ak
 from attainkit import (
     ConstantSet,
     CurveParams,
+    NumericalError,
     ParamError,
     ProblemParams,
     Reason,
@@ -212,6 +213,15 @@ def test_maximizer_beyond_the_double_range():
     assert v.log_t_star == pytest.approx(21277.9414, abs=1e-4)
     assert v.t_star is None
     assert v.D == pytest.approx(89.3379053244701, rel=1e-13)
+
+
+def test_sobolev_power_beyond_the_double_range_is_a_numerical_error():
+    # p near N: C = S^(p*) has log10 C = 584.7, which no double holds
+    pp = ProblemParams.local_critical(N=7, p=6.894565257874503,
+                                      gamma=828.9233299212391,
+                                      alpha=0.0021439433224140457)
+    with pytest.raises(NumericalError, match=r"log10 C = 584\.7"):
+        classify(pp)
 
 
 def test_energy_space_obstruction_beats_everything(constants_crit3):

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attainkit.cli as cli
 from attainkit import CheckReport, NearCriticalWarning
 from attainkit.cli import main
-from oracles import FROZEN_INTERPOLATION_B_2_2_4
+from oracles import (FROZEN_INTERPOLATION_B_2_2_4, bubble_grad_moment_oracle,
+                     bubble_moment_oracle, sphere_area_oracle)
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +184,52 @@ def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv, want_code):
     else:
         doc = json.loads(out)
         assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    # lambda underflows to 0.0
+    ("--N", "5", "--p", "1.1631349678042815", "--gamma", "1.5279296246780214",
+     "--alpha", "0.7171446680322642"),
+    # lambda = 4.7e90: the table's upper end 1e4 / lambda^(1/N) falls below 1e-6
+    ("--N", "6", "--p", "1.4816022339544004", "--gamma", "1.601090150748497",
+     "--alpha", "2084.669766919404"),
+    # log t* = 468 fits a double, but t*^(N/gamma) overflows
+    ("--N", "4", "--p", "1.1288511685911895", "--gamma", "1.1441906154006172",
+     "--alpha", "6627.618803705305"),
+])
+def test_maximizer_dilation_outside_the_double_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "maximizer", "--q", "critical", *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
+def test_maximizer_table_is_the_normalized_dilated_bubble(capsys):
+    N, p, gamma = 5, 2.0, 2.2
+    code, out, err = run_cli(capsys, "maximizer", "--N", "5", "--p", "2",
+                             "--q", "critical", "--gamma", "2.2", "--alpha", "180")
+    assert code == 0, err
+    doc = json.loads(out)
+    lam = doc["lambda"]
+    r = np.array(doc["profile"]["r"])
+    np.testing.assert_array_equal(r, np.geomspace(1e-6, 1e4 / lam ** (1.0 / N), 512))
+    # lam^(1/p) u*(lam^(1/N) r) over its combined norm, from the Beta moments
+    area = sphere_area_oracle(N)
+    mass = (area * bubble_moment_oracle(N, p, p)) ** (1.0 / p)
+    grad = (area * bubble_grad_moment_oracle(N, p)) ** (1.0 / p)
+    z = (mass ** gamma + lam ** (gamma / N) * grad ** gamma) ** (1.0 / gamma)
+    rho = lam ** (1.0 / N) * r
+    want = lam ** (1.0 / p) * (1.0 + rho ** 2) ** (-(N - p) / p) / z
+    np.testing.assert_allclose(doc["profile"]["u"], want, rtol=1e-12, atol=0)
+
+
+def test_classify_sobolev_power_overflow_exits_2(capsys):
+    code, out, err = run_cli(capsys, "classify", "--N", "7", "--p", "6.894565257874503",
+                             "--q", "critical", "--gamma", "828.9233299212391",
+                             "--alpha", "0.0021439433224140457")
+    assert code == 2
+    assert out == ""
+    assert "log10 C" in err and "Traceback" not in err
 
 
 def test_maximizer_rejects_subcritical(capsys, monkeypatch):

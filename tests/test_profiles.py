@@ -11,11 +11,9 @@ import attainkit as ak
 from attainkit import (
     CurveParams,
     DivergentNormError,
-    GridSpec,
     NormalizationError,
     ParamError,
     ProblemParams,
-    RadialProfile,
     Tail,
     build_truncated,
     build_u_star,
@@ -263,24 +261,6 @@ def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
     # the mass and q moments decay at different rates, so their cut-offs differ
     assert len(calls["fn"]) == len(set(calls["fn"])) == 2
     assert len(calls["dfn"]) == 1
-
-
-def test_finite_difference_derivative_close_to_analytic(star5):
-    # strip the analytic derivative; the log-grid stencil must recover it
-    r = np.geomspace(1e-6, 1e6, 4097)
-    stripped = RadialProfile(grid=r, values=star5.fn(r), N=N5, tail=star5.tail)
-    got = norms(stripped, p=P2, q=Q_CRIT5, gamma=2.5)
-    want = norms(star5, p=P2, q=Q_CRIT5, gamma=2.5)
-    assert got.grad_lp.value == pytest.approx(want.grad_lp.value, rel=1e-4)
-
-
-def test_gridspec_validation():
-    with pytest.raises(ParamError):
-        norms(build_u_star(N5, P2), p=P2, q=Q_CRIT5, gamma=2.5,
-              grid=GridSpec(r_min=0.0))
-    with pytest.raises(ParamError):
-        norms(build_u_star(N5, P2), p=P2, q=Q_CRIT5, gamma=2.5,
-              grid=GridSpec(points_per_decade=0))
 
 
 def test_tail_validation():
