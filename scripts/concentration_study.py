@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from attainkit import (
@@ -33,7 +34,7 @@ from attainkit import (
     classify,
     evaluate_J,
     kappa_multiplier,
-    lambda_from_tstar,
+    log_lambda,
     maximize_halfline,
     norms,
     objective_curve,
@@ -48,7 +49,7 @@ def attained_case() -> None:
     v = classify(pp, constants)
     star = build_u_star(5, 2.0)
     star_norms = norms(star, p=2.0, q=pp.q, gamma=pp.gamma)
-    lam = lambda_from_tstar(v.t_star, star_norms, pp.gamma, 5)
+    lam = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, 5))
     w = build_w_lambda(5, 2.0, lam, pp.gamma, u_norms=star_norms)
     J = evaluate_J(w, pp)
     print("attained case: N=5 p=2 gamma=2.2 alpha=180")
@@ -67,7 +68,8 @@ def truncated_case(radii: list[float]) -> None:
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
     v = classify(pp, constants)
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants))
-    t_star = maximize_halfline(objective_curve(cp)).argopt
+    opt = maximize_halfline(objective_curve(cp))
+    t_star = opt.argopt
     print("non-attained case: N=3 p=2 gamma=3 alpha=2x threshold")
     print(f"  verdict: attained={v.attained} ({v.reason.value}), "
           f"D={v.D:.12g} (supremum only)")
@@ -75,7 +77,7 @@ def truncated_case(radii: list[float]) -> None:
     print(f"  {'radius':>10}  {'lambda':>14}  {'J':>16}  {'rel gap to D':>14}")
     for R in radii:
         base = build_truncated(3, 2.0, R=float(R), gamma=3.0)
-        lam = lambda_from_tstar(t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3)
+        lam = math.exp(log_lambda(opt.log_argopt, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
         J = evaluate_J(build_truncated(3, 2.0, R=float(R), gamma=3.0, lam=lam), pp)
         print(f"  {R:>10g}  {lam:>14.6g}  {J:>16.10g}  {(v.D - J) / v.D:>14.3e}")
     print()

@@ -48,7 +48,7 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, build_truncated,
                        build_u_star, build_w_lambda, dilate,
-                       evaluate_I, evaluate_J, lambda_from_tstar,
+                       evaluate_I, evaluate_J, log_lambda,
                        normalize_scaled, norms, random_profiles,
                        scale_amplitude, smoothstep_cutoff,
                        smoothstep_cutoff_deriv, t_of)
@@ -68,7 +68,7 @@ __all__ = [
     "exponents", "extremal_in_energy_space", "fractional_constant",
     "fractional_critical_exponent", "fractional_gamma_threshold_exponent",
     "gamma_threshold_exponent", "gns_constant_estimate",
-    "h_factor", "kappa_multiplier", "lambda_from_tstar", "m_factor",
+    "h_factor", "kappa_multiplier", "log_lambda", "m_factor",
     "maximize_halfline", "minimize_halfline", "normalize_scaled", "norms",
     "objective_curve", "random_profiles", "ratio_curve", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",

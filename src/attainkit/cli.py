@@ -6,6 +6,11 @@ byte-identical output: keys are emitted in fixed order and floats are
 written at shortest round-trip precision.  Exit codes: 0 success, 1 invalid
 parameters or usage, 2 numerical failure, 3 failed verification.
 
+``maximizer`` integrates the optimal bubble u* once.  Its J_check is the
+objective curve with u*'s own norm quotient in place of C (the dilation
+identity), and its profile table is computed in logs; it exits 2 when the
+table's radii or values leave the double range.
+
 ``--q critical`` is the exact way to request the critical exponent; a
 numeric ``--q`` that matches it to within 1e-12 relative is accepted with
 a warning.  The environment variable ATTAIN_KIT_THREADS caps the thread
@@ -27,12 +32,11 @@ from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
 from .constants import (fractional_constant, gns_constant_estimate,
                         sobolev_constant)
-from .curves import CurveParams, sample_rows
+from .curves import CurveParams, objective_curve, sample_rows, t_from_log
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .params import ProblemParams, Regime
-from .profiles import (build_u_star, build_w_lambda, evaluate_J,
-                       lambda_from_tstar, norms)
+from .profiles import build_u_star, log_lambda, norms
 from .verify import run_all
 
 SCHEMA = "attain-kit/1"
@@ -48,6 +52,8 @@ EXIT_VERIFY_FAILED = 3
 def _plain(obj):
     """Python values ``json.dumps`` writes as the README promises: numpy
     scalars and arrays become Python ones, nan/inf become strings."""
+    if type(obj) is float and math.isfinite(obj):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -112,6 +118,13 @@ def _weight(ns) -> float:
     return value
 
 
+def _numeric_q(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParamError("q", f"--q wants a number or 'critical', got {text!r}") from None
+
+
 def _build_params(ns) -> ProblemParams:
     if ns.N is None:
         raise ParamError("N", "--N is required")
@@ -125,7 +138,7 @@ def _build_params(ns) -> ProblemParams:
                                                      gamma=ns.gamma, alpha=weight)
         if ns.q is None:
             raise ParamError("q", "--q (numeric or 'critical') is required")
-        return ProblemParams.fractional(N=ns.N, s=ns.s, q=float(ns.q),
+        return ProblemParams.fractional(N=ns.N, s=ns.s, q=_numeric_q(ns.q),
                                         gamma=ns.gamma, alpha=weight)
     if ns.p is None:
         raise ParamError("p", "--p is required for the local family")
@@ -134,7 +147,7 @@ def _build_params(ns) -> ProblemParams:
                                             alpha=weight)
     if ns.q is None:
         raise ParamError("q", "--q (numeric or 'critical') is required")
-    return ProblemParams.local(N=ns.N, p=ns.p, q=float(ns.q),
+    return ProblemParams.local(N=ns.N, p=ns.p, q=_numeric_q(ns.q),
                                gamma=ns.gamma, alpha=weight)
 
 
@@ -206,9 +219,9 @@ def _cmd_constants(ns) -> int:
         if ns.p is None:
             raise ParamError("p", "--p is required")
         doc["p"] = ns.p
-        doc["q"] = float(ns.q)
+        doc["q"] = _numeric_q(ns.q)
         doc["interpolation"] = _constant_dict(
-            gns_constant_estimate(ns.N, ns.p, float(ns.q)))
+            gns_constant_estimate(ns.N, ns.p, doc["q"]))
     else:
         if ns.p is None:
             raise ParamError("p", "--p is required")
@@ -222,8 +235,9 @@ def _cmd_curve(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
     cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
-    n = ns.grid or 512
-    t = np.geomspace(1e-4, 1e4, n)
+    if ns.grid < 1:
+        raise ParamError("grid", f"--grid must be at least 1, got {ns.grid}")
+    t = np.geomspace(1e-4, 1e4, ns.grid)
     rows = sample_rows(cp, t)
     if ns.csv:
         header = ["t", "s", "f", "g", "h_factor", "m_factor"]
@@ -245,6 +259,8 @@ def _cmd_maximizer(ns) -> int:
             "params",
             "explicit maximizer profiles are available for the critical "
             "local family only; other regimes have no closed-form extremal")
+    if not (math.isfinite(ns.tol) and ns.tol > 0):
+        raise ParamError("tol", f"--tol must be finite and > 0, got {ns.tol}")
     v = classify(params, constants=_constants_for(ns, params))
     if not v.attained:
         doc = {"schema": SCHEMA, "command": "maximizer",
@@ -253,49 +269,39 @@ def _cmd_maximizer(ns) -> int:
                "note": "no maximizer exists for these parameters"}
         _emit(to_json(doc), ns.out)
         return EXIT_OK
-    if v.t_star is None:
-        raise NumericalError(
-            f"the maximizer sits at log t* = {v.log_t_star!r}, a dilation "
-            "outside the double range")
-    N, p, gamma = params.N, params.p, params.gamma
+    N, p, gamma, log_t = params.N, params.p, params.gamma, v.log_t_star
     star = build_u_star(N, p)
-    u_norms = norms(star, p, params.q, gamma)
-    try:
-        lam = lambda_from_tstar(v.t_star, u_norms, gamma, N)
-    except OverflowError:
-        lam = math.inf
-    if not 0.0 < lam < math.inf:
-        log_lam = (N / gamma * v.log_t_star
-                   + N * math.log(u_norms.lp.value / u_norms.grad_lp.value))
+    nm = norms(star, p, params.q, gamma)
+    log_lam = log_lambda(log_t, nm, gamma, N)
+    # the table spans the dilated bubble's core and tail: r lambda^(1/N) in [~0, 1e4]
+    r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
+    if 1e-6 < r_max < math.inf:
+        r = np.geomspace(1e-6, r_max, 512)
+        # lambda^(1/p) u*(lambda^(1/N) r) over its combined norm |u*|_p (1+t*)^(1/gamma)
+        log_amp = log_lam / p - math.log(nm.lp.value) - np.logaddexp(0.0, log_t) / gamma
+        u = (t_from_log(log_amp) or 0.0) * star.fn(math.exp(log_lam / N) * r)
+    if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
         raise NumericalError(
-            f"the maximizer needs log lambda = {log_lam!r}, a dilation "
-            "outside the double range")
-    prof = build_w_lambda(N, p, lam, gamma, u_norms=u_norms)
-    # the table spans the dilated bubble's core and tail: r * lam^(1/N) in [~0, 1e4]
-    r = np.geomspace(1e-6, 1e4 / lam ** (1.0 / N), 512)
-    u = prof.fn(r)
-    if not (np.all(np.diff(r) > 0) and np.all(np.isfinite(u))):
-        raise NumericalError(
-            f"the profile table on [1e-6, {float(r[-1])!r}] is not strictly "
-            f"increasing in r or not finite in u at lambda = {lam!r}")
-    j_check = evaluate_J(prof, params)
-    tol = ns.tol or 1e-6
-    if abs(j_check - v.D) > tol * max(1.0, abs(v.D)):
+            f"the maximizer needs log lambda = {log_lam!r}, where its profile "
+            "table leaves the double range")
+    # J on the normalized dilation orbit: the curve at (|u*|_q / |grad u*|_p)^q, not C = S^q
+    cp = CurveParams.from_problem(params, (nm.lq.value / nm.grad_lp.value) ** params.q)
+    j_check = objective_curve(cp).value_log_t(log_t)
+    if abs(j_check - v.D) > ns.tol * max(1.0, abs(v.D)):
         raise NumericalError(
             f"constructed maximizer evaluates to {j_check!r} but the "
-            f"supremum is {v.D!r} (relative tolerance {tol})")
+            f"supremum is {v.D!r} (relative tolerance {ns.tol})")
     header = {"schema": SCHEMA, "command": "maximizer",
               "problem": _problem_dict(params),
-              "lambda": lam, "t_star": v.t_star, "D": v.D, "J_check": j_check}
+              "lambda": t_from_log(log_lam), "log_lambda": log_lam,
+              "t_star": v.t_star, "D": v.D, "J_check": j_check}
+    r, u = r.tolist(), u.tolist()
     if ns.csv:
-        if ns.out:
-            _emit(to_json(header), None)
-        else:
-            sys.stderr.write(to_json(header) + "\n")
-        rows = [[float(ri), float(ui)] for ri, ui in zip(r, u)]
-        _emit(_csv_text(["r", "u"], rows), ns.out)
+        # the header goes to stdout when the table goes to a file, else to stderr
+        (sys.stdout if ns.out else sys.stderr).write(to_json(header) + "\n")
+        _emit(_csv_text(["r", "u"], list(zip(r, u))), ns.out)
         return EXIT_OK
-    header["profile"] = {"r": [float(x) for x in r], "u": [float(x) for x in u]}
+    header["profile"] = {"r": r, "u": u}
     _emit(to_json(header), ns.out)
     return EXIT_OK
 
@@ -309,9 +315,10 @@ def _parse_gamma_range(text: str) -> np.ndarray:
         start, stop, step = (float(x) for x in parts)
     except ValueError as exc:
         raise ParamError("gamma-range", f"non-numeric gamma range {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise ParamError("gamma-range",
-                         f"need start <= stop and step > 0, got {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)
+            and step > 0 and stop >= start and math.isfinite((stop - start) / step)):
+        raise ParamError("gamma-range", "need finite start <= stop and step > 0 "
+                                        f"with a finite step count, got {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -399,13 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("curve", help="sample the scalar curves")
     _add_problem_flags(sub)
-    sub.add_argument("--grid", type=int, help="number of curve samples (default 512)")
+    sub.add_argument("--grid", type=int, default=512,
+                     help="number of curve samples (default 512)")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_curve)
 
     sub = subs.add_parser("maximizer", help="construct and check an explicit maximizer")
     _add_problem_flags(sub)
-    sub.add_argument("--tol", type=float, help="verification tolerance")
+    sub.add_argument("--tol", type=float, default=1e-6,
+                     help="relative tolerance of the J check (default 1e-6)")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_maximizer)
 

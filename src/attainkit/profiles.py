@@ -27,6 +27,10 @@ profile is evaluated once for u and once for u'.
 
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
+
+Each profile needs this quadrature once: a rescaled copy's norms are the
+original's times the factor, and a dilated copy's follow by the exact laws
+stated in ``dilate``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 
 from .constants import sphere_area
 from .errors import DivergentNormError, NormalizationError, ParamError
-from .params import ProblemParams, critical_exponent, exponents
+from .params import ProblemParams
 
 #: |W-norm - 1| allowed before J / I evaluation refuses a profile
 NORMALIZATION_TOL = 1e-6
@@ -261,29 +265,28 @@ def normalize_scaled(profile: RadialProfile, p: float, gamma: float) -> RadialPr
 
 
 def build_w_lambda(N: int, p: float, lam: float, gamma: float,
-                   u_norms: Norms | None = None) -> RadialProfile:
+                   u_norms: Norms) -> RadialProfile:
     """The normalized dilated bubble: unit combined norm by construction.
 
     Dilates the optimal bubble by lam, then divides by
     (mass^gamma + lam^(gamma/N) grad^gamma)^(1/gamma) formed from the
-    bubble's own norms, which the dilation identities make exactly the
-    combined norm of the dilated profile.  Requires the bubble to have
-    finite mass norm (p*p < N); otherwise the quadrature raises the
-    divergence error.
+    bubble's own norms ``u_norms``, which the dilation identities make
+    exactly the combined norm of the dilated profile.  Those norms exist
+    only when the bubble has finite mass (p*p < N); otherwise their
+    quadrature raises the divergence error.
     """
     star = build_u_star(N, p)
-    if u_norms is None:
-        u_norms = norms(star, p, critical_exponent(N, p), gamma)
     z = (u_norms.lp.value ** gamma
          + lam ** (gamma / N) * u_norms.grad_lp.value ** gamma) ** (1.0 / gamma)
     return scale_amplitude(dilate(star, lam, p), 1.0 / z)
 
 
-def lambda_from_tstar(t_star: float, u_norms: Norms, gamma: float, N: int) -> float:
-    """Dilation parameter whose normalized bubble sits at curve coordinate t_star."""
-    if not (t_star > 0 and math.isfinite(t_star)):
-        raise ParamError("t_star", f"need t_star > 0, got {t_star}")
-    return t_star ** (N / gamma) * (u_norms.lp.value / u_norms.grad_lp.value) ** N
+def log_lambda(log_t_star: float, u_norms: Norms, gamma: float, N: int) -> float:
+    """log lambda of the dilated bubble at t* = lambda^(gamma/N) (grad/mass)^gamma,
+    in logs so that any finite log t* works, also where no double holds lambda."""
+    if not math.isfinite(log_t_star):
+        raise ParamError("t_star", f"need a finite log t*, got {log_t_star}")
+    return N / gamma * log_t_star + N * math.log(u_norms.lp.value / u_norms.grad_lp.value)
 
 
 def smoothstep_cutoff(rho):

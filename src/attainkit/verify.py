@@ -37,8 +37,7 @@ from .errors import (DivergentNormError, NormalizationError, NumericalError,
 from .halfline import maximize_halfline, stationary_points
 from .params import ProblemParams, critical_exponent, exponents
 from .profiles import (build_truncated, build_u_star, build_w_lambda,
-                       evaluate_J, lambda_from_tstar, normalize_scaled,
-                       norms, random_profiles, t_of)
+                       evaluate_J, log_lambda, norms, random_profiles, t_of)
 
 #: fractional smoothing constant used by the default truth-table cells;
 #: an arbitrary positive user-supplied value (the checks only use ratios).
@@ -246,15 +245,16 @@ def run_envelope(params: ProblemParams | None = None,
 
     worst_random = -math.inf
     for prof in random_profiles(n_profiles, N=N, seed=seed):
-        w = normalize_scaled(prof, p, gamma)
-        nw = norms(w, p, q, gamma)
-        j = nw.lp.value ** p + params.alpha * nw.lq.value ** q
-        worst_random = max(worst_random, j - value_f(cp, t_of(nw, gamma)))
+        # amplitude scaling is exact: the normalized copy has norms nm / z, same t
+        nm = norms(prof, p, q, gamma)
+        z = nm.w_norm(gamma)
+        j = (nm.lp.value / z) ** p + params.alpha * (nm.lq.value / z) ** q
+        worst_random = max(worst_random, j - value_f(cp, t_of(nm, gamma)))
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
     star_norms = norms(build_u_star(N, p), p, q, gamma)
-    ratio = (star_norms.grad_lp.value / star_norms.lp.value) ** gamma
+    ratio = t_of(star_norms, gamma)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)
     for lam in lams:
@@ -271,11 +271,11 @@ def run_envelope(params: ProblemParams | None = None,
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=2.0 * thr)
     v3 = classify(tr_params, constants=tr_constants)
     cp3 = CurveParams.from_problem(tr_params, kappa_multiplier(tr_params, tr_constants))
-    t_star = maximize_halfline(objective_curve(cp3)).argopt
+    log_t_star = maximize_halfline(objective_curve(cp3)).log_argopt
     js = []
     for radius in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, radius, gamma=3.0)
-        lam = lambda_from_tstar(t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3)
+        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
         js.append(evaluate_J(build_truncated(3, 2.0, radius, gamma=3.0, lam=lam),
                              tr_params))
     violations.append(max(j - v3.D for j in js))

@@ -22,7 +22,7 @@ from attainkit import (
     evaluate_J,
     gns_constant_estimate,
     kappa_multiplier,
-    lambda_from_tstar,
+    log_lambda,
     maximize_halfline,
     minimize_halfline,
     norms,
@@ -233,7 +233,7 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
         worst_fam = max(worst_fam, abs(evaluate_J(w, pp) - f) / abs(f))
 
     v = ak.classify(pp, constants_crit5)
-    lam_star = lambda_from_tstar(v.t_star, star_norms, pp.gamma, N5)
+    lam_star = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, N5))
     w_star = build_w_lambda(N5, P2, lam_star, pp.gamma, u_norms=star_norms)
     gap_at_star = abs(evaluate_J(w_star, pp) - v.D) / v.D
 
@@ -266,11 +266,11 @@ def test_acceptance_09_truncated_family_approach(constants_crit3, capsys):
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
     D = ak.d_value(pp, constants_crit3)
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants_crit3))
-    t_star = maximize_halfline(objective_curve(cp)).argopt
+    log_t_star = maximize_halfline(objective_curve(cp)).log_argopt
     js = []
     for R in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, R=R, gamma=3.0)
-        lam = lambda_from_tstar(t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3)
+        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
         js.append(evaluate_J(build_truncated(3, 2.0, R=R, gamma=3.0, lam=lam), pp))
     increasing = all(a < b for a, b in zip(js, js[1:]))
     below = all(j <= D for j in js)

@@ -167,33 +167,33 @@ def test_maximizer_not_attained_yields_null(capsys):
     assert doc["verdict"]["reason"] == "BelowThreshold"
 
 
-@pytest.mark.parametrize("argv,want_code", [
-    # a dilation far below 1: the profile fails its normalization check
-    (("--N", "9", "--p", "1.379619718564789", "--gamma", "1.7603792340003923",
-      "--alpha", "0.2982895736212518"), 2),
+@pytest.mark.parametrize("argv", [
+    # a dilation far below 1: a quadrature of the dilated profile once came
+    # out at combined norm 3.5e-90 and failed its normalization check
+    ("--N", "9", "--p", "1.379619718564789", "--gamma", "1.7603792340003923",
+     "--alpha", "0.2982895736212518"),
     # a tail barely integrable: the cut-off exponent 14/excess exceeds the
     # float range until it is clamped
-    (("--N", "8", "--p", "2.826782457266016", "--gamma", "5.405938169577109",
-      "--alpha", "98.46355288332877"), 0),
+    ("--N", "8", "--p", "2.826782457266016", "--gamma", "5.405938169577109",
+     "--alpha", "98.46355288332877"),
 ])
-def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv, want_code):
+def test_maximizer_extreme_profiles_do_not_overflow(capsys, argv):
     code, out, err = run_cli(capsys, "maximizer", "--q", "critical", *argv)
-    assert code == want_code
-    if want_code == 2:
-        assert "profile is not normalized" in err
-    else:
-        doc = json.loads(out)
-        assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-6)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-6)
 
 
 @pytest.mark.parametrize("argv", [
-    # lambda underflows to 0.0
+    # log lambda = -1241.6: the amplitude lambda^(1/p) / z is about 1e-464,
+    # so every table value underflows to 0
     ("--N", "5", "--p", "1.1631349678042815", "--gamma", "1.5279296246780214",
      "--alpha", "0.7171446680322642"),
     # lambda = 4.7e90: the table's upper end 1e4 / lambda^(1/N) falls below 1e-6
     ("--N", "6", "--p", "1.4816022339544004", "--gamma", "1.601090150748497",
      "--alpha", "2084.669766919404"),
-    # log t* = 468 fits a double, but t*^(N/gamma) overflows
+    # log t* = 468 fits a double, but lambda = e^1630.8 does not, and the
+    # table's upper end falls below 1e-6
     ("--N", "4", "--p", "1.1288511685911895", "--gamma", "1.1441906154006172",
      "--alpha", "6627.618803705305"),
 ])
@@ -201,26 +201,45 @@ def test_maximizer_dilation_outside_the_double_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "maximizer", "--q", "critical", *argv)
     assert code == 2, err
     assert out == ""
-    assert err.startswith("numerical failure:")
+    assert err.startswith("numerical failure:") and "log lambda = " in err
 
 
 def test_maximizer_table_is_the_normalized_dilated_bubble(capsys):
-    N, p, gamma = 5, 2.0, 2.2
-    code, out, err = run_cli(capsys, "maximizer", "--N", "5", "--p", "2",
-                             "--q", "critical", "--gamma", "2.2", "--alpha", "180")
+    for N, p, gamma, alpha in [
+        (5, 2.0, 2.2, 180.0),
+        (3, 1.088463017360399, 1.3449710151447078, 509.36695504522123),
+        (6, 2.1150090204739618, 2.4819385410967323, 5111.024663311927),
+        (9, 1.379619718564789, 1.7603792340003923, 0.2982895736212518),
+    ]:
+        code, out, err = run_cli(capsys, "maximizer", "--N", str(N), "--p", repr(p),
+                                 "--q", "critical", "--gamma", repr(gamma),
+                                 "--alpha", repr(alpha))
+        assert code == 0, err
+        doc = json.loads(out)
+        log_lam = doc["log_lambda"]
+        r = np.array(doc["profile"]["r"])
+        np.testing.assert_array_equal(
+            r, np.geomspace(1e-6, 1e4 * math.exp(-log_lam / N), 512))
+        # log of lam^(1/p) u*(lam^(1/N) r) over its combined norm, from the
+        # Beta moments; 1e-12 in log u is 1e-12 relative in u
+        area = sphere_area_oracle(N)
+        log_mass = math.log(area * bubble_moment_oracle(N, p, p)) / p
+        log_grad = math.log(area * bubble_grad_moment_oracle(N, p)) / p
+        log_z = np.logaddexp(gamma * log_mass, gamma * (log_lam / N + log_grad)) / gamma
+        log_rho = log_lam / N + np.log(r)
+        want = (log_lam / p - log_z
+                - (N - p) / p * np.logaddexp(0.0, p / (p - 1.0) * log_rho))
+        np.testing.assert_allclose(np.log(doc["profile"]["u"]), want, rtol=0, atol=1e-12)
+
+
+def test_maximizer_j_check_is_the_curve_at_its_own_quotient(capsys):
+    # one quadrature of the dilated profile put J_check 6.0e-7 from D here
+    code, out, err = run_cli(capsys, "maximizer", "--N", "4", "--p", "1.5575359913204303",
+                             "--q", "critical", "--gamma", "3.026940917894105",
+                             "--alpha", "3.6728138088488755")
     assert code == 0, err
     doc = json.loads(out)
-    lam = doc["lambda"]
-    r = np.array(doc["profile"]["r"])
-    np.testing.assert_array_equal(r, np.geomspace(1e-6, 1e4 / lam ** (1.0 / N), 512))
-    # lam^(1/p) u*(lam^(1/N) r) over its combined norm, from the Beta moments
-    area = sphere_area_oracle(N)
-    mass = (area * bubble_moment_oracle(N, p, p)) ** (1.0 / p)
-    grad = (area * bubble_grad_moment_oracle(N, p)) ** (1.0 / p)
-    z = (mass ** gamma + lam ** (gamma / N) * grad ** gamma) ** (1.0 / gamma)
-    rho = lam ** (1.0 / N) * r
-    want = lam ** (1.0 / p) * (1.0 + rho ** 2) ** (-(N - p) / p) / z
-    np.testing.assert_allclose(doc["profile"]["u"], want, rtol=1e-12, atol=0)
+    assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-12)
 
 
 def test_classify_sobolev_power_overflow_exits_2(capsys):
@@ -294,19 +313,15 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, tmp_path):
         assert captured.err == fresh.stderr, argv
 
 
-def test_maximizer_beyond_the_double_range_exits_numerical(capsys, monkeypatch):
-    # the maximizer sits at log t* = 21277.94: no double holds t* or the
-    # dilation, so the command stops before any quadrature
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("no profile may be built")
-
-    monkeypatch.setattr(cli, "build_u_star", no_quadrature)
+def test_maximizer_beyond_the_double_range_exits_numerical(capsys):
+    # the maximizer sits at log t* = 21277.94: no double holds t*, the
+    # dilation or the table's radii
     code, out, err = run_cli(capsys, "maximizer", "--N", "6", "--p", "1.05",
                              "--q", "critical", "--gamma", "1.0502312310584088",
                              "--alpha", "1295.8598210709758")
     assert code == 2
     assert out == ""
-    assert "log t* = 21277.94" in err and "outside the double range" in err
+    assert "log lambda = " in err and "Traceback" not in err
 
 
 def test_maximizer_tight_tol_exits_numerical(capsys):
@@ -354,6 +369,32 @@ def test_unknown_flag_exits_validation(capsys):
         main(["classify", "--N", "5", "--p", "2", "--q", "critical",
               "--gamma", "2.2", "--alpha", "1", "--bogus"])
     assert exc.value.code == 1
+
+
+_CRIT = ("--N", "5", "--p", "2", "--q", "critical")
+
+
+@pytest.mark.parametrize("code,argv", [
+    ("q", ("classify", "--N", "2", "--p", "2", "--q", "abc", "--gamma", "1.5",
+           "--alpha", "1")),
+    ("q", ("constants", "--N", "2", "--p", "2", "--q", "four")),
+    ("grid", ("curve", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--grid", "-3")),
+    ("grid", ("curve", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--grid", "0")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "nan:1:0.1")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:inf:1")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:2:nan")),
+    # finite ends, but (stop - start) / step overflows before any allocation
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "0:1e300:1e-300")),
+    ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol=-1")),
+    ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol", "0")),
+    ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol", "nan")),
+])
+def test_boundary_input_exits_validation(capsys, code, argv):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == 1
+    assert out == ""
+    assert err.startswith(f"validation error ({code})")
+    assert "Traceback" not in err
 
 
 def test_near_critical_numeric_q_warns_and_upgrades(capsys):

@@ -21,7 +21,7 @@ from attainkit import (
     dilate,
     evaluate_I,
     evaluate_J,
-    lambda_from_tstar,
+    log_lambda,
     normalize_scaled,
     norms,
     random_profiles,
@@ -127,7 +127,7 @@ def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
     v = ak.classify(pp, constants_crit5)
     assert v.attained
-    lam = lambda_from_tstar(v.t_star, star5_norms, pp.gamma, N5)
+    lam = math.exp(log_lambda(v.log_t_star, star5_norms, pp.gamma, N5))
     w = build_w_lambda(N5, P2, lam, pp.gamma, u_norms=star5_norms)
     assert evaluate_J(w, pp) == pytest.approx(v.D, rel=1e-9)
 
@@ -135,10 +135,22 @@ def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
 def test_lambda_tstar_roundtrip(star5_norms):
     gamma = 2.2
     for t_star in (1e-3, 1.0, 1e4):
-        lam = lambda_from_tstar(t_star, star5_norms, gamma, N5)
+        lam = math.exp(log_lambda(math.log(t_star), star5_norms, gamma, N5))
         t_back = lam ** (gamma / N5) * (
             star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
         assert t_back == pytest.approx(t_star, rel=1e-12)
+
+
+def test_log_lambda_roundtrip_beyond_the_double_range(star5_norms):
+    # t* = e^(+-2000) and its dilation hold in no double; their logs do
+    gamma = 2.2
+    log_ratio = math.log(star5_norms.grad_lp.value / star5_norms.lp.value)
+    for log_t in (-2000.0, 2000.0):
+        log_lam = log_lambda(log_t, star5_norms, gamma, N5)
+        assert abs(log_lam) > 709.0
+        assert gamma / N5 * log_lam + gamma * log_ratio == pytest.approx(log_t, rel=1e-14)
+    with pytest.raises(ParamError):
+        log_lambda(math.inf, star5_norms, gamma, N5)
 
 
 def test_t_of_matches_norm_ratio(star5_norms):
@@ -181,11 +193,11 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     D = ak.d_value(pp, constants_crit3)
     C = ak.kappa_multiplier(pp, constants_crit3)
     cp = CurveParams.from_problem(pp, C)
-    t_star = ak.maximize_halfline(ak.objective_curve(cp)).argopt
+    log_t_star = ak.maximize_halfline(ak.objective_curve(cp)).log_argopt
     vals = []
     for R in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, R=R, gamma=3.0)
-        lam = lambda_from_tstar(t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3)
+        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
         w = build_truncated(3, 2.0, R=R, gamma=3.0, lam=lam)
         vals.append(evaluate_J(w, pp))
     assert vals == sorted(vals)

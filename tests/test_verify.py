@@ -2,6 +2,8 @@
 
 import pytest
 
+import attainkit.profiles as profiles
+import attainkit.verify as verify
 from attainkit import (
     CheckReport,
     run_all,
@@ -45,6 +47,26 @@ def test_envelope_deterministic_under_seed():
     b = run_envelope(n_profiles=50, seed=11)
     assert a.worst_violation == b.worst_violation
     assert a.passed and b.passed
+
+
+def test_envelope_integrates_each_random_profile_once(monkeypatch):
+    # the normalized copy's norms follow from the profile's by amplitude
+    # scaling, so one more random profile costs one more quadrature
+    calls = []
+    real = profiles.norms
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "norms", counting)
+    monkeypatch.setattr(verify, "norms", counting)
+    counts = []
+    for n in (10, 20):
+        calls.clear()
+        assert run_envelope(n_profiles=n).passed
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 10
 
 
 def test_derivative_checks_scale_down():
