@@ -17,8 +17,8 @@ equal floating-point optimizer outputs: the numeric layer flags such ties
 as marginal and this module breaks them by rule.
 
 One ``classify`` call validates the parameters once (``ProblemParams``
-caches its regime) and resolves the constant once, then passes the
-regime, the exponents and ``C`` to the private steps that
+caches its regime and exponents) and resolves the constant once, then
+passes the regime, the exponents and ``C`` to the private steps that
 ``threshold_alpha`` wraps.
 """
 
@@ -36,7 +36,6 @@ from .params import (
     Exponents,
     ProblemParams,
     Regime,
-    exponents,
     extremal_in_energy_space,
 )
 
@@ -138,7 +137,7 @@ def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
     the interpolation constant.  Fractional: the supplied constant itself.
     """
     regime = params.regime()
-    exps = exponents(params)
+    exps = params._exponents
     if regime is Regime.CRITICAL_LOCAL:
         if constants.sobolev is None:
             raise ParamError("constants", "critical local regime needs ConstantSet.sobolev")
@@ -216,7 +215,7 @@ def _setup(params: ProblemParams, constants: ConstantSet | None
            ) -> tuple[Regime, Exponents, float]:
     """(regime, exponents, C) of one problem, its constant resolved once."""
     C = kappa_multiplier(params, resolve_constants(params, constants))
-    return params.regime(), exponents(params), C
+    return params.regime(), params._exponents, C
 
 
 def threshold_alpha(params: ProblemParams,
@@ -352,7 +351,7 @@ def threshold_curve(params: ProblemParams, gamma_grid,
     if any(g <= 0 for g in gammas) or any(b > a for a, b in zip(gammas[1:], gammas)):
         raise ParamError("gamma_grid", "gamma grid must be sorted and positive")
     regime = params.regime()
-    exps = exponents(params)
+    exps = params._exponents
     constants = resolve_constants(params, constants)
     values = [threshold_alpha(replace(params, gamma=g), constants) for g in gammas]
     for (g0, v0), (g1, v1) in zip(zip(gammas, values), zip(gammas[1:], values[1:])):

@@ -41,7 +41,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ParamError
-from .params import ProblemParams, Regime, exponents
+from .params import ProblemParams
 
 
 def s_of_t(t):
@@ -121,7 +121,7 @@ class CurveParams:
         user-supplied fractional constant.
         """
         regime = params.regime()
-        exps = exponents(params)
+        exps = params._exponents
         gamma = params.gamma
         al = params.alpha if alpha is None else alpha
         if constant < 0 or not math.isfinite(constant):

@@ -147,6 +147,10 @@ class ProblemParams:
         # the fields are frozen, so one validation per instance is enough
         return validate(self)
 
+    @cached_property
+    def _exponents(self) -> "Exponents":
+        return _derive_exponents(self)
+
     @property
     def is_fractional(self) -> bool:
         return self.s is not None
@@ -223,7 +227,11 @@ def validate(params: ProblemParams) -> Regime:
 
 
 def exponents(params: ProblemParams) -> Exponents:
-    """Derived exponents (validates first)."""
+    """Derived exponents (validates first); computed once per instance."""
+    return params._exponents
+
+
+def _derive_exponents(params: ProblemParams) -> Exponents:
     regime = params.regime()
     if regime is Regime.CRITICAL_LOCAL:
         crit = critical_exponent(params.N, params.p)

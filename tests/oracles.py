@@ -11,12 +11,15 @@ Three oracles, all methodologically independent of the library code:
   height, and the constant follows from ||w||_2^2 alone through the
   Pohozaev identities (for (N, p, q) = (2, 2, 4) it is 2 / ||w||_2^2);
 * a dense-grid evaluator of the half-line curves with no refinement, to
-  cross-check the library's optimizer.
+  cross-check the library's optimizer;
+* bisection of a sign change in the order of the double bit patterns, the
+  reference for the optimizer's safeguarded Newton.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -257,3 +260,34 @@ def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptRes
                      err_bound=math.inf,
                      n_evals=t.size,
                      log_argopt=math.log(t[i]) if inner_wins else None)
+
+
+def _rank(x: float) -> int:
+    """Bit pattern of a double <-> its rank among the doubles (an involution)."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -i - (1 << 63)
+
+
+def _unrank(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -i - (1 << 63)))[0]
+
+
+def bisect_sign_change(fun, pos: float, neg: float) -> tuple[float, int]:
+    """Where ``fun`` turns from > 0 on the ``pos`` side to <= 0 on ``neg``'s.
+
+    Bisection over the whole range between the two ends in the order of
+    the double bit patterns, so it reaches adjacent doubles within 64
+    evaluations wherever the sign change sits.  The ends are never
+    evaluated.  Returns the last double found positive (``pos`` itself if
+    none is) and the evaluations spent.
+    """
+    i, j = _rank(pos), _rank(neg)
+    n = 0
+    while abs(i - j) > 1:
+        m = (i + j) // 2
+        if fun(_unrank(m)) > 0.0:
+            i = m
+        else:
+            j = m
+        n += 1
+    return _unrank(i), n

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from attainkit import (
     value_f,
     value_g,
 )
-from oracles import grid_oracle
+from attainkit import halfline
+from oracles import bisect_sign_change, grid_oracle
 
 
 @st.composite
@@ -175,6 +177,82 @@ def _G(cp, x):
                         - cp.a * np.logaddexp(0.0, x), -np.inf)
 
 
+def _softplus(x):
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+
+
+def _G_summed(cp, x):
+    """G of the halfline docstring at x = log t, -inf where h < 0 outright.
+
+    Summed like the solver sums it (about the asymptote on x's side, or
+    about t = 1 where |x| <= 1), so that its sign agrees with the
+    solver's to the last bit.
+    """
+    a, c = cp.a, cp.c
+    K = math.log(cp.kappa) + math.log(c) - math.log(cp.pgamma)
+    if x > 1.0:
+        v, rest = K, (c - 1.0 - a) * x - a * math.log1p(math.exp(-x))
+    elif x < -1.0:
+        v, rest = K, (c - 1.0) * x - a * math.log1p(math.exp(x))
+    else:
+        v, rest = K - a * math.log(2.0), (c - 1.0) * x - a * math.log1p(0.5 * math.expm1(x))
+    if cp.is_critical:
+        return v + rest
+    x0 = math.log(c / (cp.b - c))
+    if x >= x0:
+        return -math.inf
+    if x0 > 0.0 and -1.0 <= x < min(1.0, 0.5 * x0):
+        v += math.log(-math.expm1(-x0))
+        rest += math.log1p(-math.expm1(x) / math.expm1(x0))
+    elif x - x0 > -math.log(2.0):
+        rest += math.log(-math.expm1(x - x0))
+    else:
+        rest += math.log1p(-math.exp(x - x0))
+    return v + rest
+
+
+def _expm1_gap(m, w):
+    """expm1(m w) - m expm1(w); its series where |w| < 1e-3."""
+    if abs(w) >= 1e-3:
+        return math.expm1(m * w) - m * math.expm1(w)
+    total, mw_n, w_n = 0.0, m * w, w
+    for n in range(2, 9):
+        mw_n *= m * w / n
+        w_n *= w / n
+        total += mw_n - m * w_n
+    return total
+
+
+def _F_summed(cp, x):
+    """F of the halfline docstring divided by s = 1 - u, and by u^k in the
+    critical case (positive factors), at x = log t; summed like the solver
+    sums it: about u = 1, u = 1/2 or u = 0, the nearest)."""
+    a, b, c, k = cp.a, cp.b, cp.c, cp.pgamma
+    at_one = k * (1.0 - c)
+    w = -_softplus(x)  # log u
+    if w > -1e-300:
+        return at_one
+    e1 = math.expm1(w)
+    if x <= -1.0:
+        if cp.is_critical:
+            gap = -b * _expm1_gap(1.0 - k, w)
+        else:
+            gap = (c - a) * _expm1_gap(k, w) + a * _expm1_gap(k + 1.0, w)
+        return at_one - gap / e1
+    if x < 1.0:
+        h = 2.0 ** -k
+        L = -math.log1p(0.5 * math.expm1(x))  # log 2u
+        e1, ek = math.expm1(L), math.expm1(k * L)
+        f = ((b - c) - 0.5 * b + (c - a) * h + 0.5 * a * h) + (
+            -0.5 * b * e1 + (c - a) * h * ek + 0.5 * a * h * math.expm1((k + 1.0) * L))
+        s = 0.5 * (1.0 - e1)
+        return f / (s * (h * (1.0 + ek))) if cp.is_critical else f / s
+    u = math.exp(w)
+    if cp.is_critical:
+        return k + b * (math.exp((1.0 - k) * w) - u) / e1
+    return (b - c) + (c * u - (c - a) * math.exp(k * w) - a * math.exp((k + 1.0) * w)) / e1
+
+
 @given(cp=curve_params())
 def test_sign_lemmas_the_solver_relies_on(cp):
     # F(u) = c u m(s) changes sign at most once on (0, 1)
@@ -196,3 +274,73 @@ def test_sign_lemmas_the_solver_relies_on(cp):
     if res.attained:
         x, d = res.log_argopt, 1e-9 * max(1.0, abs(res.log_argopt))
         assert _G(cp, x - d) > 0 >= _G(cp, x + d)
+
+
+def _by_bisection(fun, pos, neg, x):
+    """The reference root finder on the solver's own sign function."""
+    return bisect_sign_change(lambda y: fun(y)[0], pos, neg)
+
+
+@given(cp=curve_params())
+def test_newton_agrees_with_bisection_oracle(cp):
+    got = (maximize_halfline(objective_curve(cp)), minimize_halfline(ratio_curve(cp)))
+    with mock.patch.object(halfline, "_sign_change", _by_bisection):
+        want = (maximize_halfline(objective_curve(cp)), minimize_halfline(ratio_curve(cp)))
+    for g, w in zip(got, want):
+        assert (g.attained, g.marginal) == (w.attained, w.marginal)
+        assert g.value == pytest.approx(w.value, rel=1e-14, abs=0.0)
+    # each returned optimizer is a sign change between adjacent doubles; a
+    # marginal candidate may instead be the peak of a G that stays <= 0
+    fmax, gmin = got
+    x = fmax.log_argopt
+    if x is not None and (fmax.attained or _G_summed(cp, x) > 0.0):
+        assert _G_summed(cp, x) > 0.0 >= _G_summed(cp, math.nextafter(x, math.inf))
+    x = gmin.log_argopt
+    if x is not None:
+        assert _F_summed(cp, x) > 0.0 >= _F_summed(cp, math.nextafter(x, -math.inf))
+
+
+#: evaluations one root may cost; bisection in bit order takes about 62
+ROOT_BUDGET = 24
+
+
+def _assert_within_budget(optimize, curve):
+    spent = []
+
+    def counted(*args):
+        out = real(*args)
+        spent.append(out[1])
+        return out
+
+    real = halfline._sign_change
+    with mock.patch.object(halfline, "_sign_change", counted):
+        res = optimize(curve)
+    assert all(n <= ROOT_BUDGET for n in spent), spent
+    assert res.n_evals <= sum(spent) + 2  # plus the peak value and the optimum
+    return res
+
+
+@given(cp=curve_params())
+def test_each_root_within_evaluation_budget(cp):
+    _assert_within_budget(maximize_halfline, objective_curve(cp))
+    _assert_within_budget(minimize_halfline, ratio_curve(cp))
+
+
+def test_tie_and_far_roots_within_evaluation_budget():
+    cp, _, _ = _critical_cell(gamma=2.2, alpha_times_thr=1.0)
+    assert _assert_within_budget(maximize_halfline, objective_curve(cp)).marginal
+    _assert_within_budget(minimize_halfline, ratio_curve(cp))
+    frac = ak.ConstantSet(fractional=ak.fractional_constant(1.7))
+    p_star = ak.critical_exponent(5, 2.0)
+    for pp, cs, log_t_star in [
+        (ak.ProblemParams.local_critical(N=5, p=2.0, gamma=1.001 * p_star, alpha=1.0),
+         None, -3985.54),
+        (ak.ProblemParams.fractional(N=5, s=0.6, q=2.2, gamma=0.8333469073689064,
+                                     alpha=0.037747494237528545), frac, -222344.57),
+        (ak.ProblemParams.local_critical(N=6, p=1.05, gamma=1.0502312310584088,
+                                         alpha=1295.8598210709758), None, 21277.94),
+    ]:
+        C = ak.kappa_multiplier(pp, ak.resolve_constants(pp, cs))
+        res = _assert_within_budget(maximize_halfline,
+                                    objective_curve(CurveParams.from_problem(pp, C)))
+        assert res.log_argopt == pytest.approx(log_t_star, abs=0.01)
