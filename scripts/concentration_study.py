@@ -37,7 +37,6 @@ from attainkit import (
     log_lambda,
     maximize_halfline,
     norms,
-    objective_curve,
     resolve_constants,
     threshold_alpha,
 )
@@ -68,8 +67,8 @@ def truncated_case(radii: list[float]) -> None:
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
     v = classify(pp, constants)
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants))
-    opt = maximize_halfline(objective_curve(cp))
-    t_star = opt.argopt
+    opt = maximize_halfline(cp)
+    t_star = math.exp(opt.log_argopt)
     print("non-attained case: N=3 p=2 gamma=3 alpha=2x threshold")
     print(f"  verdict: attained={v.attained} ({v.reason.value}), "
           f"D={v.D:.12g} (supremum only)")

@@ -8,10 +8,11 @@ maximizer exists exactly when that curve attains its supremum in the
 interior.  Modules:
 
 * ``params``    — parameter validation and regime selection
-* ``curves``    — the scalar objective/ratio curves and their derivative
+* ``curves``    — ``CurveParams``, the exponent tuple that fixes one
+  problem's objective and ratio curves, their evaluators and derivative
   sign factors
-* ``halfline``  — the curves' optima on (0, inf), by root-finding on the
-  derivative signs
+* ``halfline``  — the optima of a ``CurveParams``'s curves on (0, inf), by
+  root-finding on the derivative signs
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
@@ -34,9 +35,8 @@ from .classify import (ConstantSet, Reason, ThresholdCurve, Verdict, classify,
                        threshold_alpha, threshold_curve)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
-from .curves import (CurveParams, ScalarCurve, h_factor, m_factor,
-                     objective_curve, ratio_curve, sample_rows, s_of_t,
-                     t_of_s, value_f, value_g, value_l)
+from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor,
+                     m_factor, sample_rows, value_f, value_g, value_l)
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
 from .halfline import (OptResult, maximize_halfline, minimize_halfline,
@@ -62,19 +62,20 @@ __all__ = [
     "Exponents", "NearCriticalWarning", "NormValue",
     "NormalizationError", "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
-    "ScalarCurve", "SharpConstant", "Tail", "ThresholdCurve", "Verdict",
+    "SharpConstant", "Tail", "ThresholdCurve", "Verdict",
     "build_truncated", "build_u_star", "build_w_lambda", "classify",
     "critical_exponent", "d_value", "dilate", "evaluate_I", "evaluate_J",
-    "exponents", "extremal_in_energy_space", "fractional_constant",
-    "fractional_critical_exponent", "fractional_gamma_threshold_exponent",
+    "exponents", "extremal_in_energy_space", "f_at_log_t",
+    "fractional_constant", "fractional_critical_exponent",
+    "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
     "h_factor", "kappa_multiplier", "log_lambda", "m_factor",
     "maximize_halfline", "minimize_halfline", "normalize_scaled", "norms",
-    "objective_curve", "random_profiles", "ratio_curve", "resolve_constants",
+    "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
-    "run_monotonicity_scan", "run_truth_table", "s_of_t", "sample_rows",
+    "run_monotonicity_scan", "run_truth_table", "sample_rows",
     "scale_amplitude", "smoothstep_cutoff", "smoothstep_cutoff_deriv",
     "sobolev_constant",
-    "sphere_area", "stationary_points", "t_of", "t_of_s", "threshold_alpha",
+    "sphere_area", "stationary_points", "t_of", "threshold_alpha",
     "threshold_curve", "value_f", "value_g", "value_l",
 ]

@@ -17,19 +17,21 @@ equal floating-point optimizer outputs: the numeric layer flags such ties
 as marginal and this module breaks them by rule.
 
 One ``classify`` call validates the parameters once (``ProblemParams``
-caches its regime and exponents) and resolves the constant once, then
-passes the regime, the exponents and ``C`` to the private steps that
-``threshold_alpha`` wraps.
+caches its regime and exponents), resolves the constant once, locates
+gamma once and builds one ``CurveParams``, whose ratio curve gives the
+threshold (it does not read kappa) and whose objective curve gives D.
+``threshold_alpha`` builds its curve at alpha = 0, so its answer never
+depends on the weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .constants import SharpConstant, gns_constant_estimate, sobolev_constant
-from .curves import CurveParams, objective_curve, ratio_curve, t_from_log
+from .curves import CurveParams, t_from_log
 from .errors import NumericalError, ParamError
 from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (
@@ -191,21 +193,21 @@ def _alpha_vs_threshold(alpha: float, threshold: float) -> int:
     return -1 if alpha < threshold else 1
 
 
-def _threshold(params: ProblemParams, regime: Regime, exps: Exponents,
+def _threshold(cp: CurveParams, band: str, regime: Regime, exps: Exponents,
                C: float) -> float:
+    """The threshold of the problem whose curve is ``cp`` and gamma band
+    ``band``; only the ratio curve is read, which does not depend on kappa."""
     if C <= 0:
         raise ParamError("constants", f"normalizing constant must be positive, got {C}")
-    band = _gamma_band(params.gamma, exps, regime.is_critical)
     if band == "gt_upper":
         return 0.0
     if band == "eq_upper":
         upper = exps.crit if regime.is_critical else exps.gamma_crit
         return exps.base / (upper * C)
-    if band == "le_base" and regime.is_critical:
+    if band == "le_base":  # critical regimes only
         return 1.0 / C
     # interior band (and subcritical gamma <= base): numeric infimum
-    cp = CurveParams.from_problem(params, C, alpha=0.0)
-    opt = minimize_halfline(ratio_curve(cp))
+    opt = minimize_halfline(cp)
     if not math.isfinite(opt.value) or opt.value <= 0:
         raise NumericalError(f"ratio-curve infimum came out {opt.value}")
     return opt.value / C
@@ -228,12 +230,14 @@ def threshold_alpha(params: ProblemParams,
     computed numerically.  The result is 0 exactly when every positive
     weight admits a maximizer.
     """
-    return _threshold(params, *_setup(params, constants))
+    regime, exps, C = _setup(params, constants)
+    return _threshold(CurveParams.from_problem(params, C, alpha=0.0),
+                      _gamma_band(params.gamma, exps, regime.is_critical), regime, exps, C)
 
 
 def _objective_max(cp: CurveParams) -> OptResult:
     """Maximum of the objective curve; its value is D."""
-    opt = maximize_halfline(objective_curve(cp))
+    opt = maximize_halfline(cp)
     if not math.isfinite(opt.value) or opt.value <= 0:
         raise NumericalError(f"objective-curve supremum came out {opt.value}")
     return opt
@@ -242,8 +246,7 @@ def _objective_max(cp: CurveParams) -> OptResult:
 def d_value(params: ProblemParams,
             constants: ConstantSet | None = None) -> float:
     """Supremum of the functional: maximum of the objective curve."""
-    constants = resolve_constants(params, constants)
-    C = kappa_multiplier(params, constants)
+    C = _setup(params, constants)[2]
     return _objective_max(CurveParams.from_problem(params, C)).value
 
 
@@ -274,10 +277,11 @@ def classify(params: ProblemParams,
     maximized once: its maximum is D and its maximizer is t*.
     """
     regime, exps, C = _setup(params, constants)
-    thr = _threshold(params, regime, exps, C)
-    opt = _objective_max(CurveParams.from_problem(params, C))
-    D = opt.value
     band = _gamma_band(params.gamma, exps, regime.is_critical)
+    cp = CurveParams.from_problem(params, C)
+    thr = _threshold(cp, band, regime, exps, C)
+    opt = _objective_max(cp)
+    D = opt.value
     rel_alpha = _alpha_vs_threshold(params.alpha, thr)
 
     def verdict(attained: bool, reason: Reason, cf: float | None) -> Verdict:
@@ -334,7 +338,6 @@ class ThresholdCurve:
     gammas: tuple[float, ...]
     thresholds: tuple[float, ...]
     strictly_decreasing_interior: bool
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def threshold_curve(params: ProblemParams, gamma_grid,
@@ -366,5 +369,4 @@ def threshold_curve(params: ProblemParams, gamma_grid,
     strict = bool(interior) and all(v1 < v0 for v0, v1 in interior)
     return ThresholdCurve(
         gammas=tuple(gammas), thresholds=tuple(values),
-        strictly_decreasing_interior=strict,
-        meta={"base": exps.base, "upper": upper, "regime": regime.name})
+        strictly_decreasing_interior=strict)

@@ -32,7 +32,7 @@ from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
 from .constants import (fractional_constant, gns_constant_estimate,
                         sobolev_constant)
-from .curves import CurveParams, objective_curve, sample_rows, t_from_log
+from .curves import CurveParams, f_at_log_t, sample_rows, t_from_log
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .params import ProblemParams, Regime
@@ -286,7 +286,7 @@ def _cmd_maximizer(ns) -> int:
             "table leaves the double range")
     # J on the normalized dilation orbit: the curve at (|u*|_q / |grad u*|_p)^q, not C = S^q
     cp = CurveParams.from_problem(params, (nm.lq.value / nm.grad_lp.value) ** params.q)
-    j_check = objective_curve(cp).value_log_t(log_t)
+    j_check = f_at_log_t(cp, log_t)
     if abs(j_check - v.D) > ns.tol * max(1.0, abs(v.D)):
         raise NumericalError(
             f"constructed maximizer evaluates to {j_check!r} but the "

@@ -25,7 +25,7 @@ With s = t/(1+t) and u = 1 - s = 1/(1+t) the curves read
 and every evaluation runs on log s and log u, both computed from log t by
 softplus without cancellation, with 1 - u^pgamma as -expm1(pgamma log u).
 So the curves stay accurate at any t, including values of t no double can
-hold (``ScalarCurve.value_log_t``).
+hold (``f_at_log_t``, ``g_at_log_t``).
 
 ``h_factor`` and ``m_factor`` are elementary expressions with the same sign
 as f'(t) and l'(s) = d g(t(s))/ds respectively; the half-line optimizer
@@ -36,30 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import NumericalError, ParamError
 from .params import ProblemParams
-
-
-def s_of_t(t):
-    """Compactifying change of variable (0, inf) -> (0, 1)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
-    out = t / (1.0 + t)
-    return float(out) if out.ndim == 0 else out
-
-
-def t_of_s(s):
-    """Inverse of :func:`s_of_t`, (0, 1) -> (0, inf)."""
-    s = np.asarray(s, dtype=float)
-    if np.any((s <= 0) | (s >= 1)):
-        raise ValueError("s must lie in (0, 1)")
-    out = s / (1.0 - s)
-    return float(out) if out.ndim == 0 else out
 
 
 def t_from_log(log_t: float | None) -> float | None:
@@ -118,7 +99,8 @@ class CurveParams:
         kappa = alpha * constant: the critical local case takes S^(p*) (the
         sharp Sobolev constant raised to p*), the subcritical local case the
         sharp interpolation constant, and the fractional cases the
-        user-supplied fractional constant.
+        user-supplied fractional constant.  A kappa beyond the double range
+        is a ``NumericalError``, as both factors are valid.
         """
         regime = params.regime()
         exps = params._exponents
@@ -132,7 +114,12 @@ class CurveParams:
             c = b  # exact, so is_critical round-trips bit-for-bit
         else:
             c = exps.gamma_crit / gamma
-        return cls.make(b=b, c=c, kappa=al * constant, pgamma=pg)
+        kappa = al * constant
+        if math.isinf(kappa):
+            log10_kappa = math.log10(al) + math.log10(constant)
+            raise NumericalError(
+                f"kappa = alpha * C leaves the double range: log10 kappa = {log10_kappa!r}")
+        return cls.make(b=b, c=c, kappa=kappa, pgamma=pg)
 
     @property
     def is_critical(self) -> bool:
@@ -178,6 +165,16 @@ def value_f(cp: CurveParams, t):
 def value_g(cp: CurveParams, t):
     """Ratio curve g(t) on (0, inf) (independent of kappa)."""
     return _shape(_g_logs(cp, *_log_s_u_of_t(t)))
+
+
+def f_at_log_t(cp: CurveParams, x):
+    """Objective curve f at t = e^x, for any x, including t no double can hold."""
+    return _shape(_f_logs(cp, *_log_s_u(x)))
+
+
+def g_at_log_t(cp: CurveParams, x):
+    """Ratio curve g at t = e^x, for any x, including t no double can hold."""
+    return _shape(_g_logs(cp, *_log_s_u(x)))
 
 
 def value_l(cp: CurveParams, s):
@@ -248,39 +245,6 @@ def g_limits(cp: CurveParams) -> tuple[float, float]:
         at0 = math.inf
     atinf = 1.0 if cp.is_critical else math.inf
     return at0, atinf
-
-
-# -- curve objects for the optimizer ------------------------------------
-
-Kind = Literal["objective", "ratio"]
-
-
-@dataclass(frozen=True)
-class ScalarCurve:
-    """One curve (objective f or ratio g) bundled with its boundary limits."""
-
-    params: CurveParams
-    kind: Kind
-
-    def __post_init__(self):
-        if self.kind not in ("objective", "ratio"):
-            raise ValueError(f"kind must be 'objective' or 'ratio', got {self.kind!r}")
-
-    def value_log_t(self, x):
-        """The curve at t = e^x, for any x, including t no double can hold."""
-        fn = _f_logs if self.kind == "objective" else _g_logs
-        return _shape(fn(self.params, *_log_s_u(x)))
-
-    def limits(self) -> tuple[float, float]:
-        return (f_limits if self.kind == "objective" else g_limits)(self.params)
-
-
-def objective_curve(cp: CurveParams) -> ScalarCurve:
-    return ScalarCurve(cp, "objective")
-
-
-def ratio_curve(cp: CurveParams) -> ScalarCurve:
-    return ScalarCurve(cp, "ratio")
 
 
 def sample_rows(cp: CurveParams, t_grid) -> list[dict]:

@@ -1,5 +1,8 @@
 """Optima of the reduction curves on the half-line, by root-finding on the
-signs of their derivatives.  Each curve has at most one interior optimum:
+signs of their derivatives.  Both optimizers take the ``CurveParams`` of a
+family: ``maximize_halfline`` the supremum of the objective curve f,
+``minimize_halfline`` the infimum of the ratio curve g, which does not
+read kappa.  Each curve has at most one interior optimum:
 
 * f'(t) has the sign of G(x), x = log t, the log form of ``h_factor``:
 
@@ -68,7 +71,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .curves import CurveParams, ScalarCurve, t_from_log
+from .curves import CurveParams, f_at_log_t, f_limits, g_at_log_t, g_limits
 from .errors import NumericalError
 
 #: interior optimum and boundary limit closer than this (absolute) tie
@@ -104,11 +107,6 @@ class OptResult:
     n_evals: int
     marginal: bool = False
     log_argopt: float | None = None
-
-    @property
-    def argopt(self) -> float | None:
-        """t* = exp(log_argopt) when a double holds it, else None."""
-        return t_from_log(self.log_argopt)
 
 
 def _rank(x: float) -> int:
@@ -421,18 +419,18 @@ def _ratio_root(cp: CurveParams) -> tuple[float | None, int]:
     return _sign_change(F, math.inf, -math.inf, start)
 
 
-def _result(curve: ScalarCurve, log_t: float | None, n_evals: int,
-            sign: float) -> OptResult:
-    """Compare the interior candidate at ``log_t`` with the boundary limits."""
-    limits = curve.limits()
+def _result(cp: CurveParams, at_log_t, limits: tuple[float, float],
+            log_t: float | None, n_evals: int, sign: float) -> OptResult:
+    """Compare the curve ``at_log_t`` at the interior candidate ``log_t``
+    with its boundary ``limits``."""
     boundary = max(limits) if sign > 0 else min(limits)
     if log_t is not None:
-        best = float(curve.value_log_t(log_t))
+        best = float(at_log_t(cp, log_t))
         n_evals += 1
         if math.isnan(best):
             raise NumericalError(f"curve evaluated to NaN at log t={log_t!r}")
         # roundoff of exponentials whose arguments grow like b |log t|
-        err = 8.0 * _EPS * abs(best) * (1.0 + curve.params.b * (1.0 + abs(log_t)))
+        err = 8.0 * _EPS * abs(best) * (1.0 + cp.b * (1.0 + abs(log_t)))
         gap = math.inf if math.isinf(boundary) else sign * (best - boundary)
         if gap > _MARGIN:
             return OptResult(value=best, attained=True, err_bound=err,
@@ -459,21 +457,20 @@ def stationary_points(cp: CurveParams) -> list[float]:
     return [x for x in (left, right) if x is not None]
 
 
-def maximize_halfline(curve: ScalarCurve) -> OptResult:
-    """Supremum of the objective curve over (0, inf), boundary limits included.
+def maximize_halfline(cp: CurveParams) -> OptResult:
+    """Supremum of the objective curve f over (0, inf), boundary limits included.
 
     The candidate is the right root of G.  Where G peaks at or below zero,
     f only flattens at the peak, which is then the candidate of a tie.
     """
-    if curve.kind != "objective":
-        raise ValueError("maximize_halfline takes the objective curve")
-    _, peak, right, n = _objective_roots(curve.params, left=False)
-    return _result(curve, peak if right is None else right, n, +1.0)
+    _, peak, right, n = _objective_roots(cp, left=False)
+    return _result(cp, f_at_log_t, f_limits(cp), peak if right is None else right, n, +1.0)
 
 
-def minimize_halfline(curve: ScalarCurve) -> OptResult:
-    """Infimum of the ratio curve over (0, inf), boundary limits included."""
-    if curve.kind != "ratio":
-        raise ValueError("minimize_halfline takes the ratio curve")
-    x, n = _ratio_root(curve.params)
-    return _result(curve, x, n, -1.0)
+def minimize_halfline(cp: CurveParams) -> OptResult:
+    """Infimum of the ratio curve g over (0, inf), boundary limits included.
+
+    g does not depend on kappa, and neither does the result.
+    """
+    x, n = _ratio_root(cp)
+    return _result(cp, g_at_log_t, g_limits(cp), x, n, -1.0)

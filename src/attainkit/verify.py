@@ -31,7 +31,7 @@ import numpy as np
 from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
                        resolve_constants, threshold_alpha, threshold_curve)
 from .constants import fractional_constant
-from .curves import CurveParams, h_factor, m_factor, objective_curve, value_f, value_l
+from .curves import CurveParams, h_factor, m_factor, value_f, value_l
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .halfline import maximize_halfline, stationary_points
@@ -271,7 +271,7 @@ def run_envelope(params: ProblemParams | None = None,
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=2.0 * thr)
     v3 = classify(tr_params, constants=tr_constants)
     cp3 = CurveParams.from_problem(tr_params, kappa_multiplier(tr_params, tr_constants))
-    log_t_star = maximize_halfline(objective_curve(cp3)).log_argopt
+    log_t_star = maximize_halfline(cp3).log_argopt
     js = []
     for radius in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, radius, gamma=3.0)
@@ -436,7 +436,7 @@ def run_all(seed: int = 2024) -> tuple[CheckReport, ...]:
     constants = _default_constants()
     return (
         run_truth_table(constants),
-        run_envelope(constants=None, seed=seed),
+        run_envelope(constants=constants["critical"], seed=seed),
         run_derivative_checks(),
         run_monotonicity_scan(constants["critical"]),
     )

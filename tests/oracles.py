@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
 
-from attainkit.curves import ScalarCurve
+from attainkit.curves import CurveParams, f_limits, g_limits
 from attainkit.errors import NumericalError
 from attainkit.halfline import OptResult
 
@@ -219,40 +219,41 @@ def _oracle_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s / (1.0 - s), np.log(s), np.log1p(-s)
 
 
-def _curve_on_grid(curve: ScalarCurve, log_s: np.ndarray, log_u: np.ndarray) -> np.ndarray:
-    """f = u^pgamma + kappa s^c u^(b-c) or g = s^-c u^(c-b) (1 - u^pgamma)."""
-    cp = curve.params
-    if curve.kind == "objective":
+def _curve_on_grid(cp: CurveParams, mode: str, log_s: np.ndarray,
+                   log_u: np.ndarray) -> np.ndarray:
+    """f = u^pgamma + kappa s^c u^(b-c) (mode "max") or
+    g = s^-c u^(c-b) (1 - u^pgamma) (mode "min")."""
+    if mode == "max":
         return (np.exp(cp.pgamma * log_u)
                 + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u))
     return np.exp((cp.c - cp.b) * log_u - cp.c * log_s) * -np.expm1(cp.pgamma * log_u)
 
 
-def grid_oracle(curve: ScalarCurve, n: int = 10**6, mode: str = "max") -> OptResult:
+def grid_oracle(cp: CurveParams, n: int = 10**6, mode: str = "max") -> OptResult:
     """Reference evaluator: dense uniform grid s_j = j/n, no refinement.
 
-    The curve is evaluated by its own closed form in s (not the library's
-    evaluators) and no root is solved.  Grids are nested under doubling of
-    n.  Requires n >= 1e5 so the answer is meaningful.  err_bound is inf:
-    it deliberately does not refine.
+    Mode "max" takes the supremum of the objective curve f, mode "min" the
+    infimum of the ratio curve g.  The curve is evaluated by its own closed
+    form in s (not the library's evaluators) and no root is solved.  Grids
+    are nested under doubling of n.  Requires n >= 1e5 so the answer is
+    meaningful.  err_bound is inf: it deliberately does not refine.
     """
     if n < 10**5:
         raise ValueError(f"grid_oracle needs n >= 1e5, got {n}")
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     t, log_s, log_u = _oracle_grid(n)
-    vals = _curve_on_grid(curve, log_s, log_u)
+    vals = _curve_on_grid(cp, mode, log_s, log_u)
     if np.any(np.isnan(vals)):
         raise NumericalError("curve evaluated to NaN on the oracle grid")
-    limits = curve.limits()
     if mode == "max":
         i = int(np.argmax(vals))
-        boundary = max(limits)
+        boundary = max(f_limits(cp))
         inner_wins = vals[i] > boundary
         value = max(vals[i], boundary)
     else:
         i = int(np.argmin(vals))
-        boundary = min(limits)
+        boundary = min(g_limits(cp))
         inner_wins = vals[i] < boundary
         value = min(vals[i], boundary)
     return OptResult(value=float(value),

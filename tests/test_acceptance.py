@@ -26,9 +26,7 @@ from attainkit import (
     maximize_halfline,
     minimize_halfline,
     norms,
-    objective_curve,
     random_profiles,
-    ratio_curve,
     run_derivative_checks,
     run_monotonicity_scan,
     run_truth_table,
@@ -68,18 +66,18 @@ def test_acceptance_02_threshold_closed_forms(capsys):
         gamma_c = ak.gamma_threshold_exponent(N, p, q)
         pp = ProblemParams.local(N=N, p=p, q=q, gamma=gamma_c, alpha=1.0)
         t0 = time.time()
-        got = minimize_halfline(ratio_curve(CurveParams.from_problem(pp, 1.0))).value
+        got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
         checks.append((f"subcritical N={N} q={q}", got, p / gamma_c, time.time() - t0))
     # critical family on the upper boundary
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=P_STAR_5, alpha=1.0)
     t0 = time.time()
-    got = minimize_halfline(ratio_curve(CurveParams.from_problem(pp, 1.0))).value
+    got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
     checks.append(("critical gamma=q_crit", got, P2 / P_STAR_5, time.time() - t0))
     # critical family at and below the base exponent
     for gamma in (1.0, 2.0):
         pp = ProblemParams.local_critical(N=N5, p=P2, gamma=gamma, alpha=1.0)
         t0 = time.time()
-        got = minimize_halfline(ratio_curve(CurveParams.from_problem(pp, 1.0))).value
+        got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
         checks.append((f"critical gamma={gamma}", got, 1.0, time.time() - t0))
     worst = max(abs(g - w) / w for _, g, w, _ in checks)
     slowest = max(dt for *_, dt in checks)
@@ -96,7 +94,7 @@ def test_acceptance_03_low_gamma_critical_supremum(capsys):
     for gamma in (1.5, 2.0):
         for kappa in (0.25, 0.5, 1.0, 2.0, 4.0):
             pp = ProblemParams.local_critical(N=N5, p=P2, gamma=gamma, alpha=kappa)
-            res = maximize_halfline(objective_curve(CurveParams.from_problem(pp, 1.0)))
+            res = maximize_halfline(CurveParams.from_problem(pp, 1.0))
             worst = max(worst, abs(res.value - max(1.0, kappa)))
             attained_anywhere |= res.attained
             cells += 1
@@ -153,14 +151,12 @@ def test_acceptance_04_optimizer_vs_grid_oracle(capsys):
     curves = _random_curves(200, seed=20240816)
     worst = 0.0
     for cp in curves:
-        f = objective_curve(cp)
-        worst = max(worst, abs(maximize_halfline(f).value
-                               - grid_oracle(f, n=10**6, mode="max").value))
-        g = ratio_curve(cp)
-        gopt = minimize_halfline(g)
+        worst = max(worst, abs(maximize_halfline(cp).value
+                               - grid_oracle(cp, n=10**6, mode="max").value))
+        gopt = minimize_halfline(cp)
         if math.isfinite(gopt.value):
             worst = max(worst, abs(gopt.value
-                                   - grid_oracle(g, n=10**6, mode="min").value))
+                                   - grid_oracle(cp, n=10**6, mode="min").value))
     dt = time.time() - t0
     n_crit = sum(1 for cp in curves if cp.c == cp.b)
     n_zero = sum(1 for cp in curves if cp.kappa == 0.0)
@@ -266,7 +262,7 @@ def test_acceptance_09_truncated_family_approach(constants_crit3, capsys):
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
     D = ak.d_value(pp, constants_crit3)
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants_crit3))
-    log_t_star = maximize_halfline(objective_curve(cp)).log_argopt
+    log_t_star = maximize_halfline(cp).log_argopt
     js = []
     for R in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, R=R, gamma=3.0)

@@ -21,7 +21,6 @@ from attainkit import (
     gamma_threshold_exponent,
     kappa_multiplier,
     maximize_halfline,
-    objective_curve,
     resolve_constants,
     threshold_alpha,
     threshold_curve,
@@ -224,6 +223,19 @@ def test_sobolev_power_beyond_the_double_range_is_a_numerical_error():
         classify(pp)
 
 
+def test_kappa_beyond_the_double_range_is_a_numerical_error():
+    # alpha and C are each valid; their product alpha * C = 1e310 is not a double
+    cset = ConstantSet(fractional=fractional_constant(1e10))
+    pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=1e300)
+    with pytest.raises(NumericalError, match=r"log10 kappa = 310\.0"):
+        classify(pp, cset)
+    with pytest.raises(NumericalError, match=r"log10 kappa"):
+        d_value(pp, cset)
+    # the threshold never reads the weight
+    assert threshold_alpha(pp, cset) == threshold_alpha(
+        dataclasses.replace(pp, alpha=1.0), cset)
+
+
 def test_energy_space_obstruction_beats_everything(constants_crit3):
     for alpha in (2.0, 0.0):
         pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=alpha)
@@ -261,7 +273,7 @@ def test_d_value_matches_direct_optimization(crit5, constants_crit5):
     pp = dataclasses.replace(crit5, gamma=2.2, alpha=180.0)
     C = kappa_multiplier(pp, constants_crit5)
     cp = CurveParams.from_problem(pp, C)
-    direct = maximize_halfline(objective_curve(cp)).value
+    direct = maximize_halfline(cp).value
     assert d_value(pp, constants_crit5) == direct
     assert classify(pp, constants_crit5).D == direct
 

@@ -251,6 +251,15 @@ def test_classify_sobolev_power_overflow_exits_2(capsys):
     assert "log10 C" in err and "Traceback" not in err
 
 
+def test_classify_kappa_overflow_exits_2(capsys):
+    # alpha and the constant are each valid; alpha * C = 1e310 is not a double
+    code, out, err = run_cli(capsys, "classify", "--N", "5", "--s", "0.6", "--q", "critical",
+                             "--gamma", "2.3", "--alpha", "1e300", "--frac-constant", "1e10")
+    assert code == 2
+    assert out == ""
+    assert "log10 kappa = 310.0" in err and "Traceback" not in err
+
+
 def test_maximizer_rejects_subcritical(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the regime check must come before any numerics")

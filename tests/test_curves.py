@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from attainkit.classify import kappa_multiplier
-from attainkit.curves import (CurveParams, f_limits, g_limits, h_factor,
-                              m_factor, objective_curve, ratio_curve,
-                              s_of_t, sample_rows, t_of_s, value_f, value_g,
-                              value_l)
+from attainkit.curves import (CurveParams, f_at_log_t, f_limits, g_at_log_t,
+                              g_limits, h_factor, m_factor, sample_rows,
+                              value_f, value_g, value_l)
 from attainkit.errors import ParamError
 from attainkit.halfline import stationary_points
 from attainkit.params import ProblemParams
@@ -48,14 +47,8 @@ def test_from_problem_alpha_override(crit5, constants_crit5):
 
 @given(cp=curve_params(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_compactified_curves_match(cp, s):
-    t = t_of_s(s)
+    t = s / (1.0 - s)
     assert value_l(cp, s) == pytest.approx(value_g(cp, t), rel=1e-9, abs=1e-300)
-
-
-@given(t=st.floats(1e-8, 1e8))
-def test_s_t_roundtrip(t):
-    # rounding s = t/(1+t) costs ~(1+t)*eps relative error on the way back
-    assert t_of_s(s_of_t(t)) == pytest.approx(t, rel=max(1e-12, 4e-16 * t))
 
 
 def test_f_limits():
@@ -125,23 +118,23 @@ def test_stationary_points_empty_for_zero_kappa():
     assert stationary_points(cp) == []
 
 
-def test_scalar_curve_value_log_t():
+def test_curves_at_log_t():
     for cp in (CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
                CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
         t = np.geomspace(1e-6, 1e6, 7)
-        for curve, value in ((objective_curve(cp), value_f), (ratio_curve(cp), value_g)):
-            np.testing.assert_allclose(curve.value_log_t(np.log(t)), value(cp, t), rtol=1e-12)
+        for at_log_t, value in ((f_at_log_t, value_f), (g_at_log_t, value_g)):
+            np.testing.assert_allclose(at_log_t(cp, np.log(t)), value(cp, t), rtol=1e-12)
     # beyond the double range of t the log form still meets the limits
     crit = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
-    assert objective_curve(crit).value_log_t(-1e5) == 1.0
-    assert objective_curve(crit).value_log_t(1e5) == 3.0
-    assert ratio_curve(crit).value_log_t(1e5) == 1.0
+    assert f_at_log_t(crit, -1e5) == 1.0
+    assert f_at_log_t(crit, 1e5) == 3.0
+    assert g_at_log_t(crit, 1e5) == 1.0
 
 
-def test_scalar_curve_limits():
+def test_critical_curve_limits():
     cp = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
-    assert objective_curve(cp).limits() == f_limits(cp)
-    assert ratio_curve(cp).limits() == g_limits(cp)
+    assert f_limits(cp) == (1.0, 3.0)
+    assert g_limits(cp) == (math.inf, 1.0)
 
 
 def test_sample_rows_fields():
@@ -162,6 +155,8 @@ def test_curve_params_validation():
         CurveParams.make(b=1.0, c=0.5, kappa=1.0, pgamma=1.0)  # a = 0
     with pytest.raises(ParamError):
         CurveParams.make(b=1.0, c=0.8, kappa=1.0, pgamma=1.5)  # a < 0
+    with pytest.raises(ParamError):
+        CurveParams.make(b=1.0, c=0.5, kappa=math.inf, pgamma=0.5)  # kappa not finite
 
 
 def test_from_problem_fractional_base_two():

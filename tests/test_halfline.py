@@ -15,8 +15,6 @@ from attainkit import (
     maximize_halfline,
     m_factor,
     minimize_halfline,
-    objective_curve,
-    ratio_curve,
     stationary_points,
     value_f,
     value_g,
@@ -48,18 +46,18 @@ def _critical_cell(gamma: float, alpha_times_thr: float):
 def test_low_gamma_critical_sup_is_boundary(kappa):
     # gamma at the base exponent: the objective never beats its endpoint limits
     cp = CurveParams.make(b=5.0 / 3.0, c=5.0 / 3.0, kappa=kappa, pgamma=1.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert res.value == max(1.0, kappa)
     assert not res.attained
-    assert res.argopt is None
+    assert res.log_argopt is None
     assert not res.marginal
 
 
 def test_attained_interior_beats_boundary():
     cp, _, _ = _critical_cell(gamma=2.2, alpha_times_thr=2.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert res.attained and not res.marginal
-    assert res.argopt is not None and res.argopt > 0
+    assert res.log_argopt is not None and math.isfinite(res.log_argopt)
     assert res.value > max(1.0, cp.kappa)
     # the reported optimum sits on a true stationary point
     roots = stationary_points(cp)
@@ -67,23 +65,23 @@ def test_attained_interior_beats_boundary():
     assert abs(nearest - res.log_argopt) < 1e-3
     assert float(value_f(cp, math.exp(nearest))) == pytest.approx(res.value, rel=1e-12)
     # naive dense-grid reference agrees on the value
-    gro = grid_oracle(objective_curve(cp), n=10**6, mode="max")
+    gro = grid_oracle(cp, n=10**6, mode="max")
     assert gro.attained
     assert gro.value == pytest.approx(res.value, abs=1e-8)
 
 
 def test_marginal_tie_at_threshold_weight():
     cp, _, _ = _critical_cell(gamma=2.2, alpha_times_thr=1.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert res.marginal
     assert not res.attained
-    assert res.argopt is not None
+    assert res.log_argopt is not None
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ratio_infimum_matches_threshold_product():
     cp, thr, C = _critical_cell(gamma=2.2, alpha_times_thr=1.0)
-    res = minimize_halfline(ratio_curve(cp))
+    res = minimize_halfline(cp)
     assert res.attained
     assert res.value == pytest.approx(thr * C, rel=1e-10)
 
@@ -91,35 +89,35 @@ def test_ratio_infimum_matches_threshold_product():
 @pytest.mark.parametrize("gamma", [1.5, 2.0])
 def test_ratio_infimum_is_one_for_low_gamma_critical(gamma):
     cp, _, _ = _critical_cell(gamma=gamma, alpha_times_thr=1.0)
-    res = minimize_halfline(ratio_curve(cp))
+    res = minimize_halfline(cp)
     assert res.value == 1.0
     assert not res.attained
-    assert res.argopt is None
+    assert res.log_argopt is None
 
 
 @pytest.mark.parametrize("c", [5.0 / 3.0, 1.2])
 def test_zero_kappa_sup_is_left_boundary(c):
     cp = CurveParams.make(b=5.0 / 3.0, c=c, kappa=0.0, pgamma=1.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert res.value == 1.0
     assert not res.attained
-    assert res.argopt is None
+    assert res.log_argopt is None
 
 
 def test_subcritical_attained_matches_oracle_and_roots():
     cp = CurveParams.make(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert res.attained
     roots = stationary_points(cp)
     nearest = min(roots, key=lambda r: abs(r - res.log_argopt))
-    assert math.exp(nearest) == pytest.approx(res.argopt, rel=1e-6)
-    gro = grid_oracle(objective_curve(cp), n=10**6, mode="max")
+    assert math.exp(nearest) == pytest.approx(math.exp(res.log_argopt), rel=1e-6)
+    gro = grid_oracle(cp, n=10**6, mode="max")
     assert gro.value == pytest.approx(res.value, abs=1e-8)
 
 
 def test_err_bound_small_when_attained():
     cp = CurveParams.make(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     assert math.isfinite(res.err_bound)
     assert res.err_bound < 1e-8
 
@@ -127,15 +125,15 @@ def test_err_bound_small_when_attained():
 def test_grid_oracle_validation():
     cp = CurveParams.make(b=2.0, c=1.5, kappa=1.0, pgamma=1.0)
     with pytest.raises(ValueError):
-        grid_oracle(objective_curve(cp), n=10**4)
+        grid_oracle(cp, n=10**4)
     with pytest.raises(ValueError):
-        grid_oracle(objective_curve(cp), n=10**6, mode="sup")
+        grid_oracle(cp, n=10**6, mode="sup")
 
 
 def test_grid_oracle_min_mode():
     cp, thr, C = _critical_cell(gamma=2.2, alpha_times_thr=1.0)
-    res = minimize_halfline(ratio_curve(cp))
-    gro = grid_oracle(ratio_curve(cp), n=10**6, mode="min")
+    res = minimize_halfline(cp)
+    gro = grid_oracle(cp, n=10**6, mode="min")
     assert gro.value == pytest.approx(res.value, abs=1e-8)
     assert math.isinf(gro.err_bound)
 
@@ -148,7 +146,7 @@ def test_result_is_frozen_dataclass():
 
 @given(cp=curve_params(), seed=st.integers(0, 2**16))
 def test_maximize_dominates_samples(cp, seed):
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     rng = np.random.default_rng(seed)
     t = np.exp(rng.uniform(-20.0, 20.0, size=24))
     vals = value_f(cp, t)
@@ -156,9 +154,13 @@ def test_maximize_dominates_samples(cp, seed):
     assert res.value >= float(np.max(vals)) - 1e-7 * scale
 
 
-@given(cp=curve_params(), seed=st.integers(0, 2**16))
-def test_minimize_dominated_by_samples(cp, seed):
-    res = minimize_halfline(ratio_curve(cp))
+@given(cp=curve_params(), seed=st.integers(0, 2**16),
+       kappa=st.floats(0.0, 1e300, exclude_min=True))
+def test_minimize_dominated_by_samples(cp, seed, kappa):
+    res = minimize_halfline(cp)
+    # the ratio curve does not read kappa, so neither does its infimum
+    assert minimize_halfline(dataclasses.replace(cp, kappa=0.0)) == res
+    assert minimize_halfline(dataclasses.replace(cp, kappa=kappa)) == res
     rng = np.random.default_rng(seed)
     t = np.exp(rng.uniform(-20.0, 20.0, size=24))
     vals = value_g(cp, t)
@@ -270,7 +272,7 @@ def test_sign_lemmas_the_solver_relies_on(cp):
     dG = cp.c - 1.0 - cp.a * e / (1.0 + e) + (cp.c - cp.b) * e / (cp.c + (cp.c - cp.b) * e)
     assert np.all(np.diff(dG) < 0)
     # the reported maximizer is a + -> - sign change of G
-    res = maximize_halfline(objective_curve(cp))
+    res = maximize_halfline(cp)
     if res.attained:
         x, d = res.log_argopt, 1e-9 * max(1.0, abs(res.log_argopt))
         assert _G(cp, x - d) > 0 >= _G(cp, x + d)
@@ -283,9 +285,9 @@ def _by_bisection(fun, pos, neg, x):
 
 @given(cp=curve_params())
 def test_newton_agrees_with_bisection_oracle(cp):
-    got = (maximize_halfline(objective_curve(cp)), minimize_halfline(ratio_curve(cp)))
+    got = (maximize_halfline(cp), minimize_halfline(cp))
     with mock.patch.object(halfline, "_sign_change", _by_bisection):
-        want = (maximize_halfline(objective_curve(cp)), minimize_halfline(ratio_curve(cp)))
+        want = (maximize_halfline(cp), minimize_halfline(cp))
     for g, w in zip(got, want):
         assert (g.attained, g.marginal) == (w.attained, w.marginal)
         assert g.value == pytest.approx(w.value, rel=1e-14, abs=0.0)
@@ -304,7 +306,7 @@ def test_newton_agrees_with_bisection_oracle(cp):
 ROOT_BUDGET = 24
 
 
-def _assert_within_budget(optimize, curve):
+def _assert_within_budget(optimize, cp):
     spent = []
 
     def counted(*args):
@@ -314,7 +316,7 @@ def _assert_within_budget(optimize, curve):
 
     real = halfline._sign_change
     with mock.patch.object(halfline, "_sign_change", counted):
-        res = optimize(curve)
+        res = optimize(cp)
     assert all(n <= ROOT_BUDGET for n in spent), spent
     assert res.n_evals <= sum(spent) + 2  # plus the peak value and the optimum
     return res
@@ -322,14 +324,14 @@ def _assert_within_budget(optimize, curve):
 
 @given(cp=curve_params())
 def test_each_root_within_evaluation_budget(cp):
-    _assert_within_budget(maximize_halfline, objective_curve(cp))
-    _assert_within_budget(minimize_halfline, ratio_curve(cp))
+    _assert_within_budget(maximize_halfline, cp)
+    _assert_within_budget(minimize_halfline, cp)
 
 
 def test_tie_and_far_roots_within_evaluation_budget():
     cp, _, _ = _critical_cell(gamma=2.2, alpha_times_thr=1.0)
-    assert _assert_within_budget(maximize_halfline, objective_curve(cp)).marginal
-    _assert_within_budget(minimize_halfline, ratio_curve(cp))
+    assert _assert_within_budget(maximize_halfline, cp).marginal
+    _assert_within_budget(minimize_halfline, cp)
     frac = ak.ConstantSet(fractional=ak.fractional_constant(1.7))
     p_star = ak.critical_exponent(5, 2.0)
     for pp, cs, log_t_star in [
@@ -342,5 +344,5 @@ def test_tie_and_far_roots_within_evaluation_budget():
     ]:
         C = ak.kappa_multiplier(pp, ak.resolve_constants(pp, cs))
         res = _assert_within_budget(maximize_halfline,
-                                    objective_curve(CurveParams.from_problem(pp, C)))
+                                    CurveParams.from_problem(pp, C))
         assert res.log_argopt == pytest.approx(log_t_star, abs=0.01)

@@ -193,7 +193,7 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     D = ak.d_value(pp, constants_crit3)
     C = ak.kappa_multiplier(pp, constants_crit3)
     cp = CurveParams.from_problem(pp, C)
-    log_t_star = ak.maximize_halfline(ak.objective_curve(cp)).log_argopt
+    log_t_star = ak.maximize_halfline(cp).log_argopt
     vals = []
     for R in (10.0, 100.0, 1000.0):
         base = build_truncated(3, 2.0, R=R, gamma=3.0)
