@@ -31,27 +31,22 @@ if _cap:
         _os.environ.setdefault(_var, _cap)
 
 from .classify import (ConstantSet, Reason, ThresholdCurve, Verdict, classify,
-                       d_value, kappa_multiplier, resolve_constants,
-                       threshold_alpha, threshold_curve)
+                       kappa_multiplier, resolve_constants, threshold_alpha,
+                       threshold_curve)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
-from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor,
-                     m_factor, sample_rows, value_f, value_g, value_l)
+from .curves import CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
 from .halfline import (OptResult, maximize_halfline, minimize_halfline,
                        stationary_points)
 from .params import (Exponents, ProblemParams, Regime, critical_exponent,
-                     exponents, extremal_in_energy_space,
-                     fractional_critical_exponent,
+                     extremal_in_energy_space, fractional_critical_exponent,
                      fractional_gamma_threshold_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, build_truncated,
-                       build_u_star, build_w_lambda, dilate,
-                       evaluate_I, evaluate_J, log_lambda,
-                       normalize_scaled, norms, random_profiles,
-                       scale_amplitude, smoothstep_cutoff,
-                       smoothstep_cutoff_deriv, t_of)
+                       build_u_star, build_w_lambda, dilate, evaluate_J,
+                       log_lambda, normalize_scaled, norms, random_profiles)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 
@@ -64,8 +59,8 @@ __all__ = [
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
     "SharpConstant", "Tail", "ThresholdCurve", "Verdict",
     "build_truncated", "build_u_star", "build_w_lambda", "classify",
-    "critical_exponent", "d_value", "dilate", "evaluate_I", "evaluate_J",
-    "exponents", "extremal_in_energy_space", "f_at_log_t",
+    "critical_exponent", "dilate", "evaluate_J",
+    "extremal_in_energy_space", "f_at_log_t",
     "fractional_constant", "fractional_critical_exponent",
     "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
@@ -73,9 +68,7 @@ __all__ = [
     "maximize_halfline", "minimize_halfline", "normalize_scaled", "norms",
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
-    "run_monotonicity_scan", "run_truth_table", "sample_rows",
-    "scale_amplitude", "smoothstep_cutoff", "smoothstep_cutoff_deriv",
-    "sobolev_constant",
-    "sphere_area", "stationary_points", "t_of", "threshold_alpha",
-    "threshold_curve", "value_f", "value_g", "value_l",
+    "run_monotonicity_scan", "run_truth_table",
+    "sobolev_constant", "sphere_area", "stationary_points",
+    "threshold_alpha", "threshold_curve",
 ]

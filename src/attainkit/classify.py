@@ -1,15 +1,15 @@
 """Attainability decision tables for the constrained maximization problem.
 
 Given validated problem parameters and the relevant sharp constant, this
-module answers the three questions the one-dimensional reduction makes
+module answers the questions the one-dimensional reduction makes
 answerable exactly:
 
 * ``threshold_alpha`` -- the smallest weight (if any) at which maximizers
   can exist, computed from the infimum of the ratio curve divided by the
   sharp constant, with closed forms used where they exist;
-* ``d_value`` -- the supremum of the functional, computed from the maximum
-  of the objective curve, cross-checked against closed forms;
-* ``classify`` -- the full verdict: attained or not, why, where.
+* ``classify`` -- the full verdict: attained or not, why, where, and the
+  supremum D of the functional, computed from the maximum of the
+  objective curve and cross-checked against closed forms.
 
 Boundary cases (gamma at an endpoint, alpha exactly at the threshold) are
 decided analytically by the decision table, never by comparing two nearly
@@ -33,7 +33,7 @@ from enum import Enum
 from .constants import SharpConstant, gns_constant_estimate, sobolev_constant
 from .curves import CurveParams, t_from_log
 from .errors import NumericalError, ParamError
-from .halfline import OptResult, maximize_halfline, minimize_halfline
+from .halfline import maximize_halfline, minimize_halfline
 from .params import (
     Exponents,
     ProblemParams,
@@ -139,7 +139,7 @@ def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
     the interpolation constant.  Fractional: the supplied constant itself.
     """
     regime = params.regime()
-    exps = params._exponents
+    exps = params.exponents
     if regime is Regime.CRITICAL_LOCAL:
         if constants.sobolev is None:
             raise ParamError("constants", "critical local regime needs ConstantSet.sobolev")
@@ -217,7 +217,7 @@ def _setup(params: ProblemParams, constants: ConstantSet | None
            ) -> tuple[Regime, Exponents, float]:
     """(regime, exponents, C) of one problem, its constant resolved once."""
     C = kappa_multiplier(params, resolve_constants(params, constants))
-    return params.regime(), params._exponents, C
+    return params.regime(), params.exponents, C
 
 
 def threshold_alpha(params: ProblemParams,
@@ -233,21 +233,6 @@ def threshold_alpha(params: ProblemParams,
     regime, exps, C = _setup(params, constants)
     return _threshold(CurveParams.from_problem(params, C, alpha=0.0),
                       _gamma_band(params.gamma, exps, regime.is_critical), regime, exps, C)
-
-
-def _objective_max(cp: CurveParams) -> OptResult:
-    """Maximum of the objective curve; its value is D."""
-    opt = maximize_halfline(cp)
-    if not math.isfinite(opt.value) or opt.value <= 0:
-        raise NumericalError(f"objective-curve supremum came out {opt.value}")
-    return opt
-
-
-def d_value(params: ProblemParams,
-            constants: ConstantSet | None = None) -> float:
-    """Supremum of the functional: maximum of the objective curve."""
-    C = _setup(params, constants)[2]
-    return _objective_max(CurveParams.from_problem(params, C)).value
 
 
 def _closed_form_d(params: ProblemParams, exps: Exponents, regime: Regime,
@@ -280,8 +265,10 @@ def classify(params: ProblemParams,
     band = _gamma_band(params.gamma, exps, regime.is_critical)
     cp = CurveParams.from_problem(params, C)
     thr = _threshold(cp, band, regime, exps, C)
-    opt = _objective_max(cp)
+    opt = maximize_halfline(cp)
     D = opt.value
+    if not math.isfinite(D) or D <= 0:
+        raise NumericalError(f"objective-curve supremum came out {D}")
     rel_alpha = _alpha_vs_threshold(params.alpha, thr)
 
     def verdict(attained: bool, reason: Reason, cf: float | None) -> Verdict:
@@ -354,7 +341,7 @@ def threshold_curve(params: ProblemParams, gamma_grid,
     if any(g <= 0 for g in gammas) or any(b > a for a, b in zip(gammas[1:], gammas)):
         raise ParamError("gamma_grid", "gamma grid must be sorted and positive")
     regime = params.regime()
-    exps = params._exponents
+    exps = params.exponents
     constants = resolve_constants(params, constants)
     values = [threshold_alpha(replace(params, gamma=g), constants) for g in gammas]
     for (g0, v0), (g1, v1) in zip(zip(gammas, values), zip(gammas[1:], values[1:])):

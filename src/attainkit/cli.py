@@ -32,7 +32,8 @@ from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
 from .constants import (fractional_constant, gns_constant_estimate,
                         sobolev_constant)
-from .curves import CurveParams, f_at_log_t, sample_rows, t_from_log
+from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor,
+                     t_from_log)
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .params import ProblemParams, Regime
@@ -45,6 +46,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY_FAILED = 3
+
+#: most samples ``curve --grid`` and ``sweep --gamma-range`` may ask for
+MAX_SAMPLES = 10**6
 
 
 # -- deterministic JSON ----------------------------------------------------
@@ -235,14 +239,18 @@ def _cmd_curve(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
     cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
-    if ns.grid < 1:
-        raise ParamError("grid", f"--grid must be at least 1, got {ns.grid}")
+    if not 1 <= ns.grid <= MAX_SAMPLES:
+        raise ParamError("grid", f"--grid must be between 1 and {MAX_SAMPLES}, "
+                                 f"got {ns.grid}")
     t = np.geomspace(1e-4, 1e4, ns.grid)
-    rows = sample_rows(cp, t)
+    s = t / (1.0 + t)
+    columns = {"t": t, "s": s, "f": f_at_log_t(cp, np.log(t)),
+               "g": g_at_log_t(cp, np.log(t)), "h_factor": h_factor(cp, t),
+               "m_factor": m_factor(cp, s)}
     if ns.csv:
-        header = ["t", "s", "f", "g", "h_factor", "m_factor"]
-        _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), ns.out)
+        _emit(_csv_text(list(columns), list(zip(*columns.values()))), ns.out)
         return EXIT_OK
+    rows = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
     doc = {"schema": SCHEMA, "command": "curve",
            "problem": _problem_dict(params),
            "curve_params": {"a": cp.a, "b": cp.b, "c": cp.c,
@@ -320,6 +328,9 @@ def _parse_gamma_range(text: str) -> np.ndarray:
         raise ParamError("gamma-range", "need finite start <= stop and step > 0 "
                                         f"with a finite step count, got {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count > MAX_SAMPLES:
+        raise ParamError("gamma-range", f"{text!r} asks for {count} gammas, "
+                                        f"more than {MAX_SAMPLES}")
     return start + step * np.arange(count)
 
 

@@ -103,7 +103,7 @@ class CurveParams:
         is a ``NumericalError``, as both factors are valid.
         """
         regime = params.regime()
-        exps = params._exponents
+        exps = params.exponents
         gamma = params.gamma
         al = params.alpha if alpha is None else alpha
         if constant < 0 or not math.isfinite(constant):
@@ -138,49 +138,22 @@ def _log_s_u(x):
     return -np.logaddexp(0.0, -x), -np.logaddexp(0.0, x)
 
 
-def _log_s_u_of_t(t):
-    """(log s, log u) from t itself; log s loses only eps*log t absolutely."""
-    log_u = -np.log1p(np.asarray(t, dtype=float))
-    return np.log(t) + log_u, log_u
-
-
-def _f_logs(cp: CurveParams, log_s, log_u):
-    """f = u^pgamma + kappa s^c u^(b-c) from log s and log u."""
+def f_at_log_t(cp: CurveParams, x):
+    """Objective curve f = u^pgamma + kappa s^c u^(b-c) at t = e^x, for any x,
+    including t no double can hold."""
+    log_s, log_u = _log_s_u(x)
     out = np.exp(cp.pgamma * log_u)
     if cp.kappa:
         out = out + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u)
-    return out
-
-
-def _g_logs(cp: CurveParams, log_s, log_u):
-    """g = s^(-c) u^(c-b) (1 - u^pgamma) from log s and log u."""
-    return np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u) * (-np.expm1(cp.pgamma * log_u))
-
-
-def value_f(cp: CurveParams, t):
-    """Objective curve f(t) on (0, inf)."""
-    return _shape(_f_logs(cp, *_log_s_u_of_t(t)))
-
-
-def value_g(cp: CurveParams, t):
-    """Ratio curve g(t) on (0, inf) (independent of kappa)."""
-    return _shape(_g_logs(cp, *_log_s_u_of_t(t)))
-
-
-def f_at_log_t(cp: CurveParams, x):
-    """Objective curve f at t = e^x, for any x, including t no double can hold."""
-    return _shape(_f_logs(cp, *_log_s_u(x)))
+    return _shape(out)
 
 
 def g_at_log_t(cp: CurveParams, x):
-    """Ratio curve g at t = e^x, for any x, including t no double can hold."""
-    return _shape(_g_logs(cp, *_log_s_u(x)))
-
-
-def value_l(cp: CurveParams, s):
-    """Compactified ratio l(s) = g(t(s)) on (0, 1), evaluated directly in s."""
-    s = np.asarray(s, dtype=float)
-    return _shape(_g_logs(cp, np.log(s), np.log1p(-s)))  # log1p: stable log(1-s)
+    """Ratio curve g = s^(-c) u^(c-b) (1 - u^pgamma) at t = e^x, for any x,
+    including t no double can hold; it does not read kappa."""
+    log_s, log_u = _log_s_u(x)
+    return _shape(np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u)
+                  * (-np.expm1(cp.pgamma * log_u)))
 
 
 def h_factor(cp: CurveParams, t):
@@ -245,18 +218,3 @@ def g_limits(cp: CurveParams) -> tuple[float, float]:
         at0 = math.inf
     atinf = 1.0 if cp.is_critical else math.inf
     return at0, atinf
-
-
-def sample_rows(cp: CurveParams, t_grid) -> list[dict]:
-    """Tabulate (t, s, f, g, h_factor, m_factor) along a grid of t values."""
-    t = np.asarray(t_grid, dtype=float)
-    s = t / (1.0 + t)
-    f = np.atleast_1d(value_f(cp, t))
-    g = np.atleast_1d(value_g(cp, t))
-    h = np.atleast_1d(h_factor(cp, t))
-    m = np.atleast_1d(m_factor(cp, s))
-    return [
-        {"t": float(t[i]), "s": float(s[i]), "f": float(f[i]), "g": float(g[i]),
-         "h_factor": float(h[i]), "m_factor": float(m[i])}
-        for i in range(t.size)
-    ]

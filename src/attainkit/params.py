@@ -6,8 +6,10 @@ The object of study is the scale-invariant maximization problem
           over u with (||grad u||_p^gamma + ||u||_p^gamma)^(1/gamma) = 1,
 
 posed on R^N either for the full gradient (the *local* family, 1 < p <= N)
-or for the order-s Gagliardo seminorm with p = 2 (the *fractional* family,
-0 < s < N/2).  The admissible window for q is
+or, with p = 2, for the order-s Fourier seminorm ||(-Delta)^(s/2) u||_2 (the
+*fractional* family, 0 < s < N/2).  The Gagliardo seminorm is not meant: it
+exists only for s < 1, so it does not cover this range.  The admissible
+window for q is
 
     local:       p < q <= p N/(N-p)      (any finite q > N when p = N)
     fractional:  2 < q <= 2N/(N-2s)
@@ -148,7 +150,8 @@ class ProblemParams:
         return validate(self)
 
     @cached_property
-    def _exponents(self) -> "Exponents":
+    def exponents(self) -> "Exponents":
+        """Derived exponents (validates first); computed once per instance."""
         return _derive_exponents(self)
 
     @property
@@ -224,11 +227,6 @@ def validate(params: ProblemParams) -> Regime:
     if not p < q < crit:
         raise ParamError("q", f"local family needs {p} < q <= {crit}, got q={q}")
     return Regime.SUBCRITICAL_LOCAL
-
-
-def exponents(params: ProblemParams) -> Exponents:
-    """Derived exponents (validates first); computed once per instance."""
-    return params._exponents
 
 
 def _derive_exponents(params: ProblemParams) -> Exponents:

@@ -6,7 +6,7 @@ its two closed-form callables, u and u', plus an exact tail description;
 nothing is stored on a grid.  This module computes the three norms every
 evaluation needs by composite Simpson quadrature in log-radius with
 analytic head and tail corrections, and evaluates the constrained
-functional J and the threshold functional I on normalized profiles.
+functional J on normalized profiles.
 
 Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr:
 
@@ -45,7 +45,7 @@ from .constants import sphere_area
 from .errors import DivergentNormError, NormalizationError, ParamError
 from .params import ProblemParams
 
-#: |W-norm - 1| allowed before J / I evaluation refuses a profile
+#: |W-norm - 1| allowed before J evaluation refuses a profile
 NORMALIZATION_TOL = 1e-6
 
 
@@ -115,11 +115,6 @@ class Norms:
     def w_norm(self, gamma: float) -> float:
         """Combined norm (grad^gamma + mass^gamma)^(1/gamma)."""
         return (self.grad_lp.value ** gamma + self.lp.value ** gamma) ** (1.0 / gamma)
-
-
-def t_of(norms: Norms, gamma: float) -> float:
-    """Gradient-to-mass ratio raised to gamma: the curve coordinate of u."""
-    return (norms.grad_lp.value / norms.lp.value) ** gamma
 
 
 # -- evaluation helpers ---------------------------------------------------
@@ -245,7 +240,7 @@ def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
     return RadialProfile(N=profile.N, tail=tail, fn=fn, dfn=dfn)
 
 
-def scale_amplitude(profile: RadialProfile, factor: float) -> RadialProfile:
+def _scale_amplitude(profile: RadialProfile, factor: float) -> RadialProfile:
     """The profile multiplied pointwise by a positive constant."""
     if not (factor > 0 and math.isfinite(factor)):
         raise ParamError("factor", f"need a positive finite factor, got {factor}")
@@ -261,7 +256,7 @@ def normalize_scaled(profile: RadialProfile, p: float, gamma: float) -> RadialPr
     z = nm.w_norm(gamma)
     if not (z > 0 and math.isfinite(z)):
         raise NormalizationError(f"combined norm came out {z}")
-    return scale_amplitude(profile, 1.0 / z)
+    return _scale_amplitude(profile, 1.0 / z)
 
 
 def build_w_lambda(N: int, p: float, lam: float, gamma: float,
@@ -278,7 +273,7 @@ def build_w_lambda(N: int, p: float, lam: float, gamma: float,
     star = build_u_star(N, p)
     z = (u_norms.lp.value ** gamma
          + lam ** (gamma / N) * u_norms.grad_lp.value ** gamma) ** (1.0 / gamma)
-    return scale_amplitude(dilate(star, lam, p), 1.0 / z)
+    return _scale_amplitude(dilate(star, lam, p), 1.0 / z)
 
 
 def log_lambda(log_t_star: float, u_norms: Norms, gamma: float, N: int) -> float:
@@ -289,14 +284,14 @@ def log_lambda(log_t_star: float, u_norms: Norms, gamma: float, N: int) -> float
     return N / gamma * log_t_star + N * math.log(u_norms.lp.value / u_norms.grad_lp.value)
 
 
-def smoothstep_cutoff(rho):
+def _smoothstep_cutoff(rho):
     """C^2 cutoff: 1 below 1, 0 above 2, quintic smoothstep between."""
     rho = np.asarray(rho, dtype=float)
     chi = np.clip(rho - 1.0, 0.0, 1.0)
     return 1.0 - chi**3 * (10.0 - 15.0 * chi + 6.0 * chi**2)
 
 
-def smoothstep_cutoff_deriv(rho):
+def _smoothstep_cutoff_deriv(rho):
     """Derivative of the cutoff with respect to rho."""
     rho = np.asarray(rho, dtype=float)
     chi = np.clip(rho - 1.0, 0.0, 1.0)
@@ -320,12 +315,12 @@ def build_truncated(N: int, p: float, R: float, gamma: float,
 
     def fn(r):
         r = np.asarray(r, dtype=float)
-        return star_fn(r) * smoothstep_cutoff(r / R)
+        return star_fn(r) * _smoothstep_cutoff(r / R)
 
     def dfn(r):
         r = np.asarray(r, dtype=float)
-        return (star_dfn(r) * smoothstep_cutoff(r / R)
-                + star_fn(r) * smoothstep_cutoff_deriv(r / R) / R)
+        return (star_dfn(r) * _smoothstep_cutoff(r / R)
+                + star_fn(r) * _smoothstep_cutoff_deriv(r / R) / R)
 
     raw = RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn)
     if lam != 1.0:
@@ -335,36 +330,20 @@ def build_truncated(N: int, p: float, R: float, gamma: float,
 
 # -- functional evaluation ------------------------------------------------
 
-def _check_local(params: ProblemParams) -> None:
+def evaluate_J(profile: RadialProfile, params: ProblemParams) -> float:
+    """Constrained objective mass^p + alpha * qnorm^q of a normalized profile."""
     if params.is_fractional:
         raise ParamError(
             "params",
             "profile quadrature covers the local regimes only; the "
             "fractional seminorm is not computable here")
-
-
-def _normalized_norms(profile: RadialProfile, params: ProblemParams) -> Norms:
     nm = norms(profile, params.p, params.q, params.gamma)
     w = nm.w_norm(params.gamma)
     if abs(w - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(
             f"profile is not normalized: combined norm {w!r} differs from 1 "
             f"by more than {NORMALIZATION_TOL}")
-    return nm
-
-
-def evaluate_J(profile: RadialProfile, params: ProblemParams) -> float:
-    """Constrained objective mass^p + alpha * qnorm^q of a normalized profile."""
-    _check_local(params)
-    nm = _normalized_norms(profile, params)
     return nm.lp.value ** params.p + params.alpha * nm.lq.value ** params.q
-
-
-def evaluate_I(profile: RadialProfile, params: ProblemParams) -> float:
-    """Threshold functional (1 - mass^p) / qnorm^q of a normalized profile."""
-    _check_local(params)
-    nm = _normalized_norms(profile, params)
-    return (1.0 - nm.lp.value ** params.p) / nm.lq.value ** params.q
 
 
 # -- random trial profiles ------------------------------------------------

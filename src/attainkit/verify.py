@@ -31,13 +31,13 @@ import numpy as np
 from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
                        resolve_constants, threshold_alpha, threshold_curve)
 from .constants import fractional_constant
-from .curves import CurveParams, h_factor, m_factor, value_f, value_l
+from .curves import CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .halfline import maximize_halfline, stationary_points
-from .params import ProblemParams, critical_exponent, exponents
+from .params import ProblemParams, critical_exponent
 from .profiles import (build_truncated, build_u_star, build_w_lambda,
-                       evaluate_J, log_lambda, norms, random_profiles, t_of)
+                       evaluate_J, log_lambda, norms, random_profiles)
 
 #: fractional smoothing constant used by the default truth-table cells;
 #: an arbitrary positive user-supplied value (the checks only use ratios).
@@ -137,7 +137,7 @@ def _truth_cells(constants: dict[str, ConstantSet]):
 
     cs2 = constants["subcritical"]
     p2 = lambda g, a: ProblemParams.local(N=2, p=2.0, q=4.0, gamma=g, alpha=a)
-    gc = exponents(p2(1.5, 1.0)).gamma_crit
+    gc = p2(1.5, 1.0).exponents.gamma_crit
     thr_low = threshold_alpha(p2(1.0, 1.0), cs2)
     thr_mid = threshold_alpha(p2(1.5, 1.0), cs2)
     thr_gc = threshold_alpha(p2(gc, 1.0), cs2)
@@ -165,7 +165,7 @@ def _truth_cells(constants: dict[str, ConstantSet]):
     thr_f = threshold_alpha(pf(2.3, 1.0), csf)
     thr_fq = threshold_alpha(pf(qf, 1.0), csf)
     pfs = lambda g, b: ProblemParams.fractional(N=5, s=0.6, q=2.2, gamma=g, alpha=b)
-    gcf = exponents(pfs(0.5, 1.0)).gamma_crit
+    gcf = pfs(0.5, 1.0).exponents.gamma_crit
     thr_fs = threshold_alpha(pfs(0.5, 1.0), csf)
     thr_fgc = threshold_alpha(pfs(gcf, 1.0), csf)
     cells += [
@@ -220,11 +220,13 @@ def run_truth_table(constants: dict[str, ConstantSet] | None = None) -> CheckRep
 
 # -- envelope -------------------------------------------------------------
 
-def run_envelope(params: ProblemParams | None = None,
-                 constants: ConstantSet | None = None,
+def run_envelope(constants: dict[str, ConstantSet] | None = None,
                  n_profiles: int = 1000, seed: int = 2024) -> CheckReport:
     """No admissible profile beats the scalar envelope; test families behave.
 
+    ``constants`` is keyed as for ``run_truth_table``: the random and bubble
+    parts run on the N = 5 critical problem with ``constants["critical"]``,
+    the truncated family on N = 3 with ``constants["nonexistence"]``.
     Three parts, each folded in as (measured - allowance):
 
     * random normalized profiles: J(u) - f(t(u)) <= 1e-8;
@@ -234,9 +236,9 @@ def run_envelope(params: ProblemParams | None = None,
       supremum, increasing in the truncation radius, final relative gap
       below 1e-2.
     """
-    params = params or ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
-    constants = constants or resolve_constants(params)
-    C = kappa_multiplier(params, constants)
+    constants = constants or _default_constants()
+    params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
+    C = kappa_multiplier(params, constants["critical"])
     cp = CurveParams.from_problem(params, C)
     N, p, q, gamma = params.N, params.p, params.q, params.gamma
 
@@ -249,24 +251,25 @@ def run_envelope(params: ProblemParams | None = None,
         nm = norms(prof, p, q, gamma)
         z = nm.w_norm(gamma)
         j = (nm.lp.value / z) ** p + params.alpha * (nm.lq.value / z) ** q
-        worst_random = max(worst_random, j - value_f(cp, t_of(nm, gamma)))
+        log_t = gamma * math.log(nm.grad_lp.value / nm.lp.value)
+        worst_random = max(worst_random, j - f_at_log_t(cp, log_t))
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
     star_norms = norms(build_u_star(N, p), p, q, gamma)
-    ratio = t_of(star_norms, gamma)
+    log_ratio = gamma * math.log(star_norms.grad_lp.value / star_norms.lp.value)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)
     for lam in lams:
         w = build_w_lambda(N, p, float(lam), gamma, u_norms=star_norms)
         j = evaluate_J(w, params)
-        f = value_f(cp, float(lam) ** (gamma / N) * ratio)
+        f = f_at_log_t(cp, gamma / N * math.log(lam) + log_ratio)
         worst_family = max(worst_family, abs(j - f) / max(1.0, abs(f)))
     violations.append(worst_family - 1e-6)
     details.append(f"bubble family: worst rel |J - f| = {worst_family:.3e} (allow 1e-6)")
 
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
-    tr_constants = resolve_constants(tr_params)
+    tr_constants = constants["nonexistence"]
     thr = threshold_alpha(tr_params, tr_constants)
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=2.0 * thr)
     v3 = classify(tr_params, constants=tr_constants)
@@ -298,9 +301,9 @@ def _sign_mismatches_f(cp: CurveParams, n: int) -> int:
     for root in stationary_points(cp):
         t = t[np.abs(np.log(t) - root) > 1e-5]
     delta = 1e-6 * t
-    fp = value_f(cp, t + delta) - value_f(cp, t - delta)
+    fp = f_at_log_t(cp, np.log(t + delta)) - f_at_log_t(cp, np.log(t - delta))
     h = h_factor(cp, t)
-    keep = np.abs(fp) > 1e-11 * np.maximum(1.0, np.abs(value_f(cp, t)))
+    keep = np.abs(fp) > 1e-11 * np.maximum(1.0, np.abs(f_at_log_t(cp, np.log(t))))
     return int(np.count_nonzero(np.sign(fp[keep]) != np.sign(h[keep])))
 
 
@@ -313,8 +316,10 @@ def _sign_mismatches_l(cp: CurveParams, n: int) -> int:
     for i in flips:
         keep_mask &= np.abs(s - s[i]) > 1e-3
     s, m = s[keep_mask], m[keep_mask]
-    delta = 1e-7
-    lp = value_l(cp, s + delta) - value_l(cp, s - delta)
+    lo, hi = s - 1e-7, s + 1e-7
+    # l(s) = g(t(s)), and log t(s) = log s - log(1 - s)
+    lp = (g_at_log_t(cp, np.log(hi) - np.log1p(-hi))
+          - g_at_log_t(cp, np.log(lo) - np.log1p(-lo)))
     keep = np.abs(lp) > 1e-10
     return int(np.count_nonzero(np.sign(lp[keep]) != np.sign(m[keep])))
 
@@ -436,7 +441,7 @@ def run_all(seed: int = 2024) -> tuple[CheckReport, ...]:
     constants = _default_constants()
     return (
         run_truth_table(constants),
-        run_envelope(constants=constants["critical"], seed=seed),
+        run_envelope(constants, seed=seed),
         run_derivative_checks(),
         run_monotonicity_scan(constants["critical"]),
     )

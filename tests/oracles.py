@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Three oracles, all methodologically independent of the library code:
+Four oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -11,7 +11,8 @@ Three oracles, all methodologically independent of the library code:
   height, and the constant follows from ||w||_2^2 alone through the
   Pohozaev identities (for (N, p, q) = (2, 2, 4) it is 2 / ||w||_2^2);
 * a dense-grid evaluator of the half-line curves with no refinement, to
-  cross-check the library's optimizer;
+  cross-check the library's optimizer, and the same closed forms at any t
+  (``curve_at_t``), to cross-check the library's evaluators in log t;
 * bisection of a sign change in the order of the double bit patterns, the
   reference for the optimizer's safeguarded Newton.
 """
@@ -227,6 +228,12 @@ def _curve_on_grid(cp: CurveParams, mode: str, log_s: np.ndarray,
         return (np.exp(cp.pgamma * log_u)
                 + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u))
     return np.exp((cp.c - cp.b) * log_u - cp.c * log_s) * -np.expm1(cp.pgamma * log_u)
+
+
+def curve_at_t(cp: CurveParams, mode: str, t):
+    """f (mode "max") or g (mode "min") at t > 0, from log s = log t - log(1+t)."""
+    log_u = -np.log1p(np.asarray(t, dtype=float))
+    return _curve_on_grid(cp, mode, np.log(t) + log_u, log_u)
 
 
 def grid_oracle(cp: CurveParams, n: int = 10**6, mode: str = "max") -> OptResult:

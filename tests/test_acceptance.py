@@ -31,11 +31,9 @@ from attainkit import (
     run_monotonicity_scan,
     run_truth_table,
     sobolev_constant,
-    t_of,
-    value_f,
 )
 from attainkit.curves import f_limits
-from oracles import (FROZEN_SOBOLEV_50_DIGITS, grid_oracle,
+from oracles import (FROZEN_SOBOLEV_50_DIGITS, curve_at_t, grid_oracle,
                      shooting_oracle_2_2_4, sobolev_constant_oracle)
 
 N5 = 5
@@ -109,7 +107,7 @@ PROBE_T = np.geomspace(1e-12, 1e12, 200_001)
 
 def _oracle_resolvable(cp: CurveParams) -> bool:
     """Keep only curves whose supremum a uniform 1e6-point grid can see."""
-    vals = np.asarray(value_f(cp, PROBE_T), dtype=float)
+    vals = np.asarray(curve_at_t(cp, "max", PROBE_T), dtype=float)
     boundary = max(f_limits(cp))
     i = int(np.argmax(vals))
     excess = float(vals[i]) - boundary
@@ -218,14 +216,14 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
     for prof in random_profiles(1000, N=N5, seed=2024):
         w = ak.normalize_scaled(prof, p=P2, gamma=pp.gamma)
         nm = norms(w, p=P2, q=pp.q, gamma=pp.gamma)
-        worst_env = max(worst_env,
-                        evaluate_J(w, pp) - float(value_f(cp, t_of(nm, pp.gamma))))
+        t = (nm.grad_lp.value / nm.lp.value) ** pp.gamma
+        worst_env = max(worst_env, evaluate_J(w, pp) - float(curve_at_t(cp, "max", t)))
 
     ratio = (star_norms.grad_lp.value / star_norms.lp.value) ** pp.gamma
     worst_fam = 0.0
     for lam in np.geomspace(1e-3, 1e3, 50):
         w = build_w_lambda(N5, P2, float(lam), pp.gamma, u_norms=star_norms)
-        f = float(value_f(cp, float(lam) ** (pp.gamma / N5) * ratio))
+        f = float(curve_at_t(cp, "max", float(lam) ** (pp.gamma / N5) * ratio))
         worst_fam = max(worst_fam, abs(evaluate_J(w, pp) - f) / abs(f))
 
     v = ak.classify(pp, constants_crit5)
@@ -260,7 +258,7 @@ def test_acceptance_09_truncated_family_approach(constants_crit3, capsys):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    D = ak.d_value(pp, constants_crit3)
+    D = ak.classify(pp, constants_crit3).D
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants_crit3))
     log_t_star = maximize_halfline(cp).log_argopt
     js = []

@@ -16,7 +16,6 @@ from attainkit import (
     ProblemParams,
     Reason,
     classify,
-    d_value,
     fractional_constant,
     gamma_threshold_exponent,
     kappa_multiplier,
@@ -229,8 +228,6 @@ def test_kappa_beyond_the_double_range_is_a_numerical_error():
     pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=1e300)
     with pytest.raises(NumericalError, match=r"log10 kappa = 310\.0"):
         classify(pp, cset)
-    with pytest.raises(NumericalError, match=r"log10 kappa"):
-        d_value(pp, cset)
     # the threshold never reads the weight
     assert threshold_alpha(pp, cset) == threshold_alpha(
         dataclasses.replace(pp, alpha=1.0), cset)
@@ -274,7 +271,6 @@ def test_d_value_matches_direct_optimization(crit5, constants_crit5):
     C = kappa_multiplier(pp, constants_crit5)
     cp = CurveParams.from_problem(pp, C)
     direct = maximize_halfline(cp).value
-    assert d_value(pp, constants_crit5) == direct
     assert classify(pp, constants_crit5).D == direct
 
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import attainkit.cli as cli
-from attainkit import CheckReport, NearCriticalWarning
+from attainkit import CheckReport, CurveParams, NearCriticalWarning
 from attainkit.cli import main
 from oracles import (FROZEN_INTERPOLATION_B_2_2_4, bubble_grad_moment_oracle,
-                     bubble_moment_oracle, sphere_area_oracle)
+                     bubble_moment_oracle, curve_at_t, sphere_area_oracle)
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,25 @@ def test_curve_grid_sets_samples_only(capsys):
     small, large = json.loads(small), json.loads(large)
     assert len(small["rows"]) == 64 and len(large["rows"]) == 2048
     assert small["curve_params"]["kappa"] == large["curve_params"]["kappa"]
+
+
+@pytest.mark.parametrize("problem", [
+    ("--N", "5", "--p", "2", "--q", "critical", "--gamma", "2.2", "--alpha", "180"),
+    ("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "0.7"),
+])
+def test_curve_rows_fields_and_values(capsys, problem):
+    code, out, _ = run_cli(capsys, "curve", *problem, "--grid", "64")
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc["rows"]
+    assert [list(row) for row in rows] == [["t", "s", "f", "g", "h_factor", "m_factor"]] * 64
+    t = np.array([row["t"] for row in rows])
+    np.testing.assert_array_equal(t, np.geomspace(1e-4, 1e4, 64))
+    np.testing.assert_array_equal([row["s"] for row in rows], t / (1.0 + t))
+    cp = CurveParams(**doc["curve_params"])
+    for column, mode in (("f", "max"), ("g", "min")):
+        np.testing.assert_allclose([row[column] for row in rows], curve_at_t(cp, mode, t),
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("sub", ["classify", "constants", "maximizer", "sweep"])
@@ -397,6 +416,11 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol=-1")),
     ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol", "0")),
     ("tol", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--tol", "nan")),
+    # sample counts beyond the cap are refused before numpy allocates them
+    ("grid", ("curve", *_CRIT, "--gamma", "2.2", "--alpha", "180", "--grid", "1000001")),
+    ("grid", ("curve", *_CRIT, "--gamma", "2.2", "--alpha", "180",
+              "--grid", "1000000000000000")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:2:1e-15")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)

@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 
 from attainkit.classify import kappa_multiplier
 from attainkit.curves import (CurveParams, f_at_log_t, f_limits, g_at_log_t,
-                              g_limits, h_factor, m_factor, sample_rows,
-                              value_f, value_g, value_l)
+                              g_limits, h_factor, m_factor)
 from attainkit.errors import ParamError
 from attainkit.halfline import stationary_points
 from attainkit.params import ProblemParams
+from oracles import _curve_on_grid, curve_at_t
 
 @st.composite
 def curve_params(draw):
@@ -47,8 +47,10 @@ def test_from_problem_alpha_override(crit5, constants_crit5):
 
 @given(cp=curve_params(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_compactified_curves_match(cp, s):
-    t = s / (1.0 - s)
-    assert value_l(cp, s) == pytest.approx(value_g(cp, t), rel=1e-9, abs=1e-300)
+    # l(s) in log s and log(1 - s) is g at log t = log s - log(1 - s)
+    l_of_s = _curve_on_grid(cp, "min", np.log(s), np.log1p(-s))
+    assert g_at_log_t(cp, math.log(s) - math.log1p(-s)) == pytest.approx(
+        l_of_s, rel=1e-9, abs=1e-300)
 
 
 def test_f_limits():
@@ -73,20 +75,23 @@ def test_g_limits_cases():
 def test_h_factor_sign_matches_difference_quotient(cp):
     for t in (0.05, 0.4, 1.0, 3.0, 40.0):
         d = 1e-7 * t
-        slope = value_f(cp, t + d) - value_f(cp, t - d)
+        slope = curve_at_t(cp, "max", t + d) - curve_at_t(cp, "max", t - d)
         h = float(h_factor(cp, t))
-        if abs(slope) < 1e-13 * max(1.0, abs(value_f(cp, t))):
+        if abs(slope) < 1e-13 * max(1.0, abs(curve_at_t(cp, "max", t))):
             continue  # too close to a stationary point for a sign call
         assert np.sign(h) == np.sign(slope)
 
 
 @given(cp=curve_params())
 def test_m_factor_sign_matches_difference_quotient(cp):
+    def l_of_s(s):  # l(s) = g(t(s)), in log s and log(1 - s)
+        return _curve_on_grid(cp, "min", np.log(s), np.log1p(-s))
+
     for s in (0.1, 0.35, 0.6, 0.9):
         d = 1e-8
-        slope = value_l(cp, s + d) - value_l(cp, s - d)
+        slope = l_of_s(s + d) - l_of_s(s - d)
         m = float(m_factor(cp, s))
-        scale = max(1.0, abs(value_l(cp, s)))
+        scale = max(1.0, abs(l_of_s(s)))
         if abs(slope) < 1e-12 * scale:
             continue
         assert np.sign(m) == np.sign(slope)
@@ -122,8 +127,9 @@ def test_curves_at_log_t():
     for cp in (CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
                CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
         t = np.geomspace(1e-6, 1e6, 7)
-        for at_log_t, value in ((f_at_log_t, value_f), (g_at_log_t, value_g)):
-            np.testing.assert_allclose(at_log_t(cp, np.log(t)), value(cp, t), rtol=1e-12)
+        for at_log_t, mode in ((f_at_log_t, "max"), (g_at_log_t, "min")):
+            np.testing.assert_allclose(at_log_t(cp, np.log(t)), curve_at_t(cp, mode, t),
+                                       rtol=1e-12)
     # beyond the double range of t the log form still meets the limits
     crit = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
     assert f_at_log_t(crit, -1e5) == 1.0
@@ -135,15 +141,6 @@ def test_critical_curve_limits():
     cp = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
     assert f_limits(cp) == (1.0, 3.0)
     assert g_limits(cp) == (math.inf, 1.0)
-
-
-def test_sample_rows_fields():
-    cp = CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0)
-    rows = sample_rows(cp, [0.5, 2.0])
-    assert len(rows) == 2
-    assert set(rows[0]) == {"t", "s", "f", "g", "h_factor", "m_factor"}
-    assert rows[0]["t"] == 0.5
-    assert rows[0]["f"] == pytest.approx(float(value_f(cp, 0.5)), rel=1e-15)
 
 
 def test_curve_params_validation():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from attainkit.errors import NearCriticalWarning, ParamError
 from attainkit.params import (ProblemParams, Regime, critical_exponent,
-                              exponents, extremal_in_energy_space,
+                              extremal_in_energy_space,
                               fractional_critical_exponent,
                               fractional_gamma_threshold_exponent,
                               gamma_threshold_exponent)
@@ -77,11 +77,11 @@ def test_exponent_values():
 
 
 def test_exponents_bundle(crit5, sub224):
-    e5 = exponents(crit5)
+    e5 = crit5.exponents
     assert (e5.base, e5.crit) == (2.0, critical_exponent(5, 2.0))
-    e2 = exponents(sub224)
+    e2 = sub224.exponents
     assert (e2.base, e2.gamma_crit) == (2.0, 2.0)
-    ef = exponents(ProblemParams.fractional(5, 0.6, 2.2, 1.0, 1.0))
+    ef = ProblemParams.fractional(5, 0.6, 2.2, 1.0, 1.0).exponents
     assert ef.base == 2.0
     assert ef.gamma_crit == pytest.approx(5 * 0.2 / 1.2, rel=1e-15)
 

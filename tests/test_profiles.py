@@ -19,20 +19,15 @@ from attainkit import (
     build_u_star,
     build_w_lambda,
     dilate,
-    evaluate_I,
     evaluate_J,
     log_lambda,
     normalize_scaled,
     norms,
     random_profiles,
-    scale_amplitude,
-    smoothstep_cutoff,
-    smoothstep_cutoff_deriv,
-    t_of,
-    value_f,
-    value_g,
 )
-from oracles import bubble_grad_moment_oracle, bubble_moment_oracle, sphere_area_oracle
+from attainkit.profiles import _scale_amplitude, _smoothstep_cutoff, _smoothstep_cutoff_deriv
+from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle, curve_at_t,
+                     sphere_area_oracle)
 
 N5 = 5
 P2 = 2.0
@@ -109,7 +104,7 @@ def test_w_lambda_objective_equals_curve_value(crit5, constants_crit5, star5_nor
     J = evaluate_J(w, crit5)
     # the constrained objective along the dilation path is exactly the
     # one-dimensional objective curve
-    assert J == pytest.approx(float(value_f(cp, t)), rel=1e-12)
+    assert J == pytest.approx(float(curve_at_t(cp, "max", t)), rel=1e-12)
 
 
 def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norms):
@@ -119,8 +114,10 @@ def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norm
     lam = 7.5
     w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
-    got = evaluate_I(w, crit5) * C
-    assert got == pytest.approx(float(value_g(cp, t)), rel=1e-10)
+    nm = norms(w, p=P2, q=crit5.q, gamma=gamma)
+    # the threshold quotient (1 - mass^p) / qnorm^q of the normalized profile, times C
+    got = (1.0 - nm.lp.value ** P2) / nm.lq.value ** crit5.q * C
+    assert got == pytest.approx(float(curve_at_t(cp, "min", t)), rel=1e-10)
 
 
 def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
@@ -153,29 +150,23 @@ def test_log_lambda_roundtrip_beyond_the_double_range(star5_norms):
         log_lambda(math.inf, star5_norms, gamma, N5)
 
 
-def test_t_of_matches_norm_ratio(star5_norms):
-    gamma = 2.5
-    want = (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
-    assert t_of(star5_norms, gamma) == pytest.approx(want, rel=1e-14)
-
-
 def test_smoothstep_cutoff_shape():
-    assert smoothstep_cutoff(0.0) == 1.0
-    assert smoothstep_cutoff(1.0) == 1.0
-    assert smoothstep_cutoff(2.0) == 0.0
-    assert smoothstep_cutoff(3.0) == 0.0
+    assert _smoothstep_cutoff(0.0) == 1.0
+    assert _smoothstep_cutoff(1.0) == 1.0
+    assert _smoothstep_cutoff(2.0) == 0.0
+    assert _smoothstep_cutoff(3.0) == 0.0
     rho = np.linspace(1.0, 2.0, 257)
-    vals = smoothstep_cutoff(rho)
+    vals = _smoothstep_cutoff(rho)
     assert np.all(np.diff(vals) <= 0.0)
     # C^1 at both junctions
-    assert smoothstep_cutoff_deriv(1.0) == 0.0
-    assert smoothstep_cutoff_deriv(2.0) == 0.0
-    assert smoothstep_cutoff_deriv(1.5) < 0.0
+    assert _smoothstep_cutoff_deriv(1.0) == 0.0
+    assert _smoothstep_cutoff_deriv(2.0) == 0.0
+    assert _smoothstep_cutoff_deriv(1.5) < 0.0
     # derivative matches central differences in the transition zone
     h = 1e-6
     mid = np.linspace(1.05, 1.95, 19)
-    fd = (smoothstep_cutoff(mid + h) - smoothstep_cutoff(mid - h)) / (2 * h)
-    np.testing.assert_allclose(smoothstep_cutoff_deriv(mid), fd, rtol=1e-7, atol=1e-9)
+    fd = (_smoothstep_cutoff(mid + h) - _smoothstep_cutoff(mid - h)) / (2 * h)
+    np.testing.assert_allclose(_smoothstep_cutoff_deriv(mid), fd, rtol=1e-7, atol=1e-9)
 
 
 def test_truncated_profile_support_is_exact():
@@ -190,7 +181,7 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    D = ak.d_value(pp, constants_crit3)
+    D = ak.classify(pp, constants_crit3).D
     C = ak.kappa_multiplier(pp, constants_crit3)
     cp = CurveParams.from_problem(pp, C)
     log_t_star = ak.maximize_halfline(cp).log_argopt
@@ -206,7 +197,7 @@ def test_truncated_family_approaches_supremum(constants_crit3):
 
 
 def test_normalize_scaled_restores_constraint(star5):
-    bumped = scale_amplitude(star5, 3.7)
+    bumped = _scale_amplitude(star5, 3.7)
     w = normalize_scaled(bumped, p=P2, gamma=2.5)
     got = norms(w, p=P2, q=Q_CRIT5, gamma=2.5)
     assert got.w_norm(2.5) == pytest.approx(1.0, rel=1e-12)
@@ -242,8 +233,8 @@ def test_random_profiles_envelope(crit5, constants_crit5):
     for prof in random_profiles(20, N=N5, seed=7):
         w = normalize_scaled(prof, p=P2, gamma=crit5.gamma)
         nm = norms(w, p=P2, q=Q_CRIT5, gamma=crit5.gamma)
-        t = t_of(nm, crit5.gamma)
-        assert evaluate_J(w, crit5) <= float(value_f(cp, t)) + 1e-8
+        t = (nm.grad_lp.value / nm.lp.value) ** crit5.gamma
+        assert evaluate_J(w, crit5) <= float(curve_at_t(cp, "max", t)) + 1e-8
 
 
 def _counting(profile):

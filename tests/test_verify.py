@@ -42,14 +42,14 @@ def test_truth_table_with_prebuilt_constants(suite_constants):
     assert rep.n_cases >= 20
 
 
-def test_envelope_deterministic_under_seed():
-    a = run_envelope(n_profiles=50, seed=11)
-    b = run_envelope(n_profiles=50, seed=11)
+def test_envelope_deterministic_under_seed(suite_constants):
+    a = run_envelope(suite_constants, n_profiles=50, seed=11)
+    b = run_envelope(suite_constants, n_profiles=50, seed=11)
     assert a.worst_violation == b.worst_violation
     assert a.passed and b.passed
 
 
-def test_envelope_integrates_each_random_profile_once(monkeypatch):
+def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constants):
     # the normalized copy's norms follow from the profile's by amplitude
     # scaling, so one more random profile costs one more quadrature
     calls = []
@@ -64,7 +64,7 @@ def test_envelope_integrates_each_random_profile_once(monkeypatch):
     counts = []
     for n in (10, 20):
         calls.clear()
-        assert run_envelope(n_profiles=n).passed
+        assert run_envelope(suite_constants, n_profiles=n).passed
         counts.append(len(calls))
     assert counts[1] - counts[0] == 10
 
