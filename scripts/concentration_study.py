@@ -9,9 +9,10 @@ Two experiments side by side:
 
 2. A family where it is NOT (3-d: the optimal bubble has divergent mass, so
    no admissible maximizer exists): compactly supported truncations, each
-   redilated toward the curve maximizer, climb monotonically toward D but
-   never touch it.  The printed gaps quantify the concentration loss as the
-   truncation radius grows.
+   redilated to the curve maximizer, climb monotonically toward D but
+   never touch it.  Each truncation is integrated once; J of its dilations
+   follows from its norms (``orbit_curve``).  The printed gaps quantify the
+   concentration loss as the truncation radius grows.
 
 Run:
     python3 scripts/concentration_study.py
@@ -33,10 +34,13 @@ from attainkit import (
     build_w_lambda,
     classify,
     evaluate_J,
+    extremal_in_energy_space,
+    f_at_log_t,
     kappa_multiplier,
     log_lambda,
     maximize_halfline,
     norms,
+    orbit_curve,
     resolve_constants,
     threshold_alpha,
 )
@@ -47,8 +51,9 @@ def attained_case() -> None:
     constants = resolve_constants(pp)
     v = classify(pp, constants)
     star = build_u_star(5, 2.0)
-    star_norms = norms(star, p=2.0, q=pp.q, gamma=pp.gamma)
-    lam = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, 5))
+    star_norms = norms(star, p=2.0, q=pp.q)
+    log_lam = log_lambda(v.log_t_star, star_norms, pp.gamma, 5)
+    lam = math.exp(log_lam)
     w = build_w_lambda(5, 2.0, lam, pp.gamma, u_norms=star_norms)
     J = evaluate_J(w, pp)
     print("attained case: N=5 p=2 gamma=2.2 alpha=180")
@@ -65,20 +70,19 @@ def truncated_case(radii: list[float]) -> None:
     constants = resolve_constants(pp)
     thr = threshold_alpha(pp, constants)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    v = classify(pp, constants)
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants))
     opt = maximize_halfline(cp)
-    t_star = math.exp(opt.log_argopt)
     print("non-attained case: N=3 p=2 gamma=3 alpha=2x threshold")
-    print(f"  verdict: attained={v.attained} ({v.reason.value}), "
-          f"D={v.D:.12g} (supremum only)")
-    print(f"  curve maximizer t* = {t_star:.6g}")
-    print(f"  {'radius':>10}  {'lambda':>14}  {'J':>16}  {'rel gap to D':>14}")
+    print(f"  bubble in the energy space: {extremal_in_energy_space(pp)}, "
+          f"so D={opt.value:.12g} is a supremum only")
+    print(f"  curve maximizer log t* = {opt.log_argopt:.6g}")
+    print(f"  {'radius':>10}  {'log lambda':>14}  {'J':>16}  {'rel gap to D':>14}")
     for R in radii:
-        base = build_truncated(3, 2.0, R=float(R), gamma=3.0)
-        lam = math.exp(log_lambda(opt.log_argopt, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
-        J = evaluate_J(build_truncated(3, 2.0, R=float(R), gamma=3.0, lam=lam), pp)
-        print(f"  {R:>10g}  {lam:>14.6g}  {J:>16.10g}  {(v.D - J) / v.D:>14.3e}")
+        # one quadrature of the cut bubble; its orbit curve gives J at every dilation
+        nm = norms(build_truncated(3, 2.0, R=float(R)), 2.0, 6.0)
+        J = f_at_log_t(orbit_curve(nm, pp)[0], opt.log_argopt)
+        log_lam = log_lambda(opt.log_argopt, nm, pp.gamma, 3)
+        print(f"  {R:>10g}  {log_lam:>14.6g}  {J:>16.10g}  {(opt.value - J) / opt.value:>14.3e}")
     print()
     print("  the gap shrinks like the truncated mass surplus: the supremum is")
     print("  approached by ever-wider profiles yet never attained in 3-d.")

@@ -16,7 +16,7 @@ interior.  Modules:
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
-* ``profiles``  — radial profiles, norms, bubbles, truncations
+* ``profiles``  — radial profiles, norms, bubbles, truncations, orbit curves
 * ``verify``    — cross-cutting consistency checks
 * ``cli``       — the ``attain-kit`` command
 """
@@ -46,7 +46,7 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, build_truncated,
                        build_u_star, build_w_lambda, dilate, evaluate_J,
-                       log_lambda, normalize_scaled, norms, random_profiles)
+                       log_lambda, norms, orbit_curve, random_profiles)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 
@@ -65,7 +65,7 @@ __all__ = [
     "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
     "h_factor", "kappa_multiplier", "log_lambda", "m_factor",
-    "maximize_halfline", "minimize_halfline", "normalize_scaled", "norms",
+    "maximize_halfline", "minimize_halfline", "norms", "orbit_curve",
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
     "run_monotonicity_scan", "run_truth_table",

@@ -7,9 +7,9 @@ written at shortest round-trip precision.  Exit codes: 0 success, 1 invalid
 parameters or usage, 2 numerical failure, 3 failed verification.
 
 ``maximizer`` integrates the optimal bubble u* once.  Its J_check is the
-objective curve with u*'s own norm quotient in place of C (the dilation
-identity), and its profile table is computed in logs; it exits 2 when the
-table's radii or values leave the double range.
+objective curve with u*'s own quotient Q(u*) in place of C (the dilation
+identity, ``profiles.orbit_curve``), and its profile table is computed in
+logs; it exits 2 when the table's radii or values leave the double range.
 
 ``--q critical`` is the exact way to request the critical exponent; a
 numeric ``--q`` that matches it to within 1e-12 relative is accepted with
@@ -37,7 +37,7 @@ from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor,
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .params import ProblemParams, Regime
-from .profiles import build_u_star, log_lambda, norms
+from .profiles import build_u_star, log_lambda, norms, orbit_curve
 from .verify import run_all
 
 SCHEMA = "attain-kit/1"
@@ -236,12 +236,12 @@ def _cmd_constants(ns) -> int:
 
 
 def _cmd_curve(ns) -> int:
-    params = _build_params(ns)
-    cset = _constants_for(ns, params)
-    cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
     if not 1 <= ns.grid <= MAX_SAMPLES:
         raise ParamError("grid", f"--grid must be between 1 and {MAX_SAMPLES}, "
                                  f"got {ns.grid}")
+    params = _build_params(ns)
+    cset = _constants_for(ns, params)
+    cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
     t = np.geomspace(1e-4, 1e4, ns.grid)
     s = t / (1.0 + t)
     columns = {"t": t, "s": s, "f": f_at_log_t(cp, np.log(t)),
@@ -279,7 +279,7 @@ def _cmd_maximizer(ns) -> int:
         return EXIT_OK
     N, p, gamma, log_t = params.N, params.p, params.gamma, v.log_t_star
     star = build_u_star(N, p)
-    nm = norms(star, p, params.q, gamma)
+    nm = norms(star, p, params.q)
     log_lam = log_lambda(log_t, nm, gamma, N)
     # the table spans the dilated bubble's core and tail: r lambda^(1/N) in [~0, 1e4]
     r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
@@ -292,9 +292,8 @@ def _cmd_maximizer(ns) -> int:
         raise NumericalError(
             f"the maximizer needs log lambda = {log_lam!r}, where its profile "
             "table leaves the double range")
-    # J on the normalized dilation orbit: the curve at (|u*|_q / |grad u*|_p)^q, not C = S^q
-    cp = CurveParams.from_problem(params, (nm.lq.value / nm.grad_lp.value) ** params.q)
-    j_check = f_at_log_t(cp, log_t)
+    # J on u*'s normalized dilation orbit: the curve at u*'s own quotient, not C = S^q
+    j_check = f_at_log_t(orbit_curve(nm, params)[0], log_t)
     if abs(j_check - v.D) > ns.tol * max(1.0, abs(v.D)):
         raise NumericalError(
             f"constructed maximizer evaluates to {j_check!r} but the "

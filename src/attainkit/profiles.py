@@ -28,9 +28,8 @@ profile is evaluated once for u and once for u'.
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
 
-Each profile needs this quadrature once: a rescaled copy's norms are the
-original's times the factor, and a dilated copy's follow by the exact laws
-stated in ``dilate``.
+Each profile needs this quadrature once: ``orbit_curve`` turns its norms
+into J on its whole normalized dilation orbit.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .constants import sphere_area
-from .errors import DivergentNormError, NormalizationError, ParamError
+from .curves import CurveParams
+from .errors import DivergentNormError, NormalizationError, NumericalError, ParamError
 from .params import ProblemParams
 
 #: |W-norm - 1| allowed before J evaluation refuses a profile
@@ -147,14 +147,14 @@ def _cut_off(profile: RadialProfile, e: float, use_deriv: bool,
     return r_cut, excess
 
 
-def norms(profile: RadialProfile, p: float, q: float, gamma: float) -> Norms:
+def norms(profile: RadialProfile, p: float, q: float) -> Norms:
     """All three norms of a radial profile by log-Simpson quadrature.
 
     u and u' are evaluated once per distinct cut-off radius, and every
     moment on that cut-off reads the same values.
     """
-    if not (p > 1 and q > 0 and gamma > 0):
-        raise ParamError("p", f"need p > 1, q > 0, gamma > 0; got {p}, {q}, {gamma}")
+    if not (p > 1 and q > 0):
+        raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
     N, r_lo = profile.N, _R_MIN
     omega = sphere_area(N)
     nodes: dict[float, tuple] = {}  # r_cut -> (h, r, r^N, {use_deriv: |u| or |u'|})
@@ -250,25 +250,13 @@ def _scale_amplitude(profile: RadialProfile, factor: float) -> RadialProfile:
                          dfn=lambda r: factor * base_dfn(r))
 
 
-def normalize_scaled(profile: RadialProfile, p: float, gamma: float) -> RadialProfile:
-    """Rescale so the combined (gradient, mass) norm equals one."""
-    nm = norms(profile, p, max(p, 2.0), gamma)
-    z = nm.w_norm(gamma)
-    if not (z > 0 and math.isfinite(z)):
-        raise NormalizationError(f"combined norm came out {z}")
-    return _scale_amplitude(profile, 1.0 / z)
-
-
 def build_w_lambda(N: int, p: float, lam: float, gamma: float,
                    u_norms: Norms) -> RadialProfile:
     """The normalized dilated bubble: unit combined norm by construction.
 
-    Dilates the optimal bubble by lam, then divides by
-    (mass^gamma + lam^(gamma/N) grad^gamma)^(1/gamma) formed from the
-    bubble's own norms ``u_norms``, which the dilation identities make
-    exactly the combined norm of the dilated profile.  Those norms exist
-    only when the bubble has finite mass (p*p < N); otherwise their
-    quadrature raises the divergence error.
+    Dilates the optimal bubble by lam and divides by its combined norm,
+    formed from the bubble's own norms ``u_norms`` by the laws stated in
+    ``dilate``.  Those norms exist only when p*p < N.
     """
     star = build_u_star(N, p)
     z = (u_norms.lp.value ** gamma
@@ -298,15 +286,13 @@ def _smoothstep_cutoff_deriv(rho):
     return -30.0 * chi**2 * (1.0 - chi) ** 2
 
 
-def build_truncated(N: int, p: float, R: float, gamma: float,
-                    lam: float = 1.0) -> RadialProfile:
-    """Bubble cut to compact support, dilated, and normalized to unit norm.
+def build_truncated(N: int, p: float, R: float) -> RadialProfile:
+    """The optimal bubble cut to compact support, not normalized.
 
     The bubble is multiplied by the quintic-smoothstep cutoff (identically
-    one inside radius R, zero beyond 2R), optionally dilated, and rescaled
-    so the combined norm is one.  Works for every 1 < p < N: truncation
-    restores finite mass even when the bubble itself has none, which is
-    exactly why this family probes the non-attained regimes.
+    one inside radius R, zero beyond 2R).  Works for every 1 < p < N:
+    truncation restores finite mass even when the bubble itself has none,
+    which is exactly why this family probes the non-attained regimes.
     """
     if not (R > 0 and math.isfinite(R)):
         raise ParamError("R", f"need truncation radius R > 0, got {R}")
@@ -314,30 +300,48 @@ def build_truncated(N: int, p: float, R: float, gamma: float,
     star_fn, star_dfn = star.fn, star.dfn
 
     def fn(r):
-        r = np.asarray(r, dtype=float)
         return star_fn(r) * _smoothstep_cutoff(r / R)
 
     def dfn(r):
-        r = np.asarray(r, dtype=float)
         return (star_dfn(r) * _smoothstep_cutoff(r / R)
                 + star_fn(r) * _smoothstep_cutoff_deriv(r / R) / R)
 
-    raw = RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn)
-    if lam != 1.0:
-        raw = dilate(raw, lam, p)
-    return normalize_scaled(raw, p, gamma)
+    return RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn)
 
 
 # -- functional evaluation ------------------------------------------------
 
+def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
+    """(cp_u, log_t) of a profile u with norms ``nm``: if w_lam is u's
+    lam-dilation (``dilate``) over its combined norm, then
+
+        J(w_lam) = f_at_log_t(cp_u, log_t + gamma/N * log lam),
+
+    with log_t = gamma log(|grad u|_p / |u|_p) and cp_u the objective curve
+    with u's quotient Q(u) = |u|_q^q / (|grad u|_p^gc |u|_p^(q - gc)),
+    gc = gamma_crit, in place of the sharp constant C.  Q is invariant under
+    dilation and amplitude, and Q <= C is the sharp inequality.  A Q beyond
+    the double range is a ``NumericalError``.
+    """
+    if params.is_fractional:
+        raise ParamError("params", "profile quadrature covers the local regimes only")
+    lp, grad, lq = nm.lp.value, nm.grad_lp.value, nm.lq.value
+    q, gc = params.q, params.exponents.gamma_crit
+    try:
+        quotient = (lq / grad) ** gc * (lq / lp) ** (q - gc)
+    except OverflowError:
+        quotient = math.inf
+    if quotient == math.inf:
+        log10_q = gc * math.log10(lq / grad) + (q - gc) * math.log10(lq / lp)
+        raise NumericalError(f"Q(u) leaves the double range: log10 Q = {log10_q!r}")
+    return CurveParams.from_problem(params, quotient), params.gamma * math.log(grad / lp)
+
+
 def evaluate_J(profile: RadialProfile, params: ProblemParams) -> float:
     """Constrained objective mass^p + alpha * qnorm^q of a normalized profile."""
     if params.is_fractional:
-        raise ParamError(
-            "params",
-            "profile quadrature covers the local regimes only; the "
-            "fractional seminorm is not computable here")
-    nm = norms(profile, params.p, params.q, params.gamma)
+        raise ParamError("params", "profile quadrature covers the local regimes only")
+    nm = norms(profile, params.p, params.q)
     w = nm.w_norm(params.gamma)
     if abs(w - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(

@@ -24,7 +24,7 @@ with shared constants and a fixed seed in well under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (DivergentNormError, NormalizationError, NumericalError,
 from .halfline import maximize_halfline, stationary_points
 from .params import ProblemParams, critical_exponent
 from .profiles import (build_truncated, build_u_star, build_w_lambda,
-                       evaluate_J, log_lambda, norms, random_profiles)
+                       evaluate_J, norms, orbit_curve, random_profiles)
 
 #: fractional smoothing constant used by the default truth-table cells;
 #: an arbitrary positive user-supplied value (the checks only use ratios).
@@ -235,29 +235,29 @@ def run_envelope(constants: dict[str, ConstantSet] | None = None,
     * truncated family in a no-extremal regime: values strictly below the
       supremum, increasing in the truncation radius, final relative gap
       below 1e-2.
+
+    Random and truncated profiles are integrated once (``orbit_curve``);
+    the bubble family tests that identity on explicitly dilated profiles.
     """
     constants = constants or _default_constants()
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
-    C = kappa_multiplier(params, constants["critical"])
-    cp = CurveParams.from_problem(params, C)
+    cp = CurveParams.from_problem(params, kappa_multiplier(params, constants["critical"]))
     N, p, q, gamma = params.N, params.p, params.q, params.gamma
 
     violations: list[float] = []
     details: list[str] = []
 
-    worst_random = -math.inf
-    for prof in random_profiles(n_profiles, N=N, seed=seed):
-        # amplitude scaling is exact: the normalized copy has norms nm / z, same t
-        nm = norms(prof, p, q, gamma)
-        z = nm.w_norm(gamma)
-        j = (nm.lp.value / z) ** p + params.alpha * (nm.lq.value / z) ** q
-        log_t = gamma * math.log(nm.grad_lp.value / nm.lp.value)
-        worst_random = max(worst_random, j - f_at_log_t(cp, log_t))
+    # J of each normalized profile is its own orbit curve at its own t
+    orbits = [orbit_curve(norms(prof, p, q), params)
+              for prof in random_profiles(n_profiles, N=N, seed=seed)]
+    j_random = np.array([f_at_log_t(cp_u, log_t) for cp_u, log_t in orbits])
+    log_ts = np.array([log_t for _, log_t in orbits])
+    worst_random = float(np.max(j_random - f_at_log_t(cp, log_ts)))
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
-    star_norms = norms(build_u_star(N, p), p, q, gamma)
-    log_ratio = gamma * math.log(star_norms.grad_lp.value / star_norms.lp.value)
+    star_norms = norms(build_u_star(N, p), p, q)
+    _, log_ratio = orbit_curve(star_norms, params)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)
     for lam in lams:
@@ -268,25 +268,22 @@ def run_envelope(constants: dict[str, ConstantSet] | None = None,
     violations.append(worst_family - 1e-6)
     details.append(f"bubble family: worst rel |J - f| = {worst_family:.3e} (allow 1e-6)")
 
-    tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     tr_constants = constants["nonexistence"]
-    thr = threshold_alpha(tr_params, tr_constants)
-    tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=2.0 * thr)
-    v3 = classify(tr_params, constants=tr_constants)
+    tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
+    tr_params = replace(tr_params, alpha=2.0 * threshold_alpha(tr_params, tr_constants))
     cp3 = CurveParams.from_problem(tr_params, kappa_multiplier(tr_params, tr_constants))
-    log_t_star = maximize_halfline(cp3).log_argopt
-    js = []
-    for radius in (10.0, 100.0, 1000.0):
-        base = build_truncated(3, 2.0, radius, gamma=3.0)
-        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
-        js.append(evaluate_J(build_truncated(3, 2.0, radius, gamma=3.0, lam=lam),
-                             tr_params))
-    violations.append(max(j - v3.D for j in js))
+    opt = maximize_halfline(cp3)
+    D = opt.value
+    # J of each cut bubble's normalized dilation to t*, from one quadrature
+    js = [f_at_log_t(orbit_curve(norms(build_truncated(3, 2.0, radius), 2.0, 6.0),
+                                 tr_params)[0], opt.log_argopt)
+          for radius in (10.0, 100.0, 1000.0)]
+    violations.append(max(j - D for j in js))
     violations.append(max(a - b for a, b in zip(js, js[1:])))
-    violations.append((v3.D - js[-1]) / v3.D - 1e-2)
+    violations.append((D - js[-1]) / D - 1e-2)
     details.append(
-        f"truncated family: J = {[f'{j:.6f}' for j in js]} vs D = {v3.D:.6f}, "
-        f"final rel gap {(v3.D - js[-1]) / v3.D:.2e} (allow 1e-2, strictly below, increasing)")
+        f"truncated family: J = {[f'{j:.6f}' for j in js]} vs D = {D:.6f}, "
+        f"final rel gap {(D - js[-1]) / D:.2e} (allow 1e-2, strictly below, increasing)")
 
     return CheckReport.from_violations(
         name="envelope", violations=violations,
@@ -406,8 +403,7 @@ def run_monotonicity_scan(constants: ConstantSet | None = None) -> CheckReport:
     thr_p = threshold_alpha(ProblemParams.local_critical(N=5, p=2.0, gamma=2.0, alpha=1.0),
                             constants)
     end_p = abs(thr_p - 1.0 / C) / (1.0 / C)
-    thr_star = threshold_alpha(ProblemParams.local_critical(N=5, p=2.0, gamma=pstar,
-                                                            alpha=1.0), constants)
+    thr_star = curve.thresholds[-1]  # np.linspace ends the grid on pstar exactly
     closed_star = 2.0 / (pstar * C)
     end_star = abs(thr_star - closed_star) / closed_star
     violations += [end_p - 1e-6, end_star - 1e-6]

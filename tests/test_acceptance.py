@@ -20,12 +20,14 @@ from attainkit import (
     build_u_star,
     build_w_lambda,
     evaluate_J,
+    f_at_log_t,
     gns_constant_estimate,
     kappa_multiplier,
     log_lambda,
     maximize_halfline,
     minimize_halfline,
     norms,
+    orbit_curve,
     random_profiles,
     run_derivative_checks,
     run_monotonicity_scan,
@@ -192,7 +194,7 @@ def test_acceptance_06_interpolation_constant(capsys):
     ratios_ok = True
     worst_ratio = 0.0
     for prof in random_profiles(50, N=2, seed=2024):
-        nm = norms(prof, p=2.0, q=4.0, gamma=2.0)
+        nm = norms(prof, p=2.0, q=4.0)
         ratio = nm.lq.value ** 4 / (nm.grad_lp.value ** 2 * nm.lp.value ** 2)
         worst_ratio = max(worst_ratio, ratio / live["B"])
         ratios_ok &= ratio <= live["B"] * (1.0 + 1e-9)
@@ -210,14 +212,14 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
     C = kappa_multiplier(pp, constants_crit5)
     cp = CurveParams.from_problem(pp, C)
-    star_norms = norms(build_u_star(N5, P2), p=P2, q=pp.q, gamma=pp.gamma)
+    star_norms = norms(build_u_star(N5, P2), p=P2, q=pp.q)
 
     worst_env = -math.inf
     for prof in random_profiles(1000, N=N5, seed=2024):
-        w = ak.normalize_scaled(prof, p=P2, gamma=pp.gamma)
-        nm = norms(w, p=P2, q=pp.q, gamma=pp.gamma)
-        t = (nm.grad_lp.value / nm.lp.value) ** pp.gamma
-        worst_env = max(worst_env, evaluate_J(w, pp) - float(curve_at_t(cp, "max", t)))
+        # J of the normalized profile from its one quadrature, against the curve oracle
+        cp_u, log_t = orbit_curve(norms(prof, p=P2, q=pp.q), pp)
+        worst_env = max(worst_env, f_at_log_t(cp_u, log_t)
+                        - float(curve_at_t(cp, "max", math.exp(log_t))))
 
     ratio = (star_norms.grad_lp.value / star_norms.lp.value) ** pp.gamma
     worst_fam = 0.0
@@ -227,8 +229,8 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
         worst_fam = max(worst_fam, abs(evaluate_J(w, pp) - f) / abs(f))
 
     v = ak.classify(pp, constants_crit5)
-    lam_star = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, N5))
-    w_star = build_w_lambda(N5, P2, lam_star, pp.gamma, u_norms=star_norms)
+    log_lam = log_lambda(v.log_t_star, star_norms, pp.gamma, N5)
+    w_star = build_w_lambda(N5, P2, math.exp(log_lam), pp.gamma, u_norms=star_norms)
     gap_at_star = abs(evaluate_J(w_star, pp) - v.D) / v.D
 
     dt = time.time() - t0
@@ -258,14 +260,13 @@ def test_acceptance_09_truncated_family_approach(constants_crit3, capsys):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    D = ak.classify(pp, constants_crit3).D
     cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants_crit3))
-    log_t_star = maximize_halfline(cp).log_argopt
-    js = []
-    for R in (10.0, 100.0, 1000.0):
-        base = build_truncated(3, 2.0, R=R, gamma=3.0)
-        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
-        js.append(evaluate_J(build_truncated(3, 2.0, R=R, gamma=3.0, lam=lam), pp))
+    opt = maximize_halfline(cp)
+    D = opt.value
+    # one quadrature per radius: J of the cut bubble's normalized dilation to t*
+    js = [f_at_log_t(orbit_curve(norms(build_truncated(3, 2.0, R=R), 2.0, 6.0), pp)[0],
+                     opt.log_argopt)
+          for R in (10.0, 100.0, 1000.0)]
     increasing = all(a < b for a, b in zip(js, js[1:]))
     below = all(j <= D for j in js)
     gap = (D - js[-1]) / D

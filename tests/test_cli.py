@@ -167,6 +167,26 @@ def test_sweep_threshold_nonincreasing(capsys):
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
 
 
+def test_sweep_json_rows(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--N", "5", "--p", "2", "--q", "critical",
+                             "--alpha", "100", "--gamma-range", "2.0:3.5:0.5")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["schema"], doc["command"]) == ("attain-kit/1", "sweep")
+    assert doc["problem"]["regime"] == "critical-local"
+    rows = doc["rows"]
+    assert [list(row) for row in rows] == [["gamma", "threshold", "D", "attained"]] * 4
+    assert [row["gamma"] for row in rows] == [2.0, 2.5, 3.0, 3.5]
+    # the same rows as the CSV table, value for value
+    _, csv_out, _ = run_cli(capsys, "sweep", "--N", "5", "--p", "2", "--q", "critical",
+                            "--alpha", "100", "--gamma-range", "2.0:3.5:0.5", "--csv")
+    for row, line in zip(rows, csv_out.strip().split("\n")[1:]):
+        gamma, threshold, D, attained = line.split(",")
+        assert (row["gamma"], row["threshold"], row["D"]) == (
+            float(gamma), float(threshold), float(D))
+        assert row["attained"] is (attained == "true")
+
+
 def test_maximizer_attained_json(capsys):
     code, out, _ = run_cli(capsys, "maximizer", "--N", "5", "--p", "2",
                            "--q", "critical", "--gamma", "2.2", "--alpha", "180")
@@ -297,6 +317,45 @@ def test_maximizer_rejects_subcritical(capsys, monkeypatch):
         assert code == 1, argv
         assert out == ""
         assert "critical local family only" in err
+
+
+def test_curve_grid_is_checked_before_any_numerics(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the --grid check must come before the constant")
+
+    monkeypatch.setattr(cli, "resolve_constants", no_solve)
+    for grid in ("0", "1000001"):
+        code, out, err = run_cli(capsys, "curve", "--N", "2", "--p", "2", "--q", "4",
+                                 "--gamma", "1.5", "--alpha", "1", "--grid", grid)
+        assert code == 1, grid
+        assert out == ""
+        assert err.startswith("validation error (grid)")
+
+
+MAXIMIZER_ARGS = ("maximizer", "--N", "5", "--p", "2", "--q", "critical",
+                  "--gamma", "2.2", "--alpha", "180")
+
+
+def test_maximizer_csv_routes_the_header(capsys, tmp_path):
+    _, json_out, _ = run_cli(capsys, *MAXIMIZER_ARGS)
+    full = json.loads(json_out)
+    profile = full.pop("profile")
+    # table on stdout: the JSON header goes to stderr
+    code, out, err = run_cli(capsys, *MAXIMIZER_ARGS, "--csv")
+    assert code == 0
+    assert json.loads(err) == full
+    lines = out.split("\n")
+    assert lines[0] == "r,u" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [float(r) for r, _ in rows] == profile["r"]
+    assert [float(u) for _, u in rows] == profile["u"]
+    # table in a file: the header goes to stdout, stderr stays empty
+    target = tmp_path / "profile.csv"
+    code, out, err = run_cli(capsys, *MAXIMIZER_ARGS, "--csv", "--out", str(target))
+    assert code == 0
+    assert json.loads(out) == full
+    assert err == ""
+    assert target.read_text(encoding="utf-8") == "\n".join(lines)
 
 
 def test_maximizer_tiny_threshold_is_not_a_tie(capsys):

@@ -12,6 +12,9 @@ from attainkit import (
     CurveParams,
     DivergentNormError,
     NormalizationError,
+    Norms,
+    NormValue,
+    NumericalError,
     ParamError,
     ProblemParams,
     Tail,
@@ -21,8 +24,8 @@ from attainkit import (
     dilate,
     evaluate_J,
     log_lambda,
-    normalize_scaled,
     norms,
+    orbit_curve,
     random_profiles,
 )
 from attainkit.profiles import _scale_amplitude, _smoothstep_cutoff, _smoothstep_cutoff_deriv
@@ -41,7 +44,7 @@ def star5():
 
 @pytest.fixture(scope="module")
 def star5_norms(star5):
-    return norms(star5, p=P2, q=Q_CRIT5, gamma=2.5)
+    return norms(star5, p=P2, q=Q_CRIT5)
 
 
 def test_bubble_norms_match_beta_oracle(star5, star5_norms):
@@ -66,19 +69,19 @@ def test_bubble_height_closed_form(star5):
 
 def test_bubble_mass_diverges_in_low_dimension():
     with pytest.raises(DivergentNormError) as exc:
-        norms(build_u_star(3, 2.0), p=2.0, q=6.0, gamma=2.5)
+        norms(build_u_star(3, 2.0), p=2.0, q=6.0)
     assert exc.value.norm == "lp"
 
 
 def test_bubble_mass_diverges_at_dimension_boundary():
     with pytest.raises(DivergentNormError):
-        norms(build_u_star(4, 2.0), p=2.0, q=4.0, gamma=2.5)
+        norms(build_u_star(4, 2.0), p=2.0, q=4.0)
 
 
 @given(lam=st.floats(1e-4, 1e4))
 def test_dilation_identities(star5, star5_norms, lam):
     moved = dilate(star5, lam, P2)
-    got = norms(moved, p=P2, q=Q_CRIT5, gamma=2.5)
+    got = norms(moved, p=P2, q=Q_CRIT5)
     assert got.lp.value == pytest.approx(star5_norms.lp.value, rel=1e-10)
     assert got.grad_lp.value == pytest.approx(
         star5_norms.grad_lp.value * lam ** (1.0 / N5), rel=1e-10)
@@ -90,7 +93,7 @@ def test_dilation_identities(star5, star5_norms, lam):
 def test_w_lambda_has_unit_constraint_norm(star5_norms, lam):
     gamma = 2.5
     w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
-    got = norms(w, p=P2, q=Q_CRIT5, gamma=gamma)
+    got = norms(w, p=P2, q=Q_CRIT5)
     assert got.w_norm(gamma) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -114,7 +117,7 @@ def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norm
     lam = 7.5
     w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
-    nm = norms(w, p=P2, q=crit5.q, gamma=gamma)
+    nm = norms(w, p=P2, q=crit5.q)
     # the threshold quotient (1 - mass^p) / qnorm^q of the normalized profile, times C
     got = (1.0 - nm.lp.value ** P2) / nm.lq.value ** crit5.q * C
     assert got == pytest.approx(float(curve_at_t(cp, "min", t)), rel=1e-10)
@@ -124,16 +127,16 @@ def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
     v = ak.classify(pp, constants_crit5)
     assert v.attained
-    lam = math.exp(log_lambda(v.log_t_star, star5_norms, pp.gamma, N5))
-    w = build_w_lambda(N5, P2, lam, pp.gamma, u_norms=star5_norms)
+    log_lam = log_lambda(v.log_t_star, star5_norms, pp.gamma, N5)
+    w = build_w_lambda(N5, P2, math.exp(log_lam), pp.gamma, u_norms=star5_norms)
     assert evaluate_J(w, pp) == pytest.approx(v.D, rel=1e-9)
 
 
 def test_lambda_tstar_roundtrip(star5_norms):
     gamma = 2.2
     for t_star in (1e-3, 1.0, 1e4):
-        lam = math.exp(log_lambda(math.log(t_star), star5_norms, gamma, N5))
-        t_back = lam ** (gamma / N5) * (
+        log_lam = log_lambda(math.log(t_star), star5_norms, gamma, N5)
+        t_back = math.exp(log_lam) ** (gamma / N5) * (
             star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
         assert t_back == pytest.approx(t_star, rel=1e-12)
 
@@ -170,7 +173,7 @@ def test_smoothstep_cutoff_shape():
 
 
 def test_truncated_profile_support_is_exact():
-    w = build_truncated(3, 2.0, R=10.0, gamma=3.0)
+    w = build_truncated(3, 2.0, R=10.0)
     assert w.tail.kind == "compact"
     assert w.fn(20.0) == 0.0
     assert w.fn(20.0 + 1e-9) == 0.0
@@ -181,26 +184,70 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    D = ak.classify(pp, constants_crit3).D
-    C = ak.kappa_multiplier(pp, constants_crit3)
-    cp = CurveParams.from_problem(pp, C)
-    log_t_star = ak.maximize_halfline(cp).log_argopt
-    vals = []
-    for R in (10.0, 100.0, 1000.0):
-        base = build_truncated(3, 2.0, R=R, gamma=3.0)
-        lam = math.exp(log_lambda(log_t_star, norms(base, 2.0, 6.0, 3.0), 3.0, 3))
-        w = build_truncated(3, 2.0, R=R, gamma=3.0, lam=lam)
-        vals.append(evaluate_J(w, pp))
+    cp = CurveParams.from_problem(pp, ak.kappa_multiplier(pp, constants_crit3))
+    opt = ak.maximize_halfline(cp)
+    assert opt.value == ak.classify(pp, constants_crit3).D
+    # one quadrature per radius: J of the cut bubble's normalized dilation to t*
+    vals = [ak.f_at_log_t(orbit_curve(norms(build_truncated(3, 2.0, R=R), 2.0, 6.0), pp)[0],
+                          opt.log_argopt)
+            for R in (10.0, 100.0, 1000.0)]
     assert vals == sorted(vals)
-    assert all(v <= D for v in vals)
-    assert D - vals[-1] < 1e-2 * D
+    assert all(v <= opt.value for v in vals)
+    assert opt.value - vals[-1] < 1e-2 * opt.value
 
 
-def test_normalize_scaled_restores_constraint(star5):
-    bumped = _scale_amplitude(star5, 3.7)
-    w = normalize_scaled(bumped, p=P2, gamma=2.5)
-    got = norms(w, p=P2, q=Q_CRIT5, gamma=2.5)
-    assert got.w_norm(2.5) == pytest.approx(1.0, rel=1e-12)
+def _normalized_dilation(profile, lam, p, q, gamma):
+    """The lam-dilation of a profile over its own quadrature combined norm."""
+    moved = dilate(profile, lam, p)
+    return _scale_amplitude(moved, 1.0 / norms(moved, p, q).w_norm(gamma))
+
+
+ORBIT_CASES = {
+    "random N=5 critical": (lambda: random_profiles(1, N=5, seed=3)[0],
+                            ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)),
+    "random N=2 subcritical": (lambda: random_profiles(1, N=2, seed=5)[0],
+                               ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=0.7)),
+    "cut bubble N=3 critical": (lambda: build_truncated(3, 2.0, R=10.0),
+                                ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORBIT_CASES))
+@pytest.mark.parametrize("lam, rel", [(1.0, 1e-12), (1e-2, 1e-6), (1e2, 1e-6)])
+def test_orbit_curve_is_J_on_the_normalized_dilations(case, lam, rel):
+    build, pp = ORBIT_CASES[case]
+    prof = build()
+    cp_u, log_t = orbit_curve(norms(prof, pp.p, pp.q), pp)
+    w = _normalized_dilation(prof, lam, pp.p, pp.q, pp.gamma)
+    want = ak.f_at_log_t(cp_u, log_t + pp.gamma / pp.N * math.log(lam))
+    assert evaluate_J(w, pp) == pytest.approx(want, rel=rel)
+
+
+def test_orbit_curve_quotient_is_invariant_and_sharp(crit5, constants_crit5, star5_norms):
+    # the bubble is the Sobolev extremal: its quotient is C = S^(p*) itself
+    cp_star, _ = orbit_curve(star5_norms, crit5)
+    C = ak.kappa_multiplier(crit5, constants_crit5)
+    assert cp_star.kappa == pytest.approx(crit5.alpha * C, rel=1e-10)
+    # any other profile sits strictly below, at every amplitude and dilation
+    prof = random_profiles(1, N=N5, seed=3)[0]
+    kappas = [orbit_curve(norms(v, P2, Q_CRIT5), crit5)[0].kappa
+              for v in (prof, _scale_amplitude(prof, 3.7), dilate(prof, 42.0, P2))]
+    assert kappas == pytest.approx([kappas[0]] * 3, rel=1e-10)
+    assert kappas[0] < crit5.alpha * C
+
+
+def test_orbit_curve_rejects_fractional_params(star5_norms):
+    pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=1.0, alpha=1.0)
+    with pytest.raises(ParamError):
+        orbit_curve(star5_norms, pp)
+
+
+def test_orbit_curve_quotient_beyond_the_double_range_is_numerical(crit5):
+    # (|u|_q / |grad u|_p)^(p*) = 1e(200 * 10/3) holds in no double
+    nm = Norms(lp=NormValue(1.0, 0.0), grad_lp=NormValue(1e-200, 0.0),
+               lq=NormValue(1.0, 0.0))
+    with pytest.raises(NumericalError, match="log10 Q = 666.6"):
+        orbit_curve(nm, crit5)
 
 
 def test_evaluate_j_requires_normalization(star5, crit5):
@@ -208,9 +255,9 @@ def test_evaluate_j_requires_normalization(star5, crit5):
         evaluate_J(star5, crit5)  # the raw bubble is far from unit constraint norm
 
 
-def test_evaluate_j_rejects_fractional_params(star5):
+def test_evaluate_j_rejects_fractional_params(star5_norms):
     pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=1.0, alpha=1.0)
-    w = normalize_scaled(star5, p=P2, gamma=1.0)
+    w = build_w_lambda(N5, P2, 1.0, 1.0, u_norms=star5_norms)  # unit norm at gamma = 1
     with pytest.raises(ParamError):
         evaluate_J(w, pp)
 
@@ -231,8 +278,8 @@ def test_random_profiles_envelope(crit5, constants_crit5):
     C = ak.kappa_multiplier(crit5, constants_crit5)
     cp = CurveParams.from_problem(crit5, C)
     for prof in random_profiles(20, N=N5, seed=7):
-        w = normalize_scaled(prof, p=P2, gamma=crit5.gamma)
-        nm = norms(w, p=P2, q=Q_CRIT5, gamma=crit5.gamma)
+        nm = norms(prof, p=P2, q=Q_CRIT5)
+        w = _scale_amplitude(prof, 1.0 / nm.w_norm(crit5.gamma))
         t = (nm.grad_lp.value / nm.lp.value) ** crit5.gamma
         assert evaluate_J(w, crit5) <= float(curve_at_t(cp, "max", t)) + 1e-8
 
@@ -253,13 +300,13 @@ def _counting(profile):
 
 def test_norms_sample_a_compact_profile_once():
     prof, calls = _counting(random_profiles(1, N=N5, seed=11)[0])
-    norms(prof, p=P2, q=Q_CRIT5, gamma=2.5)
+    norms(prof, p=P2, q=Q_CRIT5)
     assert len(calls["fn"]) == 1 and len(calls["dfn"]) == 1
 
 
 def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
     prof, calls = _counting(star5)
-    got = norms(prof, p=P2, q=Q_CRIT5, gamma=2.5)
+    got = norms(prof, p=P2, q=Q_CRIT5)
     assert got == star5_norms
     # the mass and q moments decay at different rates, so their cut-offs differ
     assert len(calls["fn"]) == len(set(calls["fn"])) == 2

@@ -50,8 +50,9 @@ def test_envelope_deterministic_under_seed(suite_constants):
 
 
 def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constants):
-    # the normalized copy's norms follow from the profile's by amplitude
-    # scaling, so one more random profile costs one more quadrature
+    # J of a normalized dilation follows from the profile's own norms, so
+    # each random profile and each cut bubble costs one quadrature; only the
+    # bubble and its 50 explicitly dilated copies add to that
     calls = []
     real = profiles.norms
 
@@ -59,14 +60,16 @@ def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constan
         calls.append(args[0])
         return real(*args, **kwargs)
 
+    def no_classify(*args, **kwargs):
+        raise AssertionError("the truncated family maximizes its curve once")
+
     monkeypatch.setattr(profiles, "norms", counting)
     monkeypatch.setattr(verify, "norms", counting)
-    counts = []
+    monkeypatch.setattr(verify, "classify", no_classify)
     for n in (10, 20):
         calls.clear()
         assert run_envelope(suite_constants, n_profiles=n).passed
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 10
+        assert len(calls) == n + 1 + 50 + 3
 
 
 def test_derivative_checks_scale_down():
