@@ -38,8 +38,7 @@ from .constants import (SharpConstant, fractional_constant,
 from .curves import CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
-from .halfline import (OptResult, maximize_halfline, minimize_halfline,
-                       stationary_points)
+from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      extremal_in_energy_space, fractional_critical_exponent,
                      fractional_gamma_threshold_exponent,
@@ -69,6 +68,5 @@ __all__ = [
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
     "run_monotonicity_scan", "run_truth_table",
-    "sobolev_constant", "sphere_area", "stationary_points",
-    "threshold_alpha", "threshold_curve",
+    "sobolev_constant", "sphere_area", "threshold_alpha", "threshold_curve",
 ]

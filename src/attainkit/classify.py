@@ -17,9 +17,11 @@ equal floating-point optimizer outputs: the numeric layer flags such ties
 as marginal and this module breaks them by rule.
 
 One ``classify`` call validates the parameters once (``ProblemParams``
-caches its regime and exponents), resolves the constant once, locates
-gamma once and builds one ``CurveParams``, whose ratio curve gives the
-threshold (it does not read kappa) and whose objective curve gives D.
+caches its ``Exponents``, the regime with its base exponent and upper
+gamma boundary ``gamma_crit``, and every decision below reads that one
+record), resolves the constant once, locates gamma once and builds one
+``CurveParams``, whose ratio curve gives the threshold (it does not read
+kappa) and whose objective curve gives D.
 ``threshold_alpha`` builds its curve at alpha = 0, so its answer never
 depends on the weight.
 """
@@ -135,18 +137,19 @@ def resolve_constants(params: ProblemParams,
 def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
     """The factor C in kappa = alpha * C for the regime of ``params``.
 
-    Critical local: S raised to the critical exponent.  Subcritical local:
-    the interpolation constant.  Fractional: the supplied constant itself.
+    Critical local: S raised to the critical exponent (``gamma_crit``).
+    Subcritical local: the interpolation constant.  Fractional: the
+    supplied constant itself.
     """
-    regime = params.regime()
     exps = params.exponents
+    regime = exps.regime
     if regime is Regime.CRITICAL_LOCAL:
         if constants.sobolev is None:
             raise ParamError("constants", "critical local regime needs ConstantSet.sobolev")
         try:
-            return constants.sobolev.value ** exps.crit
+            return constants.sobolev.value ** exps.gamma_crit
         except OverflowError:
-            log10_c = exps.crit * math.log10(constants.sobolev.value)
+            log10_c = exps.gamma_crit * math.log10(constants.sobolev.value)
             raise NumericalError(
                 f"C = S^(p*) leaves the double range: log10 C = {log10_c!r}") from None
     if regime is Regime.SUBCRITICAL_LOCAL:
@@ -162,21 +165,22 @@ def _close(x: float, y: float, rtol: float) -> bool:
     return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
 
 
-def _gamma_band(gamma: float, exps: Exponents, critical: bool) -> str:
+def _gamma_band(gamma: float, exps: Exponents) -> str:
     """Locate gamma among the regime's decision boundaries.
 
     Returns one of "le_base", "interior", "eq_upper", "gt_upper", where
-    the upper boundary is the critical exponent (critical regimes) or the
-    gamma-threshold exponent (subcritical regimes).  Boundary equality is
-    decided with a relative snap so that a user-entered gamma meant to hit
-    an irrational boundary exactly is not misrouted by one ulp.
+    the upper boundary is ``gamma_crit``: the critical exponent (critical
+    regimes) or the gamma-threshold exponent (subcritical regimes).
+    Boundary equality is decided with a relative snap so that a
+    user-entered gamma meant to hit an irrational boundary exactly is not
+    misrouted by one ulp.
     """
-    upper = exps.crit if critical else exps.gamma_crit
-    if _close(gamma, upper, GAMMA_BOUNDARY_RTOL):
+    if _close(gamma, exps.gamma_crit, GAMMA_BOUNDARY_RTOL):
         return "eq_upper"
-    if gamma > upper:
+    if gamma > exps.gamma_crit:
         return "gt_upper"
-    if critical and (gamma < exps.base or _close(gamma, exps.base, GAMMA_BOUNDARY_RTOL)):
+    if exps.regime.is_critical and (
+            gamma < exps.base or _close(gamma, exps.base, GAMMA_BOUNDARY_RTOL)):
         return "le_base"
     return "interior"
 
@@ -193,8 +197,7 @@ def _alpha_vs_threshold(alpha: float, threshold: float) -> int:
     return -1 if alpha < threshold else 1
 
 
-def _threshold(cp: CurveParams, band: str, regime: Regime, exps: Exponents,
-               C: float) -> float:
+def _threshold(cp: CurveParams, band: str, exps: Exponents, C: float) -> float:
     """The threshold of the problem whose curve is ``cp`` and gamma band
     ``band``; only the ratio curve is read, which does not depend on kappa."""
     if C <= 0:
@@ -202,8 +205,7 @@ def _threshold(cp: CurveParams, band: str, regime: Regime, exps: Exponents,
     if band == "gt_upper":
         return 0.0
     if band == "eq_upper":
-        upper = exps.crit if regime.is_critical else exps.gamma_crit
-        return exps.base / (upper * C)
+        return exps.base / (exps.gamma_crit * C)
     if band == "le_base":  # critical regimes only
         return 1.0 / C
     # interior band (and subcritical gamma <= base): numeric infimum
@@ -211,13 +213,6 @@ def _threshold(cp: CurveParams, band: str, regime: Regime, exps: Exponents,
     if not math.isfinite(opt.value) or opt.value <= 0:
         raise NumericalError(f"ratio-curve infimum came out {opt.value}")
     return opt.value / C
-
-
-def _setup(params: ProblemParams, constants: ConstantSet | None
-           ) -> tuple[Regime, Exponents, float]:
-    """(regime, exponents, C) of one problem, its constant resolved once."""
-    C = kappa_multiplier(params, resolve_constants(params, constants))
-    return params.regime(), params.exponents, C
 
 
 def threshold_alpha(params: ProblemParams,
@@ -230,19 +225,20 @@ def threshold_alpha(params: ProblemParams,
     computed numerically.  The result is 0 exactly when every positive
     weight admits a maximizer.
     """
-    regime, exps, C = _setup(params, constants)
+    exps = params.exponents
+    C = kappa_multiplier(params, resolve_constants(params, constants))
     return _threshold(CurveParams.from_problem(params, C, alpha=0.0),
-                      _gamma_band(params.gamma, exps, regime.is_critical), regime, exps, C)
+                      _gamma_band(params.gamma, exps), exps, C)
 
 
-def _closed_form_d(params: ProblemParams, exps: Exponents, regime: Regime,
-                   band: str, rel_alpha: int, C: float) -> float | None:
+def _closed_form_d(params: ProblemParams, exps: Exponents, band: str,
+                   rel_alpha: int, C: float) -> float | None:
     """Closed-form D where the decision table provides one.
 
     Critical gamma <= base: max(1, kappa) at every alpha.  Any regime at
     or below its threshold (on or inside the upper gamma boundary): 1.
     """
-    if regime.is_critical and band == "le_base":
+    if exps.regime.is_critical and band == "le_base":
         return max(1.0, params.alpha * C)
     if band in ("eq_upper", "interior") and rel_alpha <= 0:
         return 1.0
@@ -261,10 +257,12 @@ def classify(params: ProblemParams,
     rather than by floating-point optimizer ties.  The objective curve is
     maximized once: its maximum is D and its maximizer is t*.
     """
-    regime, exps, C = _setup(params, constants)
-    band = _gamma_band(params.gamma, exps, regime.is_critical)
+    exps = params.exponents
+    regime = exps.regime
+    C = kappa_multiplier(params, resolve_constants(params, constants))
+    band = _gamma_band(params.gamma, exps)
     cp = CurveParams.from_problem(params, C)
-    thr = _threshold(cp, band, regime, exps, C)
+    thr = _threshold(cp, band, exps, C)
     opt = maximize_halfline(cp)
     D = opt.value
     if not math.isfinite(D) or D <= 0:
@@ -285,7 +283,7 @@ def classify(params: ProblemParams,
                        log_t_star=opt.log_argopt if attained else None,
                        closed_form_D=cf, regime=regime)
 
-    cf = _closed_form_d(params, exps, regime, band, rel_alpha, C)
+    cf = _closed_form_d(params, exps, band, rel_alpha, C)
 
     if regime.is_critical and not extremal_in_energy_space(params):
         return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, cf)
@@ -340,7 +338,6 @@ def threshold_curve(params: ProblemParams, gamma_grid,
         raise ParamError("gamma_grid", "gamma grid must be non-empty")
     if any(g <= 0 for g in gammas) or any(b > a for a, b in zip(gammas[1:], gammas)):
         raise ParamError("gamma_grid", "gamma grid must be sorted and positive")
-    regime = params.regime()
     exps = params.exponents
     constants = resolve_constants(params, constants)
     values = [threshold_alpha(replace(params, gamma=g), constants) for g in gammas]
@@ -349,10 +346,9 @@ def threshold_curve(params: ProblemParams, gamma_grid,
             raise NumericalError(
                 f"threshold failed to be non-increasing: alpha({g0})={v0} "
                 f"< alpha({g1})={v1}")
-    upper = exps.crit if regime.is_critical else exps.gamma_crit
     interior = [(v0, v1) for g0, v0, g1, v1
                 in zip(gammas, values, gammas[1:], values[1:])
-                if exps.base < g0 and g1 < upper]
+                if exps.base < g0 and g1 < exps.gamma_crit]
     strict = bool(interior) and all(v1 < v0 for v0, v1 in interior)
     return ThresholdCurve(
         gammas=tuple(gammas), thresholds=tuple(values),

@@ -138,12 +138,15 @@ def _build_params(ns) -> ProblemParams:
     q_critical = ns.q == "critical"
     if ns.s is not None:
         if q_critical:
-            return ProblemParams.fractional_critical(N=ns.N, s=ns.s,
-                                                     gamma=ns.gamma, alpha=weight)
-        if ns.q is None:
+            params = ProblemParams.fractional_critical(N=ns.N, s=ns.s,
+                                                       gamma=ns.gamma, alpha=weight)
+        elif ns.q is None:
             raise ParamError("q", "--q (numeric or 'critical') is required")
-        return ProblemParams.fractional(N=ns.N, s=ns.s, q=_numeric_q(ns.q),
-                                        gamma=ns.gamma, alpha=weight)
+        else:
+            params = ProblemParams.fractional(N=ns.N, s=ns.s, q=_numeric_q(ns.q),
+                                              gamma=ns.gamma, alpha=weight)
+        # the family is posed for p = 2: a --p given with it is validated, not dropped
+        return params if ns.p is None else dataclasses.replace(params, p=ns.p)
     if ns.p is None:
         raise ParamError("p", "--p is required for the local family")
     if q_critical:

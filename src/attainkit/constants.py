@@ -272,9 +272,9 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
               "grid": fine["grid"].tolist(), "profile": fine["profile"].tolist()})
 
 
-def fractional_constant(value: float, source: str = "user") -> SharpConstant:
+def fractional_constant(value: float) -> SharpConstant:
     """Wrap a user-supplied fractional seminorm constant."""
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ParamError("frac_constant", f"fractional constant must be positive, got {value!r}")
     return SharpConstant(value=float(value), method="user-input", err_bound=0.0,
-                         meta={"source": source})
+                         meta={"source": "user"})

@@ -13,7 +13,8 @@ with exponents
     a = (q - p)/gamma,   b = q/gamma,   c = gamma_crit/gamma,
     pgamma = p/gamma,    kappa = alpha * (sharp constant normalization),
 
-satisfying a = b - pgamma > 0, 0 < c <= b.  The problem's supremum is
+satisfying a = b - pgamma > 0, 0 < c <= b; ``CurveParams`` stores b, c,
+kappa and pgamma, and a is derived from them.  The problem's supremum is
 sup_t f(t) and the attainability threshold weight is inf_t g(t) divided by
 the normalization.  The critical case is exactly c = b.
 
@@ -56,22 +57,19 @@ def t_from_log(log_t: float | None) -> float | None:
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Exponent tuple (a, b, c, kappa, pgamma) of one curve family.
+    """Exponents (b, c, kappa, pgamma) of one curve family; a = b - pgamma
+    is a property, so it cannot disagree with them.
 
-    Invariants enforced: a = b - pgamma exactly, a > 0, 0 < c <= b,
-    kappa >= 0, pgamma > 0.  Use :meth:`make` or :meth:`from_problem`,
-    which build ``a`` from the other two so the identity holds to the last
-    bit.
+    Invariants enforced: a > 0, 0 < c <= b, kappa >= 0, pgamma > 0.
     """
 
-    a: float
     b: float
     c: float
     kappa: float
     pgamma: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "kappa", "pgamma"):
+        for name in ("b", "c", "kappa", "pgamma"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ParamError(name, f"{name} must be finite, got {v!r}")
@@ -81,14 +79,12 @@ class CurveParams:
             raise ParamError("kappa", f"kappa must be nonnegative, got {self.kappa}")
         if not 0 < self.c <= self.b:
             raise ParamError("c", f"need 0 < c <= b, got c={self.c}, b={self.b}")
-        if self.a != self.b - self.pgamma:
-            raise ParamError("a", "a must equal b - pgamma exactly; use CurveParams.make")
         if self.a <= 0:
             raise ParamError("pgamma", f"need pgamma < b, got pgamma={self.pgamma}, b={self.b}")
 
-    @classmethod
-    def make(cls, b: float, c: float, kappa: float, pgamma: float) -> "CurveParams":
-        return cls(a=b - pgamma, b=b, c=c, kappa=kappa, pgamma=pgamma)
+    @property
+    def a(self) -> float:
+        return self.b - self.pgamma
 
     @classmethod
     def from_problem(cls, params: ProblemParams, constant: float,
@@ -102,7 +98,6 @@ class CurveParams:
         user-supplied fractional constant.  A kappa beyond the double range
         is a ``NumericalError``, as both factors are valid.
         """
-        regime = params.regime()
         exps = params.exponents
         gamma = params.gamma
         al = params.alpha if alpha is None else alpha
@@ -110,7 +105,7 @@ class CurveParams:
             raise ParamError("constant", f"normalizing constant must be finite >= 0, got {constant}")
         b = params.q / gamma
         pg = exps.base / gamma
-        if regime.is_critical:
+        if exps.regime.is_critical:
             c = b  # exact, so is_critical round-trips bit-for-bit
         else:
             c = exps.gamma_crit / gamma
@@ -119,7 +114,7 @@ class CurveParams:
             log10_kappa = math.log10(al) + math.log10(constant)
             raise NumericalError(
                 f"kappa = alpha * C leaves the double range: log10 kappa = {log10_kappa!r}")
-        return cls.make(b=b, c=c, kappa=kappa, pgamma=pg)
+        return cls(b=b, c=c, kappa=kappa, pgamma=pg)
 
     @property
     def is_critical(self) -> bool:

@@ -11,7 +11,8 @@ read kappa.  Each curve has at most one interior optimum:
 
   left of x_max = log(c/(b-c)) when c < b (right of it h < 0).  G' is
   strictly decreasing as a > 0 and c <= b, so G has at most two roots: a
-  local minimum of f, then a local maximum.
+  local minimum of f, then a local maximum.  Only the right root, a + to -
+  change, is looked for; the left one is never an optimum.
 * l'(s) has the sign of F(u) = c u m(s) = (b-c) - b u + (c-a) u^k
   + a u^(k+1), with u = 1/(1+t) and k = pgamma.  F(1) = 0, and
   F'' = k u^(k-2) [(k-1)(c-a) + a(k+1) u] goes from - to + at most once; a
@@ -30,18 +31,18 @@ sees well-scaled forms from analytic starts, K = log(kappa c / pgamma):
 
 * G lies below its asymptotes K + (c-1) x (t -> 0) and, critical,
   K + (pgamma-1) x (t -> inf), and is concave.  Started where an asymptote
-  vanishes, at -K/(c-1) for the left root and K/(1-pgamma) for the right
-  one, Newton stays on the nonpositive side and converges monotonically.
-  Where c = 1 the first asymptote is flat; G without its (c-1) x term
-  vanishes where a log(1 + e^x) = K instead.  Off the critical case the
-  log(-expm1 z) term, z = x - x_max, is linear in w = log(x_max - x) near
-  x_max: the rest of G there, G_s, puts the root near x_max - e^-G_s, and
-  within 1 of x_max the right root takes Newton's steps in w.  The bracket
-  stays in x, so that the returned log t* is a sign change between
-  adjacent doubles of x.
+  vanishes, at -K/(c-1) or K/(1-pgamma), Newton stays on the nonpositive
+  side and converges monotonically.  Where c = 1 the first asymptote is
+  flat; G without its (c-1) x term vanishes where a log(1 + e^x) = K
+  instead.  Off the critical case the log(-expm1 z) term, z = x - x_max,
+  is linear in w = log(x_max - x) near x_max: the rest of G there, G_s,
+  puts the root near x_max - e^-G_s, and within 1 of x_max the right root
+  takes Newton's steps in w.  The bracket stays in x, so that the returned
+  log t* is a sign change between adjacent doubles of x.
 * Near a tangency (a weight at its threshold) the two roots flank the peak
-  x_p closely and plain Newton converges only linearly; they start where
-  the peak's quadratic model vanishes, x_p +- sqrt(2 G(x_p)/|G''(x_p)|).
+  x_p closely and plain Newton converges only linearly; the right one
+  starts where the peak's quadratic model vanishes,
+  x_p + sqrt(2 G(x_p)/|G''(x_p)|).
 * The peak is closed-form in the critical case.  Off it, it is the sign
   change of z G'(x), which tends to 1 at x_max instead of diverging.
 * F is divided by its trivial zero at u = 1, as F/s with s = 1 - u, and in
@@ -219,25 +220,24 @@ def _expm1_gap(m: float, w: float) -> float:
     return total
 
 
-def _start(lo: float, hi: float, xs: tuple[float, ...], least: bool = True) -> float:
-    """The least (else the largest) of ``xs`` strictly between ``lo`` < ``hi``;
-    if there is none, their midpoint, or 1 inside the finite end, or 0."""
+def _start(lo: float, hi: float, xs: tuple[float, ...]) -> float:
+    """The least of ``xs`` strictly between ``lo`` < ``hi``; if there is
+    none, their midpoint, or 1 inside the finite end, or 0."""
     inside = [x for x in xs if lo < x < hi]
     if inside:
-        return (min if least else max)(inside)
+        return min(inside)
     if math.isinf(lo):
         return hi - 1.0 if math.isfinite(hi) else 0.0
     return lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
 
 
-def _objective_roots(cp: CurveParams, left: bool
-                     ) -> tuple[float | None, float | None, float | None, int]:
-    """(left root, peak, right root) of G as log t values, and evaluations.
+def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
+    """(peak, right root) of G as log t values, and evaluations.
 
-    An entry is None where it does not exist; the left root, a local
-    minimum of f, is looked for only when ``left``.
+    An entry is None where it does not exist.  G's left root, a local
+    minimum of f, is never looked for: no optimum sits there.
     """
-    none = (None, None, None, 0)
+    none = (None, None, 0)
     if cp.kappa == 0.0:
         return none  # h < 0: f decreasing
     a, c, pg = cp.a, cp.c, cp.pgamma
@@ -317,16 +317,12 @@ def _objective_roots(cp: CurveParams, left: bool
     lo_pos = c < 1.0 or (c == 1.0 and K > 0.0)
     hi_pos = crit and (pg > 1.0 or (pg == 1.0 and K > 0.0))
     if lo_pos != hi_pos:  # exactly one root
-        if hi_pos and not left:
-            return none
-        if lo_pos:
-            x_e = _softplus_inv(K / a) if K > 0.0 else math.nan
-            x, n = _sign_change(Gw, -math.inf, x0,
-                                _start(-math.inf, x0, (x_lo, x_hi, x_w, x_e)))
-            return None, None, x, n
-        x, n = _sign_change(G, math.inf, -math.inf,
-                            _start(-math.inf, math.inf, (x_lo, x_hi), least=False))
-        return x, None, None, n
+        if hi_pos:
+            return none  # a left root: f falls, then rises toward kappa
+        x_e = _softplus_inv(K / a) if K > 0.0 else math.nan
+        x, n = _sign_change(Gw, -math.inf, x0,
+                            _start(-math.inf, x0, (x_lo, x_hi, x_w, x_e)))
+        return None, x, n
     if lo_pos or c <= 1.0 or (crit and pg >= 1.0):
         return none  # G keeps one sign, or is monotone and negative
 
@@ -342,17 +338,11 @@ def _objective_roots(cp: CurveParams, left: bool
     vp = G(xp)[0]
     n += 1
     if vp <= 0.0:
-        return None, xp, None, n  # f only flattens at the peak
+        return xp, None, n  # f only flattens at the peak
     d2 = G2(xp)
     half = math.sqrt(2.0 * vp / -d2) if d2 < 0.0 else math.nan
     xr, m = _sign_change(Gw, xp, x0, _start(xp, x0, (xp + half, x_hi, x_w)))
-    n += m
-    xl = None
-    if left:
-        xl, m = _sign_change(G, xp, -math.inf,
-                             _start(-math.inf, xp, (xp - half, x_lo), least=False))
-        n += m
-    return xl, xp, xr, n
+    return xp, xr, n + m
 
 
 def _ratio_root(cp: CurveParams) -> tuple[float | None, int]:
@@ -445,25 +435,13 @@ def _result(cp: CurveParams, at_log_t, limits: tuple[float, float],
                      n_evals=n_evals)
 
 
-def stationary_points(cp: CurveParams) -> list[float]:
-    """Interior stationary points of f, as log t values in increasing order.
-
-    They are the roots of G (module docstring): at most two, a local
-    minimum of f and, right of it, a local maximum.  Log values, because
-    for weights near zero they sit at t far outside the double range.
-    Empty when f is monotone (e.g. kappa = 0).
-    """
-    left, _, right, _ = _objective_roots(cp, left=True)
-    return [x for x in (left, right) if x is not None]
-
-
 def maximize_halfline(cp: CurveParams) -> OptResult:
     """Supremum of the objective curve f over (0, inf), boundary limits included.
 
     The candidate is the right root of G.  Where G peaks at or below zero,
     f only flattens at the peak, which is then the candidate of a tie.
     """
-    _, peak, right, n = _objective_roots(cp, left=False)
+    peak, right, n = _objective_roots(cp)
     return _result(cp, f_at_log_t, f_limits(cp), peak if right is None else right, n, +1.0)
 
 

@@ -15,8 +15,12 @@ window for q is
     fractional:  2 < q <= 2N/(N-2s)
 
 and the problem is *critical* when q sits exactly at the right endpoint.
-This module owns parameter validation, the critical/subcritical decision,
-and the derived exponents every other module consumes.
+This module owns parameter validation and the critical/subcritical
+decision.  ``validate`` returns the regime together with its exponents
+(``Exponents``), each from the branch that decides the regime, so the
+upper gamma boundary every other module consumes, ``gamma_crit``, is
+computed once: the critical exponent in the critical regimes, the
+gamma-threshold exponent in the subcritical ones.
 """
 
 from __future__ import annotations
@@ -142,17 +146,13 @@ class ProblemParams:
     # -- derived --------------------------------------------------------
 
     def regime(self) -> Regime:
-        return self._regime
-
-    @cached_property
-    def _regime(self) -> Regime:
-        # the fields are frozen, so one validation per instance is enough
-        return validate(self)
+        return self.exponents.regime
 
     @cached_property
     def exponents(self) -> "Exponents":
-        """Derived exponents (validates first); computed once per instance."""
-        return _derive_exponents(self)
+        """Regime and derived exponents; the fields are frozen, so one
+        validation per instance is enough."""
+        return validate(self)
 
     @property
     def is_fractional(self) -> bool:
@@ -161,21 +161,22 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class Exponents:
-    """Derived exponents of a validated problem.
+    """Regime and derived exponents of a validated problem.
 
+    regime:      which of the four families the problem belongs to
     base:        p (local) or 2 (fractional)
-    crit:        the critical exponent (math.inf when p = N)
-    gamma_crit:  threshold value of gamma for the q-term; equals ``crit``
-                 in the critical case.
+    gamma_crit:  the upper gamma boundary: the critical exponent in the
+                 critical regimes, the gamma-threshold exponent in the
+                 subcritical ones
     """
 
+    regime: Regime
     base: float
-    crit: float
     gamma_crit: float
 
 
-def validate(params: ProblemParams) -> Regime:
-    """Check admissibility and classify the regime.
+def validate(params: ProblemParams) -> Exponents:
+    """Check admissibility and classify the regime, with its exponents.
 
     Raises ParamError with a stable ``code`` naming the offending
     parameter.  alpha = 0 is admitted (degenerate objective); alpha < 0 is
@@ -199,14 +200,14 @@ def validate(params: ProblemParams) -> Regime:
         if p != 2.0:
             raise ParamError("p", f"the fractional family is posed for p = 2, got p={p}")
         crit = fractional_critical_exponent(N, s)
-        if params.q_critical:
-            return Regime.CRITICAL_FRACTIONAL
-        crit_exact = Fraction(2 * N) / (Fraction(N) - 2 * _as_fraction(s))
-        if _q_critical_match(q, crit, _as_fraction(q), crit_exact):
-            return Regime.CRITICAL_FRACTIONAL
+        if params.q_critical or _q_critical_match(
+                q, crit, _as_fraction(q),
+                Fraction(2 * N) / (Fraction(N) - 2 * _as_fraction(s))):
+            return Exponents(Regime.CRITICAL_FRACTIONAL, 2.0, crit)
         if not 2.0 < q < crit:
             raise ParamError("q", f"fractional family needs 2 < q <= {crit}, got q={q}")
-        return Regime.SUBCRITICAL_FRACTIONAL
+        return Exponents(Regime.SUBCRITICAL_FRACTIONAL, 2.0,
+                         fractional_gamma_threshold_exponent(N, s, q))
 
     if N < 2:
         raise ParamError("N", f"the local family needs N >= 2, got N={N}")
@@ -217,33 +218,15 @@ def validate(params: ProblemParams) -> Regime:
             raise ParamError("q", "p = N has no finite critical exponent")
         if not q > p:
             raise ParamError("q", f"p = N admits any finite q > p = {p}, got q={q}")
-        return Regime.SUBCRITICAL_LOCAL
+        return Exponents(Regime.SUBCRITICAL_LOCAL, p, gamma_threshold_exponent(N, p, q))
     crit = critical_exponent(N, p)
-    if params.q_critical:
-        return Regime.CRITICAL_LOCAL
-    crit_exact = Fraction(N) * _as_fraction(p) / (Fraction(N) - _as_fraction(p))
-    if _q_critical_match(q, crit, _as_fraction(q), crit_exact):
-        return Regime.CRITICAL_LOCAL
+    if params.q_critical or _q_critical_match(
+            q, crit, _as_fraction(q),
+            Fraction(N) * _as_fraction(p) / (Fraction(N) - _as_fraction(p))):
+        return Exponents(Regime.CRITICAL_LOCAL, p, crit)
     if not p < q < crit:
         raise ParamError("q", f"local family needs {p} < q <= {crit}, got q={q}")
-    return Regime.SUBCRITICAL_LOCAL
-
-
-def _derive_exponents(params: ProblemParams) -> Exponents:
-    regime = params.regime()
-    if regime is Regime.CRITICAL_LOCAL:
-        crit = critical_exponent(params.N, params.p)
-        return Exponents(base=params.p, crit=crit, gamma_crit=crit)
-    if regime is Regime.SUBCRITICAL_LOCAL:
-        crit = math.inf if params.p == params.N else critical_exponent(params.N, params.p)
-        return Exponents(base=params.p, crit=crit,
-                         gamma_crit=gamma_threshold_exponent(params.N, params.p, params.q))
-    if regime is Regime.CRITICAL_FRACTIONAL:
-        crit = fractional_critical_exponent(params.N, params.s)
-        return Exponents(base=2.0, crit=crit, gamma_crit=crit)
-    crit = fractional_critical_exponent(params.N, params.s)
-    return Exponents(base=2.0, crit=crit,
-                     gamma_crit=fractional_gamma_threshold_exponent(params.N, params.s, params.q))
+    return Exponents(Regime.SUBCRITICAL_LOCAL, p, gamma_threshold_exponent(N, p, q))
 
 
 def extremal_in_energy_space(params: ProblemParams) -> bool:

@@ -111,7 +111,9 @@ def test_curve_rows_fields_and_values(capsys, problem):
     t = np.array([row["t"] for row in rows])
     np.testing.assert_array_equal(t, np.geomspace(1e-4, 1e4, 64))
     np.testing.assert_array_equal([row["s"] for row in rows], t / (1.0 + t))
-    cp = CurveParams(**doc["curve_params"])
+    params = doc["curve_params"]
+    cp = CurveParams(**{k: v for k, v in params.items() if k != "a"})
+    assert params["a"] == cp.a
     for column, mode in (("f", "max"), ("g", "min")):
         np.testing.assert_allclose([row[column] for row in rows], curve_at_t(cp, mode, t),
                                    rtol=1e-12)
@@ -480,6 +482,9 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("grid", ("curve", *_CRIT, "--gamma", "2.2", "--alpha", "180",
               "--grid", "1000000000000000")),
     ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:2:1e-15")),
+    # the fractional family is posed for p = 2; another --p is refused, not dropped
+    ("p", ("classify", "--N", "5", "--s", "0.6", "--p", "3", "--q", "critical",
+           "--gamma", "2.3", "--alpha", "1", "--frac-constant", "1.7")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)

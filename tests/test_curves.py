@@ -10,7 +10,7 @@ from attainkit.classify import kappa_multiplier
 from attainkit.curves import (CurveParams, f_at_log_t, f_limits, g_at_log_t,
                               g_limits, h_factor, m_factor)
 from attainkit.errors import ParamError
-from attainkit.halfline import stationary_points
+from attainkit.halfline import maximize_halfline
 from attainkit.params import ProblemParams
 from oracles import _curve_on_grid, curve_at_t
 
@@ -20,11 +20,11 @@ def curve_params(draw):
     b = pgamma + draw(st.floats(0.05, 3.0))
     c = b if draw(st.booleans()) else draw(st.floats(0.2 * b, 0.95 * b))
     kappa = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-    return CurveParams.make(b=b, c=c, kappa=kappa, pgamma=pgamma)
+    return CurveParams(b=b, c=c, kappa=kappa, pgamma=pgamma)
 
 
 def test_invariant_a_exact():
-    cp = CurveParams.make(b=1.7, c=1.3, kappa=2.0, pgamma=0.9)
+    cp = CurveParams(b=1.7, c=1.3, kappa=2.0, pgamma=0.9)
     assert cp.a == cp.b - cp.pgamma
 
 
@@ -54,20 +54,20 @@ def test_compactified_curves_match(cp, s):
 
 
 def test_f_limits():
-    crit = CurveParams.make(b=1.5, c=1.5, kappa=2.5, pgamma=0.8)
+    crit = CurveParams(b=1.5, c=1.5, kappa=2.5, pgamma=0.8)
     assert f_limits(crit) == (1.0, 2.5)
-    sub = CurveParams.make(b=1.5, c=1.2, kappa=2.5, pgamma=0.8)
+    sub = CurveParams(b=1.5, c=1.2, kappa=2.5, pgamma=0.8)
     assert f_limits(sub) == (1.0, 0.0)
 
 
 def test_g_limits_cases():
-    lo, hi = g_limits(CurveParams.make(b=2.0, c=0.7, kappa=0.0, pgamma=1.1))
+    lo, hi = g_limits(CurveParams(b=2.0, c=0.7, kappa=0.0, pgamma=1.1))
     assert lo == 0.0 and math.isinf(hi)
-    lo, hi = g_limits(CurveParams.make(b=2.0, c=1.0, kappa=0.0, pgamma=1.1))
+    lo, hi = g_limits(CurveParams(b=2.0, c=1.0, kappa=0.0, pgamma=1.1))
     assert lo == pytest.approx(1.1) and math.isinf(hi)
-    lo, hi = g_limits(CurveParams.make(b=2.0, c=1.5, kappa=0.0, pgamma=1.1))
+    lo, hi = g_limits(CurveParams(b=2.0, c=1.5, kappa=0.0, pgamma=1.1))
     assert math.isinf(lo) and math.isinf(hi)
-    lo, hi = g_limits(CurveParams.make(b=2.0, c=2.0, kappa=0.0, pgamma=1.1))
+    lo, hi = g_limits(CurveParams(b=2.0, c=2.0, kappa=0.0, pgamma=1.1))
     assert hi == 1.0  # critical: mass ratio tends to one under concentration
 
 
@@ -97,63 +97,56 @@ def test_m_factor_sign_matches_difference_quotient(cp):
         assert np.sign(m) == np.sign(slope)
 
 
-def test_stationary_points_bracket_sign_change():
-    cp = CurveParams.make(b=5.0 / 3.0, c=5.0 / 3.0, kappa=90.0, pgamma=2.0 / 3.0)
-    roots = stationary_points(cp)
-    assert roots
-    for root in roots:
-        assert h_factor(cp, math.exp(root - 1e-6)) * h_factor(cp, math.exp(root + 1e-6)) < 0
+def test_argmax_is_a_sign_change_of_h_factor():
+    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, kappa=90.0, pgamma=2.0 / 3.0)
+    res = maximize_halfline(cp)
+    assert res.attained
+    x = res.log_argopt
+    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
 
 
-def test_stationary_points_far_scales():
-    # interior stationary points far outside any feasible sampling grid
-    tiny = CurveParams.make(b=0.875, c=0.875, kappa=1e-9, pgamma=0.5)
-    roots_tiny = stationary_points(tiny)
-    assert roots_tiny and min(roots_tiny) < math.log(1e-12)
-    huge = CurveParams.make(b=3.0, c=3.0, kappa=1e-9, pgamma=2.0)
-    roots_huge = stationary_points(huge)
-    assert roots_huge and max(roots_huge) > math.log(1e6)
-    for cp, roots in ((tiny, roots_tiny), (huge, roots_huge)):
-        for root in roots:
-            assert h_factor(cp, math.exp(root - 1e-9)) * h_factor(cp, math.exp(root + 1e-9)) < 0
-
-
-def test_stationary_points_empty_for_zero_kappa():
-    cp = CurveParams.make(b=2.0, c=1.5, kappa=0.0, pgamma=1.0)
-    assert stationary_points(cp) == []
+def test_far_scale_argmax_is_a_sign_change_of_h_factor():
+    # a tiny weight puts f's interior maximum far outside any feasible
+    # sampling grid; it ties with the limit 1, and still carries its log t
+    cp = CurveParams(b=0.875, c=0.875, kappa=1e-9, pgamma=0.5)
+    res = maximize_halfline(cp)
+    assert res.marginal
+    x = res.log_argopt
+    assert x < math.log(1e-12)
+    assert h_factor(cp, math.exp(x - 1e-9)) > 0.0 > h_factor(cp, math.exp(x + 1e-9))
 
 
 def test_curves_at_log_t():
-    for cp in (CurveParams.make(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
-               CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
+    for cp in (CurveParams(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
+               CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
         t = np.geomspace(1e-6, 1e6, 7)
         for at_log_t, mode in ((f_at_log_t, "max"), (g_at_log_t, "min")):
             np.testing.assert_allclose(at_log_t(cp, np.log(t)), curve_at_t(cp, mode, t),
                                        rtol=1e-12)
     # beyond the double range of t the log form still meets the limits
-    crit = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
+    crit = CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
     assert f_at_log_t(crit, -1e5) == 1.0
     assert f_at_log_t(crit, 1e5) == 3.0
     assert g_at_log_t(crit, 1e5) == 1.0
 
 
 def test_critical_curve_limits():
-    cp = CurveParams.make(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
+    cp = CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
     assert f_limits(cp) == (1.0, 3.0)
     assert g_limits(cp) == (math.inf, 1.0)
 
 
 def test_curve_params_validation():
     with pytest.raises(Exception):
-        CurveParams.make(b=1.0, c=1.5, kappa=1.0, pgamma=1.2)  # c beyond b
+        CurveParams(b=1.0, c=1.5, kappa=1.0, pgamma=1.2)  # c beyond b
     with pytest.raises(Exception):
-        CurveParams.make(b=1.0, c=0.5, kappa=-1.0, pgamma=0.5)  # negative kappa
+        CurveParams(b=1.0, c=0.5, kappa=-1.0, pgamma=0.5)  # negative kappa
     with pytest.raises(ParamError):
-        CurveParams.make(b=1.0, c=0.5, kappa=1.0, pgamma=1.0)  # a = 0
+        CurveParams(b=1.0, c=0.5, kappa=1.0, pgamma=1.0)  # a = 0
     with pytest.raises(ParamError):
-        CurveParams.make(b=1.0, c=0.8, kappa=1.0, pgamma=1.5)  # a < 0
+        CurveParams(b=1.0, c=0.8, kappa=1.0, pgamma=1.5)  # a < 0
     with pytest.raises(ParamError):
-        CurveParams.make(b=1.0, c=0.5, kappa=math.inf, pgamma=0.5)  # kappa not finite
+        CurveParams(b=1.0, c=0.5, kappa=math.inf, pgamma=0.5)  # kappa not finite
 
 
 def test_from_problem_fractional_base_two():

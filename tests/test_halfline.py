@@ -12,10 +12,10 @@ import attainkit as ak
 from attainkit import (
     CurveParams,
     OptResult,
+    h_factor,
     maximize_halfline,
     m_factor,
     minimize_halfline,
-    stationary_points,
 )
 from attainkit import halfline
 from oracles import bisect_sign_change, curve_at_t, grid_oracle
@@ -27,14 +27,14 @@ def curve_params(draw):
     b = pgamma + draw(st.floats(0.05, 3.0))
     c = b if draw(st.booleans()) else draw(st.floats(0.2 * b, 0.95 * b))
     kappa = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-    return CurveParams.make(b=b, c=c, kappa=kappa, pgamma=pgamma)
+    return CurveParams(b=b, c=c, kappa=kappa, pgamma=pgamma)
 
 
 def _critical_cell(gamma: float, alpha_times_thr: float):
     """Curve for the 5-dim quadratic-energy critical family at the given weight."""
     params = ak.ProblemParams.local_critical(N=5, p=2.0, gamma=gamma, alpha=1.0)
     S = ak.sobolev_constant(5, 2.0)
-    C = S.value ** params.exponents.crit
+    C = S.value ** params.exponents.gamma_crit
     thr = ak.threshold_alpha(params)
     p2 = dataclasses.replace(params, alpha=alpha_times_thr * thr)
     return CurveParams.from_problem(p2, C), thr, C
@@ -43,7 +43,7 @@ def _critical_cell(gamma: float, alpha_times_thr: float):
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
 def test_low_gamma_critical_sup_is_boundary(kappa):
     # gamma at the base exponent: the objective never beats its endpoint limits
-    cp = CurveParams.make(b=5.0 / 3.0, c=5.0 / 3.0, kappa=kappa, pgamma=1.0)
+    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, kappa=kappa, pgamma=1.0)
     res = maximize_halfline(cp)
     assert res.value == max(1.0, kappa)
     assert not res.attained
@@ -57,11 +57,10 @@ def test_attained_interior_beats_boundary():
     assert res.attained and not res.marginal
     assert res.log_argopt is not None and math.isfinite(res.log_argopt)
     assert res.value > max(1.0, cp.kappa)
-    # the reported optimum sits on a true stationary point
-    roots = stationary_points(cp)
-    nearest = min(roots, key=lambda r: abs(r - res.log_argopt))
-    assert abs(nearest - res.log_argopt) < 1e-3
-    assert float(curve_at_t(cp, "max", math.exp(nearest))) == pytest.approx(res.value, rel=1e-12)
+    # the reported optimum sits on a + to - sign change of f'
+    x = res.log_argopt
+    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
+    assert float(curve_at_t(cp, "max", math.exp(x))) == pytest.approx(res.value, rel=1e-12)
     # naive dense-grid reference agrees on the value
     gro = grid_oracle(cp, n=10**6, mode="max")
     assert gro.attained
@@ -95,7 +94,7 @@ def test_ratio_infimum_is_one_for_low_gamma_critical(gamma):
 
 @pytest.mark.parametrize("c", [5.0 / 3.0, 1.2])
 def test_zero_kappa_sup_is_left_boundary(c):
-    cp = CurveParams.make(b=5.0 / 3.0, c=c, kappa=0.0, pgamma=1.0)
+    cp = CurveParams(b=5.0 / 3.0, c=c, kappa=0.0, pgamma=1.0)
     res = maximize_halfline(cp)
     assert res.value == 1.0
     assert not res.attained
@@ -103,25 +102,24 @@ def test_zero_kappa_sup_is_left_boundary(c):
 
 
 def test_subcritical_attained_matches_oracle_and_roots():
-    cp = CurveParams.make(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
+    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
     res = maximize_halfline(cp)
     assert res.attained
-    roots = stationary_points(cp)
-    nearest = min(roots, key=lambda r: abs(r - res.log_argopt))
-    assert math.exp(nearest) == pytest.approx(math.exp(res.log_argopt), rel=1e-6)
+    x = res.log_argopt
+    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
     gro = grid_oracle(cp, n=10**6, mode="max")
     assert gro.value == pytest.approx(res.value, abs=1e-8)
 
 
 def test_err_bound_small_when_attained():
-    cp = CurveParams.make(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
+    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
     res = maximize_halfline(cp)
     assert math.isfinite(res.err_bound)
     assert res.err_bound < 1e-8
 
 
 def test_grid_oracle_validation():
-    cp = CurveParams.make(b=2.0, c=1.5, kappa=1.0, pgamma=1.0)
+    cp = CurveParams(b=2.0, c=1.5, kappa=1.0, pgamma=1.0)
     with pytest.raises(ValueError):
         grid_oracle(cp, n=10**4)
     with pytest.raises(ValueError):

@@ -77,13 +77,21 @@ def test_exponent_values():
 
 
 def test_exponents_bundle(crit5, sub224):
+    # one record per regime; in both critical regimes the upper gamma
+    # boundary is the critical exponent itself, the same float
     e5 = crit5.exponents
-    assert (e5.base, e5.crit) == (2.0, critical_exponent(5, 2.0))
+    assert (e5.regime, e5.base, e5.gamma_crit) == (
+        Regime.CRITICAL_LOCAL, 2.0, critical_exponent(5, 2.0))
     e2 = sub224.exponents
-    assert (e2.base, e2.gamma_crit) == (2.0, 2.0)
+    assert (e2.regime, e2.base, e2.gamma_crit) == (Regime.SUBCRITICAL_LOCAL, 2.0, 2.0)
     ef = ProblemParams.fractional(5, 0.6, 2.2, 1.0, 1.0).exponents
-    assert ef.base == 2.0
+    assert (ef.regime, ef.base) == (Regime.SUBCRITICAL_FRACTIONAL, 2.0)
     assert ef.gamma_crit == pytest.approx(5 * 0.2 / 1.2, rel=1e-15)
+    ec = ProblemParams.fractional_critical(5, 0.6, 1.0, 1.0).exponents
+    assert (ec.regime, ec.base, ec.gamma_crit) == (
+        Regime.CRITICAL_FRACTIONAL, 2.0, fractional_critical_exponent(5, 0.6))
+    for params in (crit5, sub224):
+        assert params.regime() is params.exponents.regime
 
 
 @given(N=st.integers(3, 12), p=st.floats(1.05, 2.8))
