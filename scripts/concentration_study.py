@@ -29,8 +29,8 @@ import sys
 from attainkit import (
     CurveParams,
     ProblemParams,
+    bubble_norms,
     build_truncated,
-    build_u_star,
     build_w_lambda,
     classify,
     evaluate_J,
@@ -50,8 +50,7 @@ def attained_case() -> None:
     pp = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=180.0)
     constants = resolve_constants(pp)
     v = classify(pp, constants)
-    star = build_u_star(5, 2.0)
-    star_norms = norms(star, p=2.0, q=pp.q)
+    star_norms = bubble_norms(5, 2.0, pp.q)
     log_lam = log_lambda(v.log_t_star, star_norms, pp.gamma, 5)
     lam = math.exp(log_lam)
     w = build_w_lambda(5, 2.0, lam, pp.gamma, u_norms=star_norms)

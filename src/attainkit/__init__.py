@@ -16,7 +16,8 @@ interior.  Modules:
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
-* ``profiles``  — radial profiles, norms, bubbles, truncations, orbit curves
+* ``profiles``  — radial profiles, norms (the bubble's in closed form),
+  bubbles, truncations, orbit curves
 * ``verify``    — cross-cutting consistency checks
 * ``cli``       — the ``attain-kit`` command
 """
@@ -43,9 +44,10 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      extremal_in_energy_space, fractional_critical_exponent,
                      fractional_gamma_threshold_exponent,
                      gamma_threshold_exponent)
-from .profiles import (Norms, NormValue, RadialProfile, Tail, build_truncated,
-                       build_u_star, build_w_lambda, dilate, evaluate_J,
-                       log_lambda, norms, orbit_curve, random_profiles)
+from .profiles import (Norms, NormValue, RadialProfile, Tail, bubble_norms,
+                       build_truncated, build_u_star, build_w_lambda, dilate,
+                       evaluate_J, log_lambda, norms, orbit_curve,
+                       random_profiles)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 
@@ -57,7 +59,8 @@ __all__ = [
     "NormalizationError", "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
     "SharpConstant", "Tail", "ThresholdCurve", "Verdict",
-    "build_truncated", "build_u_star", "build_w_lambda", "classify",
+    "bubble_norms", "build_truncated", "build_u_star", "build_w_lambda",
+    "classify",
     "critical_exponent", "dilate", "evaluate_J",
     "extremal_in_energy_space", "f_at_log_t",
     "fractional_constant", "fractional_critical_exponent",

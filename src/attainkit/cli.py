@@ -6,10 +6,14 @@ byte-identical output: keys are emitted in fixed order and floats are
 written at shortest round-trip precision.  Exit codes: 0 success, 1 invalid
 parameters or usage, 2 numerical failure, 3 failed verification.
 
-``maximizer`` integrates the optimal bubble u* once.  Its J_check is the
-objective curve with u*'s own quotient Q(u*) in place of C (the dilation
-identity, ``profiles.orbit_curve``), and its profile table is computed in
-logs; it exits 2 when the table's radii or values leave the double range.
+``maximizer`` takes the optimal bubble u*'s norms in closed form
+(``profiles.bubble_norms``).  Its J_check is the objective curve with u*'s
+own quotient Q(u*) in place of C (the dilation identity,
+``profiles.orbit_curve``), and its profile table is computed in logs; it
+exits 2 when the table's radii or values leave the double range.
+
+JSON is written in ``json.dumps(..., indent=2, ensure_ascii=False)``'s
+layout by ``to_json``, which joins each all-float list in one pass.
 
 ``--q critical`` is the exact way to request the critical exponent; a
 numeric ``--q`` that matches it to within 1e-12 relative is accepted with
@@ -22,9 +26,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor,
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .params import ProblemParams, Regime
-from .profiles import build_u_star, log_lambda, norms, orbit_curve
+from .profiles import bubble_norms, build_u_star, log_lambda, orbit_curve
 from .verify import run_all
 
 SCHEMA = "attain-kit/1"
@@ -53,33 +57,55 @@ MAX_SAMPLES = 10**6
 
 # -- deterministic JSON ----------------------------------------------------
 
-def _plain(obj):
-    """Python values ``json.dumps`` writes as the README promises: numpy
-    scalars and arrays become Python ones, nan/inf become strings."""
-    if type(obj) is float and math.isfinite(obj):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
+def _scalar(obj) -> str:
+    """One JSON scalar as ``json`` writes it, numpy scalars as Python ones
+    and nan/inf as the strings the README promises."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return obj
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return '"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"'
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dump(obj, indent: str) -> str:
+    """``obj`` in json's indent-2 layout, nested at depth ``indent``."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = {str(k): v for k, v in obj.items()}  # json sees str keys only
+        body = (",\n" + inner).join(encode_basestring(k) + ": " + _dump(v, inner)
+                                    for k, v in items.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        # a table of finite floats is one join; a nan or inf makes the sum non-finite
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_dump(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return _scalar(obj)
 
 
 def to_json(obj) -> str:
     """Render nested dict/list/scalar data with stable key order and
-    shortest round-trip float formatting."""
-    return json.dumps(_plain(obj), indent=2, ensure_ascii=False)
+    shortest round-trip float formatting, byte for byte as
+    ``json.dumps(..., indent=2, ensure_ascii=False)`` would."""
+    return _dump(obj, "")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -220,6 +246,8 @@ def _cmd_constants(ns) -> int:
         if ns.frac_constant is None:
             raise ParamError("frac-constant",
                              "the fractional constant is user input; pass --frac-constant")
+        if ns.p is not None and ns.p != 2.0:  # as params.validate rules for the family
+            raise ParamError("p", f"the fractional family is posed for p = 2, got p={ns.p}")
         doc["s"] = ns.s
         doc["fractional"] = _constant_dict(fractional_constant(ns.frac_constant))
     elif ns.q is not None and ns.q != "critical":
@@ -281,8 +309,7 @@ def _cmd_maximizer(ns) -> int:
         _emit(to_json(doc), ns.out)
         return EXIT_OK
     N, p, gamma, log_t = params.N, params.p, params.gamma, v.log_t_star
-    star = build_u_star(N, p)
-    nm = norms(star, p, params.q)
+    nm = bubble_norms(N, p, params.q)
     log_lam = log_lambda(log_t, nm, gamma, N)
     # the table spans the dilated bubble's core and tail: r lambda^(1/N) in [~0, 1e4]
     r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
@@ -290,12 +317,13 @@ def _cmd_maximizer(ns) -> int:
         r = np.geomspace(1e-6, r_max, 512)
         # lambda^(1/p) u*(lambda^(1/N) r) over its combined norm |u*|_p (1+t*)^(1/gamma)
         log_amp = log_lam / p - math.log(nm.lp.value) - np.logaddexp(0.0, log_t) / gamma
-        u = (t_from_log(log_amp) or 0.0) * star.fn(math.exp(log_lam / N) * r)
+        u = (t_from_log(log_amp) or 0.0) * build_u_star(N, p).fn(math.exp(log_lam / N) * r)
     if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
         raise NumericalError(
             f"the maximizer needs log lambda = {log_lam!r}, where its profile "
             "table leaves the double range")
-    # J on u*'s normalized dilation orbit: the curve at u*'s own quotient, not C = S^q
+    # J on u*'s normalized dilation orbit: the curve at u*'s own Beta quotient,
+    # not at Talenti's C = S^q, so the check compares two closed forms
     j_check = f_at_log_t(orbit_curve(nm, params)[0], log_t)
     if abs(j_check - v.D) > ns.tol * max(1.0, abs(v.D)):
         raise NumericalError(

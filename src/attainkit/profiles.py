@@ -29,7 +29,8 @@ A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
 
 Each profile needs this quadrature once: ``orbit_curve`` turns its norms
-into J on its whole normalized dilation orbit.
+into J on its whole normalized dilation orbit.  The optimal bubble needs
+none: ``bubble_norms`` gives its norms as Beta functions.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class NormValue:
 
 @dataclass(frozen=True)
 class Norms:
-    """The three norms of a profile, each with a quadrature error bound."""
+    """The three norms of a profile, each with an error bound (of the
+    quadrature, or of roundoff for the closed forms of ``bubble_norms``)."""
 
     lp: NormValue
     grad_lp: NormValue
@@ -188,6 +190,13 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms:
 
 # -- the optimal bubble and its families ---------------------------------
 
+def _check_bubble(N: int, p: float) -> None:
+    if not (isinstance(N, int) and N >= 2):
+        raise ParamError("N", f"need integer N >= 2, got {N!r}")
+    if not (1.0 < p < N):
+        raise ParamError("p", f"need 1 < p < N, got p={p}")
+
+
 def build_u_star(N: int, p: float) -> RadialProfile:
     """The optimal radial bubble, with closed-form derivative.
 
@@ -195,10 +204,7 @@ def build_u_star(N: int, p: float) -> RadialProfile:
     (N-p)/(p-1).  Its mass norm diverges exactly when p*p >= N, which the
     norm quadrature reports as a divergence error.
     """
-    if not (isinstance(N, int) and N >= 2):
-        raise ParamError("N", f"need integer N >= 2, got {N!r}")
-    if not (1.0 < p < N):
-        raise ParamError("p", f"need 1 < p < N, got p={p}")
+    _check_bubble(N, p)
     pp = p / (p - 1.0)
     expo = (N - p) / p
     rate = (N - p) / (p - 1.0)
@@ -213,6 +219,39 @@ def build_u_star(N: int, p: float) -> RadialProfile:
                 * np.exp(-(expo + 1.0) * np.log1p(r ** pp)))
 
     return RadialProfile(N=N, tail=Tail(kind="algebraic", rate=rate), fn=fn, dfn=dfn)
+
+
+def bubble_norms(N: int, p: float, q: float) -> Norms:
+    """The three norms of ``build_u_star(N, p)`` in closed form (Talenti 1976).
+
+    With pp = p/(p-1), v = r^pp turns each moment into a Beta integral:
+    |u*|_e^e = |S^(N-1)| B(a, k-a) / pp with a = N/pp, k = e (N-p)/p, and
+    |grad u*|_p^p = |S^(N-1)| ((N-p)/(p-1))^p B(a, k-a) / pp with
+    a = N/pp + 1, k = N.  Evaluated with lgamma; err_bound is a roundoff
+    bound, as for ``sobolev_constant``.  A moment with k <= a diverges (the
+    mass exactly when p*p >= N) and raises ``DivergentNormError``.
+    """
+    _check_bubble(N, p)
+    if not q > 0:
+        raise ParamError("q", f"need q > 0, got {q}")
+    pp = p / (p - 1.0)
+    log_area = math.log(sphere_area(N) / pp)
+    out = {}
+    for name, e, a, k, log_scale in (
+            ("lp", p, N / pp, N - p, 0.0),
+            ("grad_lp", p, N / pp + 1.0, float(N), p * math.log((N - p) / (p - 1.0))),
+            ("lq", q, N / pp, q * (N - p) / p, 0.0)):
+        if k <= a:
+            raise DivergentNormError(
+                name, f"the bubble's moment of exponent {e} diverges in dimension "
+                      f"{N}: B({a}, {k - a}) needs a positive second argument")
+        terms = (log_area, log_scale, math.lgamma(a), math.lgamma(k - a), -math.lgamma(k))
+        # each argument y is off by a few ulps of k, and |lgamma'(y)| <= |log y| + 1/y
+        slopes = sum(abs(math.log(y)) + 1.0 / y for y in (a, k - a, k))
+        value = math.exp(sum(terms) / e)
+        err = 4.0 * math.ulp(1.0) * value * (1.0 + sum(map(abs, terms)) + k * slopes) / e
+        out[name] = NormValue(value=value, err_bound=err)
+    return Norms(**out)
 
 
 def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:

@@ -38,7 +38,7 @@ from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
 from .halfline import maximize_halfline
 from .params import ProblemParams, critical_exponent
-from .profiles import (build_truncated, build_u_star, build_w_lambda,
+from .profiles import (bubble_norms, build_truncated, build_w_lambda,
                        evaluate_J, norms, orbit_curve, random_profiles)
 
 #: fractional smoothing constant used by the default truth-table cells;
@@ -241,7 +241,9 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
       below 1e-2.
 
     Random and truncated profiles are integrated once (``orbit_curve``);
-    the bubble family tests that identity on explicitly dilated profiles.
+    the bubble family tests that identity by quadrature of explicitly
+    dilated profiles, normalized by the bubble's closed-form norms
+    (``bubble_norms``).
     """
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
     cp = CurveParams.from_problem(params, kappa_multiplier(params, constants["critical"]))
@@ -259,7 +261,7 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
-    star_norms = norms(build_u_star(N, p), p, q)
+    star_norms = bubble_norms(N, p, q)
     _, log_ratio = orbit_curve(star_norms, params)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)

@@ -15,10 +15,14 @@ Four oracles, all methodologically independent of the library code:
   (``curve_at_t``), to cross-check the library's evaluators in log t;
 * bisection of a sign change in the order of the double bit patterns, the
   reference for the optimizer's safeguarded Newton.
+
+It also keeps ``json_reference``, the standard library's rendering of CLI
+documents, against which the CLI's own JSON writer is checked.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from functools import lru_cache
@@ -299,3 +303,31 @@ def bisect_sign_change(fun, pos: float, neg: float) -> tuple[float, int]:
             j = m
         n += 1
     return _unrank(i), n
+
+
+def _plain(obj):
+    """Python values ``json.dumps`` writes as the README promises: numpy
+    scalars and arrays become Python ones, nan/inf become strings."""
+    if type(obj) is float and math.isfinite(obj):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    return obj
+
+
+def json_reference(obj) -> str:
+    """A CLI document as ``json.dumps`` writes it, indent 2, non-ASCII kept."""
+    return json.dumps(_plain(obj), indent=2, ensure_ascii=False)

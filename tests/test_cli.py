@@ -7,14 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import attainkit.cli as cli
 from attainkit import CheckReport, CurveParams, NearCriticalWarning
 from attainkit.cli import main
 from oracles import (FROZEN_INTERPOLATION_B_2_2_4, bubble_grad_moment_oracle,
-                     bubble_moment_oracle, curve_at_t, sphere_area_oracle)
+                     bubble_moment_oracle, curve_at_t, json_reference,
+                     sphere_area_oracle)
 
 
 def run_cli(capsys, *argv):
@@ -274,13 +277,22 @@ def test_maximizer_table_is_the_normalized_dilated_bubble(capsys):
 
 
 def test_maximizer_j_check_is_the_curve_at_its_own_quotient(capsys):
-    # one quadrature of the dilated profile put J_check 6.0e-7 from D here
-    code, out, err = run_cli(capsys, "maximizer", "--N", "4", "--p", "1.5575359913204303",
-                             "--q", "critical", "--gamma", "3.026940917894105",
-                             "--alpha", "3.6728138088488755")
-    assert code == 0, err
-    doc = json.loads(out)
-    assert doc["J_check"] == pytest.approx(doc["D"], rel=1e-12)
+    # J_check (the Beta quotient of u*) and D (Talenti's S^q) are two closed
+    # forms of one number; one quadrature of the dilated profile once put
+    # J_check 6.0e-7 from D at the first point
+    for N, p, gamma, alpha in [
+        (4, 1.5575359913204303, 3.026940917894105, 3.6728138088488755),
+        (5, 2.0, 2.2, 180.0),
+        (3, 1.088463017360399, 1.3449710151447078, 509.36695504522123),
+        (6, 2.1150090204739618, 2.4819385410967323, 5111.024663311927),
+        (9, 1.379619718564789, 1.7603792340003923, 0.2982895736212518),
+    ]:
+        code, out, err = run_cli(capsys, "maximizer", "--N", str(N), "--p", repr(p),
+                                 "--q", "critical", "--gamma", repr(gamma),
+                                 "--alpha", repr(alpha))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert abs(doc["J_check"] / doc["D"] - 1.0) <= 1e-12, (N, p)
 
 
 def test_classify_sobolev_power_overflow_exits_2(capsys):
@@ -485,6 +497,7 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     # the fractional family is posed for p = 2; another --p is refused, not dropped
     ("p", ("classify", "--N", "5", "--s", "0.6", "--p", "3", "--q", "critical",
            "--gamma", "2.3", "--alpha", "1", "--frac-constant", "1.7")),
+    ("p", ("constants", "--N", "5", "--s", "0.6", "--p", "3", "--frac-constant", "1.7")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)
@@ -538,3 +551,27 @@ def test_nan_inf_serialization():
     text = cli.to_json({"a": float("nan"), "b": float("inf"), "c": -float("inf")})
     doc = json.loads(text)
     assert doc == {"a": "nan", "b": "inf", "c": "-inf"}
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+                     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4))
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS, st.lists(st.floats(allow_nan=False, allow_infinity=False))),
+    lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none()), kids)),
+    max_leaves=24)
+
+
+@settings(max_examples=100)
+@given(_DOCS)
+@example({"é ∞": [-0.0, float("nan"), float("-inf"), 1e-320], "": {}, "t": (),
+          1: [[]], "1": "the key 1 again, after str()", "n": None,
+          "np": [np.float64(0.1), np.float32(0.1), np.int64(-3), np.bool_(True)],
+          "a": np.array([[1.5, np.nan], [np.inf, -0.0]])})
+def test_to_json_is_json_dumps_byte_for_byte(doc):
+    assert cli.to_json(doc) == json_reference(doc)

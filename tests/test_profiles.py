@@ -18,6 +18,7 @@ from attainkit import (
     ParamError,
     ProblemParams,
     Tail,
+    bubble_norms,
     build_truncated,
     build_u_star,
     build_w_lambda,
@@ -61,6 +62,26 @@ def test_bubble_norms_match_beta_oracle(star5, star5_norms):
     assert abs(star5_norms.grad_lp.value - want_grad) <= star5_norms.grad_lp.err_bound
 
 
+# p near 1, in the middle, and with p*p just below N (mass nearly divergent)
+@pytest.mark.parametrize("N,p", [(N, p) for N in (3, 5, 6, 9, 10)
+                                 for p in (1.05, 1.5, math.sqrt(N) * (1.0 - 1e-3))])
+def test_closed_form_bubble_norms(N, p):
+    q = N * p / (N - p)
+    got = bubble_norms(N, p, q)
+    area = sphere_area_oracle(N)
+    beta = {"lp": (area * bubble_moment_oracle(N, p, p)) ** (1.0 / p),
+            "grad_lp": (area * bubble_grad_moment_oracle(N, p)) ** (1.0 / p),
+            "lq": (area * bubble_moment_oracle(N, p, q)) ** (1.0 / q)}
+    quad = norms(build_u_star(N, p), p, q)
+    for name, want in beta.items():
+        nv = getattr(got, name)
+        # the roundoff bound holds against scipy's Beta; it widens only with
+        # the conditioning of B(a, k-a) as k-a -> 0
+        assert abs(nv.value - want) <= nv.err_bound <= 1e-12 * want, name
+        # quadrature of u* loses digits only as its mass tail slows
+        assert nv.value == pytest.approx(getattr(quad, name).value, rel=1e-11), name
+
+
 def test_bubble_height_closed_form(star5):
     # (1 + r^{p'})^{-(N-p)/p} at r=1 for N=5, p=2
     assert star5.fn(1.0) == pytest.approx(2.0 ** (-1.5), rel=1e-15)
@@ -71,11 +92,18 @@ def test_bubble_mass_diverges_in_low_dimension():
     with pytest.raises(DivergentNormError) as exc:
         norms(build_u_star(3, 2.0), p=2.0, q=6.0)
     assert exc.value.norm == "lp"
+    # in closed form, p*p >= N leaves B(a, N/p - p) no positive second argument
+    with pytest.raises(DivergentNormError) as exc:
+        bubble_norms(3, 2.0, 6.0)
+    assert exc.value.norm == "lp"
 
 
 def test_bubble_mass_diverges_at_dimension_boundary():
     with pytest.raises(DivergentNormError):
         norms(build_u_star(4, 2.0), p=2.0, q=4.0)
+    with pytest.raises(DivergentNormError) as exc:
+        bubble_norms(4, 2.0, 4.0)
+    assert exc.value.norm == "lp"
 
 
 @given(lam=st.floats(1e-4, 1e4))
