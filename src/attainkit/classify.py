@@ -17,13 +17,13 @@ equal floating-point optimizer outputs: the numeric layer flags such ties
 as marginal and this module breaks them by rule.
 
 One ``classify`` call validates the parameters once (``ProblemParams``
-caches its ``Exponents``, the regime with its base exponent and upper
-gamma boundary ``gamma_crit``, and every decision below reads that one
-record), resolves the constant once, locates gamma once and builds one
-``CurveParams``, whose ratio curve gives the threshold (it does not read
-kappa) and whose objective curve gives D.
-``threshold_alpha`` builds its curve at alpha = 0, so its answer never
-depends on the weight.
+caches its ``Exponents``, the regime with its upper gamma boundary
+``gamma_crit``, and every decision below reads that one record), resolves
+the constant once, locates gamma once and builds one ``CurveParams``,
+whose ratio curve gives the threshold (it does not read kappa) and whose
+objective curve gives D.  Which constant a regime reads is decided in one
+table, ``_CONSTANT_FIELD``.  ``threshold_alpha`` is ``classify``'s
+threshold at alpha = 0, so its answer never depends on the weight.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .constants import SharpConstant, gns_constant_estimate, sobolev_constant
 from .curves import CurveParams, t_from_log
 from .errors import NumericalError, ParamError
 from .halfline import maximize_halfline, minimize_halfline
-from .params import (
-    Exponents,
-    ProblemParams,
-    Regime,
-    extremal_in_energy_space,
-)
+from .params import ProblemParams, Regime, extremal_in_energy_space
 
 #: relative slack when comparing gamma against an exponent boundary
 GAMMA_BOUNDARY_RTOL = 1e-12
@@ -107,65 +102,62 @@ class ConstantSet:
     fractional: SharpConstant | None = None
 
 
+#: the ConstantSet field each regime reads
+_CONSTANT_FIELD = {
+    Regime.CRITICAL_LOCAL: "sobolev",
+    Regime.SUBCRITICAL_LOCAL: "interpolation",
+    Regime.SUBCRITICAL_FRACTIONAL: "fractional",
+    Regime.CRITICAL_FRACTIONAL: "fractional",
+}
+
+
 def resolve_constants(params: ProblemParams,
                       constants: ConstantSet | None = None) -> ConstantSet:
-    """Fill in whichever constant the regime needs, if it is computable.
+    """Fill in the constant the regime reads (``_CONSTANT_FIELD``) when it
+    is absent and computable.
 
     The local constants are computed on demand (Sobolev in closed form,
     interpolation as the certified ground-state lower bound).  Fractional
     constants cannot be computed here and must be supplied; a missing one
     raises ``ParamError``.
     """
-    regime = params.regime()
     cs = constants if constants is not None else ConstantSet()
-    if regime is Regime.CRITICAL_LOCAL:
-        if cs.sobolev is None:
-            cs = replace(cs, sobolev=sobolev_constant(params.N, params.p))
-    elif regime is Regime.SUBCRITICAL_LOCAL:
-        if cs.interpolation is None:
-            cs = replace(cs, interpolation=gns_constant_estimate(
-                params.N, params.p, params.q))
-    else:
-        if cs.fractional is None:
-            raise ParamError(
-                "constants",
-                "fractional regimes need a user-supplied fractional "
-                "constant in ConstantSet.fractional")
-    return cs
+    name = _CONSTANT_FIELD[params.regime()]
+    if getattr(cs, name) is not None:
+        return cs
+    if name == "sobolev":
+        return replace(cs, sobolev=sobolev_constant(params.N, params.p))
+    if name == "interpolation":
+        return replace(cs, interpolation=gns_constant_estimate(params.N, params.p, params.q))
+    raise ParamError("constants", "fractional regimes need a user-supplied fractional "
+                                  "constant in ConstantSet.fractional")
 
 
 def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
-    """The factor C in kappa = alpha * C for the regime of ``params``.
-
-    Critical local: S raised to the critical exponent (``gamma_crit``).
-    Subcritical local: the interpolation constant.  Fractional: the
-    supplied constant itself.
+    """The factor C in kappa = alpha * C: the constant the regime reads
+    (``_CONSTANT_FIELD``), raised to p* (``gamma_crit``) for the Sobolev
+    constant of the critical local regime and taken as it is otherwise.
     """
     exps = params.exponents
-    regime = exps.regime
-    if regime is Regime.CRITICAL_LOCAL:
-        if constants.sobolev is None:
-            raise ParamError("constants", "critical local regime needs ConstantSet.sobolev")
-        try:
-            return constants.sobolev.value ** exps.gamma_crit
-        except OverflowError:
-            log10_c = exps.gamma_crit * math.log10(constants.sobolev.value)
-            raise NumericalError(
-                f"C = S^(p*) leaves the double range: log10 C = {log10_c!r}") from None
-    if regime is Regime.SUBCRITICAL_LOCAL:
-        if constants.interpolation is None:
-            raise ParamError("constants", "subcritical local regime needs ConstantSet.interpolation")
-        return constants.interpolation.value
-    if constants.fractional is None:
-        raise ParamError("constants", "fractional regimes need ConstantSet.fractional")
-    return constants.fractional.value
+    name = _CONSTANT_FIELD[exps.regime]
+    constant = getattr(constants, name)
+    if constant is None:
+        raise ParamError("constants", f"the {exps.regime.value} regime needs ConstantSet.{name}")
+    if name != "sobolev":
+        return constant.value
+    try:
+        return constant.value ** exps.gamma_crit
+    except OverflowError:
+        log10_c = exps.gamma_crit * math.log10(constant.value)
+        raise NumericalError(
+            f"C = S^(p*) leaves the double range: log10 C = {log10_c!r}") from None
 
 
 def _close(x: float, y: float, rtol: float) -> bool:
     return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
 
 
-def _gamma_band(gamma: float, exps: Exponents) -> str:
+def _gamma_band(params: ProblemParams) -> str:
     """Locate gamma among the regime's decision boundaries.
 
     Returns one of "le_base", "interior", "eq_upper", "gt_upper", where
@@ -175,12 +167,12 @@ def _gamma_band(gamma: float, exps: Exponents) -> str:
     user-entered gamma meant to hit an irrational boundary exactly is not
     misrouted by one ulp.
     """
+    exps, gamma, p = params.exponents, params.gamma, params.p
     if _close(gamma, exps.gamma_crit, GAMMA_BOUNDARY_RTOL):
         return "eq_upper"
     if gamma > exps.gamma_crit:
         return "gt_upper"
-    if exps.regime.is_critical and (
-            gamma < exps.base or _close(gamma, exps.base, GAMMA_BOUNDARY_RTOL)):
+    if exps.regime.is_critical and (gamma < p or _close(gamma, p, GAMMA_BOUNDARY_RTOL)):
         return "le_base"
     return "interior"
 
@@ -197,15 +189,16 @@ def _alpha_vs_threshold(alpha: float, threshold: float) -> int:
     return -1 if alpha < threshold else 1
 
 
-def _threshold(cp: CurveParams, band: str, exps: Exponents, C: float) -> float:
-    """The threshold of the problem whose curve is ``cp`` and gamma band
-    ``band``; only the ratio curve is read, which does not depend on kappa."""
+def _threshold(cp: CurveParams, band: str, params: ProblemParams, C: float) -> float:
+    """The threshold of the problem ``params``, whose curve is ``cp`` and
+    gamma band ``band``; only the ratio curve is read, which does not depend
+    on kappa."""
     if C <= 0:
         raise ParamError("constants", f"normalizing constant must be positive, got {C}")
     if band == "gt_upper":
         return 0.0
     if band == "eq_upper":
-        return exps.base / (exps.gamma_crit * C)
+        return params.p / (params.exponents.gamma_crit * C)
     if band == "le_base":  # critical regimes only
         return 1.0 / C
     # interior band (and subcritical gamma <= base): numeric infimum
@@ -223,23 +216,23 @@ def threshold_alpha(params: ProblemParams,
     above the upper gamma boundary, base/(upper*C) on it, 1/C at or below
     the base exponent in critical regimes); elsewhere the infimum is
     computed numerically.  The result is 0 exactly when every positive
-    weight admits a maximizer.
+    weight admits a maximizer.  It is ``classify``'s threshold for the
+    problem at alpha = 0, after ``params`` itself is validated (a negative
+    weight is refused, not replaced).
     """
-    exps = params.exponents
-    C = kappa_multiplier(params, resolve_constants(params, constants))
-    return _threshold(CurveParams.from_problem(params, C, alpha=0.0),
-                      _gamma_band(params.gamma, exps), exps, C)
+    params.regime()  # validates the problem as given
+    return classify(replace(params, alpha=0.0), constants).threshold
 
 
-def _closed_form_d(params: ProblemParams, exps: Exponents, band: str,
-                   rel_alpha: int, C: float) -> float | None:
+def _closed_form_d(cp: CurveParams, regime: Regime, band: str,
+                   rel_alpha: int) -> float | None:
     """Closed-form D where the decision table provides one.
 
     Critical gamma <= base: max(1, kappa) at every alpha.  Any regime at
     or below its threshold (on or inside the upper gamma boundary): 1.
     """
-    if exps.regime.is_critical and band == "le_base":
-        return max(1.0, params.alpha * C)
+    if regime.is_critical and band == "le_base":
+        return max(1.0, cp.kappa)
     if band in ("eq_upper", "interior") and rel_alpha <= 0:
         return 1.0
     return None
@@ -257,12 +250,11 @@ def classify(params: ProblemParams,
     rather than by floating-point optimizer ties.  The objective curve is
     maximized once: its maximum is D and its maximizer is t*.
     """
-    exps = params.exponents
-    regime = exps.regime
+    regime = params.regime()
     C = kappa_multiplier(params, resolve_constants(params, constants))
-    band = _gamma_band(params.gamma, exps)
+    band = _gamma_band(params)
     cp = CurveParams.from_problem(params, C)
-    thr = _threshold(cp, band, exps, C)
+    thr = _threshold(cp, band, params, C)
     opt = maximize_halfline(cp)
     D = opt.value
     if not math.isfinite(D) or D <= 0:
@@ -283,7 +275,7 @@ def classify(params: ProblemParams,
                        log_t_star=opt.log_argopt if attained else None,
                        closed_form_D=cf, regime=regime)
 
-    cf = _closed_form_d(params, exps, band, rel_alpha, C)
+    cf = _closed_form_d(cp, regime, band, rel_alpha)
 
     if regime.is_critical and not extremal_in_energy_space(params):
         return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, cf)
@@ -348,7 +340,7 @@ def threshold_curve(params: ProblemParams, gamma_grid,
                 f"< alpha({g1})={v1}")
     interior = [(v0, v1) for g0, v0, g1, v1
                 in zip(gammas, values, gammas[1:], values[1:])
-                if exps.base < g0 and g1 < exps.gamma_crit]
+                if params.p < g0 and g1 < exps.gamma_crit]
     strict = bool(interior) and all(v1 < v0 for v0, v1 in interior)
     return ThresholdCurve(
         gammas=tuple(gammas), thresholds=tuple(values),

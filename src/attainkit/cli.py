@@ -34,8 +34,7 @@ import numpy as np
 
 from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
-from .constants import (fractional_constant, gns_constant_estimate,
-                        sobolev_constant)
+from .constants import fractional_constant
 from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor,
                      t_from_log)
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
@@ -239,29 +238,23 @@ def _cmd_classify(ns) -> int:
 
 
 def _cmd_constants(ns) -> int:
-    if ns.N is None:
-        raise ParamError("N", "--N is required")
-    doc: dict = {"schema": SCHEMA, "command": "constants", "N": ns.N}
-    if ns.s is not None:
-        if ns.frac_constant is None:
-            raise ParamError("frac-constant",
-                             "the fractional constant is user input; pass --frac-constant")
-        if ns.p is not None and ns.p != 2.0:  # as params.validate rules for the family
-            raise ParamError("p", f"the fractional family is posed for p = 2, got p={ns.p}")
-        doc["s"] = ns.s
-        doc["fractional"] = _constant_dict(fractional_constant(ns.frac_constant))
-    elif ns.q is not None and ns.q != "critical":
-        if ns.p is None:
-            raise ParamError("p", "--p is required")
-        doc["p"] = ns.p
-        doc["q"] = _numeric_q(ns.q)
-        doc["interpolation"] = _constant_dict(
-            gns_constant_estimate(ns.N, ns.p, doc["q"]))
+    # no constant reads gamma or the weight; the problem needs them only to validate
+    ns.gamma, ns.alpha, ns.beta = 1.0, 1.0, None
+    ns.q = "critical" if ns.q is None else ns.q
+    params = _build_params(ns)
+    doc: dict = {"schema": SCHEMA, "command": "constants", "N": params.N}
+    if params.s is None:
+        doc["p"] = params.p
+        cset = resolve_constants(params)  # the local family reads no --frac-constant
     else:
-        if ns.p is None:
-            raise ParamError("p", "--p is required")
-        doc["p"] = ns.p
-        doc["sobolev"] = _constant_dict(sobolev_constant(ns.N, ns.p))
+        doc["s"] = params.s
+        cset = _constants_for(ns, params)
+    # the one field resolve_constants filled, or checked, for the regime
+    [(name, constant)] = [(f.name, getattr(cset, f.name)) for f in dataclasses.fields(cset)
+                          if getattr(cset, f.name) is not None]
+    if name == "interpolation":
+        doc["q"] = params.q
+    doc[name] = _constant_dict(constant)
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("constants", help="sharp constants")
     _add_problem_flags(sub, with_gamma=False)
-    sub.set_defaults(gamma=None, alpha=None, beta=None)
     _add_output_flags(sub, csv=False)
     sub.set_defaults(handler=_cmd_constants)
 

@@ -87,8 +87,7 @@ class CurveParams:
         return self.b - self.pgamma
 
     @classmethod
-    def from_problem(cls, params: ProblemParams, constant: float,
-                     alpha: float | None = None) -> "CurveParams":
+    def from_problem(cls, params: ProblemParams, constant: float) -> "CurveParams":
         """Curve exponents of a validated problem.
 
         ``constant`` is the multiplicative normalization entering
@@ -99,19 +98,18 @@ class CurveParams:
         is a ``NumericalError``, as both factors are valid.
         """
         exps = params.exponents
-        gamma = params.gamma
-        al = params.alpha if alpha is None else alpha
+        gamma, alpha = params.gamma, params.alpha
         if constant < 0 or not math.isfinite(constant):
             raise ParamError("constant", f"normalizing constant must be finite >= 0, got {constant}")
         b = params.q / gamma
-        pg = exps.base / gamma
+        pg = params.p / gamma
         if exps.regime.is_critical:
             c = b  # exact, so is_critical round-trips bit-for-bit
         else:
             c = exps.gamma_crit / gamma
-        kappa = al * constant
+        kappa = alpha * constant
         if math.isinf(kappa):
-            log10_kappa = math.log10(al) + math.log10(constant)
+            log10_kappa = math.log10(alpha) + math.log10(constant)
             raise NumericalError(
                 f"kappa = alpha * C leaves the double range: log10 kappa = {log10_kappa!r}")
         return cls(b=b, c=c, kappa=kappa, pgamma=pg)

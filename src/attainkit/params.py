@@ -5,22 +5,27 @@ The object of study is the scale-invariant maximization problem
     D  =  sup { ||u||_p^p + alpha ||u||_q^q }
           over u with (||grad u||_p^gamma + ||u||_p^gamma)^(1/gamma) = 1,
 
-posed on R^N either for the full gradient (the *local* family, 1 < p <= N)
-or, with p = 2, for the order-s Fourier seminorm ||(-Delta)^(s/2) u||_2 (the
-*fractional* family, 0 < s < N/2).  The Gagliardo seminorm is not meant: it
-exists only for s < 1, so it does not cover this range.  The admissible
-window for q is
+posed on R^N either for the full gradient (the *local* family, N >= 2 and
+1 < p <= N) or, with p = 2, for the order-s Fourier seminorm
+||(-Delta)^(s/2) u||_2 (the *fractional* family, 0 < s < N/2).  The
+Gagliardo seminorm is not meant: it exists only for s < 1, so it does not
+cover this range.
 
-    local:       p < q <= p N/(N-p)      (any finite q > N when p = N)
-    fractional:  2 < q <= 2N/(N-2s)
+One rule decides the regime of both families: the fractional problem is
+the local one at p = 2 with order s where the local family has order 1.
+With the order o (1 or s),
 
-and the problem is *critical* when q sits exactly at the right endpoint.
-This module owns parameter validation and the critical/subcritical
-decision.  ``validate`` returns the regime together with its exponents
-(``Exponents``), each from the branch that decides the regime, so the
-upper gamma boundary every other module consumes, ``gamma_crit``, is
-computed once: the critical exponent in the critical regimes, the
-gamma-threshold exponent in the subcritical ones.
+    p*      = N p / (N - o p)      (infinite when o p = N, i.e. local p = N)
+    gamma_c = N (q - p) / (o p)
+    the bubble has finite energy  <=>  o p^2 < N
+
+so the admissible window for q is p < q <= p*, the problem is *critical*
+when q = p*, and the fractional forms 2N/(N - 2s), N(q - 2)/(2s) and
+s < N/4 are these formulas at p = 2, bit for bit (multiplying by 1 or 2
+is exact in binary).  This module owns parameter validation and the
+critical/subcritical decision.  ``validate`` returns the regime together
+with its upper gamma boundary (``Exponents``), so ``gamma_crit`` is
+computed once: p* in the critical regimes, gamma_c in the subcritical ones.
 """
 
 from __future__ import annotations
@@ -50,46 +55,54 @@ class Regime(Enum):
     def is_critical(self) -> bool:
         return self in (Regime.CRITICAL_LOCAL, Regime.CRITICAL_FRACTIONAL)
 
-    @property
-    def is_fractional(self) -> bool:
-        return self in (Regime.SUBCRITICAL_FRACTIONAL, Regime.CRITICAL_FRACTIONAL)
+
+def _q_critical(N: int, p: float, order: float) -> float:
+    """p* = N p / (N - order p) of the order-``order`` seminorm."""
+    return N * p / (N - order * p)
+
+
+def _gamma_c(N: int, p: float, q: float, order: float) -> float:
+    """gamma_c = N (q - p) / (order p) of the order-``order`` seminorm."""
+    return N * (q - p) / (order * p)
 
 
 def critical_exponent(N: int, p: float) -> float:
     """Sobolev conjugate p* = N p / (N - p); requires 1 < p < N."""
     if not 1.0 < p < N:
         raise ParamError("p", f"critical exponent needs 1 < p < N, got p={p}, N={N}")
-    return N * p / (N - p)
+    return _q_critical(N, p, 1)
 
 
 def fractional_critical_exponent(N: int, s: float) -> float:
     """Fractional Sobolev conjugate 2N / (N - 2s); requires 0 < s < N/2."""
     if not 0.0 < s < N / 2:
         raise ParamError("s", f"fractional exponent needs 0 < s < N/2, got s={s}, N={N}")
-    return 2.0 * N / (N - 2.0 * s)
+    return _q_critical(N, 2.0, s)
 
 
 def gamma_threshold_exponent(N: int, p: float, q: float) -> float:
     """The exponent N (q - p) / p separating compact from non-compact scaling."""
-    return N * (q - p) / p
+    return _gamma_c(N, p, q, 1)
 
 
 def fractional_gamma_threshold_exponent(N: int, s: float, q: float) -> float:
     """Fractional analogue N (q - 2) / (2 s) of the threshold exponent."""
-    return N * (q - 2.0) / (2.0 * s)
+    return _gamma_c(N, 2.0, q, s)
 
 
-def _as_fraction(x: float | int | Fraction) -> Fraction:
-    # Fraction(float) is exact in binary, so this comparison is deterministic.
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _order(params: "ProblemParams") -> float:
+    """Order of the seminorm: 1 for the gradient, s for the fractional family."""
+    return 1 if params.s is None else params.s
 
 
-def _q_critical_match(q: float, crit: float, q_exact: Fraction, crit_exact: Fraction) -> bool:
-    """Decide q == critical exponent: exact rationals first, then a snap
+def _q_critical_match(N: int, p: float, q: float, order: float, crit: float) -> bool:
+    """Decide q == p* (``crit``, finite): exact rationals first, then a snap
     tolerance that warns (binary floats cannot represent e.g. 10/3)."""
-    if q_exact == crit_exact:
+    # Fraction(float) is exact in binary, so this comparison is deterministic.
+    P = Fraction(p)
+    if Fraction(q) == Fraction(N) * P / (Fraction(N) - Fraction(order) * P):
         return True
-    if math.isfinite(crit) and abs(q - crit) <= CRITICAL_Q_RTOL * crit:
+    if abs(q - crit) <= CRITICAL_Q_RTOL * crit:
         warnings.warn(
             f"q={q!r} is within {CRITICAL_Q_RTOL:g} of the critical exponent "
             f"{crit!r}; treating the problem as critical",
@@ -161,26 +174,28 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class Exponents:
-    """Regime and derived exponents of a validated problem.
+    """Regime and upper gamma boundary of a validated problem.
 
     regime:      which of the four families the problem belongs to
-    base:        p (local) or 2 (fractional)
-    gamma_crit:  the upper gamma boundary: the critical exponent in the
-                 critical regimes, the gamma-threshold exponent in the
-                 subcritical ones
+    gamma_crit:  the upper gamma boundary: p* in the critical regimes,
+                 gamma_c in the subcritical ones
+
+    The base exponent is ``params.p`` itself (2 in the fractional family).
     """
 
     regime: Regime
-    base: float
     gamma_crit: float
 
 
 def validate(params: ProblemParams) -> Exponents:
     """Check admissibility and classify the regime, with its exponents.
 
-    Raises ParamError with a stable ``code`` naming the offending
-    parameter.  alpha = 0 is admitted (degenerate objective); alpha < 0 is
-    rejected.
+    Each family checks only its own admissibility and names its order and
+    regimes; one rule (see the module docstring) then decides the window
+    and the regime for both.  ``q_critical=True`` is checked, not trusted:
+    q must equal p*.  Raises ParamError with a stable ``code`` naming the
+    offending parameter.  alpha = 0 is admitted (degenerate objective);
+    alpha < 0 is rejected.
     """
     N, p, q, gamma, alpha, s = (params.N, params.p, params.q, params.gamma,
                                 params.alpha, params.s)
@@ -194,51 +209,37 @@ def validate(params: ProblemParams) -> Exponents:
     if alpha < 0:
         raise ParamError("alpha", f"alpha must be nonnegative, got {alpha}")
 
-    if s is not None:
+    if s is None:
+        if N < 2:
+            raise ParamError("N", f"the local family needs N >= 2, got N={N}")
+        if not 1.0 < p <= N:
+            raise ParamError("p", f"local family needs 1 < p <= N, got p={p}, N={N}")
+        family, critical, subcritical = "local", Regime.CRITICAL_LOCAL, Regime.SUBCRITICAL_LOCAL
+    else:
         if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 < s < N / 2):
             raise ParamError("s", f"s must lie in (0, N/2) = (0, {N/2}), got {s!r}")
         if p != 2.0:
             raise ParamError("p", f"the fractional family is posed for p = 2, got p={p}")
-        crit = fractional_critical_exponent(N, s)
-        if params.q_critical or _q_critical_match(
-                q, crit, _as_fraction(q),
-                Fraction(2 * N) / (Fraction(N) - 2 * _as_fraction(s))):
-            return Exponents(Regime.CRITICAL_FRACTIONAL, 2.0, crit)
-        if not 2.0 < q < crit:
-            raise ParamError("q", f"fractional family needs 2 < q <= {crit}, got q={q}")
-        return Exponents(Regime.SUBCRITICAL_FRACTIONAL, 2.0,
-                         fractional_gamma_threshold_exponent(N, s, q))
+        family, critical, subcritical = ("fractional", Regime.CRITICAL_FRACTIONAL,
+                                         Regime.SUBCRITICAL_FRACTIONAL)
 
-    if N < 2:
-        raise ParamError("N", f"the local family needs N >= 2, got N={N}")
-    if not 1.0 < p <= N:
-        raise ParamError("p", f"local family needs 1 < p <= N, got p={p}, N={N}")
-    if p == N:
-        if params.q_critical:
-            raise ParamError("q", "p = N has no finite critical exponent")
-        if not q > p:
-            raise ParamError("q", f"p = N admits any finite q > p = {p}, got q={q}")
-        return Exponents(Regime.SUBCRITICAL_LOCAL, p, gamma_threshold_exponent(N, p, q))
-    crit = critical_exponent(N, p)
-    if params.q_critical or _q_critical_match(
-            q, crit, _as_fraction(q),
-            Fraction(N) * _as_fraction(p) / (Fraction(N) - _as_fraction(p))):
-        return Exponents(Regime.CRITICAL_LOCAL, p, crit)
+    order = _order(params)
+    crit = _q_critical(N, p, order) if order * p < N else math.inf
+    if params.q_critical and q != crit:
+        raise ParamError("q", f"q_critical needs q = p* = {crit}, got q={q}")
+    if params.q_critical or (crit < math.inf and _q_critical_match(N, p, q, order, crit)):
+        return Exponents(critical, crit)
     if not p < q < crit:
-        raise ParamError("q", f"local family needs {p} < q <= {crit}, got q={q}")
-    return Exponents(Regime.SUBCRITICAL_LOCAL, p, gamma_threshold_exponent(N, p, q))
+        raise ParamError("q", f"{family} family needs {p} < q <= {crit}, got q={q}")
+    return Exponents(subcritical, _gamma_c(N, p, q, order))
 
 
 def extremal_in_energy_space(params: ProblemParams) -> bool:
     """Whether the scale-optimal bubble profile itself has finite energy norm.
 
-    Critical local problems require p^2 < N (the bubble's own L^p mass is
-    finite exactly then); critical fractional problems require s < N/4.
-    For subcritical problems this obstruction never applies.
+    Critical problems require order * p^2 < N: p^2 < N locally (the
+    bubble's own L^p mass is finite exactly then), s < N/4 in the
+    fractional family.  For subcritical problems this obstruction never
+    applies.
     """
-    regime = params.regime()
-    if regime is Regime.CRITICAL_LOCAL:
-        return params.p * params.p < params.N
-    if regime is Regime.CRITICAL_FRACTIONAL:
-        return params.s < params.N / 4.0
-    return True
+    return not params.regime().is_critical or _order(params) * params.p * params.p < params.N

@@ -18,9 +18,9 @@ Four deterministic checks, each returning a self-describing report:
 
 Every report carries its tolerance, 0: each violation is already the
 excess over its own allowance, so ``passed`` is exactly
-``worst_violation <= 0``.  The three checks that need sharp constants take
-them as an argument; ``run_all`` builds them once and executes the four
-checks with a fixed seed in well under a minute.
+``worst_violation <= 0``.  Every check takes its sharp constants as an
+argument; ``run_all`` builds them once and executes the four checks with
+a fixed seed in well under a minute.
 """
 
 from __future__ import annotations
@@ -328,16 +328,18 @@ def _sign_mismatches_l(cp: CurveParams, n: int) -> int:
     return int(np.count_nonzero(np.sign(lp[keep]) != np.sign(m[keep])))
 
 
-def run_derivative_checks(n_points: int = 10_000) -> CheckReport:
+def run_derivative_checks(constants: dict[str, ConstantSet],
+                          n_points: int = 10_000) -> CheckReport:
     """Closed-form derivative signs agree with central differences.
 
-    The violation count is the number of sign disagreements (tolerance 0)
-    on the samples whose difference stencil does not straddle a root of
+    ``constants`` is keyed as for ``run_truth_table``; the critical cases
+    use the N = 5 Sobolev constant in ``constants["critical"]``.  The
+    violation count is the number of sign disagreements (tolerance 0) on
+    the samples whose difference stencil does not straddle a root of
     h_factor and, in s, more than 1e-3 from a sign change of m_factor.
     """
     crit = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
-    cs = resolve_constants(crit)
-    C = kappa_multiplier(crit, cs)
+    C = kappa_multiplier(crit, constants["critical"])
     cases = [
         CurveParams.from_problem(
             ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=200.0), C),
@@ -447,6 +449,6 @@ def run_all(seed: int = 2024) -> tuple[CheckReport, ...]:
     return (
         run_truth_table(constants),
         run_envelope(constants, seed=seed),
-        run_derivative_checks(),
+        run_derivative_checks(constants),
         run_monotonicity_scan(constants["critical"]),
     )

@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Four oracles, all methodologically independent of the library code:
+Five oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -14,7 +14,9 @@ Four oracles, all methodologically independent of the library code:
   cross-check the library's optimizer, and the same closed forms at any t
   (``curve_at_t``), to cross-check the library's evaluators in log t;
 * bisection of a sign change in the order of the double bit patterns, the
-  reference for the optimizer's safeguarded Newton.
+  reference for the optimizer's safeguarded Newton;
+* each family's own closed forms for the upper gamma boundary and the
+  bubble's finite energy, which the library derives from one rule.
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -95,6 +97,27 @@ def bubble_grad_moment_oracle(N: int, p: float) -> float:
     a = (N + (pp - 1.0) * p) / pp
     k = ((N - p) / p + 1.0) * p
     return slope ** p * float(beta_fn(a, k - a)) / pp
+
+
+def local_gamma_crit_oracle(N: int, p: float, q: float, critical: bool) -> float:
+    """Local upper gamma boundary: p* = N p / (N - p), or N (q - p) / p."""
+    return N * p / (N - p) if critical else N * (q - p) / p
+
+
+def fractional_gamma_crit_oracle(N: int, s: float, q: float, critical: bool) -> float:
+    """Fractional upper gamma boundary: the sharp exponent 2N / (N - 2s)
+    (Lieb 1983; Cotsiolis and Tavoularis 2004), or N (q - 2) / (2 s)."""
+    return 2.0 * N / (N - 2.0 * s) if critical else N * (q - 2.0) / (2.0 * s)
+
+
+def local_extremal_oracle(N: int, p: float, critical: bool) -> bool:
+    """The local bubble has finite mass exactly when p^2 < N."""
+    return not critical or p * p < N
+
+
+def fractional_extremal_oracle(N: int, s: float, critical: bool) -> bool:
+    """The fractional bubble has finite energy exactly when s < N/4."""
+    return not critical or s < N / 4.0
 
 
 def sobolev_constant_oracle(N: int, p: float) -> float:

@@ -246,8 +246,8 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
 
 
 def test_acceptance_08_derivative_signs_and_threshold_monotonicity(
-        constants_crit5, capsys):
-    signs = run_derivative_checks(n_points=10_000)
+        suite_constants, constants_crit5, capsys):
+    signs = run_derivative_checks(suite_constants, n_points=10_000)
     mono = run_monotonicity_scan(constants_crit5)
     ok = signs.passed and mono.passed
     _report(8, ok, f"derivative factors match central differences on "

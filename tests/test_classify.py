@@ -233,6 +233,20 @@ def test_kappa_beyond_the_double_range_is_a_numerical_error():
         dataclasses.replace(pp, alpha=1.0), cset)
 
 
+def test_threshold_alpha_does_not_read_the_weight():
+    # alpha * C = 1e310 overflows at alpha = 1e300; the threshold is the
+    # same number at every admissible weight, and a negative one is refused
+    cset = ConstantSet(fractional=fractional_constant(1e10))
+    pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=0.0)
+    thr = threshold_alpha(pp, cset)
+    assert 0.0 < thr < math.inf
+    for alpha in (1.0, 1e300):
+        assert threshold_alpha(dataclasses.replace(pp, alpha=alpha), cset) == thr
+    with pytest.raises(ParamError) as err:
+        threshold_alpha(dataclasses.replace(pp, alpha=-1.0), cset)
+    assert err.value.code == "alpha"
+
+
 def test_energy_space_obstruction_beats_everything(constants_crit3):
     for alpha in (2.0, 0.0):
         pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=alpha)

@@ -498,6 +498,11 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("p", ("classify", "--N", "5", "--s", "0.6", "--p", "3", "--q", "critical",
            "--gamma", "2.3", "--alpha", "1", "--frac-constant", "1.7")),
     ("p", ("constants", "--N", "5", "--s", "0.6", "--p", "3", "--frac-constant", "1.7")),
+    # constants validates s, N and q of the fractional family as classify does
+    ("s", ("constants", "--N", "5", "--s", "99", "--frac-constant", "1.7")),
+    ("s", ("constants", "--N", "5", "--s", "nan", "--frac-constant", "1.7")),
+    ("s", ("constants", "--N", "-3", "--s", "0.6", "--frac-constant", "1.7")),
+    ("q", ("constants", "--N", "5", "--s", "0.6", "--q", "1.0", "--frac-constant", "1.7")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)

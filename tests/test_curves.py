@@ -39,12 +39,6 @@ def test_from_problem_subcritical_c_below_b(sub224):
     assert cp.kappa == pytest.approx(sub224.alpha * 0.17, rel=1e-15)
 
 
-def test_from_problem_alpha_override(crit5, constants_crit5):
-    C = kappa_multiplier(crit5, constants_crit5)
-    cp = CurveParams.from_problem(crit5, C, alpha=0.0)
-    assert cp.kappa == 0.0
-
-
 @given(cp=curve_params(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_compactified_curves_match(cp, s):
     # l(s) in log s and log(1 - s) is g at log t = log s - log(1 - s)

@@ -1,5 +1,6 @@
 """Parameter validation, regime selection, and exponent helpers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,8 @@ from attainkit.params import (ProblemParams, Regime, critical_exponent,
                               fractional_critical_exponent,
                               fractional_gamma_threshold_exponent,
                               gamma_threshold_exponent)
+from oracles import (fractional_extremal_oracle, fractional_gamma_crit_oracle,
+                     local_extremal_oracle, local_gamma_crit_oracle)
 
 
 def test_local_regimes():
@@ -80,16 +83,15 @@ def test_exponents_bundle(crit5, sub224):
     # one record per regime; in both critical regimes the upper gamma
     # boundary is the critical exponent itself, the same float
     e5 = crit5.exponents
-    assert (e5.regime, e5.base, e5.gamma_crit) == (
-        Regime.CRITICAL_LOCAL, 2.0, critical_exponent(5, 2.0))
+    assert (e5.regime, e5.gamma_crit) == (Regime.CRITICAL_LOCAL, critical_exponent(5, 2.0))
     e2 = sub224.exponents
-    assert (e2.regime, e2.base, e2.gamma_crit) == (Regime.SUBCRITICAL_LOCAL, 2.0, 2.0)
+    assert (e2.regime, e2.gamma_crit) == (Regime.SUBCRITICAL_LOCAL, 2.0)
     ef = ProblemParams.fractional(5, 0.6, 2.2, 1.0, 1.0).exponents
-    assert (ef.regime, ef.base) == (Regime.SUBCRITICAL_FRACTIONAL, 2.0)
+    assert ef.regime is Regime.SUBCRITICAL_FRACTIONAL
     assert ef.gamma_crit == pytest.approx(5 * 0.2 / 1.2, rel=1e-15)
     ec = ProblemParams.fractional_critical(5, 0.6, 1.0, 1.0).exponents
-    assert (ec.regime, ec.base, ec.gamma_crit) == (
-        Regime.CRITICAL_FRACTIONAL, 2.0, fractional_critical_exponent(5, 0.6))
+    assert (ec.regime, ec.gamma_crit) == (
+        Regime.CRITICAL_FRACTIONAL, fractional_critical_exponent(5, 0.6))
     for params in (crit5, sub224):
         assert params.regime() is params.exponents.regime
 
@@ -125,6 +127,54 @@ def test_params_frozen():
     params = ProblemParams.local(3, 2.0, 4.0, 1.0, 1.0)
     with pytest.raises(Exception):
         params.alpha = 2.0
+
+
+@st.composite
+def admissible_problems(draw):
+    """An admissible problem of either family, critical or strictly inside
+    the q window (away from the snap to p*), with its per-family closed
+    forms for gamma_crit and the bubble's finite energy."""
+    N = draw(st.integers(2, 12))
+    critical = draw(st.booleans())
+    u = draw(st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        s = draw(st.one_of(st.just(N / 4.0), st.floats(1e-3, 0.999).map(lambda x: x * N / 2)))
+        pstar = fractional_gamma_crit_oracle(N, s, 0.0, True)
+        params = (ProblemParams.fractional_critical(N, s, 1.0, 1.0) if critical
+                  else ProblemParams.fractional(N, s, 2.0 + u * (pstar - 2.0), 1.0, 1.0))
+        return (params, critical, fractional_gamma_crit_oracle(N, s, params.q, critical),
+                fractional_extremal_oracle(N, s, critical))
+    p = draw(st.one_of(st.just(float(N)), st.just(math.sqrt(N)), st.floats(1.01, float(N))))
+    critical = critical and p < N
+    if critical:
+        params = ProblemParams.local_critical(N, p, 1.0, 1.0)
+    else:
+        top = p + 10.0 if p == N else local_gamma_crit_oracle(N, p, 0.0, True)
+        params = ProblemParams.local(N, p, p + u * (top - p), 1.0, 1.0)
+    return (params, critical, local_gamma_crit_oracle(N, p, params.q, critical),
+            local_extremal_oracle(N, p, critical))
+
+
+@given(problem=admissible_problems())
+def test_one_rule_reproduces_each_family_bit_for_bit(problem):
+    # one rule at order 1 (local) or s (fractional, p = 2) gives each
+    # family's own closed forms, to the last bit
+    params, critical, gamma_crit, extremal = problem
+    assert params.regime().is_critical is critical
+    assert params.exponents.gamma_crit.hex() == gamma_crit.hex()
+    assert extremal_in_energy_space(params) is extremal
+
+
+def test_q_critical_flag_is_checked_not_trusted():
+    # q = 3 lies inside the window, not at p* = 10/3
+    bad = [ProblemParams(N=5, p=2.0, q=3.0, gamma=3.0, alpha=1.0, q_critical=True),
+           # a new p keeps the old q = 10/3, while p* moves to 5
+           dataclasses.replace(ProblemParams.local_critical(5, 2.0, 3.0, 1.0), p=2.5),
+           dataclasses.replace(ProblemParams.fractional_critical(5, 0.6, 3.0, 1.0), s=0.7)]
+    for params in bad:
+        with pytest.raises(ParamError) as err:
+            params.regime()
+        assert err.value.code == "q"
 
 
 def test_q_critical_flag_is_exact():

@@ -73,8 +73,8 @@ def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constan
         assert len(calls) == n + 50 + 3
 
 
-def test_derivative_checks_scale_down():
-    rep = run_derivative_checks(n_points=500)
+def test_derivative_checks_scale_down(suite_constants):
+    rep = run_derivative_checks(suite_constants, n_points=500)
     assert rep.passed
     assert rep.n_cases == 500 * 5 * 2  # points x curve cases x two factors
 
