@@ -9,10 +9,10 @@ interior.  Modules:
 
 * ``params``    — parameter validation and regime selection
 * ``curves``    — ``CurveParams``, the exponent tuple that fixes one
-  problem's objective and ratio curves, their evaluators and derivative
-  sign factors
-* ``halfline``  — the optima of a ``CurveParams``'s curves on (0, inf), by
-  root-finding on the derivative signs
+  problem's objective and ratio curves, their evaluators and boundary
+  limits
+* ``halfline``  — the curves' derivative sign functions, and their optima
+  on (0, inf) by root-finding on those signs
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
 * ``classify``  — thresholds and the attainability decision table
@@ -36,7 +36,7 @@ from .classify import (ConstantSet, Reason, ThresholdCurve, Verdict, classify,
                        threshold_curve)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
-from .curves import CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor
+from .curves import CurveParams, f_at_log_t, g_at_log_t
 from .errors import (DivergentNormError, NearCriticalWarning,
                      NormalizationError, NumericalError, ParamError)
 from .halfline import OptResult, maximize_halfline, minimize_halfline
@@ -66,7 +66,7 @@ __all__ = [
     "fractional_constant", "fractional_critical_exponent",
     "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
-    "h_factor", "kappa_multiplier", "log_lambda", "m_factor",
+    "kappa_multiplier", "log_lambda",
     "maximize_halfline", "minimize_halfline", "norms", "orbit_curve",
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",

@@ -35,10 +35,10 @@ import numpy as np
 from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
 from .constants import fractional_constant
-from .curves import (CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor,
-                     t_from_log)
+from .curves import CurveParams, f_at_log_t, g_at_log_t, t_from_log
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
+from .halfline import objective_sign, ratio_sign
 from .params import ProblemParams, Regime
 from .profiles import bubble_norms, build_u_star, log_lambda, orbit_curve
 from .verify import run_all
@@ -187,6 +187,8 @@ def _constants_for(ns, params: ProblemParams) -> ConstantSet:
     given = ConstantSet()
     if getattr(ns, "frac_constant", None) is not None:
         given = ConstantSet(fractional=fractional_constant(ns.frac_constant))
+    elif params.s is not None:
+        raise ParamError("frac-constant", "the fractional family needs --frac-constant")
     return resolve_constants(params, given)
 
 
@@ -267,14 +269,16 @@ def _cmd_curve(ns) -> int:
     cset = _constants_for(ns, params)
     cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
     t = np.geomspace(1e-4, 1e4, ns.grid)
-    s = t / (1.0 + t)
-    columns = {"t": t, "s": s, "f": f_at_log_t(cp, np.log(t)),
-               "g": g_at_log_t(cp, np.log(t)), "h_factor": h_factor(cp, t),
-               "m_factor": m_factor(cp, s)}
+    x = np.log(t)
+    columns = {"t": t.tolist(), "s": (t / (1.0 + t)).tolist(),
+               "f": f_at_log_t(cp, x).tolist(), "g": g_at_log_t(cp, x).tolist()}
+    # -1, 0 or 1: the signs of f' and g' as the optimizer reads them
+    for name, sign in (("f_slope_sign", objective_sign(cp)), ("g_slope_sign", ratio_sign(cp))):
+        columns[name] = [(v > 0.0) - (v < 0.0) for v, _ in map(sign, x.tolist())]
     if ns.csv:
         _emit(_csv_text(list(columns), list(zip(*columns.values()))), ns.out)
         return EXIT_OK
-    rows = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     doc = {"schema": SCHEMA, "command": "curve",
            "problem": _problem_dict(params),
            "curve_params": {"a": cp.a, "b": cp.b, "c": cp.c,

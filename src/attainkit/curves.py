@@ -28,9 +28,7 @@ softplus without cancellation, with 1 - u^pgamma as -expm1(pgamma log u).
 So the curves stay accurate at any t, including values of t no double can
 hold (``f_at_log_t``, ``g_at_log_t``).
 
-``h_factor`` and ``m_factor`` are elementary expressions with the same sign
-as f'(t) and l'(s) = d g(t(s))/ds respectively; the half-line optimizer
-finds the optima as sign changes of their log forms.
+The signs of f' and g' are ``halfline.objective_sign`` and ``ratio_sign``.
 """
 
 from __future__ import annotations
@@ -147,46 +145,6 @@ def g_at_log_t(cp: CurveParams, x):
     log_s, log_u = _log_s_u(x)
     return _shape(np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u)
                   * (-np.expm1(cp.pgamma * log_u)))
-
-
-def h_factor(cp: CurveParams, t):
-    """Elementary factor with the sign of f'(t).
-
-    h(t) = -pgamma (1+t)^a + kappa c t^(c-1) + kappa (c-b) t^c ;
-    the last term vanishes identically in the critical case c = b.
-    kappa = 0 gives h < 0 everywhere (f strictly decreasing).
-    """
-    t = np.asarray(t, dtype=float)
-    out = -cp.pgamma * np.exp(cp.a * np.log1p(t))
-    if cp.kappa:
-        lt = np.log(t)
-        out = out + cp.kappa * cp.c * np.exp((cp.c - 1.0) * lt)
-        if cp.c != cp.b:
-            out = out + cp.kappa * (cp.c - cp.b) * np.exp(cp.c * lt)
-    return _shape(out)
-
-
-def m_factor(cp: CurveParams, s):
-    """Elementary factor with the sign of l'(s), s in (0, 1).
-
-    With u = 1-s and r = pgamma/c:
-
-        m(s) = (1-r) u^pgamma + r u^(pgamma-1) - 1
-               - ((c-b)/c) * (s/u) * (1 - u^pgamma).
-
-    The correction line vanishes in the critical case c = b, where the
-    formula collapses to the classical two-power expression; away from
-    c = b it is exactly what multiplying l'/l by s*u*(1-u^pgamma)/(c*u)
-    produces, so the sign identity holds across the whole family.
-    """
-    s = np.asarray(s, dtype=float)
-    u = 1.0 - s
-    lu = np.log1p(-s)
-    r = cp.pgamma / cp.c
-    out = (1.0 - r) * np.exp(cp.pgamma * lu) + r * np.exp((cp.pgamma - 1.0) * lu) - 1.0
-    if cp.c != cp.b:
-        out = out - ((cp.c - cp.b) / cp.c) * (s / u) * (-np.expm1(cp.pgamma * lu))
-    return _shape(out)
 
 
 # -- analytic boundary limits ------------------------------------------

@@ -4,22 +4,23 @@ family: ``maximize_halfline`` the supremum of the objective curve f,
 ``minimize_halfline`` the infimum of the ratio curve g, which does not
 read kappa.  Each curve has at most one interior optimum:
 
-* f'(t) has the sign of G(x), x = log t, the log form of ``h_factor``:
+* f'(t) has the sign of G(x), x = log t (``objective_sign``):
 
       G(x) = log kappa + (c-1) x + log(c + (c-b) e^x) - log pgamma
              - a log(1 + e^x)
 
-  left of x_max = log(c/(b-c)) when c < b (right of it h < 0).  G' is
-  strictly decreasing as a > 0 and c <= b, so G has at most two roots: a
-  local minimum of f, then a local maximum.  Only the right root, a + to -
-  change, is looked for; the left one is never an optimum.
-* l'(s) has the sign of F(u) = c u m(s) = (b-c) - b u + (c-a) u^k
-  + a u^(k+1), with u = 1/(1+t) and k = pgamma.  F(1) = 0, and
-  F'' = k u^(k-2) [(k-1)(c-a) + a(k+1) u] goes from - to + at most once; a
-  positive lobe ending at u = 1 needs F concave there, so concave to its
-  left too, and F cannot run +, -, +.  F starts at b - c > 0; when c = b,
-  F/u = -b + (c-a) u^(k-1) + a u^k starts positive for k < 1, and F is
-  convex and negative for k >= 1.  So F changes sign at most once.
+  left of x_max = log(c/(b-c)) when c < b; right of it, and for kappa = 0,
+  f' < 0 outright and G is -inf.  G' is strictly decreasing as a > 0 and
+  c <= b, so G has at most two roots: a local minimum of f, then a local
+  maximum.  Only the right root, a + to - change, is looked for.
+* g'(t) has the sign of F(u) = (b-c) - b u + (c-a) u^k + a u^(k+1), with
+  u = 1/(1+t) and k = pgamma (``ratio_sign``, as the quotient below).
+  F(1) = 0, and F'' = k u^(k-2) [(k-1)(c-a) + a(k+1) u] goes from - to +
+  at most once; a positive lobe ending at u = 1 needs F concave there, so
+  concave to its left too, and F cannot run +, -, +.  F starts at
+  b - c > 0; when c = b, F/u = -b + (c-a) u^(k-1) + a u^k starts positive
+  for k < 1, and F is convex and negative for k >= 1.  So F changes sign
+  at most once.
 
 Whether a root exists is read off the analytic signs at the ends of the
 range.  Each root is then found in x by safeguarded Newton (``rtsafe`` of
@@ -231,17 +232,13 @@ def _start(lo: float, hi: float, xs: tuple[float, ...]) -> float:
     return lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
 
 
-def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
-    """(peak, right root) of G as log t values, and evaluations.
-
-    An entry is None where it does not exist.  G's left root, a local
-    minimum of f, is never looked for: no optimum sits there.
-    """
-    none = (None, None, 0)
+def objective_sign(cp: CurveParams):
+    """x = log t -> (G(x), G'(x)), G of the module docstring, on the whole
+    real line; -inf with slope 0 where f' < 0 outright."""
     if cp.kappa == 0.0:
-        return none  # h < 0: f decreasing
-    a, c, pg = cp.a, cp.c, cp.pgamma
-    K = math.log(cp.kappa) + math.log(c) - math.log(pg)
+        return lambda x: (-math.inf, 0.0)
+    a, c = cp.a, cp.c
+    K = math.log(cp.kappa) + math.log(c) - math.log(cp.pgamma)
     crit = cp.is_critical
     x0 = math.inf if crit else math.log(c / (cp.b - c))
 
@@ -259,6 +256,8 @@ def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
         """G and G', each summed as its value at the nearest anchor (the
         asymptotes as t -> 0 and t -> inf, and t = 1) plus a remainder, so
         that the rounding shrinks with the remainder near the anchor."""
+        if x >= x0:
+            return -math.inf, 0.0
         if x > 1.0:
             r = math.log1p(math.exp(-x))
             v, rest = K, (c - 1.0 - a) * x - a * r
@@ -279,6 +278,76 @@ def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
             rest += _log1mexp(x - x0)
             slope += math.exp(x - x0) / math.expm1(x - x0)
         return v + rest, d + slope
+
+    return G
+
+
+def ratio_sign(cp: CurveParams):
+    """x = log t -> (value, slope) of F's quotient (module docstring) on the
+    whole real line; -inf with slope 0 where it falls below the doubles."""
+    a, b, c, k = cp.a, cp.b, cp.c, cp.pgamma
+    crit = cp.is_critical
+    at_one = k * (1.0 - c)  # both quotients at u = 1: -F'(1)
+    h = 2.0 ** -k
+    f_half = (b - c) - 0.5 * b + (c - a) * h + 0.5 * a * h  # F(1/2)
+    # critical with k > 1 the quotient falls like -b u^(1-k) as u -> 0
+    w_min = -700.0 / (k - 1.0) if crit and k > 1.0 else -math.inf
+
+    def F(x: float) -> tuple[float, float]:
+        """The quotient (F / (s u^k) = b (1 - u^(1-k)) / (1 - u) - a when
+        critical, else F / s) summed about the nearest of u = 1, u = 1/2
+        and u = 0; and its slope."""
+        sp = _softplus(x)
+        w = -sp  # log u
+        if w > -1e-300:
+            return at_one, 0.0
+        if w < w_min:
+            return -math.inf, 0.0
+        e1 = math.expm1(w)
+        if crit:
+            ek = math.expm1((1.0 - k) * w)
+            slope = -math.exp(x - sp) * b * ((1.0 - k) * (ek + 1.0) - ek / e1 * (e1 + 1.0)) / e1
+        else:
+            ek, ek1 = math.expm1(k * w), math.expm1((k + 1.0) * w)
+            q = ((c - a) * ek + a * ek1) / e1
+            slope = math.exp(x - sp) * ((c - a) * k * (ek + 1.0) + a * (k + 1.0) * (ek1 + 1.0)
+                                        - q * (e1 + 1.0)) / e1
+        if x <= -1.0:
+            if crit:
+                gap = -b * _expm1_gap(1.0 - k, w)
+            else:
+                gap = (c - a) * _expm1_gap(k, w) + a * _expm1_gap(k + 1.0, w)
+            return at_one - gap / e1, slope
+        if x < 1.0:
+            L = -math.log1p(0.5 * math.expm1(x))  # log 2u
+            m1, mk = math.expm1(L), math.expm1(k * L)
+            f = f_half + (-0.5 * b * m1 + (c - a) * h * mk
+                          + 0.5 * a * h * math.expm1((k + 1.0) * L))
+            s1 = 0.5 * (1.0 - m1)
+            return (f / (s1 * (h * (1.0 + mk))) if crit else f / s1), slope
+        u = math.exp(w)
+        if crit:
+            return k + b * (math.exp((1.0 - k) * w) - u) / e1, slope
+        rest = c * u - (c - a) * math.exp(k * w) - a * math.exp((k + 1.0) * w)
+        return (b - c) + rest / e1, slope
+
+    return F
+
+
+def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
+    """(peak, right root) of G as log t values, and evaluations.
+
+    An entry is None where it does not exist.  G's left root, a local
+    minimum of f, is never looked for: no optimum sits there.
+    """
+    none = (None, None, 0)
+    if cp.kappa == 0.0:
+        return none  # h < 0: f decreasing
+    a, c, pg = cp.a, cp.c, cp.pgamma
+    K = math.log(cp.kappa) + math.log(c) - math.log(pg)
+    crit = cp.is_critical
+    x0 = math.inf if crit else math.log(c / (cp.b - c))
+    G = objective_sign(cp)
 
     def G2(x: float) -> float:
         """G''."""
@@ -355,46 +424,7 @@ def _ratio_root(cp: CurveParams) -> tuple[float | None, int]:
     crit = cp.is_critical
     if crit and k >= 1.0:
         return None, 0
-    at_one = k * (1.0 - c)  # both quotients at u = 1: -F'(1)
-    h = 2.0 ** -k
-    f_half = (b - c) - 0.5 * b + (c - a) * h + 0.5 * a * h  # F(1/2)
-
-    def F(x: float) -> tuple[float, float]:
-        """The quotient (F / (s u^k) = b (1 - u^(1-k)) / (1 - u) - a when
-        critical, else F / s) summed about the nearest of u = 1, u = 1/2
-        and u = 0; and its slope."""
-        sp = _softplus(x)
-        w = -sp  # log u
-        if w > -1e-300:
-            return at_one, 0.0
-        e1 = math.expm1(w)
-        if crit:
-            ek = math.expm1((1.0 - k) * w)
-            slope = -math.exp(x - sp) * b * ((1.0 - k) * (ek + 1.0) - ek / e1 * (e1 + 1.0)) / e1
-        else:
-            ek, ek1 = math.expm1(k * w), math.expm1((k + 1.0) * w)
-            q = ((c - a) * ek + a * ek1) / e1
-            slope = math.exp(x - sp) * ((c - a) * k * (ek + 1.0) + a * (k + 1.0) * (ek1 + 1.0)
-                                        - q * (e1 + 1.0)) / e1
-        if x <= -1.0:
-            if crit:
-                gap = -b * _expm1_gap(1.0 - k, w)
-            else:
-                gap = (c - a) * _expm1_gap(k, w) + a * _expm1_gap(k + 1.0, w)
-            return at_one - gap / e1, slope
-        if x < 1.0:
-            L = -math.log1p(0.5 * math.expm1(x))  # log 2u
-            m1, mk = math.expm1(L), math.expm1(k * L)
-            f = f_half + (-0.5 * b * m1 + (c - a) * h * mk
-                          + 0.5 * a * h * math.expm1((k + 1.0) * L))
-            s1 = 0.5 * (1.0 - m1)
-            return (f / (s1 * (h * (1.0 + mk))) if crit else f / s1), slope
-        u = math.exp(w)
-        if crit:
-            return k + b * (math.exp((1.0 - k) * w) - u) / e1, slope
-        rest = c * u - (c - a) * math.exp(k * w) - a * math.exp((k + 1.0) * w)
-        return (b - c) + rest / e1, slope
-
+    at_one = k * (1.0 - c)  # -F'(1), the quotient at u = 1
     if crit:
         # at small u the quotient is b (1 - u^(1-k)) - a
         start = _softplus_inv(math.log(b / k) / (1.0 - k))
@@ -406,7 +436,7 @@ def _ratio_root(cp: CurveParams) -> tuple[float | None, int]:
     if rate > 0.0 and at_one > -rate:
         w = at_one / rate
         start = math.log(-math.expm1(w)) - w
-    return _sign_change(F, math.inf, -math.inf, start)
+    return _sign_change(ratio_sign(cp), math.inf, -math.inf, start)
 
 
 def _result(cp: CurveParams, at_log_t, limits: tuple[float, float],

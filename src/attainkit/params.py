@@ -34,7 +34,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import NearCriticalWarning, ParamError
@@ -98,9 +97,11 @@ def _order(params: "ProblemParams") -> float:
 def _q_critical_match(N: int, p: float, q: float, order: float, crit: float) -> bool:
     """Decide q == p* (``crit``, finite): exact rationals first, then a snap
     tolerance that warns (binary floats cannot represent e.g. 10/3)."""
-    # Fraction(float) is exact in binary, so this comparison is deterministic.
-    P = Fraction(p)
-    if Fraction(q) == Fraction(N) * P / (Fraction(N) - Fraction(order) * P):
+    # q = N p / (N - order p) exactly, cross-multiplied over p = a/b, q = c/d, order = e/f
+    a, b = p.as_integer_ratio()
+    c, d = q.as_integer_ratio()
+    e, f = order.as_integer_ratio()
+    if c * (N * f * b - e * a) == N * a * d * f:
         return True
     if abs(q - crit) <= CRITICAL_Q_RTOL * crit:
         warnings.warn(

@@ -9,8 +9,10 @@ Four deterministic checks, each returning a self-describing report:
   upper envelope; the normalized dilated bubbles meet it to quadrature
   accuracy; the truncated family in a non-attained regime climbs toward
   the supremum without crossing it.
-* ``run_derivative_checks`` — the closed-form sign factors for the curve
-  derivatives agree with central differences away from their roots.
+* ``run_derivative_checks`` — the sign functions the half-line optimizer
+  reads agree with central differences of the curves away from their
+  roots, and each interior optimum is a sign change between adjacent
+  doubles.
 * ``run_monotonicity_scan`` — the threshold is non-increasing in the
   exponent, constant on the convexity band, strictly decreasing on the
   open band above it, continuous under shrinking perturbations, and
@@ -33,10 +35,11 @@ import numpy as np
 from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
                        resolve_constants, threshold_alpha, threshold_curve)
 from .constants import fractional_constant
-from .curves import CurveParams, f_at_log_t, g_at_log_t, h_factor, m_factor
+from .curves import CurveParams, f_at_log_t, g_at_log_t
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
                      ParamError)
-from .halfline import maximize_halfline
+from .halfline import (maximize_halfline, minimize_halfline, objective_sign,
+                       ratio_sign)
 from .params import ProblemParams, critical_exponent
 from .profiles import (bubble_norms, build_truncated, build_w_lambda,
                        evaluate_J, norms, orbit_curve, random_profiles)
@@ -297,46 +300,29 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
 
 # -- derivative sign checks ------------------------------------------------
 
-def _sign_mismatches_f(cp: CurveParams, n: int) -> int:
-    """Count sign disagreements between h_factor and central differences of
-    f, leaving out the samples whose stencil t -+ delta straddles a root of
-    h_factor."""
-    t = np.geomspace(1e-4, 1e4, n)
-    delta = 1e-6 * t
-    away = h_factor(cp, t - delta) * h_factor(cp, t + delta) > 0.0
-    t, delta = t[away], delta[away]
-    fp = f_at_log_t(cp, np.log(t + delta)) - f_at_log_t(cp, np.log(t - delta))
-    h = h_factor(cp, t)
-    keep = np.abs(fp) > 1e-11 * np.maximum(1.0, np.abs(f_at_log_t(cp, np.log(t))))
-    return int(np.count_nonzero(np.sign(fp[keep]) != np.sign(h[keep])))
-
-
-def _sign_mismatches_l(cp: CurveParams, n: int) -> int:
-    """Count sign disagreements between m_factor and central differences of l."""
-    s = np.linspace(1e-4, 1.0 - 1e-4, n)
-    m = m_factor(cp, s)
-    flips = np.nonzero(np.sign(m[:-1]) * np.sign(m[1:]) < 0)[0]
-    keep_mask = np.ones_like(s, dtype=bool)
-    for i in flips:
-        keep_mask &= np.abs(s - s[i]) > 1e-3
-    s, m = s[keep_mask], m[keep_mask]
-    lo, hi = s - 1e-7, s + 1e-7
-    # l(s) = g(t(s)), and log t(s) = log s - log(1 - s)
-    lp = (g_at_log_t(cp, np.log(hi) - np.log1p(-hi))
-          - g_at_log_t(cp, np.log(lo) - np.log1p(-lo)))
-    keep = np.abs(lp) > 1e-10
-    return int(np.count_nonzero(np.sign(lp[keep]) != np.sign(m[keep])))
+def _sign_mismatches(sign, at_log_t, cp: CurveParams, x: np.ndarray,
+                     step: float = 1e-6) -> int:
+    """Count samples where ``sign`` disagrees with the central difference of
+    the curve ``at_log_t`` in log t.  A sample is left out where, judged
+    from its slope, a root of ``sign`` may lie within the stencil, or where
+    the difference is within the curve's rounding."""
+    v, d = np.array(list(map(sign, x.tolist()))).T
+    diff = at_log_t(cp, x + step) - at_log_t(cp, x - step)
+    keep = ~(np.abs(v) <= 2.0 * step * np.abs(d))  # NaN is kept, and counts
+    keep &= np.abs(diff) > 1e-11 * np.abs(at_log_t(cp, x))
+    return int(np.count_nonzero(np.sign(v[keep]) != np.sign(diff[keep])))
 
 
 def run_derivative_checks(constants: dict[str, ConstantSet],
-                          n_points: int = 10_000) -> CheckReport:
-    """Closed-form derivative signs agree with central differences.
+                          n_points: int = 1000) -> CheckReport:
+    """The optimizer's derivative signs agree with central differences of
+    the curves at ``n_points`` values of t in [1e-4, 1e4], and each attained
+    optimum is > 0 at its log t and <= 0 at the next double across.
 
     ``constants`` is keyed as for ``run_truth_table``; the critical cases
     use the N = 5 Sobolev constant in ``constants["critical"]``.  The
-    violation count is the number of sign disagreements (tolerance 0) on
-    the samples whose difference stencil does not straddle a root of
-    h_factor and, in s, more than 1e-3 from a sign change of m_factor.
+    violation count is the number of disagreements (tolerance 0).  Each
+    sign is a Python call of a few microseconds, which sets the default.
     """
     crit = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
     C = kappa_multiplier(crit, constants["critical"])
@@ -352,20 +338,29 @@ def run_derivative_checks(constants: dict[str, ConstantSet],
         CurveParams.from_problem(
             ProblemParams.local(N=2, p=2.0, q=4.0, gamma=3.0, alpha=2.0), 0.17),
     ]
+    x = np.log(np.geomspace(1e-4, 1e4, n_points))
     mism = 0
     total = 0
     details = []
     for cp in cases:
-        bad_f = _sign_mismatches_f(cp, n_points)
-        bad_l = _sign_mismatches_l(cp, n_points)
-        mism += bad_f + bad_l
+        G, F = objective_sign(cp), ratio_sign(cp)
+        bad = [_sign_mismatches(G, f_at_log_t, cp, x), _sign_mismatches(F, g_at_log_t, cp, x), 0]
         total += 2 * n_points
-        if bad_f or bad_l:
-            details.append(f"{cp}: {bad_f} f-sign and {bad_l} l-sign mismatches")
+        # f's optimum: G turns + to - as log t grows; g's: F turns - to +
+        for res, sign, across in ((maximize_halfline(cp), G, math.inf),
+                                  (minimize_halfline(cp), F, -math.inf)):
+            if res.attained:
+                y = res.log_argopt
+                bad[2] += not sign(y)[0] > 0.0 >= sign(math.nextafter(y, across))[0]
+                total += 1
+        mism += sum(bad)
+        if any(bad):
+            details.append(f"{cp}: {bad} f-sign, g-sign and optimum mismatches")
     return CheckReport.from_violations(
         name="derivative_signs", violations=[float(mism)], n_cases=total,
-        details=["sign agreement where h_factor keeps its sign across the "
-                 "1e-6-relative stencil and outside 1e-3 of m_factor's roots in s"]
+        details=["sign agreement away from the sign functions' roots (judged "
+                 "from their slopes, 1e-6 stencil in log t), and each attained "
+                 "optimum a sign change between adjacent doubles"]
                 + details)
 
 

@@ -250,8 +250,9 @@ def test_acceptance_08_derivative_signs_and_threshold_monotonicity(
     signs = run_derivative_checks(suite_constants, n_points=10_000)
     mono = run_monotonicity_scan(constants_crit5)
     ok = signs.passed and mono.passed
-    _report(8, ok, f"derivative factors match central differences on "
-                   f"{signs.n_cases} samples (mismatches beyond excluded root "
+    _report(8, ok, f"the optimizer's derivative signs match central differences, "
+                   f"and its optima are sign changes between adjacent doubles, on "
+                   f"{signs.n_cases} cases (mismatches beyond excluded root "
                    f"neighborhoods: {int(max(0.0, signs.worst_violation))}); "
                    f"threshold curve non-increasing with flat band and endpoint "
                    f"limits verified at 1e-6: {mono.passed}", capsys)

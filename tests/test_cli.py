@@ -110,7 +110,8 @@ def test_curve_rows_fields_and_values(capsys, problem):
     assert code == 0
     doc = json.loads(out)
     rows = doc["rows"]
-    assert [list(row) for row in rows] == [["t", "s", "f", "g", "h_factor", "m_factor"]] * 64
+    assert [list(row) for row in rows] == [
+        ["t", "s", "f", "g", "f_slope_sign", "g_slope_sign"]] * 64
     t = np.array([row["t"] for row in rows])
     np.testing.assert_array_equal(t, np.geomspace(1e-4, 1e4, 64))
     np.testing.assert_array_equal([row["s"] for row in rows], t / (1.0 + t))
@@ -120,6 +121,13 @@ def test_curve_rows_fields_and_values(capsys, problem):
     for column, mode in (("f", "max"), ("g", "min")):
         np.testing.assert_allclose([row[column] for row in rows], curve_at_t(cp, mode, t),
                                    rtol=1e-12)
+        # each sign is the sign of the slope of the column between its neighbours
+        values = np.array([row[column] for row in rows])
+        signs = np.array([row[f"{column}_slope_sign"] for row in rows])
+        assert set(signs.tolist()) <= {-1, 0, 1}
+        steps = np.sign(values[2:] - values[:-2])
+        same = signs[:-2] == signs[2:]  # no sign change across the pair
+        np.testing.assert_array_equal(signs[1:-1][same], steps[same])
 
 
 @pytest.mark.parametrize("sub", ["classify", "constants", "maximizer", "sweep"])
@@ -146,7 +154,7 @@ def test_curve_csv_shape(capsys):
                            "--grid", "64")
     assert code == 0
     lines = out.split("\n")
-    assert lines[0] == "t,s,f,g,h_factor,m_factor"
+    assert lines[0] == "t,s,f,g,f_slope_sign,g_slope_sign"
     assert len(lines) == 1 + 64 + 1  # header + rows + trailing newline
     assert "\r" not in out
 
@@ -503,6 +511,10 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("s", ("constants", "--N", "5", "--s", "nan", "--frac-constant", "1.7")),
     ("s", ("constants", "--N", "-3", "--s", "0.6", "--frac-constant", "1.7")),
     ("q", ("constants", "--N", "5", "--s", "0.6", "--q", "1.0", "--frac-constant", "1.7")),
+    # a fractional problem without its constant names the flag that supplies it
+    ("frac-constant", ("classify", "--N", "5", "--s", "0.6", "--q", "critical",
+                       "--gamma", "2.3", "--alpha", "1")),
+    ("frac-constant", ("constants", "--N", "5", "--s", "0.6")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,4 @@
-"""Scalar curves: identities, limits, derivative sign factors, roots."""
+"""Scalar curves: identities, limits, derivative signs, roots."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from attainkit.classify import kappa_multiplier
 from attainkit.curves import (CurveParams, f_at_log_t, f_limits, g_at_log_t,
-                              g_limits, h_factor, m_factor)
+                              g_limits)
 from attainkit.errors import ParamError
-from attainkit.halfline import maximize_halfline
+from attainkit.halfline import maximize_halfline, objective_sign, ratio_sign
 from attainkit.params import ProblemParams
 from oracles import _curve_on_grid, curve_at_t
 
@@ -66,48 +66,38 @@ def test_g_limits_cases():
 
 
 @given(cp=curve_params())
-def test_h_factor_sign_matches_difference_quotient(cp):
-    for t in (0.05, 0.4, 1.0, 3.0, 40.0):
-        d = 1e-7 * t
-        slope = curve_at_t(cp, "max", t + d) - curve_at_t(cp, "max", t - d)
-        h = float(h_factor(cp, t))
-        if abs(slope) < 1e-13 * max(1.0, abs(curve_at_t(cp, "max", t))):
-            continue  # too close to a stationary point for a sign call
-        assert np.sign(h) == np.sign(slope)
+def test_sign_functions_match_difference_quotients(cp):
+    # f' has the sign of objective_sign and g' that of ratio_sign at t = e^x
+    step = 1e-7  # half-width of the stencil in log t
+    for sign, mode in ((objective_sign(cp), "max"), (ratio_sign(cp), "min")):
+        for t in (0.05, 0.4, 1.0, 3.0, 40.0):
+            v, d = sign(math.log(t))
+            if abs(v) <= 2.0 * step * abs(d):
+                continue  # judged from the slope, a root may lie in the stencil
+            slope = float(curve_at_t(cp, mode, t * math.exp(step))
+                          - curve_at_t(cp, mode, t * math.exp(-step)))
+            if abs(slope) < 1e-12 * abs(float(curve_at_t(cp, mode, t))):
+                continue  # within the curve's rounding
+            assert np.sign(v) == np.sign(slope)
 
 
-@given(cp=curve_params())
-def test_m_factor_sign_matches_difference_quotient(cp):
-    def l_of_s(s):  # l(s) = g(t(s)), in log s and log(1 - s)
-        return _curve_on_grid(cp, "min", np.log(s), np.log1p(-s))
-
-    for s in (0.1, 0.35, 0.6, 0.9):
-        d = 1e-8
-        slope = l_of_s(s + d) - l_of_s(s - d)
-        m = float(m_factor(cp, s))
-        scale = max(1.0, abs(l_of_s(s)))
-        if abs(slope) < 1e-12 * scale:
-            continue
-        assert np.sign(m) == np.sign(slope)
-
-
-def test_argmax_is_a_sign_change_of_h_factor():
+def test_argmax_is_a_sign_change_of_objective_sign():
     cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, kappa=90.0, pgamma=2.0 / 3.0)
     res = maximize_halfline(cp)
     assert res.attained
-    x = res.log_argopt
-    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
+    x, G = res.log_argopt, objective_sign(cp)
+    assert G(x - 1e-6)[0] > 0.0 > G(x + 1e-6)[0]
 
 
-def test_far_scale_argmax_is_a_sign_change_of_h_factor():
+def test_far_scale_argmax_is_a_sign_change_of_objective_sign():
     # a tiny weight puts f's interior maximum far outside any feasible
     # sampling grid; it ties with the limit 1, and still carries its log t
     cp = CurveParams(b=0.875, c=0.875, kappa=1e-9, pgamma=0.5)
     res = maximize_halfline(cp)
     assert res.marginal
-    x = res.log_argopt
+    x, G = res.log_argopt, objective_sign(cp)
     assert x < math.log(1e-12)
-    assert h_factor(cp, math.exp(x - 1e-9)) > 0.0 > h_factor(cp, math.exp(x + 1e-9))
+    assert G(x - 1e-9)[0] > 0.0 > G(x + 1e-9)[0]
 
 
 def test_curves_at_log_t():

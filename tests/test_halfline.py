@@ -9,15 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import attainkit as ak
-from attainkit import (
-    CurveParams,
-    OptResult,
-    h_factor,
-    maximize_halfline,
-    m_factor,
-    minimize_halfline,
-)
+from attainkit import CurveParams, OptResult, maximize_halfline, minimize_halfline
 from attainkit import halfline
+from attainkit.halfline import objective_sign, ratio_sign
 from oracles import bisect_sign_change, curve_at_t, grid_oracle
 
 
@@ -59,7 +53,7 @@ def test_attained_interior_beats_boundary():
     assert res.value > max(1.0, cp.kappa)
     # the reported optimum sits on a + to - sign change of f'
     x = res.log_argopt
-    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
+    assert _G(cp, x - 1e-6) > 0.0 > _G(cp, x + 1e-6)
     assert float(curve_at_t(cp, "max", math.exp(x))) == pytest.approx(res.value, rel=1e-12)
     # naive dense-grid reference agrees on the value
     gro = grid_oracle(cp, n=10**6, mode="max")
@@ -106,7 +100,7 @@ def test_subcritical_attained_matches_oracle_and_roots():
     res = maximize_halfline(cp)
     assert res.attained
     x = res.log_argopt
-    assert h_factor(cp, math.exp(x - 1e-6)) > 0.0 > h_factor(cp, math.exp(x + 1e-6))
+    assert _G(cp, x - 1e-6) > 0.0 > _G(cp, x + 1e-6)
     gro = grid_oracle(cp, n=10**6, mode="max")
     assert gro.value == pytest.approx(res.value, abs=1e-8)
 
@@ -167,7 +161,7 @@ def test_minimize_dominated_by_samples(cp, seed, kappa):
 
 
 def _G(cp, x):
-    """log form of h_factor (the halfline docstring), -inf where h < 0 outright."""
+    """G of the halfline docstring, naively; -inf where h < 0 outright."""
     inner = cp.c + (cp.c - cp.b) * np.exp(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(inner > 0, np.log(cp.kappa) + (cp.c - 1.0) * x
@@ -175,90 +169,17 @@ def _G(cp, x):
                         - cp.a * np.logaddexp(0.0, x), -np.inf)
 
 
-def _softplus(x):
-    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
-
-
-def _G_summed(cp, x):
-    """G of the halfline docstring at x = log t, -inf where h < 0 outright.
-
-    Summed like the solver sums it (about the asymptote on x's side, or
-    about t = 1 where |x| <= 1), so that its sign agrees with the
-    solver's to the last bit.
-    """
-    a, c = cp.a, cp.c
-    K = math.log(cp.kappa) + math.log(c) - math.log(cp.pgamma)
-    if x > 1.0:
-        v, rest = K, (c - 1.0 - a) * x - a * math.log1p(math.exp(-x))
-    elif x < -1.0:
-        v, rest = K, (c - 1.0) * x - a * math.log1p(math.exp(x))
-    else:
-        v, rest = K - a * math.log(2.0), (c - 1.0) * x - a * math.log1p(0.5 * math.expm1(x))
-    if cp.is_critical:
-        return v + rest
-    x0 = math.log(c / (cp.b - c))
-    if x >= x0:
-        return -math.inf
-    if x0 > 0.0 and -1.0 <= x < min(1.0, 0.5 * x0):
-        v += math.log(-math.expm1(-x0))
-        rest += math.log1p(-math.expm1(x) / math.expm1(x0))
-    elif x - x0 > -math.log(2.0):
-        rest += math.log(-math.expm1(x - x0))
-    else:
-        rest += math.log1p(-math.exp(x - x0))
-    return v + rest
-
-
-def _expm1_gap(m, w):
-    """expm1(m w) - m expm1(w); its series where |w| < 1e-3."""
-    if abs(w) >= 1e-3:
-        return math.expm1(m * w) - m * math.expm1(w)
-    total, mw_n, w_n = 0.0, m * w, w
-    for n in range(2, 9):
-        mw_n *= m * w / n
-        w_n *= w / n
-        total += mw_n - m * w_n
-    return total
-
-
-def _F_summed(cp, x):
-    """F of the halfline docstring divided by s = 1 - u, and by u^k in the
-    critical case (positive factors), at x = log t; summed like the solver
-    sums it: about u = 1, u = 1/2 or u = 0, the nearest)."""
-    a, b, c, k = cp.a, cp.b, cp.c, cp.pgamma
-    at_one = k * (1.0 - c)
-    w = -_softplus(x)  # log u
-    if w > -1e-300:
-        return at_one
-    e1 = math.expm1(w)
-    if x <= -1.0:
-        if cp.is_critical:
-            gap = -b * _expm1_gap(1.0 - k, w)
-        else:
-            gap = (c - a) * _expm1_gap(k, w) + a * _expm1_gap(k + 1.0, w)
-        return at_one - gap / e1
-    if x < 1.0:
-        h = 2.0 ** -k
-        L = -math.log1p(0.5 * math.expm1(x))  # log 2u
-        e1, ek = math.expm1(L), math.expm1(k * L)
-        f = ((b - c) - 0.5 * b + (c - a) * h + 0.5 * a * h) + (
-            -0.5 * b * e1 + (c - a) * h * ek + 0.5 * a * h * math.expm1((k + 1.0) * L))
-        s = 0.5 * (1.0 - e1)
-        return f / (s * (h * (1.0 + ek))) if cp.is_critical else f / s
-    u = math.exp(w)
-    if cp.is_critical:
-        return k + b * (math.exp((1.0 - k) * w) - u) / e1
-    return (b - c) + (c * u - (c - a) * math.exp(k * w) - a * math.exp((k + 1.0) * w)) / e1
-
-
 @given(cp=curve_params())
 def test_sign_lemmas_the_solver_relies_on(cp):
-    # F(u) = c u m(s) changes sign at most once on (0, 1)
+    # F(u) changes sign at most once on (0, 1); the solver's quotient is
+    # F / s, and F / (s u^k) when critical
     u = np.linspace(1e-4, 1.0 - 1e-4, 4001)
     k = cp.pgamma
     F = (cp.b - cp.c) - cp.b * u + (cp.c - cp.a) * u**k + cp.a * u ** (k + 1.0)
     scale = cp.b + abs(cp.c - cp.a) + cp.a
-    np.testing.assert_allclose(F, cp.c * u * m_factor(cp, 1.0 - u), rtol=0, atol=1e-12 * scale)
+    quotient = np.array([v for v, _ in map(ratio_sign(cp), np.log1p(-u) - np.log(u))])
+    np.testing.assert_allclose(F, quotient * (1.0 - u) * (u**k if cp.is_critical else 1.0),
+                               rtol=0, atol=1e-12 * scale)
     signs = np.sign(F[np.abs(F) > 1e-10 * scale])
     assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1
     # G' is strictly decreasing where G is defined
@@ -290,12 +211,44 @@ def test_newton_agrees_with_bisection_oracle(cp):
     # each returned optimizer is a sign change between adjacent doubles; a
     # marginal candidate may instead be the peak of a G that stays <= 0
     fmax, gmin = got
+    G, F = objective_sign(cp), ratio_sign(cp)
     x = fmax.log_argopt
-    if x is not None and (fmax.attained or _G_summed(cp, x) > 0.0):
-        assert _G_summed(cp, x) > 0.0 >= _G_summed(cp, math.nextafter(x, math.inf))
+    if x is not None and (fmax.attained or G(x)[0] > 0.0):
+        assert G(x)[0] > 0.0 >= G(math.nextafter(x, math.inf))[0]
     x = gmin.log_argopt
     if x is not None:
-        assert _F_summed(cp, x) > 0.0 >= _F_summed(cp, math.nextafter(x, -math.inf))
+        assert F(x)[0] > 0.0 >= F(math.nextafter(x, -math.inf))[0]
+
+
+@given(cp=curve_params())
+def test_objective_sign_matches_the_naive_form(cp):
+    if cp.kappa == 0.0:
+        return  # both are -inf throughout
+    G = objective_sign(cp)
+    x_max = math.inf if cp.is_critical else math.log(cp.c / (cp.b - cp.c))
+    K = math.log(cp.kappa * cp.c / cp.pgamma)
+    for x in (-30.0, -3.0, -0.5, 0.0, 0.7, 3.0, 30.0):
+        if x > x_max - 1e-3:
+            continue
+        # each term of the naive sum is rounded to its own size
+        scale = 1.0 + abs(K) + (abs(cp.c - 1.0) + cp.a + 1.0) * abs(x)
+        assert G(x)[0] == pytest.approx(float(_G(cp, x)), rel=0, abs=1e-13 * scale)
+
+
+@given(cp=curve_params())
+def test_sign_functions_are_total(cp):
+    G, F = objective_sign(cp), ratio_sign(cp)
+    x_max = math.inf if cp.is_critical else math.log(cp.c / (cp.b - cp.c))
+    for x in (-1e300, -800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0, 1e300):
+        v, d = G(x)
+        if cp.kappa == 0.0 or x >= x_max:
+            assert v < 0.0  # f' < 0 outright
+        assert not (math.isnan(v) or math.isnan(d))
+        v, d = F(x)
+        assert not (math.isnan(v) or math.isnan(d))
+    for x in (x_max, math.nextafter(x_max, math.inf), x_max + 1.0):
+        if math.isfinite(x):
+            assert G(x)[0] < 0.0
 
 
 #: evaluations one root may cost; bisection in bit order takes about 62

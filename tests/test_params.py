@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from attainkit.errors import NearCriticalWarning, ParamError
-from attainkit.params import (ProblemParams, Regime, critical_exponent,
+from attainkit.params import (ProblemParams, Regime, _q_critical, _q_critical_match,
+                              critical_exponent,
                               extremal_in_energy_space,
                               fractional_critical_exponent,
                               fractional_gamma_threshold_exponent,
@@ -64,6 +67,28 @@ def test_near_critical_q_warns_and_upgrades():
     with pytest.warns(NearCriticalWarning):
         regime = ProblemParams.local(5, 2.0, qc, 1.0, 1.0).regime()
     assert regime is Regime.CRITICAL_LOCAL
+
+
+def _exact_match_cases():
+    """(N, p, order, q): q at p* (rounded), a double off it either way, and
+    off by far, for local (order 1) and fractional (order s, p = 2) problems."""
+    for N, p, order in ((5, 2.0, 1), (3, 1.5, 1), (4, 2.0, 1), (7, 2.5, 1), (6, 1.05, 1),
+                        (6, 1.5, 1), (5, 2.0, 0.6), (4, 2.0, 1.0), (3, 2.0, 0.8), (9, 2.0, 0.3),
+                        (5, 2.0, 1.25), (8, 2.0, 2.0)):
+        crit = _q_critical(N, p, order)
+        for q in (crit, math.nextafter(crit, 0.0), math.nextafter(crit, math.inf),
+                  0.5 * (p + crit)):
+            yield N, p, order, q
+
+
+@pytest.mark.parametrize("N,p,order,q", list(_exact_match_cases()))
+def test_q_critical_match_is_the_exact_rational_test(N, p, order, q):
+    # the exact match admits q with no warning; the snap tolerance warns
+    exact = Fraction(q) == Fraction(N) * Fraction(p) / (N - Fraction(order) * Fraction(p))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        matched = _q_critical_match(N, p, q, order, _q_critical(N, p, order))
+    assert (matched and not caught) == exact
 
 
 def test_p_equal_N_has_no_critical_exponent():

@@ -76,7 +76,8 @@ def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constan
 def test_derivative_checks_scale_down(suite_constants):
     rep = run_derivative_checks(suite_constants, n_points=500)
     assert rep.passed
-    assert rep.n_cases == 500 * 5 * 2  # points x curve cases x two factors
+    # points x curve cases x two signs, and the five attained optima
+    assert rep.n_cases == 500 * 5 * 2 + 5
 
 
 def test_monotonicity_scan_with_constants(constants_crit5):
