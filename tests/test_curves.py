@@ -65,20 +65,31 @@ def test_g_limits_cases():
     assert hi == 1.0  # critical: mass ratio tends to one under concentration
 
 
-@given(cp=curve_params())
-def test_sign_functions_match_difference_quotients(cp):
-    # f' has the sign of objective_sign and g' that of ratio_sign at t = e^x
+def _assert_sign_matches_slope(sign, cp, mode, t):
+    # sign(log t) and the central difference of the curve in log t agree
     step = 1e-7  # half-width of the stencil in log t
-    for sign, mode in ((objective_sign(cp), "max"), (ratio_sign(cp), "min")):
-        for t in (0.05, 0.4, 1.0, 3.0, 40.0):
-            v, d = sign(math.log(t))
-            if abs(v) <= 2.0 * step * abs(d):
-                continue  # judged from the slope, a root may lie in the stencil
-            slope = float(curve_at_t(cp, mode, t * math.exp(step))
-                          - curve_at_t(cp, mode, t * math.exp(-step)))
-            if abs(slope) < 1e-12 * abs(float(curve_at_t(cp, mode, t))):
-                continue  # within the curve's rounding
-            assert np.sign(v) == np.sign(slope)
+    v, d = sign(math.log(t))
+    if abs(v) <= 2.0 * step * abs(d):
+        return  # judged from the slope, a root may lie in the stencil
+    slope = float(curve_at_t(cp, mode, t * math.exp(step))
+                  - curve_at_t(cp, mode, t * math.exp(-step)))
+    if abs(slope) < 1e-12 * abs(float(curve_at_t(cp, mode, t))):
+        return  # within the curve's rounding
+    assert np.sign(v) == np.sign(slope)
+
+
+@given(cp=curve_params())
+def test_h_factor_sign_matches_difference_quotient(cp):
+    # h is f's slope sign: objective_sign at x = log t
+    for t in (0.05, 0.4, 1.0, 3.0, 40.0):
+        _assert_sign_matches_slope(objective_sign(cp), cp, "max", t)
+
+
+@given(cp=curve_params())
+def test_m_factor_sign_matches_difference_quotient(cp):
+    # m is the slope sign of g, read at t = s / (1 - s) by ratio_sign
+    for s in (0.1, 0.35, 0.6, 0.9):
+        _assert_sign_matches_slope(ratio_sign(cp), cp, "min", s / (1.0 - s))
 
 
 def test_argmax_is_a_sign_change_of_objective_sign():
