@@ -27,7 +27,7 @@ from attainkit import (
     critical_exponent,
     kappa_multiplier,
     resolve_constants,
-    threshold_curve,
+    threshold_alpha,
 )
 
 
@@ -47,7 +47,8 @@ def main(argv=None) -> int:
     C = kappa_multiplier(base, constants)
 
     grid = np.linspace(0.5, q_crit + ns.pad, ns.points)
-    curve = threshold_curve(base, grid, constants)
+    thresholds = [threshold_alpha(dataclasses.replace(base, gamma=float(g)), constants)
+                  for g in grid]
 
     flat = 1.0 / C
     closed_boundary = 2.0 / (q_crit * C)
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
     print(f"# boundary closed form 2/(q_crit*C)  = {closed_boundary:.12g}")
     print(f"{'gamma':>10}  {'threshold':>18}  {'regime note':<28}")
     first_drop = None
-    for g, thr in zip(curve.gammas, curve.thresholds):
+    for g, thr in zip(grid, thresholds):
         if g <= ns.p:
             note = "flat band"
         elif g < q_crit:
@@ -70,9 +71,10 @@ def main(argv=None) -> int:
             note = "past boundary (always attained)"
         print(f"{g:>10.5f}  {thr:>18.12g}  {note:<28}")
 
+    interior = [thr for g, thr in zip(grid, thresholds) if ns.p < g < q_crit]
     print()
     print(f"strictly decreasing on the interior samples: "
-          f"{curve.strictly_decreasing_interior}")
+          f"{bool(interior) and all(b < a for a, b in zip(interior, interior[1:]))}")
     if first_drop is not None:
         print(f"first visible drop below the flat band at gamma = {first_drop:.5f} "
               f"(the true decrease just above gamma = p falls below float "
@@ -81,7 +83,7 @@ def main(argv=None) -> int:
     # spot verdicts either side of the curve at a mid-band gamma
     mid = 0.5 * (ns.p + q_crit)
     pp = ProblemParams.local_critical(N=ns.N, p=ns.p, gamma=mid, alpha=1.0)
-    thr_mid = float(np.interp(mid, curve.gammas, curve.thresholds))
+    thr_mid = float(np.interp(mid, grid, thresholds))
     for mult in (0.5, 2.0):
         v = classify(dataclasses.replace(pp, alpha=mult * thr_mid), constants)
         print(f"gamma={mid:.4f} alpha={mult:.1f}x threshold: attained={v.attained} "
@@ -91,8 +93,8 @@ def main(argv=None) -> int:
         with open(ns.csv, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["gamma", "threshold"])
-            for g, thr in zip(curve.gammas, curve.thresholds):
-                w.writerow([repr(g), repr(thr)])
+            for g, thr in zip(grid, thresholds):
+                w.writerow([repr(float(g)), repr(thr)])
         print(f"wrote {ns.csv}")
     return 0
 

@@ -31,9 +31,8 @@ if _cap:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _cap)
 
-from .classify import (ConstantSet, Reason, ThresholdCurve, Verdict, classify,
-                       kappa_multiplier, resolve_constants, threshold_alpha,
-                       threshold_curve)
+from .classify import (ConstantSet, Reason, Verdict, classify,
+                       kappa_multiplier, resolve_constants, threshold_alpha)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
 from .curves import CurveParams, f_at_log_t, g_at_log_t
@@ -58,7 +57,7 @@ __all__ = [
     "Exponents", "NearCriticalWarning", "NormValue",
     "NormalizationError", "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
-    "SharpConstant", "Tail", "ThresholdCurve", "Verdict",
+    "SharpConstant", "Tail", "Verdict",
     "bubble_norms", "build_truncated", "build_u_star", "build_w_lambda",
     "classify",
     "critical_exponent", "dilate", "evaluate_J",
@@ -71,5 +70,5 @@ __all__ = [
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
     "run_monotonicity_scan", "run_truth_table",
-    "sobolev_constant", "sphere_area", "threshold_alpha", "threshold_curve",
+    "sobolev_constant", "sphere_area", "threshold_alpha",
 ]

@@ -22,8 +22,9 @@ caches its ``Exponents``, the regime with its upper gamma boundary
 the constant once, locates gamma once and builds one ``CurveParams``,
 whose ratio curve gives the threshold (it does not read kappa) and whose
 objective curve gives D.  Which constant a regime reads is decided in one
-table, ``_CONSTANT_FIELD``.  ``threshold_alpha`` is ``classify``'s
-threshold at alpha = 0, so its answer never depends on the weight.
+table, ``_CONSTANT_FIELD``.  ``threshold_alpha`` applies ``classify``'s
+threshold rule to the problem's curve at kappa = 0, so its answer never
+depends on the weight.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _threshold(cp: CurveParams, band: str, params: ProblemParams, C: float) -> f
     """The threshold of the problem ``params``, whose curve is ``cp`` and
     gamma band ``band``; only the ratio curve is read, which does not depend
     on kappa."""
-    if C <= 0:
-        raise ParamError("constants", f"normalizing constant must be positive, got {C}")
+    if not 0 < C < math.inf:
+        raise ParamError("constants", f"normalizing constant must be finite and positive, got {C}")
     if band == "gt_upper":
         return 0.0
     if band == "eq_upper":
@@ -216,12 +217,12 @@ def threshold_alpha(params: ProblemParams,
     above the upper gamma boundary, base/(upper*C) on it, 1/C at or below
     the base exponent in critical regimes); elsewhere the infimum is
     computed numerically.  The result is 0 exactly when every positive
-    weight admits a maximizer.  It is ``classify``'s threshold for the
-    problem at alpha = 0, after ``params`` itself is validated (a negative
-    weight is refused, not replaced).
+    weight admits a maximizer.  It is ``classify``'s threshold rule applied
+    to the curve at kappa = 0: the ratio curve does not read kappa, so the
+    weight never enters (a negative weight is still refused).
     """
-    params.regime()  # validates the problem as given
-    return classify(replace(params, alpha=0.0), constants).threshold
+    C = kappa_multiplier(params, resolve_constants(params, constants))
+    return _threshold(CurveParams.from_problem(params, 0.0), _gamma_band(params), params, C)
 
 
 def _closed_form_d(cp: CurveParams, regime: Regime, band: str,
@@ -301,47 +302,3 @@ def classify(params: ProblemParams,
     if rel_alpha >= 0:
         return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
     return verdict(False, Reason.BELOW_THRESHOLD, cf)
-
-
-@dataclass(frozen=True)
-class ThresholdCurve:
-    """Sampled map gamma -> alpha(gamma) along a sorted grid.
-
-    strictly_decreasing_interior reports whether consecutive samples with
-    both gammas strictly between the base exponent and the upper boundary
-    decreased strictly.
-    """
-
-    gammas: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    strictly_decreasing_interior: bool
-
-
-def threshold_curve(params: ProblemParams, gamma_grid,
-                    constants: ConstantSet | None = None) -> ThresholdCurve:
-    """Evaluate the threshold along a gamma grid and check its shape.
-
-    The threshold is non-increasing in gamma; a violation beyond rounding
-    slack raises ``NumericalError``.  Strict decrease is flagged on the
-    open interval between the base exponent and the upper boundary.
-    """
-    gammas = [float(g) for g in gamma_grid]
-    if not gammas:
-        raise ParamError("gamma_grid", "gamma grid must be non-empty")
-    if any(g <= 0 for g in gammas) or any(b > a for a, b in zip(gammas[1:], gammas)):
-        raise ParamError("gamma_grid", "gamma grid must be sorted and positive")
-    exps = params.exponents
-    constants = resolve_constants(params, constants)
-    values = [threshold_alpha(replace(params, gamma=g), constants) for g in gammas]
-    for (g0, v0), (g1, v1) in zip(zip(gammas, values), zip(gammas[1:], values[1:])):
-        if v1 > v0 + 1e-9 * max(1.0, abs(v0)):
-            raise NumericalError(
-                f"threshold failed to be non-increasing: alpha({g0})={v0} "
-                f"< alpha({g1})={v1}")
-    interior = [(v0, v1) for g0, v0, g1, v1
-                in zip(gammas, values, gammas[1:], values[1:])
-                if params.p < g0 and g1 < exps.gamma_crit]
-    strict = bool(interior) and all(v1 < v0 for v0, v1 in interior)
-    return ThresholdCurve(
-        gammas=tuple(gammas), thresholds=tuple(values),
-        strictly_decreasing_interior=strict)

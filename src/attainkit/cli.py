@@ -270,8 +270,10 @@ def _cmd_curve(ns) -> int:
     cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
     t = np.geomspace(1e-4, 1e4, ns.grid)
     x = np.log(t)
-    columns = {"t": t.tolist(), "s": (t / (1.0 + t)).tolist(),
-               "f": f_at_log_t(cp, x).tolist(), "g": g_at_log_t(cp, x).tolist()}
+    # a curve beyond the double range prints as inf, which is its honest value
+    with np.errstate(over="ignore"):
+        columns = {"t": t.tolist(), "s": (t / (1.0 + t)).tolist(),
+                   "f": f_at_log_t(cp, x).tolist(), "g": g_at_log_t(cp, x).tolist()}
     # -1, 0 or 1: the signs of f' and g' as the optimizer reads them
     for name, sign in (("f_slope_sign", objective_sign(cp)), ("g_slope_sign", ratio_sign(cp))):
         columns[name] = [(v > 0.0) - (v < 0.0) for v, _ in map(sign, x.tolist())]

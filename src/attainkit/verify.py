@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
-                       resolve_constants, threshold_alpha, threshold_curve)
+                       resolve_constants, threshold_alpha)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t
 from .errors import (DivergentNormError, NormalizationError, NumericalError,
@@ -379,8 +379,7 @@ def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
     C = kappa_multiplier(base, constants)
     pstar = critical_exponent(5, 2.0)
     grid = np.linspace(0.5, pstar, 200)
-    curve = threshold_curve(base, grid, constants=constants)
-    thr = np.asarray(curve.thresholds)
+    thr = np.array([threshold_alpha(replace(base, gamma=float(g)), constants) for g in grid])
 
     violations: list[float] = []
     details: list[str] = []
@@ -409,7 +408,7 @@ def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
     thr_p = threshold_alpha(ProblemParams.local_critical(N=5, p=2.0, gamma=2.0, alpha=1.0),
                             constants)
     end_p = abs(thr_p - 1.0 / C) / (1.0 / C)
-    thr_star = curve.thresholds[-1]  # np.linspace ends the grid on pstar exactly
+    thr_star = thr[-1]  # np.linspace ends the grid on pstar exactly
     closed_star = 2.0 / (pstar * C)
     end_star = abs(thr_star - closed_star) / closed_star
     violations += [end_p - 1e-6, end_star - 1e-6]

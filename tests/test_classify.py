@@ -22,7 +22,6 @@ from attainkit import (
     maximize_halfline,
     resolve_constants,
     threshold_alpha,
-    threshold_curve,
 )
 
 P_STAR_5 = 10.0 / 3.0
@@ -247,6 +246,16 @@ def test_threshold_alpha_does_not_read_the_weight():
     assert err.value.code == "alpha"
 
 
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_threshold_and_verdict_refuse_a_degenerate_constant(value):
+    cset = ConstantSet(fractional=ak.SharpConstant(
+        value=value, method="user-input", err_bound=0.0, meta={}))
+    pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=1.0)
+    for solve in (threshold_alpha, classify):
+        with pytest.raises(ParamError):
+            solve(pp, cset)
+
+
 def test_energy_space_obstruction_beats_everything(constants_crit3):
     for alpha in (2.0, 0.0):
         pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=alpha)
@@ -290,12 +299,13 @@ def test_d_value_matches_direct_optimization(crit5, constants_crit5):
 
 def test_threshold_curve_monotone(crit5, constants_crit5):
     grid = np.linspace(0.5, 3.5, 60)
-    tc = threshold_curve(crit5, grid, constants_crit5)
-    assert list(tc.gammas) == sorted(tc.gammas)
-    diffs = np.diff(np.asarray(tc.thresholds))
-    assert np.all(diffs <= 0.0)
-    assert tc.thresholds[-1] == 0.0  # beyond the upper boundary
-    assert tc.strictly_decreasing_interior
+    thr = np.array([threshold_alpha(dataclasses.replace(crit5, gamma=float(g)), constants_crit5)
+                    for g in grid])
+    assert np.all(np.diff(thr) <= 0.0)
+    assert thr[-1] == 0.0  # beyond the upper boundary
+    # strictly decreasing between the base exponent and the upper boundary
+    interior = (grid > crit5.p) & (grid < crit5.exponents.gamma_crit)
+    assert np.all(np.diff(thr[interior]) < 0.0)
 
 
 def test_resolve_constants_fills_only_whats_needed(crit5, constants_crit5):

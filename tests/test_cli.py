@@ -159,6 +159,15 @@ def test_curve_csv_shape(capsys):
     assert "\r" not in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_curve_beyond_the_double_range_prints_inf_without_warning(capsys):
+    code, out, err = run_cli(capsys, "curve", "--N", "5", "--p", "2", "--q", "critical",
+                             "--gamma", "0.01", "--alpha", "1", "--grid", "8", "--csv")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.split("\n")[1:4]]
+    assert [row[3] for row in rows] == ["inf"] * 3
+
+
 def test_sweep_csv_contract(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--N", "5", "--p", "2", "--q", "critical",
                            "--alpha", "100", "--gamma-range", "2.0:3.5:0.5", "--csv")

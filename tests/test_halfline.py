@@ -235,6 +235,20 @@ def test_objective_sign_matches_the_naive_form(cp):
         assert G(x)[0] == pytest.approx(float(_G(cp, x)), rel=0, abs=1e-13 * scale)
 
 
+@given(cp=curve_params(), x=st.floats(-30.0, 30.0))
+def test_sign_function_slopes_match_their_values(cp, x):
+    # Newton's steps read the slopes, so each is the derivative of its value
+    x_max = math.inf if cp.is_critical else math.log(cp.c / (cp.b - cp.c))
+    h = 1e-5 * max(1.0, abs(x))
+    for sign, x_hi in ((objective_sign(cp), x_max - 1e-2), (ratio_sign(cp), math.inf)):
+        if x > x_hi:
+            continue
+        (v, d), left, right = sign(x), sign(x - h)[0], sign(x + h)[0]
+        if not all(map(math.isfinite, (v, left, right))):
+            continue
+        assert (right - left) / (2.0 * h) == pytest.approx(d, rel=0, abs=1e-5 * max(1.0, abs(d)))
+
+
 @given(cp=curve_params())
 def test_sign_functions_are_total(cp):
     G, F = objective_sign(cp), ratio_sign(cp)

@@ -85,6 +85,19 @@ def test_monotonicity_scan_with_constants(constants_crit5):
     assert rep.passed
 
 
+def test_monotonicity_scan_reports_an_increase(constants_crit5, monkeypatch):
+    threshold_alpha = verify.threshold_alpha
+
+    def bumped(params, constants):
+        thr = threshold_alpha(params, constants)
+        return 1.5 * thr if 2.6 < params.gamma < 2.7 else thr
+
+    monkeypatch.setattr(verify, "threshold_alpha", bumped)
+    rep = run_monotonicity_scan(constants_crit5)
+    assert rep.passed is False
+    assert rep.worst_violation > 0.0
+
+
 def test_from_violations_empty_list_passes():
     rep = CheckReport.from_violations(
         name="empty", violations=[], n_cases=0, details=["nothing to check"])
