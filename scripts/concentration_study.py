@@ -4,8 +4,9 @@
 Two experiments side by side:
 
 1. A family where the supremum IS attained (5-d, coupling above the base
-   exponent, weight above threshold): the optimally dilated bubble profile
-   evaluates to D on the nose.
+   exponent, weight above threshold): the optimally dilated bubble profile,
+   built at the curve maximizer and integrated once, evaluates to D on the
+   nose.
 
 2. A family where it is NOT (3-d: the optimal bubble has divergent mass, so
    no admissible maximizer exists): compactly supported truncations, each
@@ -33,7 +34,6 @@ from attainkit import (
     build_truncated,
     build_w_lambda,
     classify,
-    evaluate_J,
     extremal_in_energy_space,
     f_at_log_t,
     kappa_multiplier,
@@ -51,10 +51,10 @@ def attained_case() -> None:
     constants = resolve_constants(pp)
     v = classify(pp, constants)
     star_norms = bubble_norms(5, 2.0, pp.q)
-    log_lam = log_lambda(v.log_t_star, star_norms, pp.gamma, 5)
-    lam = math.exp(log_lam)
-    w = build_w_lambda(5, 2.0, lam, pp.gamma, u_norms=star_norms)
-    J = evaluate_J(w, pp)
+    lam = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, 5))
+    w = build_w_lambda(5, 2.0, pp.gamma, star_norms, log_t=v.log_t_star)
+    # w has unit combined norm, so J(w) is its own orbit curve at its own t
+    J = f_at_log_t(*orbit_curve(norms(w, 2.0, pp.q), pp))
     print("attained case: N=5 p=2 gamma=2.2 alpha=180")
     print(f"  verdict: attained={v.attained} ({v.reason.value}), "
           f"D={v.D:.12g}, t*={v.t_star:.6g}")

@@ -36,8 +36,8 @@ from .classify import (ConstantSet, Reason, Verdict, classify,
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant, sphere_area)
 from .curves import CurveParams, f_at_log_t, g_at_log_t
-from .errors import (DivergentNormError, NearCriticalWarning,
-                     NormalizationError, NumericalError, ParamError)
+from .errors import (DivergentNormError, NearCriticalWarning, NumericalError,
+                     ParamError)
 from .halfline import OptResult, maximize_halfline, minimize_halfline
 from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      extremal_in_energy_space, fractional_critical_exponent,
@@ -45,8 +45,7 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, bubble_norms,
                        build_truncated, build_u_star, build_w_lambda, dilate,
-                       evaluate_J, log_lambda, norms, orbit_curve,
-                       random_profiles)
+                       log_lambda, norms, orbit_curve, random_profiles)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 
@@ -55,12 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport", "ConstantSet", "CurveParams", "DivergentNormError",
     "Exponents", "NearCriticalWarning", "NormValue",
-    "NormalizationError", "Norms", "NumericalError", "OptResult",
+    "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
     "SharpConstant", "Tail", "Verdict",
     "bubble_norms", "build_truncated", "build_u_star", "build_w_lambda",
     "classify",
-    "critical_exponent", "dilate", "evaluate_J",
+    "critical_exponent", "dilate",
     "extremal_in_energy_space", "f_at_log_t",
     "fractional_constant", "fractional_critical_exponent",
     "fractional_gamma_threshold_exponent", "g_at_log_t",

@@ -206,7 +206,12 @@ def _threshold(cp: CurveParams, band: str, params: ProblemParams, C: float) -> f
     opt = minimize_halfline(cp)
     if not math.isfinite(opt.value) or opt.value <= 0:
         raise NumericalError(f"ratio-curve infimum came out {opt.value}")
-    return opt.value / C
+    threshold = opt.value / C
+    if threshold == math.inf:
+        log10_thr = math.log10(opt.value) - math.log10(C)
+        raise NumericalError("threshold = inf g / C leaves the double range: "
+                             f"log10 threshold = {log10_thr!r}")
+    return threshold
 
 
 def threshold_alpha(params: ProblemParams,

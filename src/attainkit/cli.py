@@ -9,8 +9,9 @@ parameters or usage, 2 numerical failure, 3 failed verification.
 ``maximizer`` takes the optimal bubble u*'s norms in closed form
 (``profiles.bubble_norms``).  Its J_check is the objective curve with u*'s
 own quotient Q(u*) in place of C (the dilation identity,
-``profiles.orbit_curve``), and its profile table is computed in logs; it
-exits 2 when the table's radii or values leave the double range.
+``profiles.orbit_curve``), and its profile table is ``build_w_lambda``'s
+normalized dilation; it exits 2 when the table's radii or values leave the
+double range.
 
 JSON is written in ``json.dumps(..., indent=2, ensure_ascii=False)``'s
 layout by ``to_json``, which joins each all-float list in one pass.
@@ -36,11 +37,10 @@ from .classify import (ConstantSet, classify, kappa_multiplier,
                        resolve_constants)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t, t_from_log
-from .errors import (DivergentNormError, NormalizationError, NumericalError,
-                     ParamError)
+from .errors import DivergentNormError, NumericalError, ParamError
 from .halfline import objective_sign, ratio_sign
 from .params import ProblemParams, Regime
-from .profiles import bubble_norms, build_u_star, log_lambda, orbit_curve
+from .profiles import bubble_norms, build_w_lambda, log_lambda, orbit_curve
 from .verify import run_all
 
 SCHEMA = "attain-kit/1"
@@ -314,9 +314,7 @@ def _cmd_maximizer(ns) -> int:
     r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
     if 1e-6 < r_max < math.inf:
         r = np.geomspace(1e-6, r_max, 512)
-        # lambda^(1/p) u*(lambda^(1/N) r) over its combined norm |u*|_p (1+t*)^(1/gamma)
-        log_amp = log_lam / p - math.log(nm.lp.value) - np.logaddexp(0.0, log_t) / gamma
-        u = (t_from_log(log_amp) or 0.0) * build_u_star(N, p).fn(math.exp(log_lam / N) * r)
+        u = build_w_lambda(N, p, gamma, nm, log_t=log_t).fn(r)
     if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
         raise NumericalError(
             f"the maximizer needs log lambda = {log_lam!r}, where its profile "
@@ -485,7 +483,7 @@ def main(argv=None) -> int:
     except ParamError as exc:
         sys.stderr.write(f"validation error ({exc.code}): {exc}\n")
         return EXIT_VALIDATION
-    except (NumericalError, DivergentNormError, NormalizationError) as exc:
+    except (NumericalError, DivergentNormError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

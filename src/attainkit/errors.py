@@ -27,9 +27,5 @@ class DivergentNormError(ArithmeticError):
         self.norm = norm
 
 
-class NormalizationError(ValueError):
-    """A profile that must lie on the unit sphere of the energy norm does not."""
-
-
 class NearCriticalWarning(UserWarning):
     """q is within floating-point tolerance of the critical exponent."""

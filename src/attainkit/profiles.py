@@ -5,8 +5,8 @@ its dilations, its truncations, and random trial functions.  Each one is
 its two closed-form callables, u and u', plus an exact tail description;
 nothing is stored on a grid.  This module computes the three norms every
 evaluation needs by composite Simpson quadrature in log-radius with
-analytic head and tail corrections, and evaluates the constrained
-functional J on normalized profiles.
+analytic head and tail corrections, and turns them into the constrained
+functional J on the profile's normalized dilation orbit (``orbit_curve``).
 
 Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr:
 
@@ -43,12 +43,8 @@ import numpy as np
 
 from .constants import sphere_area
 from .curves import CurveParams
-from .errors import DivergentNormError, NormalizationError, NumericalError, ParamError
+from .errors import DivergentNormError, NumericalError, ParamError
 from .params import ProblemParams
-
-#: |W-norm - 1| allowed before J evaluation refuses a profile
-NORMALIZATION_TOL = 1e-6
-
 
 # quadrature grid: log-spaced body from _R_MIN at a fixed density per decade
 _R_MIN = 1e-6
@@ -113,10 +109,6 @@ class Norms:
     lp: NormValue
     grad_lp: NormValue
     lq: NormValue
-
-    def w_norm(self, gamma: float) -> float:
-        """Combined norm (grad^gamma + mass^gamma)^(1/gamma)."""
-        return (self.grad_lp.value ** gamma + self.lp.value ** gamma) ** (1.0 / gamma)
 
 
 # -- evaluation helpers ---------------------------------------------------
@@ -254,17 +246,8 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
     return Norms(**out)
 
 
-def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
-    """Mass-preserving dilation u -> lam^(1/p) u(lam^(1/N) r).
-
-    Leaves the p-th mass norm invariant, multiplies the gradient norm by
-    lam^(1/N), and multiplies the q-th power of the q-norm by
-    lam^(q/p - 1).
-    """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ParamError("lambda", f"dilation parameter must be positive, got {lam}")
-    amp = lam ** (1.0 / p)
-    scale = lam ** (1.0 / profile.N)
+def _rescaled(profile: RadialProfile, amp: float, scale: float) -> RadialProfile:
+    """u -> amp * u(scale * r), with a compact support shrunk by scale."""
     base_fn, base_dfn = profile.fn, profile.dfn
 
     def fn(r):
@@ -279,28 +262,38 @@ def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
     return RadialProfile(N=profile.N, tail=tail, fn=fn, dfn=dfn)
 
 
-def _scale_amplitude(profile: RadialProfile, factor: float) -> RadialProfile:
-    """The profile multiplied pointwise by a positive constant."""
-    if not (factor > 0 and math.isfinite(factor)):
-        raise ParamError("factor", f"need a positive finite factor, got {factor}")
-    base_fn, base_dfn = profile.fn, profile.dfn
-    return RadialProfile(N=profile.N, tail=profile.tail,
-                         fn=lambda r: factor * base_fn(r),
-                         dfn=lambda r: factor * base_dfn(r))
+def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
+    """Mass-preserving dilation u -> lam^(1/p) u(lam^(1/N) r).
 
-
-def build_w_lambda(N: int, p: float, lam: float, gamma: float,
-                   u_norms: Norms) -> RadialProfile:
-    """The normalized dilated bubble: unit combined norm by construction.
-
-    Dilates the optimal bubble by lam and divides by its combined norm,
-    formed from the bubble's own norms ``u_norms`` by the laws stated in
-    ``dilate``.  Those norms exist only when p*p < N.
+    Leaves the p-th mass norm invariant, multiplies the gradient norm by
+    lam^(1/N), and multiplies the q-th power of the q-norm by
+    lam^(q/p - 1).
     """
-    star = build_u_star(N, p)
-    z = (u_norms.lp.value ** gamma
-         + lam ** (gamma / N) * u_norms.grad_lp.value ** gamma) ** (1.0 / gamma)
-    return _scale_amplitude(dilate(star, lam, p), 1.0 / z)
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ParamError("lambda", f"dilation parameter must be positive, got {lam}")
+    return _rescaled(profile, lam ** (1.0 / p), lam ** (1.0 / profile.N))
+
+
+def build_w_lambda(N: int, p: float, gamma: float, u_norms: Norms, *,
+                   log_t: float) -> RadialProfile:
+    """The optimal bubble's normalized dilation at the curve point log t, as
+    ``classify`` returns ``log_t_star``.
+
+    With lam from ``log_lambda``, it is lam^(1/p) u*(lam^(1/N) r) over its
+    combined norm |u*|_p (1 + t)^(1/gamma) (the laws stated in ``dilate``),
+    formed in logs from the bubble's norms ``u_norms``, which exist only
+    when p*p < N.  Its J is the curve of ``orbit_curve(u_norms, params)`` at
+    log t.  An amplitude below the double range rounds to 0; one above it
+    is a ``NumericalError``.
+    """
+    log_lam = log_lambda(log_t, u_norms, gamma, N)
+    log_amp = log_lam / p - math.log(u_norms.lp.value) - np.logaddexp(0.0, log_t) / gamma
+    try:
+        amp, scale = math.exp(log_amp), math.exp(log_lam / N)
+    except OverflowError:
+        raise NumericalError(f"the normalized dilation at log lambda = {log_lam!r} "
+                             "leaves the double range") from None
+    return _rescaled(build_u_star(N, p), amp, scale)
 
 
 def log_lambda(log_t_star: float, u_norms: Norms, gamma: float, N: int) -> float:
@@ -374,19 +367,6 @@ def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
         log10_q = gc * math.log10(lq / grad) + (q - gc) * math.log10(lq / lp)
         raise NumericalError(f"Q(u) leaves the double range: log10 Q = {log10_q!r}")
     return CurveParams.from_problem(params, quotient), params.gamma * math.log(grad / lp)
-
-
-def evaluate_J(profile: RadialProfile, params: ProblemParams) -> float:
-    """Constrained objective mass^p + alpha * qnorm^q of a normalized profile."""
-    if params.is_fractional:
-        raise ParamError("params", "profile quadrature covers the local regimes only")
-    nm = norms(profile, params.p, params.q)
-    w = nm.w_norm(params.gamma)
-    if abs(w - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"profile is not normalized: combined norm {w!r} differs from 1 "
-            f"by more than {NORMALIZATION_TOL}")
-    return nm.lp.value ** params.p + params.alpha * nm.lq.value ** params.q
 
 
 # -- random trial profiles ------------------------------------------------

@@ -36,13 +36,12 @@ from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
                        resolve_constants, threshold_alpha)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t
-from .errors import (DivergentNormError, NormalizationError, NumericalError,
-                     ParamError)
+from .errors import DivergentNormError, NumericalError, ParamError
 from .halfline import (maximize_halfline, minimize_halfline, objective_sign,
                        ratio_sign)
 from .params import ProblemParams, critical_exponent
-from .profiles import (bubble_norms, build_truncated, build_w_lambda,
-                       evaluate_J, norms, orbit_curve, random_profiles)
+from .profiles import (bubble_norms, build_truncated, build_u_star, dilate, norms,
+                       orbit_curve, random_profiles)
 
 #: fractional smoothing constant used by the default truth-table cells;
 #: an arbitrary positive user-supplied value (the checks only use ratios).
@@ -204,8 +203,7 @@ def run_truth_table(constants: dict[str, ConstantSet]) -> CheckReport:
     for label, params, cset, want_attained, want_reason, want_d in cells:
         try:
             v = classify(params, constants=cset)
-        except (ParamError, NumericalError, DivergentNormError,
-                NormalizationError) as exc:
+        except (ParamError, NumericalError, DivergentNormError) as exc:
             mismatches.append(f"{label}: raised {type(exc).__name__}: {exc}")
             continue
         problems = []
@@ -243,10 +241,11 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
       supremum, increasing in the truncation radius, final relative gap
       below 1e-2.
 
-    Random and truncated profiles are integrated once (``orbit_curve``);
-    the bubble family tests that identity by quadrature of explicitly
-    dilated profiles, normalized by the bubble's closed-form norms
-    (``bubble_norms``).
+    Every part reads J from ``orbit_curve``, one quadrature per profile.
+    The bubble family integrates each explicit dilation (``dilate``) and
+    compares it with the sharp-constant curve at the bubble's closed-form
+    log t (``bubble_norms``) moved by gamma/N log lam, so it checks the
+    dilation laws and Q(u*) = C by quadrature.
     """
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
     cp = CurveParams.from_problem(params, kappa_multiplier(params, constants["critical"]))
@@ -264,13 +263,12 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
-    star_norms = bubble_norms(N, p, q)
-    _, log_ratio = orbit_curve(star_norms, params)
+    star = build_u_star(N, p)
+    _, log_ratio = orbit_curve(bubble_norms(N, p, q), params)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)
     for lam in lams:
-        w = build_w_lambda(N, p, float(lam), gamma, u_norms=star_norms)
-        j = evaluate_J(w, params)
+        j = f_at_log_t(*orbit_curve(norms(dilate(star, float(lam), p), p, q), params))
         f = f_at_log_t(cp, gamma / N * math.log(lam) + log_ratio)
         worst_family = max(worst_family, abs(j - f) / max(1.0, abs(f)))
     violations.append(worst_family - 1e-6)

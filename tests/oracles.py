@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Five oracles, all methodologically independent of the library code:
+Six oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -17,6 +17,9 @@ Five oracles, all methodologically independent of the library code:
   reference for the optimizer's safeguarded Newton;
 * each family's own closed forms for the upper gamma boundary and the
   bubble's finite energy, which the library derives from one rule.
+* J of a profile over its combined norm, read straight off its three
+  quadrature norms, the reference for the dilation identity the library
+  evaluates J by (``j_oracle``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -36,6 +39,7 @@ from scipy.special import beta as beta_fn
 from attainkit.curves import CurveParams, f_limits, g_limits
 from attainkit.errors import NumericalError
 from attainkit.halfline import OptResult
+from attainkit.profiles import norms
 
 #: frozen outputs of shooting_oracle_2_2_4 (LSODA, rtol 1e-12, atol 1e-14),
 #: recorded once so every later run can cross-check determinism
@@ -97,6 +101,19 @@ def bubble_grad_moment_oracle(N: int, p: float) -> float:
     a = (N + (pp - 1.0) * p) / pp
     k = ((N - p) / p + 1.0) * p
     return slope ** p * float(beta_fn(a, k - a)) / pp
+
+
+def combined_norm_oracle(nm, gamma: float) -> float:
+    """(|grad u|_p^gamma + |u|_p^gamma)^(1/gamma) of the norms ``nm``."""
+    return (nm.grad_lp.value ** gamma + nm.lp.value ** gamma) ** (1.0 / gamma)
+
+
+def j_oracle(profile, params) -> float:
+    """J(u / z) = (|u|_p / z)^p + alpha (|u|_q / z)^q, z the combined norm,
+    from the profile's quadrature norms."""
+    nm = norms(profile, params.p, params.q)
+    z = combined_norm_oracle(nm, params.gamma)
+    return (nm.lp.value / z) ** params.p + params.alpha * (nm.lq.value / z) ** params.q
 
 
 def local_gamma_crit_oracle(N: int, p: float, q: float, critical: bool) -> float:

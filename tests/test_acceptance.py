@@ -19,11 +19,9 @@ from attainkit import (
     build_truncated,
     build_u_star,
     build_w_lambda,
-    evaluate_J,
     f_at_log_t,
     gns_constant_estimate,
     kappa_multiplier,
-    log_lambda,
     maximize_halfline,
     minimize_halfline,
     norms,
@@ -35,7 +33,7 @@ from attainkit import (
     sobolev_constant,
 )
 from attainkit.curves import f_limits
-from oracles import (FROZEN_SOBOLEV_50_DIGITS, curve_at_t, grid_oracle,
+from oracles import (FROZEN_SOBOLEV_50_DIGITS, curve_at_t, grid_oracle, j_oracle,
                      shooting_oracle_2_2_4, sobolev_constant_oracle)
 
 N5 = 5
@@ -225,14 +223,14 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
     ratio = (star_norms.grad_lp.value / star_norms.lp.value) ** pp.gamma
     worst_fam = 0.0
     for lam in np.geomspace(1e-3, 1e3, 50):
-        w = build_w_lambda(N5, P2, float(lam), pp.gamma, u_norms=star_norms)
-        f = float(curve_at_t(cp, "max", float(lam) ** (pp.gamma / N5) * ratio))
-        worst_fam = max(worst_fam, abs(evaluate_J(w, pp) - f) / abs(f))
+        t = float(lam) ** (pp.gamma / N5) * ratio
+        w = build_w_lambda(N5, P2, pp.gamma, star_norms, log_t=math.log(t))
+        f = float(curve_at_t(cp, "max", t))
+        worst_fam = max(worst_fam, abs(j_oracle(w, pp) - f) / abs(f))
 
     v = ak.classify(pp, constants_crit5)
-    log_lam = log_lambda(v.log_t_star, star_norms, pp.gamma, N5)
-    w_star = build_w_lambda(N5, P2, math.exp(log_lam), pp.gamma, u_norms=star_norms)
-    gap_at_star = abs(evaluate_J(w_star, pp) - v.D) / v.D
+    w_star = build_w_lambda(N5, P2, pp.gamma, star_norms, log_t=v.log_t_star)
+    gap_at_star = abs(j_oracle(w_star, pp) - v.D) / v.D
 
     dt = time.time() - t0
     ok = (worst_env <= 1e-8 and worst_fam <= 1e-6 and v.attained

@@ -221,6 +221,16 @@ def test_sobolev_power_beyond_the_double_range_is_a_numerical_error():
         classify(pp)
 
 
+def test_threshold_beyond_the_double_range_is_a_numerical_error(sub224, constants_sub224):
+    # inf g is finite at gamma = 2^-8, but inf g / B(2,2,4) is no double; the
+    # threshold once came out inf, and classify then called alpha = 1 a tie
+    pp = dataclasses.replace(sub224, gamma=2.0 ** -8)
+    with pytest.raises(NumericalError, match=r"log10 threshold = 309\.02"):
+        threshold_alpha(pp, constants_sub224)
+    with pytest.raises(NumericalError, match=r"log10 threshold = 309\.02"):
+        classify(pp, constants_sub224)
+
+
 def test_kappa_beyond_the_double_range_is_a_numerical_error():
     # alpha and C are each valid; their product alpha * C = 1e310 is not a double
     cset = ConstantSet(fractional=fractional_constant(1e10))

@@ -312,6 +312,15 @@ def test_maximizer_j_check_is_the_curve_at_its_own_quotient(capsys):
         assert abs(doc["J_check"] / doc["D"] - 1.0) <= 1e-12, (N, p)
 
 
+def test_classify_threshold_overflow_exits_2(capsys):
+    code, out, err = run_cli(capsys, "classify", "--N", "2", "--p", "2", "--q", "4",
+                             "--gamma", "0.00390625", "--alpha", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: threshold = inf g / C leaves the double "
+                          "range: log10 threshold = 309.02")
+
+
 def test_classify_sobolev_power_overflow_exits_2(capsys):
     code, out, err = run_cli(capsys, "classify", "--N", "7", "--p", "6.894565257874503",
                              "--q", "critical", "--gamma", "828.9233299212391",

@@ -11,7 +11,6 @@ import attainkit as ak
 from attainkit import (
     CurveParams,
     DivergentNormError,
-    NormalizationError,
     Norms,
     NormValue,
     NumericalError,
@@ -23,15 +22,14 @@ from attainkit import (
     build_u_star,
     build_w_lambda,
     dilate,
-    evaluate_J,
     log_lambda,
     norms,
     orbit_curve,
     random_profiles,
 )
-from attainkit.profiles import _scale_amplitude, _smoothstep_cutoff, _smoothstep_cutoff_deriv
-from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle, curve_at_t,
-                     sphere_area_oracle)
+from attainkit.profiles import _smoothstep_cutoff, _smoothstep_cutoff_deriv
+from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle,
+                     combined_norm_oracle, curve_at_t, j_oracle, sphere_area_oracle)
 
 N5 = 5
 P2 = 2.0
@@ -117,12 +115,34 @@ def test_dilation_identities(star5, star5_norms, lam):
     assert got.lq.value ** Q_CRIT5 == pytest.approx(want_lq_q, rel=1e-10)
 
 
+def _log_t(lam, gamma, nm):
+    """The curve point of the bubble's lam-dilation: log of
+    lam^(gamma/N) (|grad u*|_p / |u*|_p)^gamma."""
+    return gamma / N5 * math.log(lam) + gamma * math.log(nm.grad_lp.value / nm.lp.value)
+
+
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 42.0, 1e6])
 def test_w_lambda_has_unit_constraint_norm(star5_norms, lam):
     gamma = 2.5
-    w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
+    w = build_w_lambda(N5, P2, gamma, star5_norms, log_t=_log_t(lam, gamma, star5_norms))
     got = norms(w, p=P2, q=Q_CRIT5)
-    assert got.w_norm(gamma) == pytest.approx(1.0, rel=1e-12)
+    assert combined_norm_oracle(got, gamma) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_w_lambda_takes_its_curve_point_by_keyword(star5, star5_norms):
+    with pytest.raises(TypeError):  # the old (N, p, lam, gamma) order
+        build_w_lambda(N5, P2, 42.0, 2.5, u_norms=star5_norms)
+    # at t = 1 it is the bubble itself over |u*|_p 2^(1/gamma)
+    log_t = 0.0
+    w = build_w_lambda(N5, P2, 2.5, star5_norms, log_t=log_t)
+    lam = math.exp(log_lambda(log_t, star5_norms, 2.5, N5))
+    r = np.geomspace(1e-3, 1e3, 7)
+    want = dilate(star5, lam, P2).fn(r) / (star5_norms.lp.value * 2.0 ** (1.0 / 2.5))
+    np.testing.assert_allclose(w.fn(r), want, rtol=1e-13)
+    # an amplitude below the double range rounds to 0, one above it is refused
+    assert not np.any(build_w_lambda(N5, P2, 2.5, star5_norms, log_t=-3000.0).fn(r))
+    with pytest.raises(NumericalError, match="log lambda"):
+        build_w_lambda(N5, P2, 2.5, star5_norms, log_t=3000.0)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 42.0, 1e6])
@@ -130,9 +150,9 @@ def test_w_lambda_objective_equals_curve_value(crit5, constants_crit5, star5_nor
     gamma = crit5.gamma
     C = ak.kappa_multiplier(crit5, constants_crit5)
     cp = CurveParams.from_problem(crit5, C)
-    w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
+    w = build_w_lambda(N5, P2, gamma, star5_norms, log_t=_log_t(lam, gamma, star5_norms))
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
-    J = evaluate_J(w, crit5)
+    J = j_oracle(w, crit5)
     # the constrained objective along the dilation path is exactly the
     # one-dimensional objective curve
     assert J == pytest.approx(float(curve_at_t(cp, "max", t)), rel=1e-12)
@@ -143,7 +163,7 @@ def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norm
     C = ak.kappa_multiplier(crit5, constants_crit5)
     cp = CurveParams.from_problem(crit5, C)
     lam = 7.5
-    w = build_w_lambda(N5, P2, lam, gamma, u_norms=star5_norms)
+    w = build_w_lambda(N5, P2, gamma, star5_norms, log_t=_log_t(lam, gamma, star5_norms))
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
     nm = norms(w, p=P2, q=crit5.q)
     # the threshold quotient (1 - mass^p) / qnorm^q of the normalized profile, times C
@@ -155,9 +175,8 @@ def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
     v = ak.classify(pp, constants_crit5)
     assert v.attained
-    log_lam = log_lambda(v.log_t_star, star5_norms, pp.gamma, N5)
-    w = build_w_lambda(N5, P2, math.exp(log_lam), pp.gamma, u_norms=star5_norms)
-    assert evaluate_J(w, pp) == pytest.approx(v.D, rel=1e-9)
+    w = build_w_lambda(N5, P2, pp.gamma, star5_norms, log_t=v.log_t_star)
+    assert j_oracle(w, pp) == pytest.approx(v.D, rel=1e-9)
 
 
 def test_lambda_tstar_roundtrip(star5_norms):
@@ -224,12 +243,6 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     assert opt.value - vals[-1] < 1e-2 * opt.value
 
 
-def _normalized_dilation(profile, lam, p, q, gamma):
-    """The lam-dilation of a profile over its own quadrature combined norm."""
-    moved = dilate(profile, lam, p)
-    return _scale_amplitude(moved, 1.0 / norms(moved, p, q).w_norm(gamma))
-
-
 ORBIT_CASES = {
     "random N=5 critical": (lambda: random_profiles(1, N=5, seed=3)[0],
                             ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)),
@@ -246,9 +259,8 @@ def test_orbit_curve_is_J_on_the_normalized_dilations(case, lam, rel):
     build, pp = ORBIT_CASES[case]
     prof = build()
     cp_u, log_t = orbit_curve(norms(prof, pp.p, pp.q), pp)
-    w = _normalized_dilation(prof, lam, pp.p, pp.q, pp.gamma)
     want = ak.f_at_log_t(cp_u, log_t + pp.gamma / pp.N * math.log(lam))
-    assert evaluate_J(w, pp) == pytest.approx(want, rel=rel)
+    assert j_oracle(dilate(prof, lam, pp.p), pp) == pytest.approx(want, rel=rel)
 
 
 def test_orbit_curve_quotient_is_invariant_and_sharp(crit5, constants_crit5, star5_norms):
@@ -258,8 +270,10 @@ def test_orbit_curve_quotient_is_invariant_and_sharp(crit5, constants_crit5, sta
     assert cp_star.kappa == pytest.approx(crit5.alpha * C, rel=1e-10)
     # any other profile sits strictly below, at every amplitude and dilation
     prof = random_profiles(1, N=N5, seed=3)[0]
+    louder = dataclasses.replace(prof, fn=lambda r: 3.7 * prof.fn(r),
+                                 dfn=lambda r: 3.7 * prof.dfn(r))
     kappas = [orbit_curve(norms(v, P2, Q_CRIT5), crit5)[0].kappa
-              for v in (prof, _scale_amplitude(prof, 3.7), dilate(prof, 42.0, P2))]
+              for v in (prof, louder, dilate(prof, 42.0, P2))]
     assert kappas == pytest.approx([kappas[0]] * 3, rel=1e-10)
     assert kappas[0] < crit5.alpha * C
 
@@ -276,18 +290,6 @@ def test_orbit_curve_quotient_beyond_the_double_range_is_numerical(crit5):
                lq=NormValue(1.0, 0.0))
     with pytest.raises(NumericalError, match="log10 Q = 666.6"):
         orbit_curve(nm, crit5)
-
-
-def test_evaluate_j_requires_normalization(star5, crit5):
-    with pytest.raises(NormalizationError):
-        evaluate_J(star5, crit5)  # the raw bubble is far from unit constraint norm
-
-
-def test_evaluate_j_rejects_fractional_params(star5_norms):
-    pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=1.0, alpha=1.0)
-    w = build_w_lambda(N5, P2, 1.0, 1.0, u_norms=star5_norms)  # unit norm at gamma = 1
-    with pytest.raises(ParamError):
-        evaluate_J(w, pp)
 
 
 def test_random_profiles_deterministic_and_nonnegative():
@@ -307,9 +309,8 @@ def test_random_profiles_envelope(crit5, constants_crit5):
     cp = CurveParams.from_problem(crit5, C)
     for prof in random_profiles(20, N=N5, seed=7):
         nm = norms(prof, p=P2, q=Q_CRIT5)
-        w = _scale_amplitude(prof, 1.0 / nm.w_norm(crit5.gamma))
         t = (nm.grad_lp.value / nm.lp.value) ** crit5.gamma
-        assert evaluate_J(w, crit5) <= float(curve_at_t(cp, "max", t)) + 1e-8
+        assert j_oracle(prof, crit5) <= float(curve_at_t(cp, "max", t)) + 1e-8
 
 
 def _counting(profile):
