@@ -232,7 +232,8 @@ def _verdict_dict(v) -> dict:
 def _cmd_classify(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
-    v = classify(params, constants=cset)
+    with np.errstate(over="ignore"):  # an overflowed curve ends in NumericalError
+        v = classify(params, constants=cset)
     doc = {"schema": SCHEMA, "command": "classify",
            "problem": _problem_dict(params), "verdict": _verdict_dict(v)}
     _emit(to_json(doc), ns.out)
@@ -369,10 +370,11 @@ def _cmd_sweep(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
     rows = []
-    for g in gammas:
-        v = classify(dataclasses.replace(params, gamma=float(g)), constants=cset)
-        rows.append({"gamma": float(g), "threshold": v.threshold,
-                     "D": v.D, "attained": v.attained})
+    with np.errstate(over="ignore"):  # an overflowed curve ends in NumericalError
+        for g in gammas:
+            v = classify(dataclasses.replace(params, gamma=float(g)), constants=cset)
+            rows.append({"gamma": float(g), "threshold": v.threshold,
+                         "D": v.D, "attained": v.attained})
     if ns.csv:
         header = ["gamma", "threshold", "D", "attained"]
         _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), ns.out)

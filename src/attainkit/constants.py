@@ -107,17 +107,17 @@ _HERMITE_D = np.array([6 * _XG**2 - 6 * _XG, 3 * _XG**2 - 4 * _XG + 1,
                        6 * _XG - 6 * _XG**2, 3 * _XG**2 - 2 * _XG])
 
 
-def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: float):
+def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
     """RK4-integrate the ground-state system from every height at once.
 
     Each shot starts at r = _START * core, core = w0^(-(q-p)/p) its width,
     from the series psi = c r, c = (w0^(p-1) - w0^(q-1))/N.  Steps are
-    _STEP_PER_R * r, capped at _STEP_MAX (both times ``coarsen``), so the
-    concentrated cores near q -> p* and at small p are resolved.  A shot is
-    decided at its first node with w <= 0 (fate +1: it crossed zero, the
-    height was too large) or with psi > 0 or negative energy
-    E = (p-1)/p |w'|^p - w^p/p + w^q/q (fate -1: it turned, or can no
-    longer reach zero since E is nonincreasing and E >= 0 there; the
+    _STEP_PER_R * r, capped at _STEP_MAX (both times the shot's entry of
+    ``coarsen``), so the concentrated cores near q -> p* and at small p are
+    resolved.  A shot is decided at its first node with w <= 0 (fate +1: it
+    crossed zero, the height was too large) or with psi > 0 or negative
+    energy E = (p-1)/p |w'|^p - w^p/p + w^q/q (fate -1: it turned, or can
+    no longer reach zero since E is nonincreasing and E >= 0 there; the
     height was too small).  Energy is tested every fourth node only, which
     may decide a shot a few nodes late but never wrongly.  Returns (fate,
     decided-at index, r, w, psi), the last three at every node from r = 0.
@@ -184,54 +184,69 @@ def _hermite_log_ratio(r: np.ndarray, w: np.ndarray, dw: np.ndarray,
             - gc / p * math.log(sg) - (q - gc) / p * math.log(sp))
 
 
-def _ground_state(N: int, p: float, q: float, coarsen: float) -> dict:
-    """Bracket the ground-state height by batched shooting; profile ratio.
+class _Bracket:
+    """One resolution's height bracket and its last undershooting shot."""
 
-    The bracket starts at lo = (q/p)^(1/(q-p)), where the energy at the
+    def __init__(self, coarsen: float, lo: float):
+        self.coarsen, self.lo, self.hi, self.spread = coarsen, lo, math.inf, 4.0
+        self.rounds, self.best = 0, None
+
+
+def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> list[dict]:
+    """Bracket the ground-state height by batched shooting, once per step
+    multiplier in ``coarsens``; profile ratios.
+
+    A bracket starts at lo = (q/p)^(1/(q-p)), where the energy at the
     origin vanishes, so every lower height undershoots.  Rounds first
     spread the batch geometrically above lo until a shot crosses zero, then
     evenly inside (lo, hi); each narrows the bracket to the last
-    undershooting and the first overshooting height.  The profile is the
-    last undershooting shot up to the node before it was decided, minus
-    its value there: nonnegative, non-increasing and zero at the edge, so
-    its ratio is a lower bound for the constant.
+    undershooting and the first overshooting height.  A round shoots the
+    heights of every open bracket side by side; each bracket reads only its
+    own columns and leaves once it closes or decides nothing, so it ends as
+    it would alone.  The profile is the last undershooting shot up to the
+    node before it was decided, minus its value there: nonnegative,
+    non-increasing and zero at the edge, so its ratio is a lower bound.
     """
-    lo, hi, spread = (q / p) ** (1.0 / (q - p)), math.inf, 4.0
-    best = None
-    converged = False
-    for rounds in range(1, _MAX_ROUNDS + 1):
-        if math.isinf(hi):
-            heights = lo * spread ** (np.arange(1, _BATCH + 1) / _BATCH)
-            if heights[-1] > _MAX_HEIGHT:
-                raise NumericalError("ground-state height out of range")
-        else:
-            heights = np.linspace(lo, hi, _BATCH + 2)[1:-1]
+    brackets = [_Bracket(c, (q / p) ** (1.0 / (q - p))) for c in coarsens]
+    live, rounds = brackets, 0
+    while live and rounds < _MAX_ROUNDS:
+        rounds += 1
+        heights = np.concatenate([
+            b.lo * b.spread ** (np.arange(1, _BATCH + 1) / _BATCH) if math.isinf(b.hi)
+            else np.linspace(b.lo, b.hi, _BATCH + 2)[1:-1] for b in live])
+        if heights.max() > _MAX_HEIGHT:
+            raise NumericalError("ground-state height out of range")
         with np.errstate(over="ignore", invalid="ignore"):
-            fate, at, rs, ws, psis = _shoot(heights, N, p, q, coarsen)
-        over = np.flatnonzero(fate > 0)
-        first_over = over[0] if over.size else _BATCH
-        under = np.flatnonzero(fate[:first_over] < 0)
-        if under.size:
-            i = under[-1]
-            lo = float(heights[i])
-            best = (rs[:at[i], i], ws[:at[i], i], psis[:at[i], i])
-        if over.size:
-            hi = float(heights[first_over])
-        else:
-            spread *= spread
-        if hi - lo <= _HEIGHT_RTOL * lo:
-            converged = True
-            break
-        if not (under.size or over.size):
-            break
-    if best is None:
-        raise NumericalError("shooting found no undershooting height")
-    r, w, psi = best
-    v = w - w[-1]
-    dv = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
-    log_ratio = _hermite_log_ratio(r, v, dv, N, p, q)
-    return {"value": math.exp(log_ratio), "height": lo, "rounds": rounds,
-            "converged": converged, "grid": r, "profile": v}
+            fate, at, rs, ws, psis = _shoot(heights, N, p, q,
+                                            np.repeat([b.coarsen for b in live], _BATCH))
+        still = []
+        for b, col in zip(live, range(0, heights.size, _BATCH)):
+            b.rounds = rounds
+            over = np.flatnonzero(fate[col:col + _BATCH] > 0)
+            first_over = over[0] if over.size else _BATCH
+            under = np.flatnonzero(fate[col:col + first_over] < 0)
+            if under.size:
+                i = col + under[-1]
+                b.lo = float(heights[i])
+                b.best = (rs[:at[i], i], ws[:at[i], i], psis[:at[i], i])
+            if over.size:
+                b.hi = float(heights[col + first_over])
+            else:
+                b.spread *= b.spread
+            if (under.size or over.size) and b.hi - b.lo > _HEIGHT_RTOL * b.lo:
+                still.append(b)
+        live = still
+    results = []
+    for b in brackets:
+        if b.best is None:
+            raise NumericalError("shooting found no undershooting height")
+        r, w, psi = b.best
+        v = w - w[-1]
+        dv = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
+        results.append({"value": math.exp(_hermite_log_ratio(r, v, dv, N, p, q)),
+                        "height": b.lo, "rounds": b.rounds, "grid": r, "profile": v,
+                        "converged": b.hi - b.lo <= _HEIGHT_RTOL * b.lo})
+    return results
 
 
 def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
@@ -245,10 +260,10 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
     undershooting shot cut to compact support, interpolated C^1
     piecewise-cubic -- hence ``value <= B`` up to Gauss-quadrature roundoff.
 
-    err_bound is a step-halving distance estimate: the whole solve is
-    repeated with every step doubled and the two values differ by about
-    the coarse run's error, an overstatement of the returned run's when
-    the method converges.  It is not an enclosure radius.
+    err_bound is a step-halving distance estimate: a second bracket with
+    every step doubled is shot side by side with the returned one, and the
+    two values differ by about the coarse one's error, an overstatement of
+    the returned one's when the method converges.  Not an enclosure radius.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ParamError("N", f"need integer N >= 1, got {N!r}")
@@ -258,8 +273,7 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
     upper = math.inf if p == N else critical_exponent(N, p)
     if not (p < q < upper):
         raise ParamError("q", f"need p < q < {upper}, got q={q}")
-    fine = _ground_state(N, p, q, 1.0)
-    coarse = _ground_state(N, p, q, 2.0)
+    fine, coarse = _ground_states(N, p, q, (1.0, 2.0))
     value = fine["value"]
     if not (math.isfinite(value) and value > 0):
         raise NumericalError(f"ground-state ratio is {value}")

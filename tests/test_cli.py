@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -319,6 +320,19 @@ def test_classify_threshold_overflow_exits_2(capsys):
     assert out == ""
     assert err.startswith("numerical failure: threshold = inf g / C leaves the double "
                           "range: log10 threshold = 309.02")
+
+
+@pytest.mark.parametrize("argv", [("classify", "--gamma", "0.003"),
+                                  ("sweep", "--gamma-range", "0.003:0.004:0.001")])
+def test_overflowed_ratio_curve_exits_2_with_warnings_as_errors(capsys, argv):
+    # inf g itself overflows here; numpy's overflow warning must not escape as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv[0], "--N", "2", "--p", "2", "--q", "4",
+                                 "--alpha", "1", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "numerical failure: ratio-curve infimum came out inf\n"
 
 
 def test_classify_sobolev_power_overflow_exits_2(capsys):

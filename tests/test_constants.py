@@ -12,6 +12,7 @@ from attainkit import (
     sobolev_constant,
     sphere_area,
 )
+from attainkit.constants import _ground_states
 from oracles import (
     FROZEN_ASCENT_LOWER_BOUNDS,
     FROZEN_INTERPOLATION_B_2_2_4,
@@ -108,6 +109,20 @@ def test_gns_meta_coherent(gns_224):
     assert prof[-1] == 0.0  # cut to compact support
     assert np.all(prof >= 0.0)
     assert np.all(np.diff(prof) <= 0.0)
+
+
+@pytest.mark.parametrize("Npq", [(2, 2.0, 4.0), (6, 1.1, 1.3)])
+def test_batched_brackets_match_each_resolution_alone(Npq):
+    # each bracket reads only its own columns of the shared batch
+    both = _ground_states(*Npq, (1.0, 2.0))
+    for got, coarsen in zip(both, (1.0, 2.0)):
+        [alone] = _ground_states(*Npq, (coarsen,))
+        for key in ("value", "height", "rounds", "converged"):
+            assert got[key] == alone[key], (coarsen, key)
+        assert np.array_equal(got["grid"], alone["grid"])
+        assert np.array_equal(got["profile"], alone["profile"])
+    sweeps = gns_constant_estimate(*Npq).meta["sweeps"]
+    assert sweeps == both[0]["rounds"] + both[1]["rounds"]
 
 
 @pytest.mark.parametrize("Npq", sorted(FROZEN_ASCENT_LOWER_BOUNDS))
