@@ -97,10 +97,16 @@ _HEIGHT_RTOL = 1e-13   # the height bracket counts as closed at this width
 _MAX_ROUNDS = 64
 _MAX_HEIGHT = 1e100
 
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 # 8-point Gauss rule on [0, 1] and the cubic Hermite basis (values and
 # derivatives) at its nodes: columns act on (w0, h w0', w1, h w1')
-_XG, _WG = np.polynomial.legendre.leggauss(8)
-_XG, _WG = (_XG + 1.0) / 2.0, _WG / 2.0
+_XG, _WG = gauss_legendre(8)
 _HERMITE = np.array([2 * _XG**3 - 3 * _XG**2 + 1, _XG**3 - 2 * _XG**2 + _XG,
                      3 * _XG**2 - 2 * _XG**3, _XG**3 - _XG**2])
 _HERMITE_D = np.array([6 * _XG**2 - 6 * _XG, 3 * _XG**2 - 4 * _XG + 1,

@@ -2,34 +2,42 @@
 
 Everything the functional sees is a radial profile: the optimal bubble,
 its dilations, its truncations, and random trial functions.  Each one is
-its two closed-form callables, u and u', plus an exact tail description;
-nothing is stored on a grid.  This module computes the three norms every
-evaluation needs by composite Simpson quadrature in log-radius with
-analytic head and tail corrections, and turns them into the constrained
-functional J on the profile's normalized dilation orbit (``orbit_curve``).
+its two closed-form callables, u and u', plus an exact tail description
+and the radii (breaks) where it is not smooth or changes scale; nothing is
+stored on a grid.  A family of profiles is one such object whose
+callables broadcast over a (rows, nodes) array.  This module computes the
+three norms every evaluation needs by Gauss panels, with analytic head and
+tail corrections, and turns them into the constrained functional J on the
+profile's normalized dilation orbit (``orbit_curve``).
 
-Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr:
+Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr, the
+same for every profile and every row of a family:
 
-* head [0, r_min]: |u(r_min)|^e r_min^N / N (relative weight ~ r_min^N),
-  read from the first node;
-* body [r_min, r_cut]: Simpson in x = log r at a fixed density per decade,
-  on an interval count rounded up to a multiple of 4, so that the nested
-  half-density pass on every other node (which gives the error bound) is
-  a Simpson rule too;
+* panels: Gauss-Kronrod 7-15 between edges that include every declared
+  break; in r over [0, support], graded as support (i/K)^2, for a compact
+  profile, and in log r over [r_min, r_cut], at most _LOG_STEP wide and
+  graded geometrically toward each break, for an algebraic one;
+* value: the 7-point Gauss sum; err_bound: the Kronrod-Gauss difference,
+  which is the Gauss sum's error up to the Kronrod sum's far smaller one,
+  plus a roundoff floor read from the size of each exponent;
+* head [0, r_min] (log r only): |u(r_min)|^e r_min^N / N;
 * tail [r_cut, inf): zero for compact support; for algebraic decay of
   rate d the closed form |u(r_cut)|^e r_cut^N / (d e - N), with r_cut
-  placed from the decay rate so the tail is far inside the body's error
-  (capped when slow decay would push it astronomically far).
+  placed from the decay rate (capped when slow decay would push it
+  astronomically far), and the power law's own error extrapolated from
+  the last two decades below r_cut into the bound.
 
-u and u' are each evaluated once per distinct r_cut on that one grid, and
-all three moments are read from those values: a compactly supported
-profile is evaluated once for u and once for u'.
+u and u' are each evaluated once per distinct r_cut, over all rows at
+once (in node blocks of _CHUNK for a large family), and all three moments
+are read from those values: a compactly supported profile is evaluated
+once for u and once for u'.
 
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
 
-Each profile needs this quadrature once: ``orbit_curve`` turns its norms
-into J on its whole normalized dilation orbit.  The optimal bubble needs
+Each profile, and each family, needs this quadrature once:
+``orbit_curve`` turns its norms into J on its whole normalized dilation
+orbit.  The optimal bubble needs
 none: ``bubble_norms`` gives its norms as Beta functions.
 """
 
@@ -41,16 +49,37 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import sphere_area
+from .constants import gauss_legendre, sphere_area
 from .curves import CurveParams
 from .errors import DivergentNormError, NumericalError, ParamError
 from .params import ProblemParams
 
-# quadrature grid: log-spaced body from _R_MIN at a fixed density per decade
-_R_MIN = 1e-6
-_POINTS_PER_DECADE = 256
-_TAIL_TARGET = 1e-14  # desired tail/total fraction of an algebraic tail
+_R_MIN = 1e-6          # log-r panels start here, after a closed-form head
+_TAIL_TARGET = 1e-14   # desired tail/total fraction of an algebraic tail
 _R_CUT_MAX = 1e8
+_GRADED_PANELS = 16    # edges support * (i/K)^2 on a compact support
+_LOG_STEP = 0.5        # widest panel in log r
+_LOG_REFINE = tuple(2.0 ** (k / 2.0) / 32.0 for k in range(10))  # log-r edges this far from each break
+_TINY = 5e-324         # added before a log, so that log 0 is finite and exp of it 0
+_CHUNK = 1 << 15       # nodes per fn/dfn call, so that their temporaries stay in cache
+
+# Gauss-Kronrod 7-15 on [0, 1]: the 7 Gauss nodes, then the 8 Kronrod
+# nodes added to them (Kronrod 1965; QUADPACK's qk15, Piessens et al.
+# 1983), and the columns (Kronrod weights, Gauss weights) over all 15
+_XG7, _WG7 = gauss_legendre(7)
+_XK8 = 0.5 + 0.5 * np.array([-0.991455371120812639206854697526329,
+                             -0.864864423359769072789712788640926,
+                             -0.586087235467691130294144845693013,
+                             -0.207784955007898467600689403773245])
+_XK8 = np.concatenate([_XK8, 1.0 - _XK8[::-1]])
+_X15 = np.concatenate([_XG7, _XK8])
+_WK_GAUSS = np.array([0.063092092629978553290700663189204, 0.140653259715525918745189590510238,
+                      0.190350578064785409913256402421014, 0.209482141084727828012999174891714])
+_WK_ADDED = np.array([0.022935322010529224963732008058970, 0.104790010322250183839876322541518,
+                      0.169004726639267902826583426598550, 0.204432940075298892414161999234649])
+_RULES = np.stack([
+    np.concatenate([_WK_GAUSS, _WK_GAUSS[-2::-1], _WK_ADDED, _WK_ADDED[::-1]]) / 2.0,
+    np.concatenate([_WG7, np.zeros(8)])], axis=1)
 
 
 @dataclass(frozen=True)
@@ -58,41 +87,75 @@ class Tail:
     """How a profile behaves at large radius.
 
     kind "algebraic": u(r) ~ const * r^(-rate) as r -> inf.
-    kind "compact":   u(r) = 0 for r >= support.
+    kind "compact":   u(r) = 0 for r >= support (one per row for a family).
     """
 
     kind: str
     rate: float = math.nan
-    support: float = math.nan
+    support: float | np.ndarray = math.nan
 
     def __post_init__(self):
         if self.kind not in ("algebraic", "compact"):
             raise ParamError("tail", f"unknown tail kind {self.kind!r}")
         if self.kind == "algebraic" and not (self.rate > 0):
             raise ParamError("tail", f"algebraic tail needs rate > 0, got {self.rate}")
-        if self.kind == "compact" and not (self.support > 0):
+        if self.kind == "compact" and not np.all(np.asarray(self.support) > 0):
             raise ParamError("tail", f"compact tail needs support > 0, got {self.support}")
 
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """A radial function given by exact callables.
+    """A radial function given by exact callables, or a family of them.
 
     N         ambient dimension (fixes the r^(N-1) measure)
     tail      behavior at large radius
     fn / dfn  closed-form u(r) and u'(r), vectorized over r
+    breaks    radii where u or u' is not smooth or changes scale; the
+              quadrature puts panel edges there
+    rows      None for one profile; for a family, its number of profiles:
+              fn and dfn then broadcast over r of shape (rows, nodes), and
+              a compact support and the breaks carry one row per profile
+
+    A family reads as a sequence of its rows, each one profile.
     """
 
     N: int
     tail: Tail
     fn: Callable = field(repr=False)
     dfn: Callable = field(repr=False)
+    breaks: tuple | np.ndarray = field(default=(), repr=False)
+    rows: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.N, int) and self.N >= 1):
             raise ParamError("N", f"need integer N >= 1, got {self.N!r}")
         if not (callable(self.fn) and callable(self.dfn)):
             raise ParamError("profile", "a profile needs callables fn and dfn")
+        if self.rows is not None and not (isinstance(self.rows, int) and self.rows >= 1):
+            raise ParamError("rows", f"a family needs an integer rows >= 1, got {self.rows!r}")
+
+    def __len__(self) -> int:
+        return 1 if self.rows is None else self.rows
+
+    def __getitem__(self, i: int) -> "RadialProfile":
+        """Row i of a family as one profile, whose fn and dfn evaluate the
+        whole family and keep row i; a single profile is its own row 0."""
+        i = range(len(self))[i]
+        if self.rows is None:
+            return self
+        fam_fn, fam_dfn = self.fn, self.dfn
+
+        def row(f):
+            def g(r):
+                r = np.asarray(r, dtype=float)
+                return f(r.reshape(1, -1))[i].reshape(r.shape)
+            return g
+
+        tail = self.tail
+        if tail.kind == "compact":
+            tail = Tail(kind="compact", support=float(np.asarray(tail.support)[i]))
+        return RadialProfile(N=self.N, tail=tail, fn=row(fam_fn), dfn=row(fam_dfn),
+                             breaks=np.asarray(self.breaks, dtype=float).reshape(self.rows, -1)[i])
 
 
 @dataclass(frozen=True)
@@ -111,73 +174,163 @@ class Norms:
     lq: NormValue
 
 
-# -- evaluation helpers ---------------------------------------------------
-
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson rule on equally spaced samples (even interval count)."""
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
+# -- norm quadrature ------------------------------------------------------
 
 def _cut_off(profile: RadialProfile, e: float, use_deriv: bool,
-             norm_name: str) -> tuple[float, float | None]:
+             norm_name: str) -> tuple[float | np.ndarray, float | None]:
     """(r_cut, tail decay excess) of one moment; no excess when compact."""
     tail = profile.tail
     if tail.kind == "compact":
-        r_cut, excess = tail.support, None
+        return tail.support, None
+    rate = tail.rate + (1.0 if use_deriv else 0.0)
+    excess = rate * e - profile.N
+    if excess <= 0:
+        raise DivergentNormError(
+            norm_name,
+            f"tail decay rate {rate} with exponent {e} gives a "
+            f"divergent moment in dimension {profile.N}")
+    # clamp the base-10 exponent first: 10**x overflows for a tiny excess
+    expo = min(max(-math.log10(_TAIL_TARGET) / excess, 2.0), math.log10(_R_CUT_MAX))
+    return min(_R_CUT_MAX, 10.0 ** expo), excess
+
+
+def _layout(profile: RadialProfile, r_cut, rows: int, compact: bool):
+    """Nodes of one cut-off: (r, log measure, panel widths, tail-check panels).
+
+    Panels run in r over [0, support] for a compact profile and in log r
+    over [r_min, r_cut] for an algebraic one; the log measure is that of
+    r^(N-1) dr in the panel's coordinate, and the decade index (log r only)
+    is k for the panels in [r_cut/10^k, r_cut/10^(k-1)], k = 1, 2, else 0.
+    r has shape (rows, 15 per panel), plus, for log r, the nodes r_min,
+    r_cut/100, r_cut/10 and r_cut that the head and tails read; it is
+    stored node-major, so that an elementwise operation with a (rows, 1)
+    parameter runs along rows.
+    """
+    breaks = np.asarray(profile.breaks, dtype=float).reshape(rows, -1)
+    N = profile.N
+    if compact:
+        top = np.asarray(r_cut, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
+        edges = np.concatenate([top * (np.arange(_GRADED_PANELS + 1) / _GRADED_PANELS) ** 2,
+                                np.clip(breaks, 0.0, top)], axis=1)
     else:
-        rate = tail.rate + (1.0 if use_deriv else 0.0)
-        excess = rate * e - profile.N
-        if excess <= 0:
-            raise DivergentNormError(
-                norm_name,
-                f"tail decay rate {rate} with exponent {e} gives a "
-                f"divergent moment in dimension {profile.N}")
-        # clamp the base-10 exponent first: 10**x overflows for a tiny excess
-        expo = min(max(-math.log10(_TAIL_TARGET) / excess, 2.0),
-                   math.log10(_R_CUT_MAX))
-        r_cut = min(_R_CUT_MAX, 10.0 ** expo)
-    if r_cut <= _R_MIN:
-        raise ParamError("grid", f"profile support {r_cut} does not exceed r_min {_R_MIN}")
-    return r_cut, excess
+        lo, hi = math.log(_R_MIN), math.log(r_cut)
+        n = math.ceil((hi - lo) / _LOG_STEP)
+        with np.errstate(divide="ignore"):
+            at = np.log(breaks)[:, :, None] + np.array(
+                [0.0, *_LOG_REFINE, *(-d for d in _LOG_REFINE)])
+        decades = hi - math.log(10.0) * np.array([2.0, 1.0])
+        edges = np.concatenate([np.broadcast_to(np.linspace(lo, hi, n + 1), (rows, n + 1)),
+                                np.broadcast_to(decades, (rows, 2)),
+                                np.clip(at.reshape(rows, -1), lo, hi)], axis=1)
+    edges = np.sort(edges, axis=1)
+    a, h = edges[:, :-1], np.diff(edges, axis=1)
+    s = (a.T[:, None, :] + h.T[:, None, :] * _X15[:, None]).reshape(-1, rows)
+    if compact:
+        return s.T, (N - 1) * np.log(s.T + _TINY), h, None
+    s = np.concatenate([s, np.broadcast_to(
+        np.array([[math.log(_R_MIN)], *decades[:, None], [hi]]), (4, rows))]).T
+    return np.exp(s), N * s, h, 2 * (a >= decades[0]) - (a >= decades[1])
 
 
-def norms(profile: RadialProfile, p: float, q: float) -> Norms:
-    """All three norms of a radial profile by log-Simpson quadrature.
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp(x), read as 0 below e^-700 (about 1e-304), as an underflow would,
+    but off exp's far slower path for such arguments."""
+    y = np.maximum(x, -700.0)
+    np.exp(y, out=y)
+    np.copyto(y, 0.0, where=x <= -700.0)
+    return y
 
-    u and u' are evaluated once per distinct cut-off radius, and every
-    moment on that cut-off reads the same values.
+
+def _log_abs(f, r: np.ndarray) -> np.ndarray:
+    """log |f(r)|, with log 0 finite, from calls on whole panels of every
+    row at once, _CHUNK nodes at a time (one call for a single profile)."""
+    out = np.empty(r.shape, order="F")
+    step = max(1, _CHUNK // (15 * len(r))) * 15
+    for c in range(0, r.shape[1], step):
+        part = r[:, c:c + step]
+        out[:, c:c + step] = np.log(np.abs(np.broadcast_to(
+            np.asarray(f(part), dtype=float), part.shape)) + _TINY)
+    return out
+
+
+def _head_and_tail(y: np.ndarray, kronrod: np.ndarray, decade: np.ndarray,
+                   N: int, excess: float) -> tuple[np.ndarray, np.ndarray]:
+    """(head + tail, bound on the tail law's error) of an algebraic moment.
+
+    ``y`` holds the integrand |u|^e r^N at r_min, r_cut/100, r_cut/10 and
+    r_cut, ``kronrod`` the panel sums (panels, rows), ``decade`` their
+    decade index.  The head on [0, r_min] is y(r_min)/N and the tail past
+    r is y(r)/excess, exact for a pure power law.  With a correction of
+    relative size A r^(-s) the tail at r is off by E(r) ~ r^(-m),
+    m = excess + s, so the gaps G_k between the tail at r_cut/10^k and the
+    decade above it plus the tail at its top are G_1 = E(r_cut)(10^m - 1)
+    and G_2 = 10^m G_1: twice the extrapolated E(r_cut) = G_1^2/(G_2 - G_1)
+    is the bound, capped by G_1/(10^excess - 1), which holds for any s > 0.
+    """
+    tails = y[:, 1:] / excess
+    bodies = [np.where(decade.T == k, kronrod, 0.0).sum(axis=0) for k in (2, 1)]
+    g2 = bodies[0] + tails[:, 1] - tails[:, 0]
+    g1 = bodies[1] + tails[:, 2] - tails[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        extrapolated = np.where(np.abs(g2) > np.abs(g1), 2.0 * g1 * g1 / np.abs(g2 - g1), np.inf)
+    return y[:, 0] / N + tails[:, 2], np.minimum(extrapolated, np.abs(g1) / math.expm1(
+        excess * math.log(10.0)))
+
+
+def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ...]:
+    """All three norms of a radial profile, or of each row of a family, by
+    Gauss panels.
+
+    u and u' are evaluated once per distinct cut-off radius, over every row
+    at once, and every moment on that cut-off reads the same values.  A
+    family returns a tuple of Norms, one per row.
     """
     if not (p > 1 and q > 0):
         raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
-    N, r_lo = profile.N, _R_MIN
+    N = profile.N
+    rows = len(profile)
+    compact = profile.tail.kind == "compact"
     omega = sphere_area(N)
-    nodes: dict[float, tuple] = {}  # r_cut -> (h, r, r^N, {use_deriv: |u| or |u'|})
+    eps = np.finfo(float).eps
+    nodes: dict = {}  # r_cut (None when compact) -> (layout, {use_deriv: log |u| or |u'|})
     out = {}
     for name, e, use_deriv in (("lp", p, False), ("grad_lp", p, True), ("lq", q, False)):
         r_cut, excess = _cut_off(profile, e, use_deriv, name)
-        if r_cut not in nodes:
-            n = int(math.ceil(math.log10(r_cut / r_lo) * _POINTS_PER_DECADE))
-            n = -(-n // 4) * 4  # the nested half pass needs an even count too
-            x = np.linspace(math.log(r_lo), math.log(r_cut), n + 1)
-            r = np.exp(x)
-            r[0], r[-1] = r_lo, r_cut  # head and tail read the end nodes
-            nodes[r_cut] = ((x[-1] - x[0]) / n, r, np.exp(N * x), {})
-        h, r, weight, values = nodes[r_cut]
+        key = None if compact else r_cut
+        if key not in nodes:
+            nodes[key] = (_layout(profile, r_cut, rows, compact), {})
+        (r, log_measure, h, decade), values = nodes[key]
         if use_deriv not in values:
-            values[use_deriv] = np.abs(np.asarray(
-                profile.dfn(r) if use_deriv else profile.fn(r), dtype=float))
-        ue = values[use_deriv] ** e
-        y = ue * weight
-        body_fine = _simpson(y, h)
-        body_half = _simpson(y[::2], 2.0 * h)
-        head = float(ue[0]) * r_lo ** N / N
-        tail_val = 0.0 if excess is None else float(ue[-1]) * r_cut ** N / excess
-        raw = head + body_fine + tail_val
-        err = abs(body_fine - body_half) / 15.0 + 1e-15 * abs(raw)
+            values[use_deriv] = _log_abs(profile.dfn if use_deriv else profile.fn, r)
+        arg = e * values[use_deriv] + log_measure
+        y = _exp(arg)
+        P = h.shape[1]
+        kg = (_RULES.T @ y[:, :15 * P].T.reshape(P, 15, rows)) * h.T[:, None, :]  # (P, 2, rows)
+        gauss = kg[:, 1].sum(axis=0)
+        # rounding the argument and the exponential costs y about
+        # |arg| + |e log|u|| + 2 ulps, read at each panel's middle node
+        mid = arg[:, 3:15 * P:15].T
+        size = kg[:, 0] * (2.0 + np.abs(mid) + np.abs(mid - log_measure[:, 3:15 * P:15].T))
+        # the Gauss sum is off by the Kronrod-Gauss difference, up to the
+        # Kronrod sums' own errors, taken as at most 1% of each panel's
+        # difference (far below it wherever a panel's integrand is smooth)
+        diff = kg[:, 0] - kg[:, 1]
+        err = (2.0 * np.abs(diff.sum(axis=0)) + 0.01 * np.abs(diff).sum(axis=0)
+               + 2.0 * eps * size.sum(axis=0))
+        raw = gauss
+        if excess is not None:
+            raw, tail_err = _head_and_tail(y[:, -4:], kg[:, 0], decade, N, excess)
+            raw = raw + gauss
+            ends = 2.0 + np.abs(arg[:, -4:]) + np.abs(arg[:, -4:] - log_measure[:, -4:])
+            err = err + tail_err + 2.0 * eps * (y[:, -4] * ends[:, 0] / N
+                                                + y[:, -1] * ends[:, -1] / excess)
         value = (omega * raw) ** (1.0 / e)
-        err_norm = value * (err / raw) / e if raw > 0 else err ** (1.0 / e)
-        out[name] = NormValue(value=value, err_bound=err_norm)
-    return Norms(**out)
+        err_norm = np.where(raw > 0, value * err / (e * np.where(raw > 0, raw, 1.0)),
+                            err ** (1.0 / e))
+        out[name] = (value, err_norm)
+    columns = [map(NormValue, v.tolist(), b.tolist()) for v, b in out.values()]
+    family = tuple(map(Norms, *columns))
+    return family[0] if profile.rows is None else family
 
 
 # -- the optimal bubble and its families ---------------------------------
@@ -210,7 +363,9 @@ def build_u_star(N: int, p: float) -> RadialProfile:
         return (-expo * pp * r ** (pp - 1.0)
                 * np.exp(-(expo + 1.0) * np.log1p(r ** pp)))
 
-    return RadialProfile(N=N, tail=Tail(kind="algebraic", rate=rate), fn=fn, dfn=dfn)
+    # r = 1 is its core, where it turns from flat to the algebraic tail
+    return RadialProfile(N=N, tail=Tail(kind="algebraic", rate=rate), fn=fn, dfn=dfn,
+                         breaks=(1.0,))
 
 
 def bubble_norms(N: int, p: float, q: float) -> Norms:
@@ -246,8 +401,9 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
     return Norms(**out)
 
 
-def _rescaled(profile: RadialProfile, amp: float, scale: float) -> RadialProfile:
-    """u -> amp * u(scale * r), with a compact support shrunk by scale."""
+def _rescaled(profile: RadialProfile, amp, scale, rows: int | None = None) -> RadialProfile:
+    """u -> amp * u(scale * r), with a compact support and the breaks shrunk
+    by scale; amp and scale of shape (rows, 1) make a family of one profile."""
     base_fn, base_dfn = profile.fn, profile.dfn
 
     def fn(r):
@@ -258,20 +414,31 @@ def _rescaled(profile: RadialProfile, amp: float, scale: float) -> RadialProfile
 
     tail = profile.tail
     if tail.kind == "compact":
-        tail = Tail(kind="compact", support=tail.support / scale)
-    return RadialProfile(N=profile.N, tail=tail, fn=fn, dfn=dfn)
+        tail = Tail(kind="compact", support=np.reshape(tail.support / scale, -1)
+                    if rows else tail.support / scale)
+    with np.errstate(divide="ignore"):  # a scale that underflowed to 0 moves them to inf
+        breaks = np.asarray(profile.breaks, dtype=float) / scale
+    return RadialProfile(N=profile.N, tail=tail, fn=fn, dfn=dfn, rows=rows or profile.rows,
+                         breaks=breaks)
 
 
-def dilate(profile: RadialProfile, lam: float, p: float) -> RadialProfile:
+def dilate(profile: RadialProfile, lam, p: float) -> RadialProfile:
     """Mass-preserving dilation u -> lam^(1/p) u(lam^(1/N) r).
 
     Leaves the p-th mass norm invariant, multiplies the gradient norm by
     lam^(1/N), and multiplies the q-th power of the q-norm by
-    lam^(q/p - 1).
+    lam^(q/p - 1).  A 1-d array of lam dilates one profile into the family
+    of its dilations, one row per lam.
     """
-    if not (lam > 0 and math.isfinite(lam)):
+    lams = np.asarray(lam, dtype=float)
+    if not (lams.ndim <= 1 and lams.size and np.all(lams > 0) and np.all(np.isfinite(lams))):
         raise ParamError("lambda", f"dilation parameter must be positive, got {lam}")
-    return _rescaled(profile, lam ** (1.0 / p), lam ** (1.0 / profile.N))
+    if lams.ndim == 0:
+        return _rescaled(profile, float(lam) ** (1.0 / p), float(lam) ** (1.0 / profile.N))
+    if profile.rows is not None:
+        raise ParamError("lambda", "an array of lambda dilates one profile, not a family")
+    lams = lams.reshape(-1, 1)
+    return _rescaled(profile, lams ** (1.0 / p), lams ** (1.0 / profile.N), rows=len(lams))
 
 
 def build_w_lambda(N: int, p: float, gamma: float, u_norms: Norms, *,
@@ -338,7 +505,11 @@ def build_truncated(N: int, p: float, R: float) -> RadialProfile:
         return (star_dfn(r) * _smoothstep_cutoff(r / R)
                 + star_fn(r) * _smoothstep_cutoff_deriv(r / R) / R)
 
-    return RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn)
+    # the cutoff is only C^2 at R and 2R; from half its core radius (1) out
+    # to R the bubble turns algebraic, so its scale changes by each octave
+    octaves = [2.0 ** k for k in range(-1, math.ceil(math.log2(R))) if k]
+    return RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn,
+                         breaks=(*star.breaks, *octaves, R, 2.0 * R))
 
 
 # -- functional evaluation ------------------------------------------------
@@ -371,49 +542,58 @@ def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
 
 # -- random trial profiles ------------------------------------------------
 
-def random_profiles(count: int, N: int, seed: int = 2024) -> list[RadialProfile]:
-    """Deterministic nonnegative trial profiles with exact derivatives.
+def random_profiles(count: int, N: int, seed: int = 2024) -> RadialProfile:
+    """A deterministic family of ``count`` nonnegative trial profiles with
+    exact derivatives, one per row.
 
-    Each profile is a mixture of one to three off-center Gaussians and up
-    to two compactly supported cubic bumps, so every norm is computable
-    to quadrature accuracy from closed-form callables.  Profiles are NOT
-    normalized; callers rescale for the functional under test.
+    Each row is a mixture of one to three off-center Gaussians
+    a exp(-b (r - c)^2) and up to two compactly supported bumps
+    a (1 - ((r - c)/w)^2)^3, clipped to |r - c| <= w, so every norm is
+    computable to quadrature accuracy from closed-form callables.  Each
+    parameter is one array of shape (count, 1), drawn for every row at once;
+    a component a row does not use has a = 0.  The breaks are the bump
+    edges, where u''' jumps, and the bumps' centers, which split each bump
+    into two panels of its own.  Profiles are NOT normalized; callers
+    rescale for the functional under test.
     """
     if count < 1:
         raise ParamError("count", f"need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    out: list[RadialProfile] = []
-    for _ in range(count):
-        n_gauss = int(rng.integers(1, 4))
-        n_bump = int(rng.integers(0, 3))
-        gauss = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.5, 8.0)),
-                  float(rng.uniform(0.0, 2.0))) for _ in range(n_gauss)]
-        bumps = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.3, 2.0)),
-                  float(rng.uniform(0.0, 3.0))) for _ in range(n_bump)]
+    shape = (count, 1)
+    n_gauss = rng.integers(1, 4, size=shape)
+    n_bump = rng.integers(0, 3, size=shape)
+    gauss = [(np.where(j < n_gauss, rng.uniform(0.2, 1.0, shape), 0.0),
+              rng.uniform(0.5, 8.0, shape), rng.uniform(0.0, 2.0, shape)) for j in range(3)]
+    bumps = [(np.where(j < n_bump, rng.uniform(0.2, 1.0, shape), 0.0),
+              rng.uniform(0.3, 2.0, shape), rng.uniform(0.0, 3.0, shape)) for j in range(2)]
 
-        def fn(r, gauss=gauss, bumps=bumps):
-            r = np.asarray(r, dtype=float)
-            total = np.zeros_like(r)
-            for a, b, c in gauss:
-                total = total + a * np.exp(-b * (r - c) ** 2)
-            for a, w, c in bumps:
-                z = (r - c) / w
-                total = total + a * np.clip(1.0 - z * z, 0.0, None) ** 3
-            return total
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        total = 0.0
+        for a, b, c in gauss:
+            total = total + a * _exp(-b * (r - c) ** 2)
+        for a, w, c in bumps:
+            z = (r - c) / w
+            inside = np.maximum(1.0 - z * z, 0.0)
+            total = total + a * inside * inside * inside
+        return total
 
-        def dfn(r, gauss=gauss, bumps=bumps):
-            r = np.asarray(r, dtype=float)
-            total = np.zeros_like(r)
-            for a, b, c in gauss:
-                total = total + a * (-2.0 * b * (r - c)) * np.exp(-b * (r - c) ** 2)
-            for a, w, c in bumps:
-                z = (r - c) / w
-                inside = np.clip(1.0 - z * z, 0.0, None)
-                total = total + a * 3.0 * inside**2 * (-2.0 * z / w)
-            return total
+    def dfn(r):
+        r = np.asarray(r, dtype=float)
+        total = 0.0
+        for a, b, c in gauss:
+            total = total + a * (-2.0 * b * (r - c)) * _exp(-b * (r - c) ** 2)
+        for a, w, c in bumps:
+            z = (r - c) / w
+            inside = np.maximum(1.0 - z * z, 0.0)
+            total = total + (-6.0 * a / w) * z * inside * inside
+        return total
 
-        support = max(max(c + math.sqrt(600.0 / b) for _, b, c in gauss),
-                      max((c + w for _, w, c in bumps), default=0.0))
-        out.append(RadialProfile(N=N, tail=Tail(kind="compact", support=support),
-                                 fn=fn, dfn=dfn))
-    return out
+    # a Gaussian is cut where it has fallen by e^-64 (below 2e-28), past
+    # which no moment of it changes in double precision
+    support = np.max([np.where(a > 0, c + np.sqrt(64.0 / b), 0.0) for a, b, c in gauss]
+                     + [np.where(a > 0, c + w, 0.0) for a, w, c in bumps], axis=0)[:, 0]
+    breaks = np.concatenate([np.where(a > 0, c + w * np.array([-1.0, 0.0, 1.0]), 0.0)
+                             for a, w, c in bumps], axis=1)
+    return RadialProfile(N=N, tail=Tail(kind="compact", support=support), fn=fn, dfn=dfn,
+                         breaks=breaks, rows=count)

@@ -241,8 +241,10 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
       supremum, increasing in the truncation radius, final relative gap
       below 1e-2.
 
-    Every part reads J from ``orbit_curve``, one quadrature per profile.
-    The bubble family integrates each explicit dilation (``dilate``) and
+    Every part reads J from ``orbit_curve``.  The random profiles are one
+    family, and so are the bubble's explicit dilations (``dilate`` of an
+    array of lam): each family costs one batched quadrature, and each cut
+    bubble one.  The bubble family integrates each explicit dilation and
     compares it with the sharp-constant curve at the bubble's closed-form
     log t (``bubble_norms``) moved by gamma/N log lam, so it checks the
     dilation laws and Q(u*) = C by quadrature.
@@ -255,20 +257,19 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
     details: list[str] = []
 
     # J of each normalized profile is its own orbit curve at its own t
-    orbits = [orbit_curve(norms(prof, p, q), params)
-              for prof in random_profiles(n_profiles, N=N, seed=seed)]
+    orbits = [orbit_curve(nm, params)
+              for nm in norms(random_profiles(n_profiles, N=N, seed=seed), p, q)]
     j_random = np.array([f_at_log_t(cp_u, log_t) for cp_u, log_t in orbits])
     log_ts = np.array([log_t for _, log_t in orbits])
     worst_random = float(np.max(j_random - f_at_log_t(cp, log_ts)))
     violations.append(worst_random - 1e-8)
     details.append(f"random profiles: worst J - f = {worst_random:.3e} (allow 1e-8)")
 
-    star = build_u_star(N, p)
     _, log_ratio = orbit_curve(bubble_norms(N, p, q), params)
     worst_family = 0.0
     lams = np.geomspace(1e-3, 1e3, 50)
-    for lam in lams:
-        j = f_at_log_t(*orbit_curve(norms(dilate(star, float(lam), p), p, q), params))
+    for lam, nm in zip(lams, norms(dilate(build_u_star(N, p), lams, p), p, q)):
+        j = f_at_log_t(*orbit_curve(nm, params))
         f = f_at_log_t(cp, gamma / N * math.log(lam) + log_ratio)
         worst_family = max(worst_family, abs(j - f) / max(1.0, abs(f)))
     violations.append(worst_family - 1e-6)
@@ -435,9 +436,15 @@ def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
         n_cases=grid.size + 2 + 3 * len(probe_gammas), details=details)
 
 
-def run_all(seed: int = 2024) -> tuple[CheckReport, ...]:
-    """All four checks with shared constants; deterministic, < 60 s."""
-    constants = _default_constants()
+def run_all(seed: int = 2024,
+            constants: dict[str, ConstantSet] | None = None) -> tuple[CheckReport, ...]:
+    """All four checks with shared constants; deterministic, < 60 s.
+
+    ``constants`` is keyed as ``_default_constants`` builds it, which it
+    calls when none are given.
+    """
+    if constants is None:
+        constants = _default_constants()
     return (
         run_truth_table(constants),
         run_envelope(constants, seed=seed),

@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Six oracles, all methodologically independent of the library code:
+Seven oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -19,7 +19,11 @@ Six oracles, all methodologically independent of the library code:
   bubble's finite energy, which the library derives from one rule.
 * J of a profile over its combined norm, read straight off its three
   quadrature norms, the reference for the dilation identity the library
-  evaluates J by (``j_oracle``).
+  evaluates J by (``j_oracle``);
+* the norms of a compactly supported profile or family by 20-point
+  Gauss-Legendre on 128 even panels of its support split at its declared
+  breaks, with plain powers, the reference for the library's graded
+  Gauss-Kronrod panels and their error bounds (``norm_oracle``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -114,6 +118,28 @@ def j_oracle(profile, params) -> float:
     nm = norms(profile, params.p, params.q)
     z = combined_norm_oracle(nm, params.gamma)
     return (nm.lp.value / z) ** params.p + params.alpha * (nm.lq.value / z) ** params.q
+
+
+def norm_oracle(profile, p: float, q: float) -> dict[str, np.ndarray]:
+    """{"lp", "grad_lp", "lq"} of a compactly supported profile (one entry)
+    or family (one per row), by 20-point Gauss-Legendre on 128 even panels
+    of [0, support] split at the declared breaks, with fn and dfn called
+    on 64-node column blocks."""
+    rows = 1 if profile.rows is None else profile.rows
+    top = np.asarray(profile.tail.support, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
+    breaks = np.clip(np.asarray(profile.breaks, dtype=float).reshape(rows, -1), 0.0, top)
+    edges = np.sort(np.concatenate([top * np.linspace(0.0, 1.0, 129), breaks], axis=1), axis=1)
+    x, w = np.polynomial.legendre.leggauss(20)
+    a, h = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
+    r = (a + h * (x + 1.0) / 2.0).reshape(rows, -1)
+    weight = (h * w / 2.0).reshape(rows, -1) * r ** (profile.N - 1)
+    u, du = np.empty_like(r), np.empty_like(r)
+    for c in range(0, r.shape[1], 64):
+        u[:, c:c + 64] = np.abs(profile.fn(r[:, c:c + 64]))
+        du[:, c:c + 64] = np.abs(profile.dfn(r[:, c:c + 64]))
+    area = sphere_area_oracle(profile.N)
+    return {name: (area * (v ** e * weight).sum(axis=1)) ** (1.0 / e)
+            for name, v, e in (("lp", u, p), ("grad_lp", du, p), ("lq", u, q))}
 
 
 def local_gamma_crit_oracle(N: int, p: float, q: float, critical: bool) -> float:

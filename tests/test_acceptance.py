@@ -192,9 +192,9 @@ def test_acceptance_06_interpolation_constant(capsys):
     ratios_ok = True
     worst_ratio = 0.0
     pp = ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=1.0)
-    for prof in random_profiles(50, N=2, seed=2024):
+    for nm in norms(random_profiles(50, N=2, seed=2024), p=2.0, q=4.0):
         # the profile's quotient Q(u) = |u|_4^4 / (|grad u|_2^2 |u|_2^2)
-        ratio = orbit_curve(norms(prof, p=2.0, q=4.0), pp)[0].kappa
+        ratio = orbit_curve(nm, pp)[0].kappa
         worst_ratio = max(worst_ratio, ratio / live["B"])
         ratios_ok &= ratio <= live["B"] * (1.0 + 1e-9)
     dt = time.time() - t0
@@ -214,9 +214,10 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
     star_norms = norms(build_u_star(N5, P2), p=P2, q=pp.q)
 
     worst_env = -math.inf
-    for prof in random_profiles(1000, N=N5, seed=2024):
-        # J of the normalized profile from its one quadrature, against the curve oracle
-        cp_u, log_t = orbit_curve(norms(prof, p=P2, q=pp.q), pp)
+    for nm in norms(random_profiles(1000, N=N5, seed=2024), p=P2, q=pp.q):
+        # J of each normalized profile from the family's one quadrature,
+        # against the curve oracle
+        cp_u, log_t = orbit_curve(nm, pp)
         worst_env = max(worst_env, f_at_log_t(cp_u, log_t)
                         - float(curve_at_t(cp, "max", math.exp(log_t))))
 

@@ -29,7 +29,8 @@ from attainkit import (
 )
 from attainkit.profiles import _smoothstep_cutoff, _smoothstep_cutoff_deriv
 from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle,
-                     combined_norm_oracle, curve_at_t, j_oracle, sphere_area_oracle)
+                     combined_norm_oracle, curve_at_t, j_oracle, norm_oracle,
+                     sphere_area_oracle)
 
 N5 = 5
 P2 = 2.0
@@ -113,6 +114,20 @@ def test_dilation_identities(star5, star5_norms, lam):
         star5_norms.grad_lp.value * lam ** (1.0 / N5), rel=1e-10)
     want_lq_q = star5_norms.lq.value ** Q_CRIT5 * lam ** (Q_CRIT5 / P2 - 1.0)
     assert got.lq.value ** Q_CRIT5 == pytest.approx(want_lq_q, rel=1e-10)
+
+
+def test_dilate_of_an_array_is_the_family_of_its_dilations(star5):
+    lams = np.array([1e-2, 1.0, 42.0])
+    family = norms(dilate(star5, lams, P2), p=P2, q=Q_CRIT5)
+    for lam, nm in zip(lams, family):
+        alone = norms(dilate(star5, float(lam), P2), p=P2, q=Q_CRIT5)
+        for name in ("lp", "grad_lp", "lq"):
+            assert getattr(nm, name).value == pytest.approx(
+                getattr(alone, name).value, rel=1e-14), (lam, name)
+    with pytest.raises(ParamError):
+        dilate(random_profiles(2, N=N5), lams, P2)
+    with pytest.raises(ParamError):
+        dilate(star5, np.array([1.0, -1.0]), P2)
 
 
 def _log_t(lam, gamma, nm):
@@ -292,6 +307,53 @@ def test_orbit_curve_quotient_beyond_the_double_range_is_numerical(crit5):
         orbit_curve(nm, crit5)
 
 
+def _assert_honest_and_tight(nv, want, label):
+    actual = abs(nv.value - want)
+    assert actual <= nv.err_bound, label
+    # at most 100x the actual error, or 1e-14 relative where that is roundoff
+    assert nv.err_bound <= max(100.0 * actual, 1e-14 * want), label
+
+
+def test_norm_bounds_are_honest_and_tight_on_the_envelope_family():
+    fam = random_profiles(1000, N=N5, seed=2024)
+    want = norm_oracle(fam, P2, Q_CRIT5)
+    for i, nm in enumerate(norms(fam, P2, Q_CRIT5)):
+        for name in ("lp", "grad_lp", "lq"):
+            _assert_honest_and_tight(getattr(nm, name), want[name][i], (i, name))
+
+
+@pytest.mark.parametrize("R", [10.0, 100.0, 1000.0])
+def test_norm_bounds_are_honest_and_tight_across_the_smoothstep_kinks(R):
+    # the cutoff is only C^2 at R and 2R, and the bubble between its core
+    # and R spans decades; the profile declares both as breaks
+    prof = build_truncated(3, 2.0, R=R)
+    want = norm_oracle(prof, 2.0, 6.0)
+    got = norms(prof, 2.0, 6.0)
+    for name in ("lp", "grad_lp", "lq"):
+        _assert_honest_and_tight(getattr(got, name), want[name][0], name)
+
+
+@pytest.mark.parametrize("N,p", [(10, math.sqrt(10.0) * (1.0 - 1e-3)), (9, 2.997)])
+def test_norm_bounds_are_honest_and_tight_on_slow_bubble_tails(N, p):
+    # p*p just below N: the mass tail decays like r^(-N - 0.01), and most
+    # of the mass lies past the cut-off, in the closed-form tail
+    q = N * p / (N - p)
+    got, want = norms(build_u_star(N, p), p, q), bubble_norms(N, p, q)
+    for name in ("lp", "grad_lp", "lq"):
+        _assert_honest_and_tight(getattr(got, name), getattr(want, name).value, name)
+
+
+def test_a_family_row_integrates_as_one_profile():
+    fam = random_profiles(7, N=N5, seed=5)
+    batched = norms(fam, P2, Q_CRIT5)
+    assert isinstance(batched, tuple) and len(batched) == len(fam) == 7
+    for row, nm in zip(fam, batched):
+        alone = norms(row, P2, Q_CRIT5)
+        for name in ("lp", "grad_lp", "lq"):
+            assert getattr(alone, name).value == pytest.approx(
+                getattr(nm, name).value, rel=1e-14), name
+
+
 def test_random_profiles_deterministic_and_nonnegative():
     a = random_profiles(5, N=N5, seed=2024)
     b = random_profiles(5, N=N5, seed=2024)
@@ -301,6 +363,19 @@ def test_random_profiles_deterministic_and_nonnegative():
         np.testing.assert_array_equal(pa.fn(r), pb.fn(r))
         assert np.all(pa.fn(r) >= 0.0)
         assert pa.tail.kind == "compact"
+
+
+def test_random_profiles_vanish_below_roundoff_past_their_support():
+    # a Gaussian does not vanish, so the support is where every moment's
+    # integrand has fallen far below the doubles' resolution of the norm
+    fam = random_profiles(1000, N=N5, seed=2024)
+    support = np.asarray(fam.tail.support)
+    r = support[:, None] * np.array([1.0, 1.5, 3.0])
+    nms = norms(fam, P2, Q_CRIT5)
+    scale = np.array([[nm.lp.value, nm.grad_lp.value] for nm in nms])
+    for k, f in enumerate((fam.fn, fam.dfn)):
+        past = np.abs(f(r)) ** P2 * r ** N5
+        assert np.all(past <= 1e-40 * scale[:, k:k + 1] ** P2)
 
 
 def test_random_profiles_envelope(crit5, constants_crit5):

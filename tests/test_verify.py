@@ -15,8 +15,8 @@ from attainkit import (
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return run_all(seed=2024)
+def reports(suite_constants):
+    return run_all(seed=2024, constants=suite_constants)
 
 
 def test_run_all_produces_the_four_stock_checks(reports):
@@ -51,9 +51,9 @@ def test_envelope_deterministic_under_seed(suite_constants):
 
 def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constants):
     # J of a normalized dilation follows from the profile's own norms, so
-    # each random profile and each cut bubble costs one quadrature; only the
-    # bubble's 50 explicitly dilated copies add to that (its own norms are
-    # closed forms)
+    # the random family costs one batched quadrature and each cut bubble
+    # one; the bubble's 50 explicitly dilated copies are one more family
+    # (its own norms are closed forms)
     calls = []
     real = profiles.norms
 
@@ -70,7 +70,8 @@ def test_envelope_integrates_each_random_profile_once(monkeypatch, suite_constan
     for n in (10, 20):
         calls.clear()
         assert run_envelope(suite_constants, n_profiles=n).passed
-        assert len(calls) == n + 50 + 3
+        assert len(calls) == 1 + 1 + 3
+        assert [len(c) for c in calls[:2]] == [n, 50]
 
 
 def test_derivative_checks_scale_down(suite_constants):
