@@ -34,7 +34,7 @@ if _cap:
 from .classify import (ConstantSet, Reason, Verdict, classify,
                        kappa_multiplier, resolve_constants, threshold_alpha)
 from .constants import (SharpConstant, fractional_constant,
-                        gns_constant_estimate, sobolev_constant, sphere_area)
+                        gns_constant_estimate, sobolev_constant)
 from .curves import CurveParams, f_at_log_t, g_at_log_t
 from .errors import (DivergentNormError, NearCriticalWarning, NumericalError,
                      ParamError)
@@ -45,7 +45,8 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, bubble_norms,
                        build_truncated, build_u_star, build_w_lambda, dilate,
-                       log_lambda, norms, orbit_curve, random_profiles)
+                       log_lambda, norms, orbit_curve, random_profiles,
+                       sphere_area)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 

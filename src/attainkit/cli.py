@@ -205,15 +205,6 @@ def _problem_dict(params: ProblemParams) -> dict:
     }
 
 
-def _constant_dict(c) -> dict:
-    meta = {k: v for k, v in c.meta.items()
-            if isinstance(v, (bool, int, float, str, np.integer, np.floating))
-            or (isinstance(v, (list, tuple)) and len(v) <= 16
-                and all(isinstance(x, (int, float)) for x in v))}
-    return {"value": c.value, "method": c.method,
-            "err_bound": c.err_bound, "meta": meta}
-
-
 def _verdict_dict(v) -> dict:
     return {
         "attained": v.attained,
@@ -257,7 +248,7 @@ def _cmd_constants(ns) -> int:
                           if getattr(cset, f.name) is not None]
     if name == "interpolation":
         doc["q"] = params.q
-    doc[name] = _constant_dict(constant)
+    doc[name] = dataclasses.asdict(constant)
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 

@@ -6,8 +6,10 @@ Three constants are consumed downstream:
   optimal bubble (Talenti-Aubin closed form),
 * the sharp subcritical interpolation constant
   B(N, p, q) = sup ||u||_q^q / ( ||grad u||_p^gc * ||u||_p^(q-gc) ),
-  gc = N(q-p)/p  (bounded here from below by the ratio of the shot
-  radial ground state),
+  gc = N(q-p)/p  (bounded here from below by the quotient of the shot
+  radial ground state's Hermite interpolant, integrated by the same
+  Gauss-Kronrod panel rule as every other norm, with err_bound the
+  step-halving distance plus that rule's bound),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -18,9 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericalError, ParamError
 from .params import critical_exponent, gamma_threshold_exponent
+from .profiles import RadialProfile, Tail, _quotient, norms
 
 
 @dataclass(frozen=True)
@@ -28,11 +32,11 @@ class SharpConstant:
     """A constant plus a record of how it was obtained.
 
     method "closed-form":  value carries a roundoff err_bound.
-    method "ground-state": value is a rigorous lower bound (it is the ratio
-                           of an explicit admissible profile, the shot
-                           ground state cut to compact support); err_bound
-                           is a step-halving distance estimate, not an
-                           enclosure radius.
+    method "ground-state": value is a lower bound, the quotient of the shot
+                           ground state's Hermite interpolant by the same
+                           Gauss-Kronrod rule as every other norm; err_bound
+                           is the step-halving distance plus that rule's
+                           bound, an estimate, not an enclosure radius.
     method "user-input":   value passed through unchanged.
     """
 
@@ -40,11 +44,6 @@ class SharpConstant:
     method: str
     err_bound: float
     meta: dict = field(default_factory=dict, compare=False)
-
-
-def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere in R^N."""
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 def sobolev_constant(N: int, p: float) -> SharpConstant:
@@ -96,21 +95,6 @@ _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
 _HEIGHT_RTOL = 1e-13   # the height bracket counts as closed at this width
 _MAX_ROUNDS = 64
 _MAX_HEIGHT = 1e100
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-# 8-point Gauss rule on [0, 1] and the cubic Hermite basis (values and
-# derivatives) at its nodes: columns act on (w0, h w0', w1, h w1')
-_XG, _WG = gauss_legendre(8)
-_HERMITE = np.array([2 * _XG**3 - 3 * _XG**2 + 1, _XG**3 - 2 * _XG**2 + _XG,
-                     3 * _XG**2 - 2 * _XG**3, _XG**3 - _XG**2])
-_HERMITE_D = np.array([6 * _XG**2 - 6 * _XG, 3 * _XG**2 - 4 * _XG + 1,
-                       6 * _XG - 6 * _XG**2, 3 * _XG**2 - 2 * _XG])
 
 
 def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
@@ -169,25 +153,26 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
     return fate, at, np.array(rs), np.array(ws), np.array(psis)
 
 
-def _hermite_log_ratio(r: np.ndarray, w: np.ndarray, dw: np.ndarray,
-                       N: int, p: float, q: float) -> float:
-    """log of the interpolation ratio of the C^1 piecewise-cubic Hermite
-    interpolant of nodal (w, w'), exact 8-point Gauss per cell.  Values are
-    clipped at zero; that only overstates the gradient term, so the result
-    stays the ratio of an admissible profile or below it.
+def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> RadialProfile:
+    """The C^1 piecewise-cubic Hermite interpolant of nodal (w, w'), w[-1] = 0,
+    on [0, r[-1]] with a break at every interior node.  Values are clipped
+    at zero, which only overstates the gradient term.
     """
-    gc = gamma_threshold_exponent(N, p, q)
-    h = np.diff(r)[:, None]
-    nodal = np.stack([w[:-1], dw[:-1] * h[:, 0], w[1:], dw[1:] * h[:, 0]], axis=1)
-    u = np.maximum(nodal @ _HERMITE, 0.0)
-    du = (nodal @ _HERMITE_D) / h
-    weight = h * _WG * (r[:-1, None] + h * _XG) ** (N - 1)
-    sq, sp, sg = (float((u**q * weight).sum()), float((u**p * weight).sum()),
-                  float((np.abs(du) ** p * weight).sum()))
-    if not (sq > 0 and sp > 0 and sg > 0):
-        raise NumericalError("ground-state profile has a vanishing norm")
-    return ((1.0 - q / p) * math.log(sphere_area(N)) + math.log(sq)
-            - gc / p * math.log(sg) - (q - gc) / p * math.log(sp))
+    h, dv = np.diff(r), np.diff(w)
+    # on cell i, u = sum_k coef[k, i] t^k and u' = sum_k dcoef[k, i] t^k, t = (x - r[i]) / h[i]
+    coef = np.array([w[:-1], h * dw[:-1], 3.0 * dv - h * (2.0 * dw[:-1] + dw[1:]),
+                     h * (dw[:-1] + dw[1:]) - 2.0 * dv])
+    dcoef = coef[1:] * np.array([[1.0], [2.0], [3.0]]) / h
+
+    def piece(x, c):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
+        u = polyval(np.clip((x - r[i]) / h[i], 0.0, 1.0), c[:, i], tensor=False)
+        return np.where(x < r[-1], u, 0.0)
+
+    return RadialProfile(N=N, tail=Tail(kind="compact", support=float(r[-1])), breaks=r[1:-1],
+                         fn=lambda x: np.maximum(piece(x, coef), 0.0),
+                         dfn=lambda x: piece(x, dcoef))
 
 
 class _Bracket:
@@ -200,7 +185,7 @@ class _Bracket:
 
 def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> list[dict]:
     """Bracket the ground-state height by batched shooting, once per step
-    multiplier in ``coarsens``; profile ratios.
+    multiplier in ``coarsens``; profile quotients.
 
     A bracket starts at lo = (q/p)^(1/(q-p)), where the energy at the
     origin vanishes, so every lower height undershoots.  Rounds first
@@ -211,7 +196,7 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
     own columns and leaves once it closes or decides nothing, so it ends as
     it would alone.  The profile is the last undershooting shot up to the
     node before it was decided, minus its value there: nonnegative,
-    non-increasing and zero at the edge, so its ratio is a lower bound.
+    non-increasing and zero at the edge, so its quotient is a lower bound.
     """
     brackets = [_Bracket(c, (q / p) ** (1.0 / (q - p))) for c in coarsens]
     live, rounds = brackets, 0
@@ -242,15 +227,20 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
             if (under.size or over.size) and b.hi - b.lo > _HEIGHT_RTOL * b.lo:
                 still.append(b)
         live = still
+    gc = gamma_threshold_exponent(N, p, q)
     results = []
     for b in brackets:
         if b.best is None:
             raise NumericalError("shooting found no undershooting height")
         r, w, psi = b.best
-        v = w - w[-1]
-        dv = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
-        results.append({"value": math.exp(_hermite_log_ratio(r, v, dv, N, p, q)),
-                        "height": b.lo, "rounds": b.rounds, "grid": r, "profile": v,
+        dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
+        profile = _hermite_profile(N, r, w - w[-1], dw)
+        nm = norms(profile, p, q)
+        value = _quotient(nm, q, gc)
+        rel_err = sum(k * n.err_bound / n.value
+                      for k, n in ((q, nm.lq), (gc, nm.grad_lp), (q - gc, nm.lp)))
+        results.append({"value": value, "quadrature_err": value * rel_err,
+                        "height": b.lo, "rounds": b.rounds, "profile": profile,
                         "converged": b.hi - b.lo <= _HEIGHT_RTOL * b.lo})
     return results
 
@@ -262,14 +252,15 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
         gc = N (q - p) / p,
 
     from the radial ground state (see the note above ``_shoot``).  The
-    value is the ratio of an explicit admissible profile -- the last
-    undershooting shot cut to compact support, interpolated C^1
-    piecewise-cubic -- hence ``value <= B`` up to Gauss-quadrature roundoff.
+    value is the quotient of an explicit admissible profile, the last
+    undershooting shot cut to compact support: its C^1 Hermite interpolant,
+    integrated by the same Gauss-Kronrod panel rule as every other norm, so
+    ``value <= B`` up to that rule's bound.
 
-    err_bound is a step-halving distance estimate: a second bracket with
-    every step doubled is shot side by side with the returned one, and the
-    two values differ by about the coarse one's error, an overstatement of
-    the returned one's when the method converges.  Not an enclosure radius.
+    err_bound is the step-halving distance plus that quadrature bound: a
+    second bracket with every step doubled is shot side by side, and the two
+    values differ by about the coarse one's error, an overstatement of the
+    returned one's when the method converges.  Not an enclosure radius.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ParamError("N", f"need integer N >= 1, got {N!r}")
@@ -285,11 +276,10 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
         raise NumericalError(f"ground-state ratio is {value}")
     return SharpConstant(
         value=value, method="ground-state",
-        err_bound=abs(value - coarse["value"]),
+        err_bound=abs(value - coarse["value"]) + fine["quadrature_err"],
         meta={"N": N, "p": p, "q": q, "gamma_c": gc, "height": fine["height"],
               "sweeps": fine["rounds"] + coarse["rounds"],
-              "converged": fine["converged"],
-              "grid": fine["grid"].tolist(), "profile": fine["profile"].tolist()})
+              "converged": fine["converged"]})
 
 
 def fractional_constant(value: float) -> SharpConstant:

@@ -6,9 +6,9 @@ its two closed-form callables, u and u', plus an exact tail description
 and the radii (breaks) where it is not smooth or changes scale; nothing is
 stored on a grid.  A family of profiles is one such object whose
 callables broadcast over a (rows, nodes) array.  This module computes the
-three norms every evaluation needs by Gauss panels, with analytic head and
-tail corrections, and turns them into the constrained functional J on the
-profile's normalized dilation orbit (``orbit_curve``).
+three norms every evaluation needs by Gauss panels (``gauss_legendre``,
+``sphere_area``), with analytic head and tail corrections, and turns them
+into J on the profile's normalized dilation orbit (``orbit_curve``).
 
 Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr, the
 same for every profile and every row of a family:
@@ -49,7 +49,6 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import gauss_legendre, sphere_area
 from .curves import CurveParams
 from .errors import DivergentNormError, NumericalError, ParamError
 from .params import ProblemParams
@@ -62,6 +61,18 @@ _LOG_STEP = 0.5        # widest panel in log r
 _LOG_REFINE = tuple(2.0 ** (k / 2.0) / 32.0 for k in range(10))  # log-r edges this far from each break
 _TINY = 5e-324         # added before a log, so that log 0 is finite and exp of it 0
 _CHUNK = 1 << 15       # nodes per fn/dfn call, so that their temporaries stay in cache
+
+
+def sphere_area(N: int) -> float:
+    """Surface measure of the unit sphere in R^N."""
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
 
 # Gauss-Kronrod 7-15 on [0, 1]: the 7 Gauss nodes, then the 8 Kronrod
 # nodes added to them (Kronrod 1965; QUADPACK's qk15, Piessens et al.
@@ -528,8 +539,13 @@ def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
     """
     if params.is_fractional:
         raise ParamError("params", "profile quadrature covers the local regimes only")
+    cp = CurveParams.from_problem(params, _quotient(nm, params.q, params.exponents.gamma_crit))
+    return cp, params.gamma * math.log(nm.grad_lp.value / nm.lp.value)
+
+
+def _quotient(nm: Norms, q: float, gc: float) -> float:
+    """The quotient Q(u) of ``orbit_curve``, from u's norms ``nm``."""
     lp, grad, lq = nm.lp.value, nm.grad_lp.value, nm.lq.value
-    q, gc = params.q, params.exponents.gamma_crit
     try:
         quotient = (lq / grad) ** gc * (lq / lp) ** (q - gc)
     except OverflowError:
@@ -537,7 +553,7 @@ def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
     if quotient == math.inf:
         log10_q = gc * math.log10(lq / grad) + (q - gc) * math.log10(lq / lp)
         raise NumericalError(f"Q(u) leaves the double range: log10 Q = {log10_q!r}")
-    return CurveParams.from_problem(params, quotient), params.gamma * math.log(grad / lp)
+    return quotient
 
 
 # -- random trial profiles ------------------------------------------------

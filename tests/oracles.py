@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Seven oracles, all methodologically independent of the library code:
+Eight oracles, all methodologically independent of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -23,7 +23,12 @@ Seven oracles, all methodologically independent of the library code:
 * the norms of a compactly supported profile or family by 20-point
   Gauss-Legendre on 128 even panels of its support split at its declared
   breaks, with plain powers, the reference for the library's graded
-  Gauss-Kronrod panels and their error bounds (``norm_oracle``).
+  Gauss-Kronrod panels and their error bounds (``norm_oracle``);
+* the interpolation quotient of the C^1 piecewise-cubic Hermite
+  interpolant of nodal values and slopes, by the 8-point Gauss-Legendre
+  rule on every cell, the reference for the library's Hermite profile of
+  a shot ground state and its Gauss-Kronrod norms
+  (``hermite_ratio_oracle``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -140,6 +145,30 @@ def norm_oracle(profile, p: float, q: float) -> dict[str, np.ndarray]:
     area = sphere_area_oracle(profile.N)
     return {name: (area * (v ** e * weight).sum(axis=1)) ** (1.0 / e)
             for name, v, e in (("lp", u, p), ("grad_lp", du, p), ("lq", u, q))}
+
+
+def hermite_ratio_oracle(r: np.ndarray, w: np.ndarray, dw: np.ndarray,
+                         N: int, p: float, q: float) -> float:
+    """|u|_q^q / (|grad u|_p^gc |u|_p^(q - gc)), gc = N(q-p)/p, of the C^1
+    piecewise-cubic Hermite interpolant u of nodal values w and slopes dw
+    on the increasing nodes r, values clipped at zero, by the 8-point
+    Gauss-Legendre rule on each cell between consecutive nodes."""
+    x, wg = np.polynomial.legendre.leggauss(8)
+    x, wg = (x + 1.0) / 2.0, wg / 2.0
+    # cubic Hermite basis and its derivative at the nodes, acting on
+    # (w0, h w0', w1, h w1') of a cell
+    basis = np.array([2 * x**3 - 3 * x**2 + 1, x**3 - 2 * x**2 + x,
+                      3 * x**2 - 2 * x**3, x**3 - x**2])
+    dbasis = np.array([6 * x**2 - 6 * x, 3 * x**2 - 4 * x + 1,
+                       6 * x - 6 * x**2, 3 * x**2 - 2 * x])
+    h = np.diff(r)[:, None]
+    nodal = np.stack([w[:-1], dw[:-1] * h[:, 0], w[1:], dw[1:] * h[:, 0]], axis=1)
+    u = np.maximum(nodal @ basis, 0.0)
+    du = (nodal @ dbasis) / h
+    weight = sphere_area_oracle(N) * h * wg * (r[:-1, None] + h * x) ** (N - 1)
+    mq, mp, mg = ((v ** e * weight).sum() for v, e in ((u, q), (u, p), (np.abs(du), p)))
+    gc = N * (q - p) / p
+    return mq / (mg ** (gc / p) * mp ** ((q - gc) / p))
 
 
 def local_gamma_crit_oracle(N: int, p: float, q: float, critical: bool) -> float:

@@ -12,12 +12,14 @@ from attainkit import (
     sobolev_constant,
     sphere_area,
 )
-from attainkit.constants import _ground_states
+from attainkit.constants import _ground_states, _hermite_profile, _shoot
+from attainkit.profiles import norms
 from oracles import (
     FROZEN_ASCENT_LOWER_BOUNDS,
     FROZEN_INTERPOLATION_B_2_2_4,
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
+    hermite_ratio_oracle,
     shooting_oracle_p2,
     sobolev_constant_oracle,
     sphere_area_oracle,
@@ -83,9 +85,19 @@ def test_gns_estimate_close_to_reference(gns_224):
     assert rel < 1e-9
 
 
-def test_gns_err_bound_honest(gns_224):
+@pytest.fixture(scope="module")
+def ground_states_224():
+    """The fine and step-doubled ground states that gns_224 is built from."""
+    return _ground_states(2, 2.0, 4.0, (1.0, 2.0))
+
+
+def test_gns_err_bound_honest(gns_224, ground_states_224):
     true_err = FROZEN_INTERPOLATION_B_2_2_4 - gns_224.value
     assert gns_224.err_bound >= true_err > 0.0
+    # the quadrature bound is added to the step-halving distance, never
+    # put in its place
+    fine, coarse = ground_states_224
+    assert gns_224.err_bound >= abs(fine["value"] - coarse["value"])
 
 
 def test_gns_is_deterministic(gns_224):
@@ -102,13 +114,35 @@ def test_gns_meta_coherent(gns_224):
     assert gns_224.meta["converged"] is True
     assert gns_224.meta["sweeps"] >= 1
     assert gns_224.meta["height"] == pytest.approx(2.2062008646442175, rel=1e-6)
-    grid = np.asarray(gns_224.meta["grid"])
-    prof = np.asarray(gns_224.meta["profile"])
-    assert grid.shape == prof.shape
-    assert grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)
-    assert prof[-1] == 0.0  # cut to compact support
-    assert np.all(prof >= 0.0)
-    assert np.all(np.diff(prof) <= 0.0)
+    assert "grid" not in gns_224.meta and "profile" not in gns_224.meta
+
+
+def test_ground_state_profile_shape(ground_states_224):
+    prof = ground_states_224[0]["profile"]
+    breaks = np.asarray(prof.breaks)
+    assert np.all(np.diff(breaks) > 0.0)
+    u = prof.fn(np.concatenate([[0.0], breaks]))
+    assert np.all(u >= 0.0)
+    assert np.all(np.diff(u) <= 0.0)
+    assert prof.fn(prof.tail.support) == 0.0  # cut to compact support
+    outside = prof.tail.support * np.array([1.5, 2.0])
+    assert np.all(prof.fn(outside) == 0.0) and np.all(prof.dfn(outside) == 0.0)
+
+
+@pytest.mark.parametrize("Npq,height", [((2, 2.0, 4.0), 2.2), ((6, 1.1, 1.3), 15000.0)])
+def test_hermite_profile_norms_match_gauss_oracle(Npq, height):
+    # one undershooting shot, interpolated by the library and integrated by
+    # its Gauss-Kronrod panels, against 8-point Gauss on every cell
+    N, p, q = Npq
+    fate, at, rs, ws, psis = _shoot(np.array([height]), N, p, q, np.ones(1))
+    assert fate[0] < 0
+    r, w, psi = rs[:at[0], 0], ws[:at[0], 0], psis[:at[0], 0]
+    v = w - w[-1]
+    dv = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
+    nm = norms(_hermite_profile(N, r, v, dv), p, q)
+    gc = N * (q - p) / p
+    got = nm.lq.value ** q / (nm.grad_lp.value ** gc * nm.lp.value ** (q - gc))
+    assert got == pytest.approx(hermite_ratio_oracle(r, v, dv, N, p, q), rel=1e-13)
 
 
 @pytest.mark.parametrize("Npq", [(2, 2.0, 4.0), (6, 1.1, 1.3)])
@@ -117,10 +151,11 @@ def test_batched_brackets_match_each_resolution_alone(Npq):
     both = _ground_states(*Npq, (1.0, 2.0))
     for got, coarsen in zip(both, (1.0, 2.0)):
         [alone] = _ground_states(*Npq, (coarsen,))
-        for key in ("value", "height", "rounds", "converged"):
+        for key in ("value", "quadrature_err", "height", "rounds", "converged"):
             assert got[key] == alone[key], (coarsen, key)
-        assert np.array_equal(got["grid"], alone["grid"])
-        assert np.array_equal(got["profile"], alone["profile"])
+        breaks, alone_breaks = got["profile"].breaks, alone["profile"].breaks
+        assert np.array_equal(breaks, alone_breaks)
+        assert np.array_equal(got["profile"].fn(breaks), alone["profile"].fn(alone_breaks))
     sweeps = gns_constant_estimate(*Npq).meta["sweeps"]
     assert sweeps == both[0]["rounds"] + both[1]["rounds"]
 
