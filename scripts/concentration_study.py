@@ -30,15 +30,13 @@ import sys
 from attainkit import (
     CurveParams,
     ProblemParams,
-    bubble_norms,
     build_truncated,
-    build_w_lambda,
-    classify,
     extremal_in_energy_space,
     f_at_log_t,
     kappa_multiplier,
     log_lambda,
     maximize_halfline,
+    maximizer,
     norms,
     orbit_curve,
     resolve_constants,
@@ -48,11 +46,8 @@ from attainkit import (
 
 def attained_case() -> None:
     pp = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=180.0)
-    constants = resolve_constants(pp)
-    v = classify(pp, constants)
-    star_norms = bubble_norms(5, 2.0, pp.q)
-    lam = math.exp(log_lambda(v.log_t_star, star_norms, pp.gamma, 5))
-    w = build_w_lambda(5, 2.0, pp.gamma, star_norms, log_t=v.log_t_star)
+    v, m = maximizer(pp)
+    lam, w = math.exp(m.log_lambda), m.profile
     # w has unit combined norm, so J(w) is its own orbit curve at its own t
     J = f_at_log_t(*orbit_curve(norms(w, 2.0, pp.q), pp))
     print("attained case: N=5 p=2 gamma=2.2 alpha=180")

@@ -15,7 +15,8 @@ interior.  Modules:
   on (0, inf) by root-finding on those signs
 * ``constants`` — sharp Sobolev constant (closed form), interpolation
   constant (ground-state shooting), fractional constant (user input)
-* ``classify``  — thresholds and the attainability decision table
+* ``classify``  — thresholds, the attainability decision table and the
+  explicit maximizer (``maximizer``)
 * ``profiles``  — radial profiles, norms (the bubble's in closed form),
   bubbles, truncations, orbit curves
 * ``verify``    — cross-cutting consistency checks
@@ -31,8 +32,9 @@ if _cap:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _cap)
 
-from .classify import (ConstantSet, Reason, Verdict, classify,
-                       kappa_multiplier, resolve_constants, threshold_alpha)
+from .classify import (ConstantSet, Maximizer, Reason, Verdict, classify,
+                       kappa_multiplier, maximizer, resolve_constants,
+                       threshold_alpha)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant)
 from .curves import CurveParams, f_at_log_t, g_at_log_t
@@ -44,9 +46,8 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      fractional_gamma_threshold_exponent,
                      gamma_threshold_exponent)
 from .profiles import (Norms, NormValue, RadialProfile, Tail, bubble_norms,
-                       build_truncated, build_u_star, build_w_lambda, dilate,
-                       log_lambda, norms, orbit_curve, random_profiles,
-                       sphere_area)
+                       build_truncated, build_u_star, dilate, log_lambda,
+                       norms, orbit_curve, random_profiles, sphere_area)
 from .verify import (CheckReport, run_all, run_derivative_checks,
                      run_envelope, run_monotonicity_scan, run_truth_table)
 
@@ -54,19 +55,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "ConstantSet", "CurveParams", "DivergentNormError",
-    "Exponents", "NearCriticalWarning", "NormValue",
+    "Exponents", "Maximizer", "NearCriticalWarning", "NormValue",
     "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
     "SharpConstant", "Tail", "Verdict",
-    "bubble_norms", "build_truncated", "build_u_star", "build_w_lambda",
-    "classify",
+    "bubble_norms", "build_truncated", "build_u_star", "classify",
     "critical_exponent", "dilate",
     "extremal_in_energy_space", "f_at_log_t",
     "fractional_constant", "fractional_critical_exponent",
     "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
     "kappa_multiplier", "log_lambda",
-    "maximize_halfline", "minimize_halfline", "norms", "orbit_curve",
+    "maximize_halfline", "maximizer", "minimize_halfline", "norms", "orbit_curve",
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",
     "run_monotonicity_scan", "run_truth_table",

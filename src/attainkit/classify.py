@@ -9,7 +9,9 @@ answerable exactly:
   sharp constant, with closed forms used where they exist;
 * ``classify`` -- the full verdict: attained or not, why, where, and the
   supremum D of the functional, computed from the maximum of the
-  objective curve and cross-checked against closed forms.
+  objective curve and cross-checked against closed forms;
+* ``maximizer`` -- the verdict and, where attained, the explicit maximizer
+  (the dilated optimal bubble), its profile table and its J checked against D.
 
 Boundary cases (gamma at an endpoint, alpha exactly at the threshold) are
 decided analytically by the decision table, never by comparing two nearly
@@ -33,11 +35,14 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .constants import SharpConstant, gns_constant_estimate, sobolev_constant
-from .curves import CurveParams, t_from_log
+from .curves import CurveParams, f_at_log_t, t_from_log
 from .errors import NumericalError, ParamError
 from .halfline import maximize_halfline, minimize_halfline
 from .params import ProblemParams, Regime, extremal_in_energy_space
+from .profiles import RadialProfile, bubble_norms, build_w_lambda, log_lambda, orbit_curve
 
 #: relative slack when comparing gamma against an exponent boundary
 GAMMA_BOUNDARY_RTOL = 1e-12
@@ -307,3 +312,54 @@ def classify(params: ProblemParams,
     if rel_alpha >= 0:
         return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
     return verdict(False, Reason.BELOW_THRESHOLD, cf)
+
+
+@dataclass(frozen=True, eq=False)  # r and u are arrays: records compare by identity
+class Maximizer:
+    """The explicit maximizer: ``profile`` is the optimal bubble u*'s
+    normalized dilation to log t* (``build_w_lambda``), ``log_lambda`` the
+    log of its dilation, ``J_check`` J on u*'s orbit at log t* (the curve at
+    u*'s own Beta quotient, ``orbit_curve``), and ``r``, ``u`` its table at
+    512 radii geomspace(1e-6, 1e4 lambda^(-1/N)), over the core and tail."""
+
+    profile: RadialProfile
+    log_lambda: float
+    J_check: float
+    r: np.ndarray
+    u: np.ndarray
+
+
+def maximizer(params: ProblemParams, constants: ConstantSet | None = None, *,
+              tol: float = 1e-6) -> tuple[Verdict, Maximizer | None]:
+    """The verdict and, when it is attained, the explicit maximizer.
+
+    Only the critical local family has one (Talenti 1976): any other regime
+    is a ``ParamError`` before a constant is resolved.  A table that leaves
+    the double range, or a J_check more than ``tol`` relative from D (two
+    closed forms of one number), is a ``NumericalError``."""
+    if params.regime() is not Regime.CRITICAL_LOCAL:
+        raise ParamError("params", "explicit maximizer profiles are available for the critical "
+                                   "local family only; other regimes have no closed-form extremal")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamError("tol", f"--tol must be finite and > 0, got {tol}")
+    v = classify(params, constants)
+    if not v.attained:
+        return v, None
+    N, p, gamma, log_t = params.N, params.p, params.gamma, v.log_t_star
+    nm = bubble_norms(N, p, params.q)
+    log_lam = log_lambda(log_t, nm, gamma, N)
+    r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
+    if 1e-6 < r_max < math.inf:
+        r = np.geomspace(1e-6, r_max, 512)
+        w = build_w_lambda(N, p, gamma, nm, log_t=log_t)
+        u = w.fn(r)
+    if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
+        raise NumericalError(
+            f"the maximizer needs log lambda = {log_lam!r}, where its profile "
+            "table leaves the double range")
+    j_check = f_at_log_t(orbit_curve(nm, params)[0], log_t)
+    if abs(j_check - v.D) > tol * max(1.0, abs(v.D)):
+        raise NumericalError(
+            f"constructed maximizer evaluates to {j_check!r} but the "
+            f"supremum is {v.D!r} (relative tolerance {tol})")
+    return v, Maximizer(profile=w, log_lambda=log_lam, J_check=j_check, r=r, u=u)

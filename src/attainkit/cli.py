@@ -6,12 +6,7 @@ byte-identical output: keys are emitted in fixed order and floats are
 written at shortest round-trip precision.  Exit codes: 0 success, 1 invalid
 parameters or usage, 2 numerical failure, 3 failed verification.
 
-``maximizer`` takes the optimal bubble u*'s norms in closed form
-(``profiles.bubble_norms``).  Its J_check is the objective curve with u*'s
-own quotient Q(u*) in place of C (the dilation identity,
-``profiles.orbit_curve``), and its profile table is ``build_w_lambda``'s
-normalized dilation; it exits 2 when the table's radii or values leave the
-double range.
+``maximizer`` prints the record of ``classify.maximizer``.
 
 JSON is written in ``json.dumps(..., indent=2, ensure_ascii=False)``'s
 layout by ``to_json``, which joins each all-float list in one pass.
@@ -33,14 +28,13 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .classify import (ConstantSet, classify, kappa_multiplier,
+from .classify import (ConstantSet, classify, kappa_multiplier, maximizer,
                        resolve_constants)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t, t_from_log
 from .errors import DivergentNormError, NumericalError, ParamError
 from .halfline import objective_sign, ratio_sign
-from .params import ProblemParams, Regime
-from .profiles import bubble_norms, build_w_lambda, log_lambda, orbit_curve
+from .params import ProblemParams
 from .verify import run_all
 
 SCHEMA = "attain-kit/1"
@@ -183,11 +177,15 @@ def _build_params(ns) -> ProblemParams:
                                gamma=ns.gamma, alpha=weight)
 
 
+def _given_constants(ns) -> ConstantSet:
+    """The constants the command line supplies: at most --frac-constant."""
+    value = getattr(ns, "frac_constant", None)
+    return ConstantSet() if value is None else ConstantSet(fractional=fractional_constant(value))
+
+
 def _constants_for(ns, params: ProblemParams) -> ConstantSet:
-    given = ConstantSet()
-    if getattr(ns, "frac_constant", None) is not None:
-        given = ConstantSet(fractional=fractional_constant(ns.frac_constant))
-    elif params.s is not None:
+    given = _given_constants(ns)
+    if given.fractional is None and params.s is not None:
         raise ParamError("frac-constant", "the fractional family needs --frac-constant")
     return resolve_constants(params, given)
 
@@ -284,45 +282,19 @@ def _cmd_curve(ns) -> int:
 
 def _cmd_maximizer(ns) -> int:
     params = _build_params(ns)
-    if params.regime() is not Regime.CRITICAL_LOCAL:
-        raise ParamError(
-            "params",
-            "explicit maximizer profiles are available for the critical "
-            "local family only; other regimes have no closed-form extremal")
-    if not (math.isfinite(ns.tol) and ns.tol > 0):
-        raise ParamError("tol", f"--tol must be finite and > 0, got {ns.tol}")
-    v = classify(params, constants=_constants_for(ns, params))
-    if not v.attained:
+    v, m = maximizer(params, _given_constants(ns), tol=ns.tol)
+    if m is None:
         doc = {"schema": SCHEMA, "command": "maximizer",
                "problem": _problem_dict(params), "verdict": _verdict_dict(v),
                "maximizer": None,
                "note": "no maximizer exists for these parameters"}
         _emit(to_json(doc), ns.out)
         return EXIT_OK
-    N, p, gamma, log_t = params.N, params.p, params.gamma, v.log_t_star
-    nm = bubble_norms(N, p, params.q)
-    log_lam = log_lambda(log_t, nm, gamma, N)
-    # the table spans the dilated bubble's core and tail: r lambda^(1/N) in [~0, 1e4]
-    r_max = 1e4 * (t_from_log(-log_lam / N) or 0.0)
-    if 1e-6 < r_max < math.inf:
-        r = np.geomspace(1e-6, r_max, 512)
-        u = build_w_lambda(N, p, gamma, nm, log_t=log_t).fn(r)
-    if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
-        raise NumericalError(
-            f"the maximizer needs log lambda = {log_lam!r}, where its profile "
-            "table leaves the double range")
-    # J on u*'s normalized dilation orbit: the curve at u*'s own Beta quotient,
-    # not at Talenti's C = S^q, so the check compares two closed forms
-    j_check = f_at_log_t(orbit_curve(nm, params)[0], log_t)
-    if abs(j_check - v.D) > ns.tol * max(1.0, abs(v.D)):
-        raise NumericalError(
-            f"constructed maximizer evaluates to {j_check!r} but the "
-            f"supremum is {v.D!r} (relative tolerance {ns.tol})")
     header = {"schema": SCHEMA, "command": "maximizer",
               "problem": _problem_dict(params),
-              "lambda": t_from_log(log_lam), "log_lambda": log_lam,
-              "t_star": v.t_star, "D": v.D, "J_check": j_check}
-    r, u = r.tolist(), u.tolist()
+              "lambda": t_from_log(m.log_lambda), "log_lambda": m.log_lambda,
+              "t_star": v.t_star, "D": v.D, "J_check": m.J_check}
+    r, u = m.r.tolist(), m.u.tolist()
     if ns.csv:
         # the header goes to stdout when the table goes to a file, else to stderr
         (sys.stdout if ns.out else sys.stderr).write(to_json(header) + "\n")

@@ -18,7 +18,6 @@ from attainkit import (
     ProblemParams,
     build_truncated,
     build_u_star,
-    build_w_lambda,
     f_at_log_t,
     gns_constant_estimate,
     kappa_multiplier,
@@ -33,6 +32,7 @@ from attainkit import (
     sobolev_constant,
 )
 from attainkit.curves import f_limits
+from attainkit.profiles import build_w_lambda
 from oracles import (FROZEN_SOBOLEV_50_DIGITS, curve_at_t, grid_oracle, j_oracle,
                      shooting_oracle_2_2_4, sobolev_constant_oracle)
 
@@ -229,9 +229,8 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
         f = float(curve_at_t(cp, "max", t))
         worst_fam = max(worst_fam, abs(j_oracle(w, pp) - f) / abs(f))
 
-    v = ak.classify(pp, constants_crit5)
-    w_star = build_w_lambda(N5, P2, pp.gamma, star_norms, log_t=v.log_t_star)
-    gap_at_star = abs(j_oracle(w_star, pp) - v.D) / v.D
+    v, m = ak.maximizer(pp, constants_crit5)
+    gap_at_star = abs(j_oracle(m.profile, pp) - v.D) / v.D
 
     dt = time.time() - t0
     ok = (worst_env <= 1e-8 and worst_fam <= 1e-6 and v.attained

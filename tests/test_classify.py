@@ -20,6 +20,7 @@ from attainkit import (
     gamma_threshold_exponent,
     kappa_multiplier,
     maximize_halfline,
+    maximizer,
     resolve_constants,
     threshold_alpha,
 )
@@ -345,3 +346,46 @@ def test_reason_values_are_stable_strings():
         "AtThresholdCriticalGammaEqPstar", "AtThresholdGammaEqGammaC",
         "ConvexityExclusion", "AlphaZero",
     }
+
+
+def test_maximizer_not_attained_is_the_verdict_alone(constants_crit5):
+    pp = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
+    v, m = maximizer(pp, constants_crit5)
+    assert m is None
+    assert v == classify(pp, constants_crit5)
+
+
+def test_maximizer_record_is_the_dilated_bubble_and_its_table(constants_crit5):
+    pp = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=180.0)
+    v, m = maximizer(pp, constants_crit5)
+    assert v.attained and v == classify(pp, constants_crit5)
+    # J_check (u*'s Beta quotient) and D (Talenti's S^q) are one number
+    assert abs(m.J_check / v.D - 1.0) <= 1e-12
+    assert np.array_equal(m.r, np.geomspace(1e-6, 1e4 * math.exp(-m.log_lambda / 5), 512))
+    assert np.array_equal(m.u, m.profile.fn(m.r))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.J_check = v.D
+
+
+@pytest.mark.parametrize("N, p, gamma, alpha", [
+    # every table value underflows to 0
+    (5, 1.1631349678042815, 1.5279296246780214, 0.7171446680322642),
+    # the table's upper end 1e4 / lambda^(1/N) falls below 1e-6
+    (6, 1.4816022339544004, 1.601090150748497, 2084.669766919404),
+    # log t* fits a double, lambda = e^1630.8 does not
+    (4, 1.1288511685911895, 1.1441906154006172, 6627.618803705305),
+])
+def test_maximizer_table_outside_the_double_range_is_a_numerical_error(N, p, gamma, alpha):
+    pp = ProblemParams.local_critical(N=N, p=p, gamma=gamma, alpha=alpha)
+    with pytest.raises(NumericalError, match="log lambda = "):
+        maximizer(pp)
+
+
+def test_maximizer_tolerance(constants_crit5):
+    pp = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=180.0)
+    with pytest.raises(NumericalError, match="relative tolerance 1e-18"):
+        maximizer(pp, constants_crit5, tol=1e-18)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ParamError) as exc:
+            maximizer(pp, constants_crit5, tol=tol)
+        assert exc.value.code == "tol"

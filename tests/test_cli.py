@@ -1,5 +1,6 @@
 """Command-line interface: JSON/CSV contracts, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import attainkit as ak
 import attainkit.cli as cli
-from attainkit import CheckReport, CurveParams, NearCriticalWarning
+from attainkit import (CheckReport, ConstantSet, CurveParams, NearCriticalWarning,
+                       ParamError, ProblemParams, fractional_constant)
 from attainkit.cli import main
 from oracles import (FROZEN_INTERPOLATION_B_2_2_4, bubble_grad_moment_oracle,
                      bubble_moment_oracle, curve_at_t, json_reference,
@@ -357,16 +360,25 @@ def test_maximizer_rejects_subcritical(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the regime check must come before any numerics")
 
-    monkeypatch.setattr(cli, "classify", no_solve)
-    monkeypatch.setattr(cli, "resolve_constants", no_solve)
-    for argv in [
+    # the package re-exports the function classify under the module's name
+    classify_mod = importlib.import_module("attainkit.classify")
+    for name in ("classify", "resolve_constants", "sobolev_constant", "gns_constant_estimate"):
+        monkeypatch.setattr(classify_mod, name, no_solve)
+    frac = ConstantSet(fractional=fractional_constant(1.7))
+    for argv, params, cset in [
         # subcritical local, above and below the threshold: the exit code
         # does not depend on the weight, and no constant is computed
-        ("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "50"),
-        ("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "0.01"),
-        ("--N", "5", "--s", "0.6", "--q", "critical", "--gamma", "2.3",
-         "--beta", "5", "--frac-constant", "1.7"),
+        (("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "50"),
+         ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=50.0), None),
+        (("--N", "2", "--p", "2", "--q", "4", "--gamma", "1.5", "--alpha", "0.01"),
+         ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=0.01), None),
+        (("--N", "5", "--s", "0.6", "--q", "critical", "--gamma", "2.3",
+          "--beta", "5", "--frac-constant", "1.7"),
+         ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=5.0), frac),
     ]:
+        with pytest.raises(ParamError, match="critical local family only") as exc:
+            ak.maximizer(params, cset)
+        assert exc.value.code == "params"
         code, out, err = run_cli(capsys, "maximizer", *argv)
         assert code == 1, argv
         assert out == ""

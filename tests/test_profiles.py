@@ -20,14 +20,13 @@ from attainkit import (
     bubble_norms,
     build_truncated,
     build_u_star,
-    build_w_lambda,
     dilate,
     log_lambda,
     norms,
     orbit_curve,
     random_profiles,
 )
-from attainkit.profiles import _smoothstep_cutoff, _smoothstep_cutoff_deriv
+from attainkit.profiles import _smoothstep_cutoff, _smoothstep_cutoff_deriv, build_w_lambda
 from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle,
                      combined_norm_oracle, curve_at_t, j_oracle, norm_oracle,
                      sphere_area_oracle)
@@ -186,12 +185,11 @@ def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norm
     assert got == pytest.approx(float(curve_at_t(cp, "min", t)), rel=1e-10)
 
 
-def test_attained_maximizer_reaches_supremum(constants_crit5, star5_norms):
+def test_attained_maximizer_reaches_supremum(constants_crit5):
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
-    v = ak.classify(pp, constants_crit5)
+    v, m = ak.maximizer(pp, constants_crit5)
     assert v.attained
-    w = build_w_lambda(N5, P2, pp.gamma, star5_norms, log_t=v.log_t_star)
-    assert j_oracle(w, pp) == pytest.approx(v.D, rel=1e-9)
+    assert j_oracle(m.profile, pp) == pytest.approx(v.D, rel=1e-9)
 
 
 def test_lambda_tstar_roundtrip(star5_norms):
