@@ -143,12 +143,22 @@ def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
     """The factor C in kappa = alpha * C: the constant the regime reads
     (``_CONSTANT_FIELD``), raised to p* (``gamma_crit``) for the Sobolev
     constant of the critical local regime and taken as it is otherwise.
+
+    A computed constant names its problem in ``meta`` (N and p, and q for
+    the interpolation constant); one named for another problem raises
+    ``ParamError``.  A user-supplied constant names none and is taken.
     """
     exps = params.exponents
     name = _CONSTANT_FIELD[exps.regime]
     constant = getattr(constants, name)
     if constant is None:
         raise ParamError("constants", f"the {exps.regime.value} regime needs ConstantSet.{name}")
+    meta = constant.meta
+    if (meta.get("N", params.N) != params.N or meta.get("p", params.p) != params.p
+            or (name == "interpolation" and meta.get("q", params.q) != params.q)):
+        named = ", ".join(f"{k}={meta[k]}" for k in ("N", "p", "q") if k in meta)
+        raise ParamError("constants", f"ConstantSet.{name} was resolved for {named}, not for "
+                                      f"N={params.N}, p={params.p}, q={params.q}")
     if name != "sobolev":
         return constant.value
     try:

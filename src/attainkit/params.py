@@ -31,6 +31,8 @@ computed once: p* in the critical regimes, gamma_c in the subcritical ones.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -94,6 +96,21 @@ def _order(params: "ProblemParams") -> float:
     return 1 if params.s is None else params.s
 
 
+#: frames a warning looks past to name its caller: this package's own and
+#: ``cached_property``'s (``ProblemParams.exponents`` validates through it)
+_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep,
+                   cached_property.__get__.__code__.co_filename)
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by this function's caller
+    names the first frame outside the package, however it was reached."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _q_critical_match(N: int, p: float, q: float, order: float, crit: float) -> bool:
     """Decide q == p* (``crit``, finite): exact rationals first, then a snap
     tolerance that warns (binary floats cannot represent e.g. 10/3)."""
@@ -108,7 +125,7 @@ def _q_critical_match(N: int, p: float, q: float, order: float, crit: float) -> 
             f"q={q!r} is within {CRITICAL_Q_RTOL:g} of the critical exponent "
             f"{crit!r}; treating the problem as critical",
             NearCriticalWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         return True
     return False

@@ -20,9 +20,12 @@ Four deterministic checks, each returning a self-describing report:
 
 Every report carries its tolerance, 0: each violation is already the
 excess over its own allowance, so ``passed`` is exactly
-``worst_violation <= 0``.  Every check takes its sharp constants as an
-argument; ``run_all`` builds them once and executes the four checks with
-a fixed seed in well under a minute.
+``worst_violation <= 0``.  Each check builds its own problems and resolves
+their sharp constants where it reads them (``resolve_constants``): the
+Sobolev constants are closed forms, the fractional cells read
+``DEFAULT_FRACTIONAL_CONSTANT``, and the one solve, the (2, 2, 4)
+interpolation constant, happens once, in the truth table.  ``run_all``
+executes the four checks with a fixed seed in well under a minute.
 """
 
 from __future__ import annotations
@@ -75,28 +78,16 @@ class CheckReport:
                            tolerance=0.0, details=tuple(details))
 
 
-def _default_constants() -> dict[str, ConstantSet]:
-    """Constants for the three default local problems plus the fractional stub."""
-    crit5 = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
-    crit3 = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
-    sub2 = ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=1.0)
-    return {
-        "critical": resolve_constants(crit5),
-        "nonexistence": resolve_constants(crit3),
-        "subcritical": resolve_constants(sub2),
-        "fractional": ConstantSet(
-            fractional=fractional_constant(DEFAULT_FRACTIONAL_CONSTANT)),
-    }
-
-
 # -- truth table ----------------------------------------------------------
 
-def _truth_cells(constants: dict[str, ConstantSet]):
-    """(label, params, constant_set, expected_attained, expected_reason, expected_D)."""
+def _truth_cells():
+    """(label, params, constant_set, expected_attained, expected_reason, expected_D).
+
+    Each family resolves its constant once, from its own problem."""
     cells = []
 
-    cs5 = constants["critical"]
     p5 = lambda g, a: ProblemParams.local_critical(N=5, p=2.0, gamma=g, alpha=a)
+    cs5 = resolve_constants(p5(2.5, 1.0))
     C5 = kappa_multiplier(p5(2.5, 1.0), cs5)
     thr_int = threshold_alpha(p5(3.0, 1.0), cs5)
     pstar5 = critical_exponent(5, 2.0)
@@ -126,8 +117,8 @@ def _truth_cells(constants: dict[str, ConstantSet]):
          Reason.ALPHA_ZERO, 1.0),
     ]
 
-    cs3 = constants["nonexistence"]
     p3 = lambda g, a: ProblemParams.local_critical(N=3, p=2.0, gamma=g, alpha=a)
+    cs3 = resolve_constants(p3(3.0, 1.0))
     C3 = kappa_multiplier(p3(3.0, 1.0), cs3)
     cells += [
         ("no-extremal dimension, huge alpha", p3(3.0, 1000.0), cs3, False,
@@ -141,8 +132,8 @@ def _truth_cells(constants: dict[str, ConstantSet]):
     cells.append(("boundary dimension p*p = N", p4, None, False,
                   Reason.SOBOLEV_NOT_ATTAINED, None))
 
-    cs2 = constants["subcritical"]
     p2 = lambda g, a: ProblemParams.local(N=2, p=2.0, q=4.0, gamma=g, alpha=a)
+    cs2 = resolve_constants(p2(1.5, 1.0))  # the ground-state solve
     gc = p2(1.5, 1.0).exponents.gamma_crit
     thr_low = threshold_alpha(p2(1.0, 1.0), cs2)
     thr_mid = threshold_alpha(p2(1.5, 1.0), cs2)
@@ -164,7 +155,7 @@ def _truth_cells(constants: dict[str, ConstantSet]):
          Reason.ALPHA_ZERO, 1.0),
     ]
 
-    csf = constants["fractional"]
+    csf = ConstantSet(fractional=fractional_constant(DEFAULT_FRACTIONAL_CONSTANT))
     S = csf.fractional.value
     pf = lambda g, b: ProblemParams.fractional_critical(N=5, s=0.6, gamma=g, alpha=b)
     qf = pf(2.3, 1.0).q
@@ -192,13 +183,12 @@ def _truth_cells(constants: dict[str, ConstantSet]):
     return cells
 
 
-def run_truth_table(constants: dict[str, ConstantSet]) -> CheckReport:
+def run_truth_table() -> CheckReport:
     """Verdicts on representative cells match the expected decision table.
 
-    ``constants`` is keyed as ``_default_constants`` builds it.  The
-    violation count is the number of mismatched cells (tolerance 0).
+    The violation count is the number of mismatched cells (tolerance 0).
     """
-    cells = _truth_cells(constants)
+    cells = _truth_cells()
     mismatches: list[str] = []
     for label, params, cset, want_attained, want_reason, want_d in cells:
         try:
@@ -225,13 +215,11 @@ def run_truth_table(constants: dict[str, ConstantSet]) -> CheckReport:
 
 # -- envelope -------------------------------------------------------------
 
-def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
-                 seed: int = 2024) -> CheckReport:
+def run_envelope(n_profiles: int = 1000, seed: int = 2024) -> CheckReport:
     """No admissible profile beats the scalar envelope; test families behave.
 
-    ``constants`` is keyed as for ``run_truth_table``: the random and bubble
-    parts run on the N = 5 critical problem with ``constants["critical"]``,
-    the truncated family on N = 3 with ``constants["nonexistence"]``.
+    The random and bubble parts run on the N = 5 critical problem, the
+    truncated family on N = 3, each with its own Sobolev constant.
     Three parts, each folded in as (measured - allowance):
 
     * random normalized profiles: J(u) - f(t(u)) <= 1e-8;
@@ -250,7 +238,7 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
     dilation laws and Q(u*) = C by quadrature.
     """
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
-    cp = CurveParams.from_problem(params, kappa_multiplier(params, constants["critical"]))
+    cp = CurveParams.from_problem(params, kappa_multiplier(params, resolve_constants(params)))
     N, p, q, gamma = params.N, params.p, params.q, params.gamma
 
     violations: list[float] = []
@@ -275,8 +263,8 @@ def run_envelope(constants: dict[str, ConstantSet], n_profiles: int = 1000,
     violations.append(worst_family - 1e-6)
     details.append(f"bubble family: worst rel |J - f| = {worst_family:.3e} (allow 1e-6)")
 
-    tr_constants = constants["nonexistence"]
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
+    tr_constants = resolve_constants(tr_params)
     tr_params = replace(tr_params, alpha=2.0 * threshold_alpha(tr_params, tr_constants))
     cp3 = CurveParams.from_problem(tr_params, kappa_multiplier(tr_params, tr_constants))
     opt = maximize_halfline(cp3)
@@ -312,19 +300,17 @@ def _sign_mismatches(sign, at_log_t, cp: CurveParams, x: np.ndarray,
     return int(np.count_nonzero(np.sign(v[keep]) != np.sign(diff[keep])))
 
 
-def run_derivative_checks(constants: dict[str, ConstantSet],
-                          n_points: int = 1000) -> CheckReport:
+def run_derivative_checks(n_points: int = 1000) -> CheckReport:
     """The optimizer's derivative signs agree with central differences of
     the curves at ``n_points`` values of t in [1e-4, 1e4], and each attained
     optimum is > 0 at its log t and <= 0 at the next double across.
 
-    ``constants`` is keyed as for ``run_truth_table``; the critical cases
-    use the N = 5 Sobolev constant in ``constants["critical"]``.  The
-    violation count is the number of disagreements (tolerance 0).  Each
-    sign is a Python call of a few microseconds, which sets the default.
+    The critical cases use the N = 5 Sobolev constant.  The violation count
+    is the number of disagreements (tolerance 0).  Each sign is a Python
+    call of a few microseconds, which sets the default.
     """
     crit = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
-    C = kappa_multiplier(crit, constants["critical"])
+    C = kappa_multiplier(crit, resolve_constants(crit))
     cases = [
         CurveParams.from_problem(
             ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=200.0), C),
@@ -332,6 +318,8 @@ def run_derivative_checks(constants: dict[str, ConstantSet],
             ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=10.0), C),
         CurveParams.from_problem(
             ProblemParams.local_critical(N=5, p=2.0, gamma=3.5, alpha=1.0), C),
+        # only signs are read, so any positive C serves; 0.17 stands in for
+        # B(2, 2, 4), whose solve here would double run_all's dominant cost
         CurveParams.from_problem(
             ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=0.7), 0.17),
         CurveParams.from_problem(
@@ -365,9 +353,9 @@ def run_derivative_checks(constants: dict[str, ConstantSet],
 
 # -- threshold monotonicity ------------------------------------------------
 
-def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
-    """Threshold-versus-exponent curve of the N = 5, p = 2 critical problem,
-    whose Sobolev constant ``constants`` holds, has the advertised shape.
+def run_monotonicity_scan() -> CheckReport:
+    """Threshold-versus-exponent curve of the N = 5, p = 2 critical problem
+    has the advertised shape.
 
     Non-increasing on the whole grid; constant (equal to the closed form)
     on the convexity band; strictly decreasing between the base and top
@@ -375,6 +363,7 @@ def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
     1e-3, 1e-4; endpoint values match their closed forms to 1e-6.
     """
     base = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
+    constants = resolve_constants(base)
     C = kappa_multiplier(base, constants)
     pstar = critical_exponent(5, 2.0)
     grid = np.linspace(0.5, pstar, 200)
@@ -436,18 +425,8 @@ def run_monotonicity_scan(constants: ConstantSet) -> CheckReport:
         n_cases=grid.size + 2 + 3 * len(probe_gammas), details=details)
 
 
-def run_all(seed: int = 2024,
-            constants: dict[str, ConstantSet] | None = None) -> tuple[CheckReport, ...]:
-    """All four checks with shared constants; deterministic, < 60 s.
-
-    ``constants`` is keyed as ``_default_constants`` builds it, which it
-    calls when none are given.
-    """
-    if constants is None:
-        constants = _default_constants()
-    return (
-        run_truth_table(constants),
-        run_envelope(constants, seed=seed),
-        run_derivative_checks(constants),
-        run_monotonicity_scan(constants["critical"]),
-    )
+def run_all(seed: int = 2024) -> tuple[CheckReport, ...]:
+    """All four checks, ``seed`` drawing the envelope's random profiles;
+    deterministic, < 60 s."""
+    return (run_truth_table(), run_envelope(seed=seed), run_derivative_checks(),
+            run_monotonicity_scan())

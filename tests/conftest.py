@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from attainkit.classify import ConstantSet, resolve_constants
-from attainkit.constants import fractional_constant, gns_constant_estimate
+from attainkit.constants import gns_constant_estimate
 from attainkit.params import ProblemParams
 
 settings.register_profile(
@@ -49,13 +49,3 @@ def gns_224():
 @pytest.fixture(scope="session")
 def constants_sub224(gns_224) -> ConstantSet:
     return ConstantSet(interpolation=gns_224)
-
-
-@pytest.fixture(scope="session")
-def suite_constants(constants_crit5, constants_crit3, constants_sub224):
-    return {
-        "critical": constants_crit5,
-        "nonexistence": constants_crit3,
-        "subcritical": constants_sub224,
-        "fractional": ConstantSet(fractional=fractional_constant(1.7)),
-    }

@@ -47,9 +47,9 @@ def _report(n: int, ok: bool, msg: str, capsys) -> None:
     assert ok, f"[acceptance {n}] {msg}"
 
 
-def test_acceptance_01_truth_table(suite_constants, capsys):
+def test_acceptance_01_truth_table(capsys):
     t0 = time.time()
-    rep = run_truth_table(suite_constants)
+    rep = run_truth_table()
     dt = time.time() - t0
     ok = rep.passed and dt < 10.0
     _report(1, ok, f"decision table exact on {rep.n_cases} cells "
@@ -243,10 +243,9 @@ def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
                    f"(limit 60s)", capsys)
 
 
-def test_acceptance_08_derivative_signs_and_threshold_monotonicity(
-        suite_constants, constants_crit5, capsys):
-    signs = run_derivative_checks(suite_constants, n_points=10_000)
-    mono = run_monotonicity_scan(constants_crit5)
+def test_acceptance_08_derivative_signs_and_threshold_monotonicity(capsys):
+    signs = run_derivative_checks(n_points=10_000)
+    mono = run_monotonicity_scan()
     ok = signs.passed and mono.passed
     _report(8, ok, f"the optimizer's derivative signs match central differences, "
                    f"and its optima are sign changes between adjacent doubles, on "

@@ -164,6 +164,46 @@ def test_classify_validates_and_resolves_once(monkeypatch, crit5):
     assert calls == {"validate": 1, "sobolev": 1}
 
 
+def test_classify_refuses_a_constant_resolved_for_another_problem(crit5, constants_sub224):
+    with pytest.raises(ParamError) as err:
+        classify(ProblemParams.local_critical(N=6, p=2.0, gamma=2.5, alpha=1.0),
+                 resolve_constants(crit5))
+    assert err.value.code == "constants"
+    sub223 = ProblemParams.local(N=2, p=2.0, q=3.0, gamma=0.8, alpha=1.0)
+    with pytest.raises(ParamError) as err:
+        classify(sub223, constants_sub224)
+    assert err.value.code == "constants"
+    # a user-supplied B names no problem, so it is taken as given
+    user_b = ConstantSet(interpolation=ak.SharpConstant(
+        value=0.17, method="user-input", err_bound=0.0, meta={"source": "ODE shooting"}))
+    assert classify(sub223, user_b).threshold == threshold_alpha(sub223, user_b) > 0.0
+
+
+def _patched_maximum(monkeypatch, **fields):
+    """Make classify read its objective maximum with ``fields`` replaced."""
+    classify_mod = importlib.import_module("attainkit.classify")
+    real = classify_mod.maximize_halfline
+    monkeypatch.setattr(classify_mod, "maximize_halfline",
+                        lambda cp: dataclasses.replace(real(cp), **fields))
+
+
+def test_classify_refuses_a_d_off_its_closed_form(monkeypatch, crit5, constants_crit5):
+    pp = dataclasses.replace(crit5, gamma=3.0)
+    below = dataclasses.replace(pp, alpha=0.9 * threshold_alpha(pp, constants_crit5))
+    _patched_maximum(monkeypatch, value=1.5)
+    with pytest.raises(NumericalError, match="disagrees with closed form"):
+        classify(below, constants_crit5)
+
+
+def test_classify_refuses_an_attained_verdict_without_interior_maximum(
+        monkeypatch, crit5, constants_crit5):
+    pp = dataclasses.replace(crit5, gamma=3.0)
+    above = dataclasses.replace(pp, alpha=1.1 * threshold_alpha(pp, constants_crit5))
+    _patched_maximum(monkeypatch, log_argopt=None)
+    with pytest.raises(NumericalError, match="no interior maximum"):
+        classify(above, constants_crit5)
+
+
 @pytest.mark.parametrize("gamma", [1.5, 2.0])
 @pytest.mark.parametrize("alpha_x_c", [0.25, 4.0])
 def test_convexity_band_never_attained(crit5, constants_crit5, gamma, alpha_x_c):

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from attainkit import classify
 from attainkit.errors import NearCriticalWarning, ParamError
 from attainkit.params import (ProblemParams, Regime, _q_critical, _q_critical_match,
                               critical_exponent,
                               extremal_in_energy_space,
                               fractional_critical_exponent,
                               fractional_gamma_threshold_exponent,
-                              gamma_threshold_exponent)
+                              gamma_threshold_exponent, validate)
 from oracles import (fractional_extremal_oracle, fractional_gamma_crit_oracle,
                      local_extremal_oracle, local_gamma_crit_oracle)
 
@@ -67,6 +68,16 @@ def test_near_critical_q_warns_and_upgrades():
     with pytest.warns(NearCriticalWarning):
         regime = ProblemParams.local(5, 2.0, qc, 1.0, 1.0).regime()
     assert regime is Regime.CRITICAL_LOCAL
+
+
+def test_near_critical_warning_names_the_caller():
+    # every path validates through the cached ProblemParams.exponents
+    qc = critical_exponent(5, 2.0)
+    near = lambda: ProblemParams.local(5, 2.0, qc, 2.2, 180.0)
+    for call in (lambda: classify(near()), lambda: near().regime(), lambda: validate(near())):
+        with pytest.warns(NearCriticalWarning) as rec:
+            call()
+        assert [w.filename for w in rec] == [__file__]
 
 
 def _exact_match_cases():
