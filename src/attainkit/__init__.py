@@ -45,7 +45,7 @@ from .params import (Exponents, ProblemParams, Regime, critical_exponent,
                      extremal_in_energy_space, fractional_critical_exponent,
                      fractional_gamma_threshold_exponent,
                      gamma_threshold_exponent)
-from .profiles import (Norms, NormValue, RadialProfile, Tail, bubble_norms,
+from .profiles import (Norms, NormValue, RadialProfile, bubble_norms,
                        build_truncated, build_u_star, dilate, log_lambda,
                        norms, orbit_curve, random_profiles, sphere_area)
 from .verify import (CheckReport, run_all, run_derivative_checks,
@@ -58,7 +58,7 @@ __all__ = [
     "Exponents", "Maximizer", "NearCriticalWarning", "NormValue",
     "Norms", "NumericalError", "OptResult",
     "ParamError", "ProblemParams", "RadialProfile", "Reason", "Regime",
-    "SharpConstant", "Tail", "Verdict",
+    "SharpConstant", "Verdict",
     "bubble_norms", "build_truncated", "build_u_star", "classify",
     "critical_exponent", "dilate",
     "extremal_in_energy_space", "f_at_log_t",

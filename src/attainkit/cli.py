@@ -13,8 +13,9 @@ layout by ``to_json``, which joins each all-float list in one pass.
 
 ``--q critical`` is the exact way to request the critical exponent; a
 numeric ``--q`` that matches it to within 1e-12 relative is accepted with
-a warning.  The environment variable ATTAIN_KIT_THREADS caps the thread
-pools of the underlying numeric libraries.
+a ``warning: ...`` line on stderr.  The environment variable
+ATTAIN_KIT_THREADS caps the thread pools of the underlying numeric
+libraries.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -32,7 +34,7 @@ from .classify import (ConstantSet, classify, kappa_multiplier, maximizer,
                        resolve_constants)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t, t_from_log
-from .errors import DivergentNormError, NumericalError, ParamError
+from .errors import DivergentNormError, NearCriticalWarning, NumericalError, ParamError
 from .halfline import objective_sign, ratio_sign
 from .params import ProblemParams
 from .verify import run_all
@@ -443,14 +445,26 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
-    try:
-        return ns.handler(ns)
-    except ParamError as exc:
-        sys.stderr.write(f"validation error ({exc.code}): {exc}\n")
-        return EXIT_VALIDATION
-    except (NumericalError, DivergentNormError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        # a near-critical snap is one stderr line; the source location a
+        # warning names would be Python's, not the command line's
+        show = warnings.showwarning
+
+        def show_snap(message, category, *args, **kwargs):
+            if issubclass(category, NearCriticalWarning):
+                sys.stderr.write(f"warning: {message}\n")
+            else:
+                show(message, category, *args, **kwargs)
+
+        warnings.showwarning = show_snap
+        try:
+            return ns.handler(ns)
+        except ParamError as exc:
+            sys.stderr.write(f"validation error ({exc.code}): {exc}\n")
+            return EXIT_VALIDATION
+        except (NumericalError, DivergentNormError) as exc:
+            sys.stderr.write(f"numerical failure: {exc}\n")
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

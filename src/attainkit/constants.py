@@ -24,7 +24,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericalError, ParamError
 from .params import critical_exponent, gamma_threshold_exponent
-from .profiles import RadialProfile, Tail, _quotient, norms
+from .profiles import RadialProfile, _quotient, norms
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Ra
         u = polyval(np.clip((x - r[i]) / h[i], 0.0, 1.0), c[:, i], tensor=False)
         return np.where(x < r[-1], u, 0.0)
 
-    return RadialProfile(N=N, tail=Tail(kind="compact", support=float(r[-1])), breaks=r[1:-1],
+    return RadialProfile(N=N, support=float(r[-1]), breaks=r[1:-1],
                          fn=lambda x: np.maximum(piece(x, coef), 0.0),
                          dfn=lambda x: piece(x, dcoef))
 

@@ -2,13 +2,14 @@
 
 Everything the functional sees is a radial profile: the optimal bubble,
 its dilations, its truncations, and random trial functions.  Each one is
-its two closed-form callables, u and u', plus an exact tail description
-and the radii (breaks) where it is not smooth or changes scale; nothing is
-stored on a grid.  A family of profiles is one such object whose
-callables broadcast over a (rows, nodes) array.  This module computes the
-three norms every evaluation needs by Gauss panels (``gauss_legendre``,
-``sphere_area``), with analytic head and tail corrections, and turns them
-into J on the profile's normalized dilation orbit (``orbit_curve``).
+its two closed-form callables, u and u', plus where it ends (a compact
+support, or the rate of an algebraic decay) and the radii (breaks) where
+it is not smooth or changes scale; nothing is stored on a grid.  A family
+of profiles is one such object whose callables broadcast over a
+(rows, nodes) array.  This module computes the three norms every
+evaluation needs by Gauss panels (with ``sphere_area``), with analytic
+head and tail corrections, and turns them into J on the profile's
+normalized dilation orbit (``orbit_curve``).
 
 Norm quadrature layout for a moment integral of |u|^e r^(N-1) dr, the
 same for every profile and every row of a family:
@@ -22,15 +23,16 @@ same for every profile and every row of a family:
   plus a roundoff floor read from the size of each exponent;
 * head [0, r_min] (log r only): |u(r_min)|^e r_min^N / N;
 * tail [r_cut, inf): zero for compact support; for algebraic decay of
-  rate d the closed form |u(r_cut)|^e r_cut^N / (d e - N), with r_cut
-  placed from the decay rate (capped when slow decay would push it
-  astronomically far), and the power law's own error extrapolated from
-  the last two decades below r_cut into the bound.
+  rate d the closed form |u(r_cut)|^e r_cut^N / (d e - N), with u' read
+  as decaying at rate d + 1, and the power law's own error extrapolated
+  from the last two decades below r_cut into the bound.  One r_cut serves
+  all three moments: the one placed from the smallest decay excess d e - N
+  (the mass moment's when q > p), capped when slow decay would push it
+  astronomically far.
 
-u and u' are each evaluated once per distinct r_cut, over all rows at
-once (in node blocks of _CHUNK for a large family), and all three moments
-are read from those values: a compactly supported profile is evaluated
-once for u and once for u'.
+u and u' are each evaluated once per profile, over all rows at once (in
+node blocks of _CHUNK for a large family), and all three moments are read
+from those values.
 
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
@@ -68,16 +70,11 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 # Gauss-Kronrod 7-15 on [0, 1]: the 7 Gauss nodes, then the 8 Kronrod
 # nodes added to them (Kronrod 1965; QUADPACK's qk15, Piessens et al.
 # 1983), and the columns (Kronrod weights, Gauss weights) over all 15
-_XG7, _WG7 = gauss_legendre(7)
+_XG7, _WG7 = np.polynomial.legendre.leggauss(7)
+_XG7, _WG7 = (_XG7 + 1.0) / 2.0, _WG7 / 2.0
 _XK8 = 0.5 + 0.5 * np.array([-0.991455371120812639206854697526329,
                              -0.864864423359769072789712788640926,
                              -0.586087235467691130294144845693013,
@@ -93,47 +90,28 @@ _RULES = np.stack([
     np.concatenate([_WG7, np.zeros(8)])], axis=1)
 
 
-@dataclass(frozen=True)
-class Tail:
-    """How a profile behaves at large radius.
-
-    kind "algebraic": u(r) ~ const * r^(-rate) as r -> inf.
-    kind "compact":   u(r) = 0 for r >= support (one per row for a family).
-    """
-
-    kind: str
-    rate: float = math.nan
-    support: float | np.ndarray = math.nan
-
-    def __post_init__(self):
-        if self.kind not in ("algebraic", "compact"):
-            raise ParamError("tail", f"unknown tail kind {self.kind!r}")
-        if self.kind == "algebraic" and not (self.rate > 0):
-            raise ParamError("tail", f"algebraic tail needs rate > 0, got {self.rate}")
-        if self.kind == "compact" and not np.all(np.asarray(self.support) > 0):
-            raise ParamError("tail", f"compact tail needs support > 0, got {self.support}")
-
-
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
     """A radial function given by exact callables, or a family of them.
 
     N         ambient dimension (fixes the r^(N-1) measure)
-    tail      behavior at large radius
     fn / dfn  closed-form u(r) and u'(r), vectorized over r
+    support   u(r) = 0 for r >= support (one per row for a family), or
+    decay     u(r) ~ const * r^(-decay) as r -> inf: exactly one is given
     breaks    radii where u or u' is not smooth or changes scale; the
               quadrature puts panel edges there
     rows      None for one profile; for a family, its number of profiles:
               fn and dfn then broadcast over r of shape (rows, nodes), and
-              a compact support and the breaks carry one row per profile
+              a support and the breaks carry one row per profile
 
     A family reads as a sequence of its rows, each one profile.
     """
 
     N: int
-    tail: Tail
     fn: Callable = field(repr=False)
     dfn: Callable = field(repr=False)
+    support: float | np.ndarray | None = None
+    decay: float | None = None
     breaks: tuple | np.ndarray = field(default=(), repr=False)
     rows: int | None = None
 
@@ -142,6 +120,12 @@ class RadialProfile:
             raise ParamError("N", f"need integer N >= 1, got {self.N!r}")
         if not (callable(self.fn) and callable(self.dfn)):
             raise ParamError("profile", "a profile needs callables fn and dfn")
+        if (self.support is None) == (self.decay is None):
+            raise ParamError("tail", "a profile needs exactly one of support and decay")
+        if self.support is not None and not np.all(np.asarray(self.support) > 0):
+            raise ParamError("tail", f"a support must be > 0, got {self.support}")
+        if self.decay is not None and not self.decay > 0:
+            raise ParamError("tail", f"a decay rate must be > 0, got {self.decay}")
         if self.rows is not None and not (isinstance(self.rows, int) and self.rows >= 1):
             raise ParamError("rows", f"a family needs an integer rows >= 1, got {self.rows!r}")
 
@@ -162,10 +146,9 @@ class RadialProfile:
                 return f(r.reshape(1, -1))[i].reshape(r.shape)
             return g
 
-        tail = self.tail
-        if tail.kind == "compact":
-            tail = Tail(kind="compact", support=float(np.asarray(tail.support)[i]))
-        return RadialProfile(N=self.N, tail=tail, fn=row(fam_fn), dfn=row(fam_dfn),
+        support = None if self.support is None else float(np.asarray(self.support)[i])
+        return RadialProfile(N=self.N, fn=row(fam_fn), dfn=row(fam_dfn), support=support,
+                             decay=self.decay,
                              breaks=np.asarray(self.breaks, dtype=float).reshape(self.rows, -1)[i])
 
 
@@ -187,25 +170,30 @@ class Norms:
 
 # -- norm quadrature ------------------------------------------------------
 
-def _cut_off(profile: RadialProfile, e: float, use_deriv: bool,
-             norm_name: str) -> tuple[float | np.ndarray, float | None]:
-    """(r_cut, tail decay excess) of one moment; no excess when compact."""
-    tail = profile.tail
-    if tail.kind == "compact":
-        return tail.support, None
-    rate = tail.rate + (1.0 if use_deriv else 0.0)
-    excess = rate * e - profile.N
-    if excess <= 0:
-        raise DivergentNormError(
-            norm_name,
-            f"tail decay rate {rate} with exponent {e} gives a "
-            f"divergent moment in dimension {profile.N}")
+def _cut_off(profile: RadialProfile, p: float,
+             q: float) -> tuple[float | np.ndarray, tuple[float | None, ...]]:
+    """(r_cut, tail decay excess of each moment lp, grad_lp, lq); no excesses
+    when compact.  The first divergent moment raises.  The smallest excess
+    places r_cut farthest, so it serves all three moments: the mass
+    moment's d p - N, when q > p."""
+    if profile.decay is None:
+        return profile.support, (None, None, None)
+    excesses = []
+    for name, rate, e in (("lp", profile.decay, p), ("grad_lp", profile.decay + 1.0, p),
+                          ("lq", profile.decay, q)):
+        excess = rate * e - profile.N
+        if excess <= 0:
+            raise DivergentNormError(
+                name,
+                f"tail decay rate {rate} with exponent {e} gives a "
+                f"divergent moment in dimension {profile.N}")
+        excesses.append(excess)
     # clamp the base-10 exponent first: 10**x overflows for a tiny excess
-    expo = min(max(-math.log10(_TAIL_TARGET) / excess, 2.0), math.log10(_R_CUT_MAX))
-    return min(_R_CUT_MAX, 10.0 ** expo), excess
+    expo = min(max(-math.log10(_TAIL_TARGET) / min(excesses), 2.0), math.log10(_R_CUT_MAX))
+    return min(_R_CUT_MAX, 10.0 ** expo), tuple(excesses)
 
 
-def _layout(profile: RadialProfile, r_cut, rows: int, compact: bool):
+def _layout(profile: RadialProfile, r_cut, rows: int):
     """Nodes of one cut-off: (r, log measure, panel widths, tail-check panels).
 
     Panels run in r over [0, support] for a compact profile and in log r
@@ -219,6 +207,7 @@ def _layout(profile: RadialProfile, r_cut, rows: int, compact: bool):
     """
     breaks = np.asarray(profile.breaks, dtype=float).reshape(rows, -1)
     N = profile.N
+    compact = profile.decay is None
     if compact:
         top = np.asarray(r_cut, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
         edges = np.concatenate([top * (np.arange(_GRADED_PANELS + 1) / _GRADED_PANELS) ** 2,
@@ -292,28 +281,22 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
     """All three norms of a radial profile, or of each row of a family, by
     Gauss panels.
 
-    u and u' are evaluated once per distinct cut-off radius, over every row
-    at once, and every moment on that cut-off reads the same values.  A
+    u and u' are each evaluated once, over every row at once, at the nodes
+    of one cut-off radius, and all three moments read those values.  A
     family returns a tuple of Norms, one per row.
     """
     if not (p > 1 and q > 0):
         raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
     N = profile.N
     rows = len(profile)
-    compact = profile.tail.kind == "compact"
     omega = sphere_area(N)
     eps = np.finfo(float).eps
-    nodes: dict = {}  # r_cut (None when compact) -> (layout, {use_deriv: log |u| or |u'|})
-    out = {}
-    for name, e, use_deriv in (("lp", p, False), ("grad_lp", p, True), ("lq", q, False)):
-        r_cut, excess = _cut_off(profile, e, use_deriv, name)
-        key = None if compact else r_cut
-        if key not in nodes:
-            nodes[key] = (_layout(profile, r_cut, rows, compact), {})
-        (r, log_measure, h, decade), values = nodes[key]
-        if use_deriv not in values:
-            values[use_deriv] = _log_abs(profile.dfn if use_deriv else profile.fn, r)
-        arg = e * values[use_deriv] + log_measure
+    r_cut, excesses = _cut_off(profile, p, q)
+    r, log_measure, h, decade = _layout(profile, r_cut, rows)
+    log_u, log_du = _log_abs(profile.fn, r), _log_abs(profile.dfn, r)
+    out = []
+    for e, log_v, excess in zip((p, p, q), (log_u, log_du, log_u), excesses):
+        arg = e * log_v + log_measure
         y = _exp(arg)
         P = h.shape[1]
         kg = (_RULES.T @ y[:, :15 * P].T.reshape(P, 15, rows)) * h.T[:, None, :]  # (P, 2, rows)
@@ -338,8 +321,8 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
         value = (omega * raw) ** (1.0 / e)
         err_norm = np.where(raw > 0, value * err / (e * np.where(raw > 0, raw, 1.0)),
                             err ** (1.0 / e))
-        out[name] = (value, err_norm)
-    columns = [map(NormValue, v.tolist(), b.tolist()) for v, b in out.values()]
+        out.append((value, err_norm))
+    columns = [map(NormValue, v.tolist(), b.tolist()) for v, b in out]
     family = tuple(map(Norms, *columns))
     return family[0] if profile.rows is None else family
 
@@ -375,8 +358,7 @@ def build_u_star(N: int, p: float) -> RadialProfile:
                 * np.exp(-(expo + 1.0) * np.log1p(r ** pp)))
 
     # r = 1 is its core, where it turns from flat to the algebraic tail
-    return RadialProfile(N=N, tail=Tail(kind="algebraic", rate=rate), fn=fn, dfn=dfn,
-                         breaks=(1.0,))
+    return RadialProfile(N=N, fn=fn, dfn=dfn, decay=rate, breaks=(1.0,))
 
 
 def bubble_norms(N: int, p: float, q: float) -> Norms:
@@ -423,14 +405,13 @@ def _rescaled(profile: RadialProfile, amp, scale, rows: int | None = None) -> Ra
     def dfn(r):
         return amp * scale * base_dfn(scale * np.asarray(r, dtype=float))
 
-    tail = profile.tail
-    if tail.kind == "compact":
-        tail = Tail(kind="compact", support=np.reshape(tail.support / scale, -1)
-                    if rows else tail.support / scale)
+    support = profile.support
+    if support is not None:
+        support = np.reshape(support / scale, -1) if rows else support / scale
     with np.errstate(divide="ignore"):  # a scale that underflowed to 0 moves them to inf
         breaks = np.asarray(profile.breaks, dtype=float) / scale
-    return RadialProfile(N=profile.N, tail=tail, fn=fn, dfn=dfn, rows=rows or profile.rows,
-                         breaks=breaks)
+    return RadialProfile(N=profile.N, fn=fn, dfn=dfn, support=support, decay=profile.decay,
+                         rows=rows or profile.rows, breaks=breaks)
 
 
 def dilate(profile: RadialProfile, lam, p: float) -> RadialProfile:
@@ -519,7 +500,7 @@ def build_truncated(N: int, p: float, R: float) -> RadialProfile:
     # the cutoff is only C^2 at R and 2R; from half its core radius (1) out
     # to R the bubble turns algebraic, so its scale changes by each octave
     octaves = [2.0 ** k for k in range(-1, math.ceil(math.log2(R))) if k]
-    return RadialProfile(N=N, tail=Tail(kind="compact", support=2.0 * R), fn=fn, dfn=dfn,
+    return RadialProfile(N=N, fn=fn, dfn=dfn, support=2.0 * R,
                          breaks=(*star.breaks, *octaves, R, 2.0 * R))
 
 
@@ -611,5 +592,4 @@ def random_profiles(count: int, N: int, seed: int = 2024) -> RadialProfile:
                      + [np.where(a > 0, c + w, 0.0) for a, w, c in bumps], axis=0)[:, 0]
     breaks = np.concatenate([np.where(a > 0, c + w * np.array([-1.0, 0.0, 1.0]), 0.0)
                              for a, w, c in bumps], axis=1)
-    return RadialProfile(N=N, tail=Tail(kind="compact", support=support), fn=fn, dfn=dfn,
-                         breaks=breaks, rows=count)
+    return RadialProfile(N=N, fn=fn, dfn=dfn, support=support, breaks=breaks, rows=count)

@@ -131,7 +131,7 @@ def norm_oracle(profile, p: float, q: float) -> dict[str, np.ndarray]:
     of [0, support] split at the declared breaks, with fn and dfn called
     on 64-node column blocks."""
     rows = 1 if profile.rows is None else profile.rows
-    top = np.asarray(profile.tail.support, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
+    top = np.asarray(profile.support, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
     breaks = np.clip(np.asarray(profile.breaks, dtype=float).reshape(rows, -1), 0.0, top)
     edges = np.sort(np.concatenate([top * np.linspace(0.0, 1.0, 129), breaks], axis=1), axis=1)
     x, w = np.polynomial.legendre.leggauss(20)

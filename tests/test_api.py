@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import attainkit as ak
-from attainkit import ParamError, RadialProfile, Tail
+from attainkit import ParamError, RadialProfile
 
 
 def test_every_exported_name_resolves_once():
@@ -40,13 +40,12 @@ def test_every_module_uses_what_it_imports():
 
 
 def test_radial_profile_requires_both_callables():
-    tail = Tail(kind="compact", support=1.0)
     with pytest.raises(TypeError):
-        RadialProfile(N=3, tail=tail)
+        RadialProfile(N=3, support=1.0)
     with pytest.raises(TypeError):
-        RadialProfile(N=3, tail=tail, fn=np.cos)
+        RadialProfile(N=3, support=1.0, fn=np.cos)
     with pytest.raises(ParamError):
-        RadialProfile(N=3, tail=tail, fn=np.cos, dfn=None)
+        RadialProfile(N=3, support=1.0, fn=np.cos, dfn=None)
     with pytest.raises(ParamError):
-        RadialProfile(N=3, tail=tail, fn=np.ones(4), dfn=np.sin)
-    assert RadialProfile(N=3, tail=tail, fn=np.cos, dfn=np.sin).fn is np.cos
+        RadialProfile(N=3, support=1.0, fn=np.ones(4), dfn=np.sin)
+    assert RadialProfile(N=3, support=1.0, fn=np.cos, dfn=np.sin).fn is np.cos

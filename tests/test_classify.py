@@ -164,6 +164,13 @@ def test_classify_validates_and_resolves_once(monkeypatch, crit5):
     assert calls == {"validate": 1, "sobolev": 1}
 
 
+def test_kappa_multiplier_names_the_missing_constant():
+    params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
+    with pytest.raises(ParamError, match=r"ConstantSet\.sobolev") as err:
+        kappa_multiplier(params, ConstantSet())
+    assert err.value.code == "constants"
+
+
 def test_classify_refuses_a_constant_resolved_for_another_problem(crit5, constants_sub224):
     with pytest.raises(ParamError) as err:
         classify(ProblemParams.local_critical(N=6, p=2.0, gamma=2.5, alpha=1.0),

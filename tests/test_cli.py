@@ -34,6 +34,14 @@ CLASSIFY_ARGS = ("classify", "--N", "5", "--p", "2", "--q", "critical",
                  "--gamma", "2.2", "--alpha", "180")
 
 
+def fresh_cli(*argv):
+    """``python -m attainkit`` in a fresh process, on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "attainkit", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_classify_json_contract(capsys):
     code, out, _ = run_cli(capsys, *CLASSIFY_ARGS)
     assert code == 0
@@ -452,16 +460,13 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, tmp_path):
          "--gamma", "1.0", "--beta", "1", "--frac-constant", "1.7"),
         CLASSIFY_ARGS,
     ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     for argv in calls:
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "attainkit", *argv],
-                               capture_output=True, text=True, env=env)
+        fresh = fresh_cli(*argv)
         assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
         assert captured.err == fresh.stderr, argv
 
@@ -559,6 +564,17 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("frac-constant", ("classify", "--N", "5", "--s", "0.6", "--q", "critical",
                        "--gamma", "2.3", "--alpha", "1")),
     ("frac-constant", ("constants", "--N", "5", "--s", "0.6")),
+    # a missing flag, and a gamma range that is not start:stop:step in numbers
+    ("N", ("classify", "--p", "2", "--q", "critical", "--gamma", "2.2", "--alpha", "1")),
+    ("gamma", ("classify", *_CRIT, "--alpha", "1")),
+    ("p", ("classify", "--N", "5", "--q", "critical", "--gamma", "2.2", "--alpha", "1")),
+    ("q", ("classify", "--N", "5", "--p", "2", "--gamma", "2.2", "--alpha", "1")),
+    ("q", ("classify", "--N", "5", "--s", "0.6", "--gamma", "2.3", "--alpha", "1",
+           "--frac-constant", "1.7")),
+    ("alpha", ("classify", *_CRIT, "--gamma", "2.2")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:2")),
+    ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "a:b:c")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)
@@ -568,16 +584,38 @@ def test_boundary_input_exits_validation(capsys, code, argv):
     assert "Traceback" not in err
 
 
+NEAR_CRITICAL_Q = repr(10.0 / 3.0)  # equals the critical exponent to float precision
+SNAP_LINE = (f"warning: q={NEAR_CRITICAL_Q} is within 1e-12 of the critical exponent "
+             f"{NEAR_CRITICAL_Q}; treating the problem as critical\n")
+
+
 def test_near_critical_numeric_q_warns_and_upgrades(capsys):
-    q = 10.0 / 3.0  # equals the critical exponent to float precision
-    with pytest.warns(NearCriticalWarning):
-        code, out, _ = run_cli(capsys, "classify", "--N", "5", "--p", "2",
-                               "--q", repr(q), "--gamma", "2.2", "--alpha", "180")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "classify", "--N", "5", "--p", "2",
+                                 "--q", NEAR_CRITICAL_Q, "--gamma", "2.2", "--alpha", "180")
+        # the snap comes first, so that the validation error is the last line
+        bad = run_cli(capsys, "maximizer", "--N", "5", "--p", "2", "--q", NEAR_CRITICAL_Q,
+                      "--gamma", "2.2", "--alpha", "180", "--tol", "-1")
     assert code == 0
+    # the snap is one stderr line, and no Python warning with a source location
+    assert err == SNAP_LINE
+    assert not [w for w in caught if issubclass(w.category, NearCriticalWarning)]
     doc = json.loads(out)
     # the echoed flag records what the user passed; the regime upgrades
     assert doc["problem"]["regime"] == "critical-local"
     assert doc["verdict"]["attained"] is True
+    assert bad[0] == 1 and bad[1] == ""
+    assert bad[2].startswith(SNAP_LINE + "validation error (tol)")
+    assert bad[2].count("\n") == 2
+
+
+def test_module_entry_point_reports_the_near_critical_snap():
+    proc = fresh_cli("classify", "--N", "5", "--p", "2", "--q", NEAR_CRITICAL_Q,
+                     "--gamma", "2.5", "--alpha", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["problem"]["regime"] == "critical-local"
+    assert proc.stderr == SNAP_LINE  # no runpy frame, no file:line
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -124,8 +124,8 @@ def test_ground_state_profile_shape(ground_states_224):
     u = prof.fn(np.concatenate([[0.0], breaks]))
     assert np.all(u >= 0.0)
     assert np.all(np.diff(u) <= 0.0)
-    assert prof.fn(prof.tail.support) == 0.0  # cut to compact support
-    outside = prof.tail.support * np.array([1.5, 2.0])
+    assert prof.fn(prof.support) == 0.0  # cut to compact support
+    outside = prof.support * np.array([1.5, 2.0])
     assert np.all(prof.fn(outside) == 0.0) and np.all(prof.dfn(outside) == 0.0)
 
 

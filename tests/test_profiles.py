@@ -16,7 +16,7 @@ from attainkit import (
     NumericalError,
     ParamError,
     ProblemParams,
-    Tail,
+    RadialProfile,
     bubble_norms,
     build_truncated,
     build_u_star,
@@ -234,7 +234,7 @@ def test_smoothstep_cutoff_shape():
 
 def test_truncated_profile_support_is_exact():
     w = build_truncated(3, 2.0, R=10.0)
-    assert w.tail.kind == "compact"
+    assert w.support == 20.0 and w.decay is None
     assert w.fn(20.0) == 0.0
     assert w.fn(20.0 + 1e-9) == 0.0
     assert w.fn(19.999) > 0.0
@@ -360,14 +360,14 @@ def test_random_profiles_deterministic_and_nonnegative():
         r = np.geomspace(1e-4, 50.0, 200)
         np.testing.assert_array_equal(pa.fn(r), pb.fn(r))
         assert np.all(pa.fn(r) >= 0.0)
-        assert pa.tail.kind == "compact"
+        assert pa.support > 0.0 and pa.decay is None
 
 
 def test_random_profiles_vanish_below_roundoff_past_their_support():
     # a Gaussian does not vanish, so the support is where every moment's
     # integrand has fallen far below the doubles' resolution of the norm
     fam = random_profiles(1000, N=N5, seed=2024)
-    support = np.asarray(fam.tail.support)
+    support = np.asarray(fam.support)
     r = support[:, None] * np.array([1.0, 1.5, 3.0])
     nms = norms(fam, P2, Q_CRIT5)
     scale = np.array([[nm.lp.value, nm.grad_lp.value] for nm in nms])
@@ -410,13 +410,15 @@ def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
     prof, calls = _counting(star5)
     got = norms(prof, p=P2, q=Q_CRIT5)
     assert got == star5_norms
-    # the mass and q moments decay at different rates, so their cut-offs differ
-    assert len(calls["fn"]) == len(set(calls["fn"])) == 2
-    assert len(calls["dfn"]) == 1
+    # the three moments decay at different rates, and all read one cut-off
+    assert len(calls["fn"]) == len(calls["dfn"]) == 1
+    assert calls["fn"] == calls["dfn"]
 
 
 def test_tail_validation():
-    with pytest.raises(ParamError):
-        Tail(kind="exponential", rate=1.0)
-    with pytest.raises(ParamError):
-        Tail(kind="compact", rate=1.0, support=-2.0)
+    # exactly one of a positive support (one per row) and a positive decay
+    for extent in ({}, {"support": 1.0, "decay": 2.0}, {"support": -2.0},
+                   {"support": np.array([1.0, 0.0])}, {"decay": 0.0}, {"decay": math.nan}):
+        with pytest.raises(ParamError) as info:
+            RadialProfile(N=3, fn=np.cos, dfn=np.sin, **extent)
+        assert info.value.code == "tail", extent
