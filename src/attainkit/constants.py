@@ -9,7 +9,9 @@ Three constants are consumed downstream:
   gc = N(q-p)/p  (bounded here from below by the quotient of the shot
   radial ground state's Hermite interpolant, integrated by the same
   Gauss-Kronrod panel rule as every other norm, with err_bound the
-  step-halving distance plus that rule's bound),
+  step-halving distance plus that rule's bound; each round of shots is
+  placed in a window that a fit of how far the previous round's shots
+  rode points to, so (2, 2, 4) closes in six rounds per bracket),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -92,9 +94,16 @@ _START = 1e-3          # first radius, in units of the core width
 _STEP_PER_R = 0.05     # steps grow with r (a geometric grid) ...
 _STEP_MAX = 0.04       # ... up to this cap
 _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
-_HEIGHT_RTOL = 1e-13   # the height bracket counts as closed at this width
+_HEIGHT_RTOL = 1e-14   # the height bracket counts as closed at this width; the
+                       # value moves with the last undershoot's distance from
+                       # h*, by up to 2.6 err_bounds at 1e-13
 _MAX_ROUNDS = 64
 _MAX_HEIGHT = 1e100
+_FIT_SHOTS = 4         # decided shots per side that the miss-distance fit reads
+_FIT_GRID = 48         # candidate heights per pass of the fit's two-pass search
+_WINDOW_MIN = 1 / 40   # fitted window half-width, in bracket widths, at least ...
+_WINDOW_PER_RMS = 8    # ... this many times the fit's rms residual ...
+_WINDOW_MAX = 1 / 4    # ... and no wider, else the fit is too poor to use
 
 
 def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
@@ -175,12 +184,113 @@ def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Ra
                          dfn=lambda x: piece(x, dcoef))
 
 
+def _crossing_radii(fate, at, rs, ws, psis, p: float, q: float) -> np.ndarray:
+    """Radius at which each decided shot's miss crossed zero: w for an
+    overshoot, the energy E for an undershoot (E falls below zero before
+    psi turns positive, and within the last four nodes, where E was last
+    tested).  Linear between the nodes around the first sign change among
+    the shot's last five, so the radius is not quantized to the step;
+    where no change shows, the node it was decided at.  Undecided shots
+    get a meaningless value.
+    """
+    cols = np.arange(fate.size)[:, None]
+    nodes = np.maximum(at[:, None] + np.arange(-4, 1), 0)
+    r, w, psi = rs[nodes, cols], ws[nodes, cols], psis[nodes, cols]
+    wp = np.maximum(w, 0.0)
+    energy = (p - 1.0) / p * np.abs(psi) ** (p / (p - 1.0)) + wp**q / q - wp**p / p
+    miss = np.where(fate[:, None] > 0, w, energy)
+    j = np.argmax(miss <= 0.0, axis=1)
+    i, k = np.arange(fate.size), np.maximum(j - 1, 0)
+    inside = r[i, k] + (r[i, j] - r[i, k]) * miss[i, k] / (miss[i, k] - miss[i, j])
+    return np.where(j > 0, inside, r[:, -1])
+
+
+def _fit_window(heights, fate, radii, lo: float, hi: float) -> tuple[float, float] | None:
+    """The window that the next round's heights fill evenly, or None when
+    the fit is too poor to place one.
+
+    Near the ground-state height h*, a shot leaves the ground state along
+    the growing tail mode, whose coefficient is linear in h - h*.  So
+    log|h - h*| = a - s r, with r the shot's crossing radius, holds on each
+    side of h*; each side has its own a and s, as the two sides cross on
+    different quantities.  The _FIT_SHOTS decided shots nearest the new
+    bracket (lo, hi) on each side are fitted by least squares, and h* by
+    a two-pass grid search over (lo, hi): the design does not depend on
+    h*, so every candidate's residual is one projection of its log
+    distances.  The window is centred on the estimate, _WINDOW_PER_RMS rms
+    residuals but at least _WINDOW_MIN bracket widths to each side, and
+    clipped to (lo, hi).  The fit is poor when a slope is not positive or
+    the half-width would pass _WINDOW_MAX bracket widths.  This is shooting
+    with a smooth miss distance in place of bisection (Keller 1968,
+    Numerical Methods for Two-Point Boundary-Value Problems; Stoer and
+    Bulirsch, Introduction to Numerical Analysis, sec. 7.3).
+    """
+    under = np.flatnonzero((fate < 0) & (heights <= lo))[-_FIT_SHOTS:]
+    over = np.flatnonzero((fate > 0) & (heights >= hi))[:_FIT_SHOTS]
+    if under.size < _FIT_SHOTS or over.size < _FIT_SHOTS:
+        return None
+    shots = np.concatenate([under, over])
+    h, r = heights[shots], radii[shots]
+    side = np.repeat([1.0, 0.0], _FIT_SHOTS)
+    design = np.column_stack([side, 1.0 - side, -r * side, -r * (1.0 - side)])
+    solve = np.linalg.pinv(design)
+    residual = np.eye(h.size) - design @ solve
+    a, b, floor = lo, hi, np.spacing(hi)
+    for _ in range(2):
+        width = (b - a) / _FIT_GRID
+        guess = a + width * (np.arange(_FIT_GRID) + 0.5)
+        logd = np.log(np.maximum(np.abs(h - guess[:, None]), floor))
+        ssr = np.sum((logd @ residual) ** 2, axis=1)
+        k = int(np.argmin(ssr))
+        a, b = max(lo, guess[k] - width), min(hi, guess[k] + width)
+    rms = math.sqrt(ssr[k] / (h.size - design.shape[1] - 1))
+    half = max(_WINDOW_MIN, _WINDOW_PER_RMS * rms)
+    if np.min((solve @ logd[k])[2:]) <= 0.0 or half > _WINDOW_MAX:
+        return None
+    half *= hi - lo
+    return max(lo, guess[k] - half), min(hi, guess[k] + half)
+
+
 class _Bracket:
-    """One resolution's height bracket and its last undershooting shot."""
+    """One resolution's height bracket, the window its next round fills and
+    its last undershooting shot."""
 
     def __init__(self, coarsen: float, lo: float):
         self.coarsen, self.lo, self.hi, self.spread = coarsen, lo, math.inf, 4.0
-        self.rounds, self.best = 0, None
+        self.window, self.rounds, self.best = None, 0, None
+
+    @property
+    def closed(self) -> bool:
+        return self.hi - self.lo <= _HEIGHT_RTOL * self.lo
+
+    def heights(self) -> np.ndarray:
+        """The next round's heights: spread geometrically above lo until a
+        shot overshoots, then evenly inside the window, or inside (lo, hi)
+        when there is none."""
+        if math.isinf(self.hi):
+            return self.lo * self.spread ** (np.arange(1, _BATCH + 1) / _BATCH)
+        a, b = self.window or (self.lo, self.hi)
+        return np.linspace(a, b, _BATCH + 2)[1:-1]
+
+    def narrow(self, heights, fate, radii) -> int | None:
+        """Narrow the bracket to the last undershooting and the first
+        overshooting height of a round, and fit the next round's window to
+        its shots.  No window follows the geometric round or a round whose
+        fates all fall on one side.  Returns the index of the new last
+        undershoot, if the round has one."""
+        over = np.flatnonzero(fate > 0)
+        first_over = over[0] if over.size else heights.size
+        under = np.flatnonzero(fate[:first_over] < 0)
+        spread_round, self.window = math.isinf(self.hi), None
+        if under.size:
+            self.lo = float(heights[under[-1]])
+        if over.size:
+            self.hi = float(heights[first_over])
+        else:
+            self.spread *= self.spread
+        if under.size and over.size and not (spread_round or self.closed):
+            self.window = _fit_window(heights, fate, radii, self.lo, self.hi)
+        return int(under[-1]) if under.size else None
 
 
 def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> list[dict]:
@@ -189,9 +299,12 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
 
     A bracket starts at lo = (q/p)^(1/(q-p)), where the energy at the
     origin vanishes, so every lower height undershoots.  Rounds first
-    spread the batch geometrically above lo until a shot crosses zero, then
-    evenly inside (lo, hi); each narrows the bracket to the last
-    undershooting and the first overshooting height.  A round shoots the
+    spread the batch geometrically above lo until a shot crosses zero;
+    each narrows the bracket to the last undershooting and the first
+    overshooting height.  The next round fills a window around the height
+    that a fit of how far the shots rode points to (``_fit_window``), or
+    (lo, hi) evenly when there is no fit: the fates, not the fit, decide
+    the bracket, so a missed window still narrows it.  A round shoots the
     heights of every open bracket side by side; each bracket reads only its
     own columns and leaves once it closes or decides nothing, so it ends as
     it would alone.  The profile is the last undershooting shot up to the
@@ -202,29 +315,22 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
     live, rounds = brackets, 0
     while live and rounds < _MAX_ROUNDS:
         rounds += 1
-        heights = np.concatenate([
-            b.lo * b.spread ** (np.arange(1, _BATCH + 1) / _BATCH) if math.isinf(b.hi)
-            else np.linspace(b.lo, b.hi, _BATCH + 2)[1:-1] for b in live])
+        heights = np.concatenate([b.heights() for b in live])
         if heights.max() > _MAX_HEIGHT:
             raise NumericalError("ground-state height out of range")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fate, at, rs, ws, psis = _shoot(heights, N, p, q,
                                             np.repeat([b.coarsen for b in live], _BATCH))
+            radii = _crossing_radii(fate, at, rs, ws, psis, p, q)
         still = []
         for b, col in zip(live, range(0, heights.size, _BATCH)):
             b.rounds = rounds
-            over = np.flatnonzero(fate[col:col + _BATCH] > 0)
-            first_over = over[0] if over.size else _BATCH
-            under = np.flatnonzero(fate[col:col + first_over] < 0)
-            if under.size:
-                i = col + under[-1]
-                b.lo = float(heights[i])
+            own = slice(col, col + _BATCH)
+            i = b.narrow(heights[own], fate[own], radii[own])
+            if i is not None:
+                i += col
                 b.best = (rs[:at[i], i], ws[:at[i], i], psis[:at[i], i])
-            if over.size:
-                b.hi = float(heights[col + first_over])
-            else:
-                b.spread *= b.spread
-            if (under.size or over.size) and b.hi - b.lo > _HEIGHT_RTOL * b.lo:
+            if fate[own].any() and not b.closed:
                 still.append(b)
         live = still
     gc = gamma_threshold_exponent(N, p, q)
@@ -241,7 +347,7 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
                       for k, n in ((q, nm.lq), (gc, nm.grad_lp), (q - gc, nm.lp)))
         results.append({"value": value, "quadrature_err": value * rel_err,
                         "height": b.lo, "rounds": b.rounds, "profile": profile,
-                        "converged": b.hi - b.lo <= _HEIGHT_RTOL * b.lo})
+                        "converged": b.closed})
     return results
 
 

@@ -71,6 +71,24 @@ FROZEN_ASCENT_LOWER_BOUNDS = {
     (8, 5.0, 12.0): 0.014247603210991142,
 }
 
+#: (value, err_bound, meta["sweeps"]) of gns_constant_estimate(N, p, q) when
+#: every round after the geometric one spread its 32 heights evenly over the
+#: bracket and the bracket closed at 1e-13 relative width, recorded with
+#: numpy 2.4.6 so that a faster height placement can be held to the same
+#: answers in no more sweeps
+FROZEN_EVEN_SPACING_GROUND_STATES = {
+    (3, 1.5, 2.5): (0.060746810111477104, 2.9751187425838824e-10, 20),
+    (3, 2.5, 4.0): (0.18856310380812272, 1.7053733282027826e-11, 18),
+    (5, 3.0, 4.0): (0.17427430389446058, 2.791410371138121e-11, 18),
+    (2, 1.2, 2.8): (0.03257617067038722, 2.693704119977778e-09, 20),
+    (4, 4.0, 6.0): (0.29244675641653006, 1.9287973136961428e-08, 18),
+    (3, 2.0, 5.5): (0.007876863979833117, 1.0163951709293595e-10, 20),
+    (6, 1.1, 1.3): (0.1024817299016399, 1.540992245110351e-06, 24),
+    (8, 5.0, 12.0): (0.015057529515127671, 3.3305926435538605e-06, 20),
+    (2, 2.0, 4.0): (0.17092707347557926, 3.736531418744606e-11, 18),
+    (3, 2.0, 2.01): (0.9810736597482774, 1.2374523291626724e-14, 18),
+}
+
 #: sharp Sobolev constants S(N, p) for p just below N, frozen from a
 #: 50-digit computation: mpmath 1.3.0 at mp.dps = 50, evaluating
 #: sobolev_constant_oracle's Beta-function formula (mp.beta, mp.gamma) at the

@@ -12,10 +12,20 @@ from attainkit import (
     sobolev_constant,
     sphere_area,
 )
-from attainkit.constants import _ground_states, _hermite_profile, _shoot
+from attainkit.constants import (
+    _BATCH,
+    _WINDOW_MIN,
+    _Bracket,
+    _crossing_radii,
+    _fit_window,
+    _ground_states,
+    _hermite_profile,
+    _shoot,
+)
 from attainkit.profiles import norms
 from oracles import (
     FROZEN_ASCENT_LOWER_BOUNDS,
+    FROZEN_EVEN_SPACING_GROUND_STATES,
     FROZEN_INTERPOLATION_B_2_2_4,
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
@@ -112,7 +122,7 @@ def test_gns_meta_coherent(gns_224):
     assert gns_224.meta["q"] == 4.0
     assert gns_224.meta["gamma_c"] == 2.0
     assert gns_224.meta["converged"] is True
-    assert gns_224.meta["sweeps"] >= 1
+    assert 1 <= gns_224.meta["sweeps"] <= 12  # six rounds per bracket
     assert gns_224.meta["height"] == pytest.approx(2.2062008646442175, rel=1e-6)
     assert "grid" not in gns_224.meta and "profile" not in gns_224.meta
 
@@ -165,6 +175,116 @@ def test_gns_at_or_above_ascent_floor(Npq):
     got = gns_constant_estimate(*Npq)
     assert got.value >= FROZEN_ASCENT_LOWER_BOUNDS[Npq] * (1.0 - 1e-12)
     assert got.meta["converged"] is True
+
+
+@pytest.mark.parametrize("Npq", sorted(FROZEN_EVEN_SPACING_GROUND_STATES))
+def test_gns_keeps_even_spacing_answer_in_no_more_sweeps(Npq):
+    value, err_bound, sweeps = FROZEN_EVEN_SPACING_GROUND_STATES[Npq]
+    got = gns_constant_estimate(*Npq)
+    assert abs(got.value - value) <= err_bound
+    assert got.meta["sweeps"] <= sweeps
+    assert got.meta["converged"] is True
+
+
+def model_shots(heights, h_star, slope=2.0, quantize=False):
+    """Fates and crossing radii of shots that follow the miss-distance
+    model log|h - h*| = a - slope r exactly; with ``quantize`` each radius
+    is rounded up to the next node of a 0.04 step, and an undershoot's to
+    every fourth node, where the energy is tested."""
+    fate = np.where(heights < h_star, -1, 1)
+    miss = np.maximum(np.abs(heights - h_star), np.spacing(h_star))
+    radii = (np.where(fate < 0, 1.0, 3.3) - np.log(miss)) / slope
+    if quantize:
+        node = np.where(fate < 0, 0.16, 0.04)
+        radii = np.ceil(radii / node) * node
+    return fate, radii
+
+
+def even_round(h_star, lo, hi, **model):
+    heights = np.linspace(lo, hi, _BATCH + 2)[1:-1]
+    fate, radii = model_shots(heights, h_star, **model)
+    i = np.flatnonzero(fate < 0)[-1]
+    return heights, fate, radii, heights[i], heights[i + 1]
+
+
+@pytest.mark.parametrize("slope", [2.0, 6.0, 30.0])
+@pytest.mark.parametrize("where", [0.2, 0.43, 0.5, 0.77])
+def test_fit_window_recovers_model_height(slope, where):
+    h_star = 2.2 + (where - 0.5) * 2e-6
+    heights, fate, radii, lo, hi = even_round(h_star, 2.2 - 1e-6, 2.2 + 1e-6, slope=slope)
+    a, b = _fit_window(heights, fate, radii, lo, hi)
+    assert lo <= a < h_star < b <= hi
+    # an exact fit earns the narrowest window
+    assert b - a <= 2.0 * _WINDOW_MIN * (hi - lo) * (1.0 + 1e-6)
+
+
+def test_fit_window_on_node_quantized_radii_never_excludes_the_height():
+    # radii rounded to the integration nodes leave residuals that widen the
+    # window or refuse it; a window that is placed still holds h*
+    placed = 0
+    for where in np.linspace(0.15, 0.85, 36):
+        h_star = 2.2 + (where - 0.5) * 2e-6
+        heights, fate, radii, lo, hi = even_round(h_star, 2.2 - 1e-6, 2.2 + 1e-6,
+                                                  quantize=True)
+        window = _fit_window(heights, fate, radii, lo, hi)
+        if window is not None:
+            placed += 1
+            assert window[0] < h_star < window[1]
+    assert placed > 0
+
+
+def test_fit_window_refuses_one_sided_or_flat_rounds():
+    heights = np.linspace(2.2, 2.2 + 1e-6, _BATCH + 2)[1:-1]
+    fate, radii = model_shots(heights, heights[2] + 1e-9)  # three undershoots only
+    assert _fit_window(heights, fate, radii, heights[2], heights[3]) is None
+    fate, _ = model_shots(heights, heights[15] + 1e-9)
+    flat = np.full(heights.size, 5.0)  # the radius tells nothing: slope 0
+    assert _fit_window(heights, fate, flat, heights[15], heights[16]) is None
+
+
+def test_missed_window_falls_back_to_even_spacing_and_fates_still_bracket():
+    h_star = 2.2 + 0.73e-6
+    b = _Bracket(1.0, 2.0)
+    b.lo, b.hi = 2.2 - 1e-6, 2.2 + 1e-6
+    b.window = (2.2 - 0.5e-6, 2.2 + 0.5e-6)  # misses h*: every shot undershoots
+    heights = b.heights()
+    assert heights[0] > b.window[0] and heights[-1] < b.window[1]
+    fate, radii = model_shots(heights, h_star)
+    assert np.all(fate < 0)
+    hi = b.hi
+    assert b.narrow(heights, fate, radii) == _BATCH - 1
+    assert (b.lo, b.hi, b.window) == (heights[-1], hi, None)
+    assert np.array_equal(b.heights(), np.linspace(b.lo, b.hi, _BATCH + 2)[1:-1])
+    rounds = 0
+    while not b.closed:
+        heights = b.heights()
+        fate, radii = model_shots(heights, h_star)
+        i = b.narrow(heights, fate, radii)
+        rounds += 1
+        # the bracket is an undershoot and an overshoot, whatever the fit said
+        assert b.lo < h_star <= b.hi
+        if i is not None:
+            assert fate[i] < 0 and heights[i] == b.lo
+    # one even round, then fitted windows narrow the bracket about 660-fold
+    assert rounds <= 4
+
+
+def test_crossing_radii_make_a_real_round_fit(gns_224):
+    # one evenly spaced round of real shots around the converged height:
+    # interpolated crossing radii fit the model well enough for a narrow
+    # window, and it holds the converged height
+    h_star = gns_224.meta["height"]
+    heights = np.linspace(h_star - 1e-7, h_star + 1e-7, _BATCH + 2)[1:-1] + 1.1e-9
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fate, at, rs, ws, psis = _shoot(heights, 2, 2.0, 4.0, np.ones(_BATCH))
+        radii = _crossing_radii(fate, at, rs, ws, psis, 2.0, 4.0)
+    decided = rs[at, np.arange(_BATCH)]
+    assert np.all(radii <= decided) and np.all(radii > decided - 0.2)
+    i = np.flatnonzero(fate < 0)[-1]
+    lo, hi = heights[i], heights[i + 1]
+    a, b = _fit_window(heights, fate, radii, lo, hi)
+    assert a < h_star < b
+    assert b - a <= 0.2 * (hi - lo)
 
 
 @pytest.mark.parametrize("N,q", [(3, 3.0), (3, 5.5), (5, 3.0)])
