@@ -33,7 +33,7 @@ from attainkit import (
     build_truncated,
     extremal_in_energy_space,
     f_at_log_t,
-    kappa_multiplier,
+    log_kappa_multiplier,
     log_lambda,
     maximize_halfline,
     maximizer,
@@ -64,7 +64,7 @@ def truncated_case(radii: list[float]) -> None:
     constants = resolve_constants(pp)
     thr = threshold_alpha(pp, constants)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants))
+    cp = CurveParams.from_problem(pp, log_C=log_kappa_multiplier(pp, constants))
     opt = maximize_halfline(cp)
     print("non-attained case: N=3 p=2 gamma=3 alpha=2x threshold")
     print(f"  bubble in the energy space: {extremal_in_energy_space(pp)}, "

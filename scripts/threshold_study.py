@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from attainkit import (
     ProblemParams,
     classify,
     critical_exponent,
-    kappa_multiplier,
+    log_kappa_multiplier,
     resolve_constants,
     threshold_alpha,
 )
@@ -44,14 +45,14 @@ def main(argv=None) -> int:
     q_crit = critical_exponent(ns.N, ns.p)
     base = ProblemParams.local_critical(N=ns.N, p=ns.p, gamma=ns.p, alpha=1.0)
     constants = resolve_constants(base)
-    C = kappa_multiplier(base, constants)
+    log_C = log_kappa_multiplier(base, constants)
 
     grid = np.linspace(0.5, q_crit + ns.pad, ns.points)
     thresholds = [threshold_alpha(dataclasses.replace(base, gamma=float(g)), constants)
                   for g in grid]
 
-    flat = 1.0 / C
-    closed_boundary = 2.0 / (q_crit * C)
+    flat = math.exp(-log_C)
+    closed_boundary = 2.0 / q_crit * flat
 
     print(f"# threshold curve, N={ns.N} p={ns.p} (q_crit={q_crit:.6f})")
     print(f"# flat-band closed form 1/C          = {flat:.12g}")

@@ -33,7 +33,7 @@ if _cap:
         _os.environ.setdefault(_var, _cap)
 
 from .classify import (ConstantSet, Maximizer, Reason, Verdict, classify,
-                       kappa_multiplier, maximizer, resolve_constants,
+                       log_kappa_multiplier, maximizer, resolve_constants,
                        threshold_alpha)
 from .constants import (SharpConstant, fractional_constant,
                         gns_constant_estimate, sobolev_constant)
@@ -65,7 +65,7 @@ __all__ = [
     "fractional_constant", "fractional_critical_exponent",
     "fractional_gamma_threshold_exponent", "g_at_log_t",
     "gamma_threshold_exponent", "gns_constant_estimate",
-    "kappa_multiplier", "log_lambda",
+    "log_kappa_multiplier", "log_lambda",
     "maximize_halfline", "maximizer", "minimize_halfline", "norms", "orbit_curve",
     "random_profiles", "resolve_constants",
     "run_all", "run_derivative_checks", "run_envelope",

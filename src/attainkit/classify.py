@@ -139,14 +139,16 @@ def resolve_constants(params: ProblemParams,
                                   "constant in ConstantSet.fractional")
 
 
-def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
-    """The factor C in kappa = alpha * C: the constant the regime reads
-    (``_CONSTANT_FIELD``), raised to p* (``gamma_crit``) for the Sobolev
-    constant of the critical local regime and taken as it is otherwise.
+def log_kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
+    """log C, C the factor in kappa = alpha * C: the constant the regime
+    reads (``_CONSTANT_FIELD``), raised to p* (``gamma_crit``) for the
+    Sobolev constant of the critical local regime (C reaches 1e585 as p
+    nears N) and taken as it is otherwise.
 
     A computed constant names its problem in ``meta`` (N and p, and q for
-    the interpolation constant); one named for another problem raises
-    ``ParamError``.  A user-supplied constant names none and is taken.
+    the interpolation constant); one named for another problem, or one not
+    finite and positive, raises ``ParamError``.  A user-supplied constant
+    names none and is taken.
     """
     exps = params.exponents
     name = _CONSTANT_FIELD[exps.regime]
@@ -159,14 +161,10 @@ def kappa_multiplier(params: ProblemParams, constants: ConstantSet) -> float:
         named = ", ".join(f"{k}={meta[k]}" for k in ("N", "p", "q") if k in meta)
         raise ParamError("constants", f"ConstantSet.{name} was resolved for {named}, not for "
                                       f"N={params.N}, p={params.p}, q={params.q}")
-    if name != "sobolev":
-        return constant.value
-    try:
-        return constant.value ** exps.gamma_crit
-    except OverflowError:
-        log10_c = exps.gamma_crit * math.log10(constant.value)
-        raise NumericalError(
-            f"C = S^(p*) leaves the double range: log10 C = {log10_c!r}") from None
+    if not 0 < constant.value < math.inf:
+        raise ParamError("constants", "normalizing constant must be finite and positive, "
+                                      f"got {constant.value}")
+    return (exps.gamma_crit if name == "sobolev" else 1.0) * math.log(constant.value)
 
 
 def _close(x: float, y: float, rtol: float) -> bool:
@@ -193,40 +191,41 @@ def _gamma_band(params: ProblemParams) -> str:
     return "interior"
 
 
-def _alpha_vs_threshold(alpha: float, threshold: float) -> int:
-    """-1 below, 0 at (within snap), +1 above the threshold.
+def _alpha_vs_threshold(alpha: float, log_thr: float) -> int:
+    """-1 below, 0 at (within snap), +1 above the threshold e^log_thr.
 
     The snap is relative to the two weights themselves: thresholds span
-    hundreds of decades (1/C with C = S^(p*) reaches 1e49 as p nears N),
+    hundreds of decades (1/C with C = S^(p*) reaches 1e-585 as p nears N),
     so an absolute floor would call every small weight a tie.
     """
-    if abs(alpha - threshold) <= ALPHA_THRESHOLD_RTOL * max(alpha, threshold):
+    log_alpha = math.log(alpha) if alpha > 0 else -math.inf
+    if log_alpha == log_thr or abs(log_alpha - log_thr) <= -math.log1p(-ALPHA_THRESHOLD_RTOL):
         return 0
-    return -1 if alpha < threshold else 1
+    return -1 if log_alpha < log_thr else 1
 
 
-def _threshold(cp: CurveParams, band: str, params: ProblemParams, C: float) -> float:
-    """The threshold of the problem ``params``, whose curve is ``cp`` and
-    gamma band ``band``; only the ratio curve is read, which does not depend
-    on kappa."""
-    if not 0 < C < math.inf:
-        raise ParamError("constants", f"normalizing constant must be finite and positive, got {C}")
+def _log_threshold(cp: CurveParams, band: str, params: ProblemParams, log_C: float) -> float:
+    """log threshold of the problem ``params``, whose curve is ``cp`` and
+    gamma band ``band``; -inf only above the upper gamma boundary.  Only the
+    ratio curve is read, which does not depend on kappa."""
     if band == "gt_upper":
-        return 0.0
+        return -math.inf
     if band == "eq_upper":
-        return params.p / (params.exponents.gamma_crit * C)
+        return math.log(params.p / params.exponents.gamma_crit) - log_C
     if band == "le_base":  # critical regimes only
-        return 1.0 / C
+        return -log_C
     # interior band (and subcritical gamma <= base): numeric infimum
-    opt = minimize_halfline(cp)
-    if not math.isfinite(opt.value) or opt.value <= 0:
-        raise NumericalError(f"ratio-curve infimum came out {opt.value}")
-    threshold = opt.value / C
-    if threshold == math.inf:
-        log10_thr = math.log10(opt.value) - math.log10(C)
-        raise NumericalError("threshold = inf g / C leaves the double range: "
-                             f"log10 threshold = {log10_thr!r}")
-    return threshold
+    return minimize_halfline(cp).log_value - log_C
+
+
+def _fill(name: str, log_value: float) -> float:
+    """The ``Verdict`` field ``name`` from its log: 0.0 for -inf, else e^log_value
+    where a double holds it (``t_from_log``), else a ``NumericalError``."""
+    value = 0.0 if log_value == -math.inf else t_from_log(log_value)
+    if value is None:
+        raise NumericalError(f"{name} leaves the double range: "
+                             f"log10 {name} = {log_value / math.log(10.0)!r}")
+    return value
 
 
 def threshold_alpha(params: ProblemParams,
@@ -239,23 +238,24 @@ def threshold_alpha(params: ProblemParams,
     computed numerically.  The result is 0 exactly when every positive
     weight admits a maximizer.  It is ``classify``'s threshold rule applied
     to the curve at kappa = 0: the ratio curve does not read kappa, so the
-    weight never enters (a negative weight is still refused).
-    """
-    C = kappa_multiplier(params, resolve_constants(params, constants))
-    return _threshold(CurveParams.from_problem(params, 0.0), _gamma_band(params), params, C)
+    weight never enters (a negative weight is still refused).  One no double
+    holds is a ``NumericalError`` (``_fill``)."""
+    log_C = log_kappa_multiplier(params, resolve_constants(params, constants))
+    cp = CurveParams.from_problem(params, log_C=-math.inf)
+    return _fill("threshold", _log_threshold(cp, _gamma_band(params), params, log_C))
 
 
-def _closed_form_d(cp: CurveParams, regime: Regime, band: str,
-                   rel_alpha: int) -> float | None:
-    """Closed-form D where the decision table provides one.
+def _log_closed_form_d(cp: CurveParams, regime: Regime, band: str,
+                       rel_alpha: int) -> float | None:
+    """log of the closed-form D where the decision table provides one.
 
     Critical gamma <= base: max(1, kappa) at every alpha.  Any regime at
     or below its threshold (on or inside the upper gamma boundary): 1.
     """
     if regime.is_critical and band == "le_base":
-        return max(1.0, cp.kappa)
+        return max(0.0, cp.log_kappa)
     if band in ("eq_upper", "interior") and rel_alpha <= 0:
-        return 1.0
+        return 0.0
     return None
 
 
@@ -270,20 +270,22 @@ def classify(params: ProblemParams,
     against the threshold, with equalities resolved by the analytic table
     rather than by floating-point optimizer ties.  The objective curve is
     maximized once: its maximum is D and its maximizer is t*.
+
+    C, kappa, D and the threshold are logs until the ``Verdict`` is filled;
+    a ``D`` or ``threshold`` no double holds is a ``NumericalError`` there.
     """
     regime = params.regime()
-    C = kappa_multiplier(params, resolve_constants(params, constants))
+    log_C = log_kappa_multiplier(params, resolve_constants(params, constants))
     band = _gamma_band(params)
-    cp = CurveParams.from_problem(params, C)
-    thr = _threshold(cp, band, params, C)
+    cp = CurveParams.from_problem(params, log_C=log_C)
+    log_thr = _log_threshold(cp, band, params, log_C)
     opt = maximize_halfline(cp)
-    D = opt.value
-    if not math.isfinite(D) or D <= 0:
-        raise NumericalError(f"objective-curve supremum came out {D}")
-    rel_alpha = _alpha_vs_threshold(params.alpha, thr)
+    rel_alpha = _alpha_vs_threshold(params.alpha, log_thr)
 
-    def verdict(attained: bool, reason: Reason, cf: float | None) -> Verdict:
-        if cf is not None and not _close(D, cf, CLOSED_FORM_RTOL):
+    def verdict(attained: bool, reason: Reason, log_cf: float | None) -> Verdict:
+        D = _fill("D", opt.log_value)
+        cf = None if log_cf is None else _fill("closed_form_D", log_cf)
+        if cf is not None and not abs(opt.log_value - log_cf) <= CLOSED_FORM_RTOL:
             raise NumericalError(
                 f"numeric D={D!r} disagrees with closed form {cf!r} "
                 f"beyond relative {CLOSED_FORM_RTOL}")
@@ -292,36 +294,37 @@ def classify(params: ProblemParams,
         if attained and opt.log_argopt is None:
             raise NumericalError(
                 "verdict says attained but the objective curve has no interior maximum")
-        return Verdict(attained=attained, reason=reason, D=D, threshold=thr,
+        return Verdict(attained=attained, reason=reason, D=D,
+                       threshold=_fill("threshold", log_thr),
                        log_t_star=opt.log_argopt if attained else None,
                        closed_form_D=cf, regime=regime)
 
-    cf = _closed_form_d(cp, regime, band, rel_alpha)
+    log_cf = _log_closed_form_d(cp, regime, band, rel_alpha)
 
     if regime.is_critical and not extremal_in_energy_space(params):
-        return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, cf)
+        return verdict(False, Reason.SOBOLEV_NOT_ATTAINED, log_cf)
     if params.alpha == 0.0:
-        return verdict(False, Reason.ALPHA_ZERO, 1.0)
+        return verdict(False, Reason.ALPHA_ZERO, 0.0)
 
     if band == "gt_upper":
         # threshold is zero: every positive weight admits a maximizer
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, log_cf)
     if band == "le_base":
         # critical regimes only: convexity excludes attainment at every alpha
-        return verdict(False, Reason.CONVEXITY_EXCLUSION, cf)
+        return verdict(False, Reason.CONVEXITY_EXCLUSION, log_cf)
     if band == "eq_upper":
         # on the upper gamma boundary equality with the threshold loses
         if rel_alpha > 0:
-            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
+            return verdict(True, Reason.UNIQUE_INTERIOR_MAX, log_cf)
         if rel_alpha == 0:
             at = (Reason.AT_THRESHOLD_CRITICAL_GAMMA_EQ_PSTAR if regime.is_critical
                   else Reason.AT_THRESHOLD_GAMMA_EQ_GAMMA_C)
-            return verdict(False, at, cf)
-        return verdict(False, Reason.BELOW_THRESHOLD, cf)
+            return verdict(False, at, log_cf)
+        return verdict(False, Reason.BELOW_THRESHOLD, log_cf)
     # interior band: equality with the threshold wins
     if rel_alpha >= 0:
-        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, cf)
-    return verdict(False, Reason.BELOW_THRESHOLD, cf)
+        return verdict(True, Reason.UNIQUE_INTERIOR_MAX, log_cf)
+    return verdict(False, Reason.BELOW_THRESHOLD, log_cf)
 
 
 @dataclass(frozen=True, eq=False)  # r and u are arrays: records compare by identity

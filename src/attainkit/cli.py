@@ -30,7 +30,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .classify import (ConstantSet, classify, kappa_multiplier, maximizer,
+from .classify import (ConstantSet, classify, log_kappa_multiplier, maximizer,
                        resolve_constants)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t, t_from_log
@@ -223,8 +223,7 @@ def _verdict_dict(v) -> dict:
 def _cmd_classify(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
-    with np.errstate(over="ignore"):  # an overflowed curve ends in NumericalError
-        v = classify(params, constants=cset)
+    v = classify(params, constants=cset)
     doc = {"schema": SCHEMA, "command": "classify",
            "problem": _problem_dict(params), "verdict": _verdict_dict(v)}
     _emit(to_json(doc), ns.out)
@@ -259,7 +258,7 @@ def _cmd_curve(ns) -> int:
                                  f"got {ns.grid}")
     params = _build_params(ns)
     cset = _constants_for(ns, params)
-    cp = CurveParams.from_problem(params, kappa_multiplier(params, cset))
+    cp = CurveParams.from_problem(params, log_C=log_kappa_multiplier(params, cset))
     t = np.geomspace(1e-4, 1e4, ns.grid)
     x = np.log(t)
     # a curve beyond the double range prints as inf, which is its honest value
@@ -335,11 +334,10 @@ def _cmd_sweep(ns) -> int:
     params = _build_params(ns)
     cset = _constants_for(ns, params)
     rows = []
-    with np.errstate(over="ignore"):  # an overflowed curve ends in NumericalError
-        for g in gammas:
-            v = classify(dataclasses.replace(params, gamma=float(g)), constants=cset)
-            rows.append({"gamma": float(g), "threshold": v.threshold,
-                         "D": v.D, "attained": v.attained})
+    for g in gammas:
+        v = classify(dataclasses.replace(params, gamma=float(g)), constants=cset)
+        rows.append({"gamma": float(g), "threshold": v.threshold,
+                     "D": v.D, "attained": v.attained})
     if ns.csv:
         header = ["gamma", "threshold", "D", "attained"]
         _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), ns.out)

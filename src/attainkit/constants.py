@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .curves import _exp_or_inf
 from .errors import NumericalError, ParamError
 from .params import critical_exponent, gamma_threshold_exponent
-from .profiles import RadialProfile, _quotient, norms
+from .profiles import RadialProfile, _log_quotient, norms
 
 
 @dataclass(frozen=True)
@@ -342,7 +343,7 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
         profile = _hermite_profile(N, r, w - w[-1], dw)
         nm = norms(profile, p, q)
-        value = _quotient(nm, q, gc)
+        value = _exp_or_inf(_log_quotient(nm, q, gc))
         rel_err = sum(k * n.err_bound / n.value
                       for k, n in ((q, nm.lq), (gc, nm.grad_lp), (q - gc, nm.lp)))
         results.append({"value": value, "quadrature_err": value * rel_err,

@@ -11,22 +11,26 @@ variable t > 0 (t is the gradient-to-mass ratio ||grad u||_p^gamma /
 with exponents
 
     a = (q - p)/gamma,   b = q/gamma,   c = gamma_crit/gamma,
-    pgamma = p/gamma,    kappa = alpha * (sharp constant normalization),
+    pgamma = p/gamma,    kappa = alpha * C, C the sharp constant normalization,
 
 satisfying a = b - pgamma > 0, 0 < c <= b; ``CurveParams`` stores b, c,
-kappa and pgamma, and a is derived from them.  The problem's supremum is
-sup_t f(t) and the attainability threshold weight is inf_t g(t) divided by
-the normalization.  The critical case is exactly c = b.
+log kappa (kappa reaches 1e2495 on valid input) and pgamma.  The problem's
+supremum is sup_t f(t) and the attainability threshold weight is inf_t g(t)
+divided by C.  The critical case is exactly c = b.
 
 With s = t/(1+t) and u = 1 - s = 1/(1+t) the curves read
 
     f = u^pgamma + kappa * s^c * u^(b-c)
     g = s^(-c) * u^(c-b) * (1 - u^pgamma)
 
-and every evaluation runs on log s and log u, both computed from log t by
-softplus without cancellation, with 1 - u^pgamma as -expm1(pgamma log u).
-So the curves stay accurate at any t, including values of t no double can
-hold (``f_at_log_t``, ``g_at_log_t``).
+Each curve has one evaluator, of its log, on log s and log u, both
+computed from log t by softplus without cancellation:
+
+    log f = logaddexp(pgamma log u, log kappa + c log s + (b-c) log u)
+    log g = -c log s + (c-b) log u + log(-expm1(pgamma log u))
+
+So the curves stay accurate at any t and kappa, also where no double holds
+t, kappa or the curve; ``f_at_log_t`` and ``g_at_log_t`` are their exps.
 
 The signs of f' and g' are ``halfline.objective_sign`` and ``ratio_sign``.
 """
@@ -38,43 +42,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParamError
+from .errors import ParamError
 from .params import ProblemParams
+
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, with inf where that passes the largest double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def t_from_log(log_t: float | None) -> float | None:
     """t = e^log_t when 0 < t < inf in doubles, else None."""
-    if log_t is None:
-        return None
-    try:
-        t = math.exp(log_t)
-    except OverflowError:
-        return None
+    t = 0.0 if log_t is None else _exp_or_inf(log_t)
     return t if 0.0 < t < math.inf else None
 
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Exponents (b, c, kappa, pgamma) of one curve family; a = b - pgamma
-    is a property, so it cannot disagree with them.
+    """Exponents (b, c, pgamma) and log kappa of one curve family; a =
+    b - pgamma and kappa = e^log_kappa are properties, so neither can
+    disagree with them.
 
-    Invariants enforced: a > 0, 0 < c <= b, kappa >= 0, pgamma > 0.
+    Invariants enforced: a > 0, 0 < c <= b, pgamma > 0, log_kappa < inf
+    (-inf for kappa = 0; kappa itself may lie beyond the doubles).
     """
 
     b: float
     c: float
-    kappa: float
+    log_kappa: float
     pgamma: float
 
     def __post_init__(self):
-        for name in ("b", "c", "kappa", "pgamma"):
+        for name in ("b", "c", "pgamma"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ParamError(name, f"{name} must be finite, got {v!r}")
+        if not (isinstance(self.log_kappa, (int, float)) and self.log_kappa < math.inf):
+            raise ParamError("log_kappa", f"log_kappa must be below inf, got {self.log_kappa!r}")
         if self.pgamma <= 0:
             raise ParamError("pgamma", f"pgamma must be positive, got {self.pgamma}")
-        if self.kappa < 0:
-            raise ParamError("kappa", f"kappa must be nonnegative, got {self.kappa}")
         if not 0 < self.c <= self.b:
             raise ParamError("c", f"need 0 < c <= b, got c={self.c}, b={self.b}")
         if self.a <= 0:
@@ -84,33 +93,28 @@ class CurveParams:
     def a(self) -> float:
         return self.b - self.pgamma
 
+    @property
+    def kappa(self) -> float:
+        """e^log_kappa; inf where no double holds it."""
+        return _exp_or_inf(self.log_kappa)
+
     @classmethod
-    def from_problem(cls, params: ProblemParams, constant: float) -> "CurveParams":
+    def from_problem(cls, params: ProblemParams, *, log_C: float) -> "CurveParams":
         """Curve exponents of a validated problem.
 
-        ``constant`` is the multiplicative normalization entering
-        kappa = alpha * constant: the critical local case takes S^(p*) (the
-        sharp Sobolev constant raised to p*), the subcritical local case the
-        sharp interpolation constant, and the fractional cases the
-        user-supplied fractional constant.  A kappa beyond the double range
-        is a ``NumericalError``, as both factors are valid.
+        ``log_C`` is keyword-only, so a linear C cannot be passed by
+        position.  It is the log of the normalization C in kappa = alpha * C:
+        S^(p*) (the sharp Sobolev constant raised to p*) in the critical
+        local case, the sharp interpolation constant in the subcritical
+        local case, and the user-supplied constant in the fractional cases.
         """
         exps = params.exponents
         gamma, alpha = params.gamma, params.alpha
-        if constant < 0 or not math.isfinite(constant):
-            raise ParamError("constant", f"normalizing constant must be finite >= 0, got {constant}")
         b = params.q / gamma
-        pg = params.p / gamma
-        if exps.regime.is_critical:
-            c = b  # exact, so is_critical round-trips bit-for-bit
-        else:
-            c = exps.gamma_crit / gamma
-        kappa = alpha * constant
-        if math.isinf(kappa):
-            log10_kappa = math.log10(alpha) + math.log10(constant)
-            raise NumericalError(
-                f"kappa = alpha * C leaves the double range: log10 kappa = {log10_kappa!r}")
-        return cls(b=b, c=c, kappa=kappa, pgamma=pg)
+        # c = b exactly when critical, so is_critical round-trips bit-for-bit
+        c = b if exps.regime.is_critical else exps.gamma_crit / gamma
+        log_kappa = math.log(alpha) + log_C if alpha > 0 else -math.inf
+        return cls(b=b, c=c, log_kappa=log_kappa, pgamma=params.p / gamma)
 
     @property
     def is_critical(self) -> bool:
@@ -129,43 +133,40 @@ def _log_s_u(x):
     return -np.logaddexp(0.0, -x), -np.logaddexp(0.0, x)
 
 
-def f_at_log_t(cp: CurveParams, x):
-    """Objective curve f = u^pgamma + kappa s^c u^(b-c) at t = e^x, for any x,
-    including t no double can hold."""
+def log_f_at_log_t(cp: CurveParams, x):
+    """log f, f = u^pgamma + kappa s^c u^(b-c), at t = e^x, for any x."""
     log_s, log_u = _log_s_u(x)
-    out = np.exp(cp.pgamma * log_u)
-    if cp.kappa:
-        out = out + cp.kappa * np.exp(cp.c * log_s + (cp.b - cp.c) * log_u)
-    return _shape(out)
+    return _shape(np.logaddexp(cp.pgamma * log_u,
+                               cp.log_kappa + cp.c * log_s + (cp.b - cp.c) * log_u))
+
+
+def log_g_at_log_t(cp: CurveParams, x):
+    """log g, g = s^(-c) u^(c-b) (1 - u^pgamma), at t = e^x, for any x;
+    it does not read kappa."""
+    log_s, log_u = _log_s_u(x)
+    return _shape(-cp.c * log_s + (cp.c - cp.b) * log_u + np.log(-np.expm1(cp.pgamma * log_u)))
+
+
+def f_at_log_t(cp: CurveParams, x):
+    """The objective curve f = e^(log f), inf where no double holds it."""
+    return _shape(np.exp(log_f_at_log_t(cp, x)))
 
 
 def g_at_log_t(cp: CurveParams, x):
-    """Ratio curve g = s^(-c) u^(c-b) (1 - u^pgamma) at t = e^x, for any x,
-    including t no double can hold; it does not read kappa."""
-    log_s, log_u = _log_s_u(x)
-    return _shape(np.exp(-cp.c * log_s + (cp.c - cp.b) * log_u)
-                  * (-np.expm1(cp.pgamma * log_u)))
+    """The ratio curve g = e^(log g), inf where no double holds it."""
+    return _shape(np.exp(log_g_at_log_t(cp, x)))
 
 
 # -- analytic boundary limits ------------------------------------------
 
-def f_limits(cp: CurveParams) -> tuple[float, float]:
-    """(lim_{t->0} f, lim_{t->inf} f); both always finite."""
-    return 1.0, (cp.kappa if cp.is_critical else 0.0)
+def log_f_limits(cp: CurveParams) -> tuple[float, float]:
+    """(lim_{t->0} log f, lim_{t->inf} log f): 0, and log kappa (critical) or -inf."""
+    return 0.0, (cp.log_kappa if cp.is_critical else -math.inf)
 
 
-def g_limits(cp: CurveParams) -> tuple[float, float]:
-    """(lim_{t->0} g, lim_{t->inf} g); entries may be math.inf.
-
-    Near zero g ~ pgamma * t^(1-c), so the limit is 0 / pgamma / inf as
-    c < 1 / c = 1 / c > 1.  Near infinity g ~ t^(b-c), giving 1 in the
-    critical case and +inf otherwise.
-    """
-    if cp.c < 1.0:
-        at0 = 0.0
-    elif cp.c == 1.0:
-        at0 = cp.pgamma
-    else:
-        at0 = math.inf
-    atinf = 1.0 if cp.is_critical else math.inf
-    return at0, atinf
+def log_g_limits(cp: CurveParams) -> tuple[float, float]:
+    """(lim_{t->0} log g, lim_{t->inf} log g); entries may be +-inf.  Near
+    zero g ~ pgamma * t^(1-c), whose limit is 0 / pgamma / inf as c < 1 /
+    c = 1 / c > 1; near infinity g ~ t^(b-c), giving 1 (critical) or +inf."""
+    at0 = -math.inf if cp.c < 1.0 else math.log(cp.pgamma) if cp.c == 1.0 else math.inf
+    return at0, (0.0 if cp.is_critical else math.inf)

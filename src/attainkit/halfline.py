@@ -62,9 +62,10 @@ and a root at t = 1 exactly (pgamma = 1 with c = (b+1)/2, say), or one set
 by a tiny c - 1 or b - c, costs a few evaluations instead of a bisection
 through the 2^60 doubles that an absolute 1e-16 spans near x = 0.
 
-The optimum is compared with the analytic boundary limits; values closer
-than 1e-11 are reported as a marginal tie rather than guessed, because
-boundary cases belong to the analytic classifier, not to float luck.
+The optimum is compared with the analytic boundary limits as logs, since
+either may lie beyond the doubles; values closer than 1e-11 (absolute) are
+reported as a marginal tie rather than guessed, because boundary cases
+belong to the analytic classifier, not to float luck.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .curves import CurveParams, f_at_log_t, f_limits, g_at_log_t, g_limits
+from .curves import (CurveParams, _exp_or_inf, log_f_at_log_t, log_f_limits, log_g_at_log_t,
+                     log_g_limits)
 from .errors import NumericalError
 
 #: interior optimum and boundary limit closer than this (absolute) tie
@@ -91,7 +93,8 @@ _DOUBLE = struct.Struct("<d")
 class OptResult:
     """Outcome of a half-line optimization.
 
-    value       supremum (or infimum) over (0, inf) including boundary limits
+    log_value   log of the supremum (or infimum) over (0, inf) including
+                boundary limits; ``value`` is its exponential
     attained    True iff an interior point strictly beats every boundary
                 limit by the safety margin
     err_bound   estimated absolute error of ``value``
@@ -103,12 +106,17 @@ class OptResult:
                 a boundary limit; still populated for marginal ties
     """
 
-    value: float
+    log_value: float
     attained: bool
     err_bound: float
     n_evals: int
     marginal: bool = False
     log_argopt: float | None = None
+
+    @property
+    def value(self) -> float:
+        """e^log_value, inf where no double holds it."""
+        return _exp_or_inf(self.log_value)
 
 
 def _rank(x: float) -> int:
@@ -235,10 +243,10 @@ def _start(lo: float, hi: float, xs: tuple[float, ...]) -> float:
 def objective_sign(cp: CurveParams):
     """x = log t -> (G(x), G'(x)), G of the module docstring, on the whole
     real line; -inf with slope 0 where f' < 0 outright."""
-    if cp.kappa == 0.0:
+    if cp.log_kappa == -math.inf:
         return lambda x: (-math.inf, 0.0)
     a, c = cp.a, cp.c
-    K = math.log(cp.kappa) + math.log(c) - math.log(cp.pgamma)
+    K = cp.log_kappa + math.log(c) - math.log(cp.pgamma)
     crit = cp.is_critical
     x0 = math.inf if crit else math.log(c / (cp.b - c))
 
@@ -341,10 +349,10 @@ def _objective_roots(cp: CurveParams) -> tuple[float | None, float | None, int]:
     minimum of f, is never looked for: no optimum sits there.
     """
     none = (None, None, 0)
-    if cp.kappa == 0.0:
+    if cp.log_kappa == -math.inf:
         return none  # h < 0: f decreasing
     a, c, pg = cp.a, cp.c, cp.pgamma
-    K = math.log(cp.kappa) + math.log(c) - math.log(pg)
+    K = cp.log_kappa + math.log(c) - math.log(pg)
     crit = cp.is_critical
     x0 = math.inf if crit else math.log(c / (cp.b - c))
     G = objective_sign(cp)
@@ -439,29 +447,29 @@ def _ratio_root(cp: CurveParams) -> tuple[float | None, int]:
     return _sign_change(ratio_sign(cp), math.inf, -math.inf, start)
 
 
-def _result(cp: CurveParams, at_log_t, limits: tuple[float, float],
+def _result(cp: CurveParams, log_at_log_t, log_limits: tuple[float, float],
             log_t: float | None, n_evals: int, sign: float) -> OptResult:
-    """Compare the curve ``at_log_t`` at the interior candidate ``log_t``
-    with its boundary ``limits``."""
-    boundary = max(limits) if sign > 0 else min(limits)
+    """Compare the curve's log ``log_at_log_t`` at the interior candidate
+    ``log_t`` with the logs of its boundary limits ``log_limits``."""
+    bound = max(log_limits) if sign > 0 else min(log_limits)
     if log_t is not None:
-        best = float(at_log_t(cp, log_t))
+        best = float(log_at_log_t(cp, log_t))
         n_evals += 1
         if math.isnan(best):
             raise NumericalError(f"curve evaluated to NaN at log t={log_t!r}")
         # roundoff of exponentials whose arguments grow like b |log t|
-        err = 8.0 * _EPS * abs(best) * (1.0 + cp.b * (1.0 + abs(log_t)))
-        gap = math.inf if math.isinf(boundary) else sign * (best - boundary)
-        if gap > _MARGIN:
-            return OptResult(value=best, attained=True, err_bound=err,
+        err = 8.0 * _EPS * _exp_or_inf(best) * (1.0 + cp.b * (1.0 + abs(log_t)))
+        hi, lo = max(best, bound), min(best, bound)
+        gap = _exp_or_inf(hi + _log1mexp(lo - hi)) if lo < hi else 0.0  # |e^best - e^bound|
+        if gap > _MARGIN and sign * (best - bound) > 0:
+            return OptResult(log_value=best, attained=True, err_bound=err,
                              n_evals=n_evals, log_argopt=log_t)
-        if gap >= -_MARGIN:
-            value = max(best, boundary) if sign > 0 else min(best, boundary)
-            return OptResult(value=value, attained=False,
-                             err_bound=max(err, abs(best - boundary)),
-                             n_evals=n_evals, marginal=True, log_argopt=log_t)
-    return OptResult(value=boundary, attained=False,
-                     err_bound=4.0 * _EPS * abs(boundary) if math.isfinite(boundary) else 0.0,
+        if gap <= _MARGIN:
+            return OptResult(log_value=hi if sign > 0 else lo, attained=False,
+                             err_bound=max(err, gap), n_evals=n_evals, marginal=True,
+                             log_argopt=log_t)
+    return OptResult(log_value=bound, attained=False,
+                     err_bound=4.0 * _EPS * _exp_or_inf(bound) if bound < math.inf else 0.0,
                      n_evals=n_evals)
 
 
@@ -472,7 +480,8 @@ def maximize_halfline(cp: CurveParams) -> OptResult:
     f only flattens at the peak, which is then the candidate of a tie.
     """
     peak, right, n = _objective_roots(cp)
-    return _result(cp, f_at_log_t, f_limits(cp), peak if right is None else right, n, +1.0)
+    return _result(cp, log_f_at_log_t, log_f_limits(cp), peak if right is None else right, n,
+                   +1.0)
 
 
 def minimize_halfline(cp: CurveParams) -> OptResult:
@@ -481,4 +490,4 @@ def minimize_halfline(cp: CurveParams) -> OptResult:
     g does not depend on kappa, and neither does the result.
     """
     x, n = _ratio_root(cp)
-    return _result(cp, g_at_log_t, g_limits(cp), x, n, -1.0)
+    return _result(cp, log_g_at_log_t, log_g_limits(cp), x, n, -1.0)

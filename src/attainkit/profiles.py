@@ -515,26 +515,19 @@ def orbit_curve(nm: Norms, params: ProblemParams) -> tuple[CurveParams, float]:
     with log_t = gamma log(|grad u|_p / |u|_p) and cp_u the objective curve
     with u's quotient Q(u) = |u|_q^q / (|grad u|_p^gc |u|_p^(q - gc)),
     gc = gamma_crit, in place of the sharp constant C.  Q is invariant under
-    dilation and amplitude, and Q <= C is the sharp inequality.  A Q beyond
-    the double range is a ``NumericalError``.
-    """
+    dilation and amplitude, and Q <= C is the sharp inequality; only log Q
+    is formed, so a Q no double holds still gives its curve."""
     if params.is_fractional:
         raise ParamError("params", "profile quadrature covers the local regimes only")
-    cp = CurveParams.from_problem(params, _quotient(nm, params.q, params.exponents.gamma_crit))
+    cp = CurveParams.from_problem(
+        params, log_C=_log_quotient(nm, params.q, params.exponents.gamma_crit))
     return cp, params.gamma * math.log(nm.grad_lp.value / nm.lp.value)
 
 
-def _quotient(nm: Norms, q: float, gc: float) -> float:
-    """The quotient Q(u) of ``orbit_curve``, from u's norms ``nm``."""
+def _log_quotient(nm: Norms, q: float, gc: float) -> float:
+    """log Q(u), Q the quotient of ``orbit_curve``, from u's norms ``nm``."""
     lp, grad, lq = nm.lp.value, nm.grad_lp.value, nm.lq.value
-    try:
-        quotient = (lq / grad) ** gc * (lq / lp) ** (q - gc)
-    except OverflowError:
-        quotient = math.inf
-    if quotient == math.inf:
-        log10_q = gc * math.log10(lq / grad) + (q - gc) * math.log10(lq / lp)
-        raise NumericalError(f"Q(u) leaves the double range: log10 Q = {log10_q!r}")
-    return quotient
+    return gc * math.log(lq / grad) + (q - gc) * math.log(lq / lp)
 
 
 # -- random trial profiles ------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import (ConstantSet, Reason, classify, kappa_multiplier,
+from .classify import (ConstantSet, Reason, classify, log_kappa_multiplier,
                        resolve_constants, threshold_alpha)
 from .constants import fractional_constant
 from .curves import CurveParams, f_at_log_t, g_at_log_t
@@ -88,7 +88,7 @@ def _truth_cells():
 
     p5 = lambda g, a: ProblemParams.local_critical(N=5, p=2.0, gamma=g, alpha=a)
     cs5 = resolve_constants(p5(2.5, 1.0))
-    C5 = kappa_multiplier(p5(2.5, 1.0), cs5)
+    C5 = math.exp(log_kappa_multiplier(p5(2.5, 1.0), cs5))
     thr_int = threshold_alpha(p5(3.0, 1.0), cs5)
     pstar5 = critical_exponent(5, 2.0)
     thr_star = threshold_alpha(p5(pstar5, 1.0), cs5)
@@ -119,7 +119,7 @@ def _truth_cells():
 
     p3 = lambda g, a: ProblemParams.local_critical(N=3, p=2.0, gamma=g, alpha=a)
     cs3 = resolve_constants(p3(3.0, 1.0))
-    C3 = kappa_multiplier(p3(3.0, 1.0), cs3)
+    C3 = math.exp(log_kappa_multiplier(p3(3.0, 1.0), cs3))
     cells += [
         ("no-extremal dimension, huge alpha", p3(3.0, 1000.0), cs3, False,
          Reason.SOBOLEV_NOT_ATTAINED, None),
@@ -238,7 +238,8 @@ def run_envelope(n_profiles: int = 1000, seed: int = 2024) -> CheckReport:
     dilation laws and Q(u*) = C by quadrature.
     """
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.2, alpha=1.0)
-    cp = CurveParams.from_problem(params, kappa_multiplier(params, resolve_constants(params)))
+    cp = CurveParams.from_problem(
+        params, log_C=log_kappa_multiplier(params, resolve_constants(params)))
     N, p, q, gamma = params.N, params.p, params.q, params.gamma
 
     violations: list[float] = []
@@ -266,7 +267,8 @@ def run_envelope(n_profiles: int = 1000, seed: int = 2024) -> CheckReport:
     tr_params = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     tr_constants = resolve_constants(tr_params)
     tr_params = replace(tr_params, alpha=2.0 * threshold_alpha(tr_params, tr_constants))
-    cp3 = CurveParams.from_problem(tr_params, kappa_multiplier(tr_params, tr_constants))
+    cp3 = CurveParams.from_problem(tr_params,
+                                   log_C=log_kappa_multiplier(tr_params, tr_constants))
     opt = maximize_halfline(cp3)
     D = opt.value
     # J of each cut bubble's normalized dilation to t*, from one quadrature
@@ -309,22 +311,14 @@ def run_derivative_checks(n_points: int = 1000) -> CheckReport:
     is the number of disagreements (tolerance 0).  Each sign is a Python
     call of a few microseconds, which sets the default.
     """
-    crit = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
-    C = kappa_multiplier(crit, resolve_constants(crit))
-    cases = [
-        CurveParams.from_problem(
-            ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=200.0), C),
-        CurveParams.from_problem(
-            ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=10.0), C),
-        CurveParams.from_problem(
-            ProblemParams.local_critical(N=5, p=2.0, gamma=3.5, alpha=1.0), C),
-        # only signs are read, so any positive C serves; 0.17 stands in for
-        # B(2, 2, 4), whose solve here would double run_all's dominant cost
-        CurveParams.from_problem(
-            ProblemParams.local(N=2, p=2.0, q=4.0, gamma=1.5, alpha=0.7), 0.17),
-        CurveParams.from_problem(
-            ProblemParams.local(N=2, p=2.0, q=4.0, gamma=3.0, alpha=2.0), 0.17),
-    ]
+    crit = lambda g, a: ProblemParams.local_critical(N=5, p=2.0, gamma=g, alpha=a)
+    sub = lambda g, a: ProblemParams.local(N=2, p=2.0, q=4.0, gamma=g, alpha=a)
+    log_C5 = log_kappa_multiplier(crit(2.5, 1.0), resolve_constants(crit(2.5, 1.0)))
+    # only signs are read, so any positive C serves; 0.17 stands in for
+    # B(2, 2, 4), whose solve here would double run_all's dominant cost
+    cases = [CurveParams.from_problem(pp, log_C=log_C) for pp, log_C in (
+        (crit(2.5, 200.0), log_C5), (crit(2.5, 10.0), log_C5), (crit(3.5, 1.0), log_C5),
+        (sub(1.5, 0.7), math.log(0.17)), (sub(3.0, 2.0), math.log(0.17)))]
     x = np.log(np.geomspace(1e-4, 1e4, n_points))
     mism = 0
     total = 0
@@ -364,7 +358,7 @@ def run_monotonicity_scan() -> CheckReport:
     """
     base = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
     constants = resolve_constants(base)
-    C = kappa_multiplier(base, constants)
+    C = math.exp(log_kappa_multiplier(base, constants))
     pstar = critical_exponent(5, 2.0)
     grid = np.linspace(0.5, pstar, 200)
     thr = np.array([threshold_alpha(replace(base, gamma=float(g)), constants) for g in grid])

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
 
-from attainkit.curves import CurveParams, f_limits, g_limits
+from attainkit.curves import CurveParams, log_f_limits, log_g_limits
 from attainkit.errors import NumericalError
 from attainkit.halfline import OptResult
 from attainkit.profiles import norms
@@ -372,15 +372,15 @@ def grid_oracle(cp: CurveParams, n: int = 10**6, mode: str = "max") -> OptResult
         raise NumericalError("curve evaluated to NaN on the oracle grid")
     if mode == "max":
         i = int(np.argmax(vals))
-        boundary = max(f_limits(cp))
+        boundary = math.exp(max(log_f_limits(cp)))
         inner_wins = vals[i] > boundary
         value = max(vals[i], boundary)
     else:
         i = int(np.argmin(vals))
-        boundary = min(g_limits(cp))
+        boundary = math.exp(min(log_g_limits(cp)))
         inner_wins = vals[i] < boundary
         value = min(vals[i], boundary)
-    return OptResult(value=float(value),
+    return OptResult(log_value=math.log(value) if value > 0 else -math.inf,
                      attained=bool(inner_wins),
                      err_bound=math.inf,
                      n_evals=t.size,

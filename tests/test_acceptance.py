@@ -20,7 +20,7 @@ from attainkit import (
     build_u_star,
     f_at_log_t,
     gns_constant_estimate,
-    kappa_multiplier,
+    log_kappa_multiplier,
     maximize_halfline,
     minimize_halfline,
     norms,
@@ -31,7 +31,7 @@ from attainkit import (
     run_truth_table,
     sobolev_constant,
 )
-from attainkit.curves import f_limits
+from attainkit.curves import log_f_limits
 from attainkit.profiles import build_w_lambda
 from oracles import (FROZEN_SOBOLEV_50_DIGITS, curve_at_t, grid_oracle, j_oracle,
                      shooting_oracle_2_2_4, sobolev_constant_oracle)
@@ -64,18 +64,18 @@ def test_acceptance_02_threshold_closed_forms(capsys):
         gamma_c = ak.gamma_threshold_exponent(N, p, q)
         pp = ProblemParams.local(N=N, p=p, q=q, gamma=gamma_c, alpha=1.0)
         t0 = time.time()
-        got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
+        got = minimize_halfline(CurveParams.from_problem(pp, log_C=0.0)).value
         checks.append((f"subcritical N={N} q={q}", got, p / gamma_c, time.time() - t0))
     # critical family on the upper boundary
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=P_STAR_5, alpha=1.0)
     t0 = time.time()
-    got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
+    got = minimize_halfline(CurveParams.from_problem(pp, log_C=0.0)).value
     checks.append(("critical gamma=q_crit", got, P2 / P_STAR_5, time.time() - t0))
     # critical family at and below the base exponent
     for gamma in (1.0, 2.0):
         pp = ProblemParams.local_critical(N=N5, p=P2, gamma=gamma, alpha=1.0)
         t0 = time.time()
-        got = minimize_halfline(CurveParams.from_problem(pp, 1.0)).value
+        got = minimize_halfline(CurveParams.from_problem(pp, log_C=0.0)).value
         checks.append((f"critical gamma={gamma}", got, 1.0, time.time() - t0))
     worst = max(abs(g - w) / w for _, g, w, _ in checks)
     slowest = max(dt for *_, dt in checks)
@@ -92,7 +92,7 @@ def test_acceptance_03_low_gamma_critical_supremum(capsys):
     for gamma in (1.5, 2.0):
         for kappa in (0.25, 0.5, 1.0, 2.0, 4.0):
             pp = ProblemParams.local_critical(N=N5, p=P2, gamma=gamma, alpha=kappa)
-            res = maximize_halfline(CurveParams.from_problem(pp, 1.0))
+            res = maximize_halfline(CurveParams.from_problem(pp, log_C=0.0))
             worst = max(worst, abs(res.value - max(1.0, kappa)))
             attained_anywhere |= res.attained
             cells += 1
@@ -108,7 +108,7 @@ PROBE_T = np.geomspace(1e-12, 1e12, 200_001)
 def _oracle_resolvable(cp: CurveParams) -> bool:
     """Keep only curves whose supremum a uniform 1e6-point grid can see."""
     vals = np.asarray(curve_at_t(cp, "max", PROBE_T), dtype=float)
-    boundary = max(f_limits(cp))
+    boundary = math.exp(max(log_f_limits(cp)))
     i = int(np.argmax(vals))
     excess = float(vals[i]) - boundary
     if excess <= 1e-12 * max(1.0, abs(boundary)):
@@ -126,7 +126,7 @@ def _random_curves(count: int, seed: int) -> list[CurveParams]:
         critical = rng.random() < 0.5
         c = b if critical else float(rng.uniform(max(0.15, 0.25 * b), 0.9 * b))
         if rng.random() < 1.0 / 3.0:
-            kappa = 0.0
+            log_kappa = -math.inf
         else:
             # plant a stationary point at an oracle-visible location
             t_pk = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
@@ -138,7 +138,8 @@ def _random_curves(count: int, seed: int) -> list[CurveParams]:
             kappa = pg * (1.0 + t_pk) ** a / den
             if not math.isfinite(kappa) or kappa <= 0:
                 continue
-        cp = CurveParams(b=b, c=c, kappa=kappa, pgamma=pg)
+            log_kappa = math.log(kappa)
+        cp = CurveParams(b=b, c=c, log_kappa=log_kappa, pgamma=pg)
         if _oracle_resolvable(cp):
             out.append(cp)
     return out
@@ -209,8 +210,7 @@ def test_acceptance_06_interpolation_constant(capsys):
 def test_acceptance_07_dilation_envelope(constants_crit5, capsys):
     t0 = time.time()
     pp = ProblemParams.local_critical(N=N5, p=P2, gamma=2.2, alpha=180.0)
-    C = kappa_multiplier(pp, constants_crit5)
-    cp = CurveParams.from_problem(pp, C)
+    cp = CurveParams.from_problem(pp, log_C=log_kappa_multiplier(pp, constants_crit5))
     star_norms = norms(build_u_star(N5, P2), p=P2, q=pp.q)
 
     worst_env = -math.inf
@@ -259,7 +259,7 @@ def test_acceptance_09_truncated_family_approach(constants_crit3, capsys):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    cp = CurveParams.from_problem(pp, kappa_multiplier(pp, constants_crit3))
+    cp = CurveParams.from_problem(pp, log_C=log_kappa_multiplier(pp, constants_crit3))
     opt = maximize_halfline(cp)
     D = opt.value
     # one quadrature per radius: J of the cut bubble's normalized dilation to t*

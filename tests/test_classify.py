@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from attainkit import (
     classify,
     fractional_constant,
     gamma_threshold_exponent,
-    kappa_multiplier,
+    log_kappa_multiplier,
     maximize_halfline,
     maximizer,
     resolve_constants,
@@ -35,7 +36,7 @@ def test_threshold_zero_above_upper_gamma(crit5, constants_crit5):
 
 def test_threshold_closed_form_at_upper_gamma(crit5, constants_crit5):
     pp = dataclasses.replace(crit5, gamma=P_STAR_5)
-    C = kappa_multiplier(pp, constants_crit5)
+    C = math.exp(log_kappa_multiplier(pp, constants_crit5))
     assert threshold_alpha(pp, constants_crit5) == pytest.approx(
         2.0 / (P_STAR_5 * C), rel=1e-12)
 
@@ -43,13 +44,13 @@ def test_threshold_closed_form_at_upper_gamma(crit5, constants_crit5):
 @pytest.mark.parametrize("gamma", [1.2, 2.0])
 def test_threshold_flat_band_low_gamma(crit5, constants_crit5, gamma):
     pp = dataclasses.replace(crit5, gamma=gamma)
-    C = kappa_multiplier(pp, constants_crit5)
+    C = math.exp(log_kappa_multiplier(pp, constants_crit5))
     assert threshold_alpha(pp, constants_crit5) == pytest.approx(1.0 / C, rel=1e-12)
 
 
 def test_threshold_interior_below_flat_band(crit5, constants_crit5):
     pp = dataclasses.replace(crit5, gamma=2.2)
-    C = kappa_multiplier(pp, constants_crit5)
+    C = math.exp(log_kappa_multiplier(pp, constants_crit5))
     thr = threshold_alpha(pp, constants_crit5)
     assert 0.0 < thr < 1.0 / C
 
@@ -167,7 +168,7 @@ def test_classify_validates_and_resolves_once(monkeypatch, crit5):
 def test_kappa_multiplier_names_the_missing_constant():
     params = ProblemParams.local_critical(N=5, p=2.0, gamma=2.5, alpha=1.0)
     with pytest.raises(ParamError, match=r"ConstantSet\.sobolev") as err:
-        kappa_multiplier(params, ConstantSet())
+        log_kappa_multiplier(params, ConstantSet())
     assert err.value.code == "constants"
 
 
@@ -197,7 +198,7 @@ def _patched_maximum(monkeypatch, **fields):
 def test_classify_refuses_a_d_off_its_closed_form(monkeypatch, crit5, constants_crit5):
     pp = dataclasses.replace(crit5, gamma=3.0)
     below = dataclasses.replace(pp, alpha=0.9 * threshold_alpha(pp, constants_crit5))
-    _patched_maximum(monkeypatch, value=1.5)
+    _patched_maximum(monkeypatch, log_value=math.log(1.5))
     with pytest.raises(NumericalError, match="disagrees with closed form"):
         classify(below, constants_crit5)
 
@@ -214,7 +215,7 @@ def test_classify_refuses_an_attained_verdict_without_interior_maximum(
 @pytest.mark.parametrize("gamma", [1.5, 2.0])
 @pytest.mark.parametrize("alpha_x_c", [0.25, 4.0])
 def test_convexity_band_never_attained(crit5, constants_crit5, gamma, alpha_x_c):
-    C = kappa_multiplier(crit5, constants_crit5)
+    C = math.exp(log_kappa_multiplier(crit5, constants_crit5))
     pp = dataclasses.replace(crit5, gamma=gamma, alpha=alpha_x_c / C)
     v = classify(pp, constants_crit5)
     assert not v.attained
@@ -261,12 +262,16 @@ def test_maximizer_beyond_the_double_range():
 
 
 def test_sobolev_power_beyond_the_double_range_is_a_numerical_error():
-    # p near N: C = S^(p*) has log10 C = 584.7, which no double holds
+    # p near N: C = S^(p*) has log10 C = 584.7, which no double holds; it is
+    # carried as its log up to D >= kappa, log10 kappa = 582.06
     pp = ProblemParams.local_critical(N=7, p=6.894565257874503,
                                       gamma=828.9233299212391,
                                       alpha=0.0021439433224140457)
-    with pytest.raises(NumericalError, match=r"log10 C = 584\.7"):
-        classify(pp)
+    cs = resolve_constants(pp)
+    assert log_kappa_multiplier(pp, cs) / math.log(10.0) == pytest.approx(584.72, abs=0.01)
+    with pytest.raises(NumericalError, match=r"^D leaves the double range: log10 D = 582\.05"):
+        classify(pp, cs)
+    assert threshold_alpha(pp, cs) == 0.0
 
 
 def test_threshold_beyond_the_double_range_is_a_numerical_error(sub224, constants_sub224):
@@ -280,14 +285,40 @@ def test_threshold_beyond_the_double_range_is_a_numerical_error(sub224, constant
 
 
 def test_kappa_beyond_the_double_range_is_a_numerical_error():
-    # alpha and C are each valid; their product alpha * C = 1e310 is not a double
+    # alpha and C are each valid; D >= alpha * C = 1e310 is not a double, and
+    # only filling the verdict's D finds that out
     cset = ConstantSet(fractional=fractional_constant(1e10))
     pp = ProblemParams.fractional_critical(N=5, s=0.6, gamma=2.3, alpha=1e300)
-    with pytest.raises(NumericalError, match=r"log10 kappa = 310\.0"):
+    with pytest.raises(NumericalError, match=r"^D leaves the double range: log10 D = 3(09\.9|10\.0)"):
         classify(pp, cset)
     # the threshold never reads the weight
     assert threshold_alpha(pp, cset) == threshold_alpha(
         dataclasses.replace(pp, alpha=1.0), cset)
+
+
+def test_critical_local_probe_fails_only_where_the_verdict_is_filled():
+    # N in 2..9, p up to N - 0.05, gamma = p* e^U(-1,1), alpha = 10^U(-6,3):
+    # C = S^(p*) and kappa reach 1e2495 here, and every value before the
+    # verdict is a log, so the one failure is a D or threshold no double holds
+    classify_mod = importlib.import_module("attainkit.classify")
+    rng = np.random.default_rng(1)
+    for _ in range(1500):
+        N = int(rng.integers(2, 10))
+        p = float(rng.uniform(1.05, N - 0.05))
+        gamma = ak.critical_exponent(N, p) * math.exp(rng.uniform(-1.0, 1.0))
+        pp = ProblemParams.local_critical(N=N, p=p, gamma=gamma,
+                                          alpha=10.0 ** rng.uniform(-6.0, 3.0))
+        try:
+            assert isinstance(classify(pp), ak.Verdict)
+            continue
+        except NumericalError as exc:
+            assert re.match(r"(D|threshold) leaves the double range: log10 \1 = ", str(exc)), exc
+        log_C = log_kappa_multiplier(pp, resolve_constants(pp))
+        cp = CurveParams.from_problem(pp, log_C=log_C)
+        band = classify_mod._gamma_band(pp)
+        log_thr = classify_mod._log_threshold(cp, band, pp, log_C)
+        assert math.isfinite(log_C) and math.isfinite(maximize_halfline(cp).log_value)
+        assert math.isfinite(log_thr) or (band == "gt_upper" and log_thr == -math.inf)
 
 
 def test_threshold_alpha_does_not_read_the_weight():
@@ -349,8 +380,7 @@ def test_fractional_low_gamma_convexity():
 
 def test_d_value_matches_direct_optimization(crit5, constants_crit5):
     pp = dataclasses.replace(crit5, gamma=2.2, alpha=180.0)
-    C = kappa_multiplier(pp, constants_crit5)
-    cp = CurveParams.from_problem(pp, C)
+    cp = CurveParams.from_problem(pp, log_C=log_kappa_multiplier(pp, constants_crit5))
     direct = maximize_halfline(cp).value
     assert classify(pp, constants_crit5).D == direct
 

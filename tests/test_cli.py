@@ -128,7 +128,8 @@ def test_curve_rows_fields_and_values(capsys, problem):
     np.testing.assert_array_equal(t, np.geomspace(1e-4, 1e4, 64))
     np.testing.assert_array_equal([row["s"] for row in rows], t / (1.0 + t))
     params = doc["curve_params"]
-    cp = CurveParams(**{k: v for k, v in params.items() if k != "a"})
+    cp = CurveParams(b=params["b"], c=params["c"], log_kappa=math.log(params["kappa"]),
+                     pgamma=params["pgamma"])
     assert params["a"] == cp.a
     for column, mode in (("f", "max"), ("g", "min")):
         np.testing.assert_allclose([row[column] for row in rows], curve_at_t(cp, mode, t),
@@ -178,6 +179,19 @@ def test_curve_beyond_the_double_range_prints_inf_without_warning(capsys):
     assert code == 0, err
     rows = [line.split(",") for line in out.split("\n")[1:4]]
     assert [row[3] for row in rows] == ["inf"] * 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_curve_with_a_kappa_beyond_the_double_range_prints_inf(capsys):
+    # alpha * C = 1e310: the curve is still defined, and kappa prints as f does
+    code, out, err = run_cli(capsys, "curve", "--N", "5", "--s", "0.6", "--q", "critical",
+                             "--gamma", "2.3", "--alpha", "1e300", "--frac-constant", "1e10",
+                             "--grid", "8")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["curve_params"]["kappa"] == "inf"
+    assert doc["rows"][-1]["f"] == "inf"
+    assert all(row["f_slope_sign"] == 1 for row in doc["rows"])
 
 
 def test_sweep_csv_contract(capsys):
@@ -329,21 +343,23 @@ def test_classify_threshold_overflow_exits_2(capsys):
                              "--gamma", "0.00390625", "--alpha", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("numerical failure: threshold = inf g / C leaves the double "
-                          "range: log10 threshold = 309.02")
+    assert err.startswith("numerical failure: threshold leaves the double range: "
+                          "log10 threshold = 309.02")
 
 
 @pytest.mark.parametrize("argv", [("classify", "--gamma", "0.003"),
                                   ("sweep", "--gamma-range", "0.003:0.004:0.001")])
 def test_overflowed_ratio_curve_exits_2_with_warnings_as_errors(capsys, argv):
-    # inf g itself overflows here; numpy's overflow warning must not escape as an error
+    # inf g itself is no double here; numpy's overflow warning must not escape as an error
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, argv[0], "--N", "2", "--p", "2", "--q", "4",
                                  "--alpha", "1", *argv[1:])
     assert code == 2
     assert out == ""
-    assert err == "numerical failure: ratio-curve infimum came out inf\n"
+    assert err.startswith("numerical failure: threshold leaves the double range: "
+                          "log10 threshold = 402.1")
+    assert err.count("\n") == 1
 
 
 def test_classify_sobolev_power_overflow_exits_2(capsys):
@@ -352,16 +368,20 @@ def test_classify_sobolev_power_overflow_exits_2(capsys):
                              "--alpha", "0.0021439433224140457")
     assert code == 2
     assert out == ""
-    assert "log10 C" in err and "Traceback" not in err
+    # gamma > p*: the threshold is the closed-form 0, and D >= kappa = 1e582
+    assert err.startswith("numerical failure: D leaves the double range: log10 D = 582.05")
+    assert "Traceback" not in err
 
 
 def test_classify_kappa_overflow_exits_2(capsys):
-    # alpha and the constant are each valid; alpha * C = 1e310 is not a double
+    # alpha and the constant are each valid; D >= alpha * C = 1e310 is not a double
     code, out, err = run_cli(capsys, "classify", "--N", "5", "--s", "0.6", "--q", "critical",
                              "--gamma", "2.3", "--alpha", "1e300", "--frac-constant", "1e10")
     assert code == 2
     assert out == ""
-    assert "log10 kappa = 310.0" in err and "Traceback" not in err
+    prefix = "numerical failure: D leaves the double range: log10 D = "
+    assert err.startswith(prefix) and "Traceback" not in err
+    assert float(err[len(prefix):]) == pytest.approx(310.0, rel=1e-12)
 
 
 def test_maximizer_rejects_subcritical(capsys, monkeypatch):

@@ -1,14 +1,15 @@
 """Scalar curves: identities, limits, derivative signs, roots."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from attainkit.classify import kappa_multiplier
-from attainkit.curves import (CurveParams, f_at_log_t, f_limits, g_at_log_t,
-                              g_limits)
+from attainkit.classify import log_kappa_multiplier
+from attainkit.curves import (CurveParams, f_at_log_t, g_at_log_t, log_f_limits,
+                              log_g_limits)
 from attainkit.errors import ParamError
 from attainkit.halfline import maximize_halfline, objective_sign, ratio_sign
 from attainkit.params import ProblemParams
@@ -19,24 +20,32 @@ def curve_params(draw):
     pgamma = draw(st.floats(0.2, 4.0))
     b = pgamma + draw(st.floats(0.05, 3.0))
     c = b if draw(st.booleans()) else draw(st.floats(0.2 * b, 0.95 * b))
-    kappa = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-    return CurveParams(b=b, c=c, kappa=kappa, pgamma=pgamma)
+    log_kappa = draw(st.one_of(st.just(-math.inf), st.floats(math.log(1e-3), math.log(1e3))))
+    return CurveParams(b=b, c=c, log_kappa=log_kappa, pgamma=pgamma)
 
 
 def test_invariant_a_exact():
-    cp = CurveParams(b=1.7, c=1.3, kappa=2.0, pgamma=0.9)
+    cp = CurveParams(b=1.7, c=1.3, log_kappa=math.log(2.0), pgamma=0.9)
     assert cp.a == cp.b - cp.pgamma
 
 
 def test_from_problem_critical_sets_c_equal_b(crit5, constants_crit5):
-    cp = CurveParams.from_problem(crit5, kappa_multiplier(crit5, constants_crit5))
+    cp = CurveParams.from_problem(crit5, log_C=log_kappa_multiplier(crit5, constants_crit5))
     assert cp.c == cp.b  # exact float equality is the critical marker
 
 
 def test_from_problem_subcritical_c_below_b(sub224):
-    cp = CurveParams.from_problem(sub224, 0.17)
+    cp = CurveParams.from_problem(sub224, log_C=math.log(0.17))
     assert cp.c < cp.b
     assert cp.kappa == pytest.approx(sub224.alpha * 0.17, rel=1e-15)
+
+
+def test_from_problem_takes_log_c_by_keyword_only(sub224):
+    # a linear C passed by position fails loudly instead of being read as a log
+    with pytest.raises(TypeError):
+        CurveParams.from_problem(sub224, 0.17)
+    assert CurveParams.from_problem(
+        dataclasses.replace(sub224, alpha=0.0), log_C=math.log(0.17)).log_kappa == -math.inf
 
 
 @given(cp=curve_params(), s=st.floats(1e-6, 1.0 - 1e-6))
@@ -48,21 +57,21 @@ def test_compactified_curves_match(cp, s):
 
 
 def test_f_limits():
-    crit = CurveParams(b=1.5, c=1.5, kappa=2.5, pgamma=0.8)
-    assert f_limits(crit) == (1.0, 2.5)
-    sub = CurveParams(b=1.5, c=1.2, kappa=2.5, pgamma=0.8)
-    assert f_limits(sub) == (1.0, 0.0)
+    crit = CurveParams(b=1.5, c=1.5, log_kappa=math.log(2.5), pgamma=0.8)
+    assert log_f_limits(crit) == (0.0, math.log(2.5))
+    sub = CurveParams(b=1.5, c=1.2, log_kappa=math.log(2.5), pgamma=0.8)
+    assert log_f_limits(sub) == (0.0, -math.inf)
 
 
 def test_g_limits_cases():
-    lo, hi = g_limits(CurveParams(b=2.0, c=0.7, kappa=0.0, pgamma=1.1))
-    assert lo == 0.0 and math.isinf(hi)
-    lo, hi = g_limits(CurveParams(b=2.0, c=1.0, kappa=0.0, pgamma=1.1))
-    assert lo == pytest.approx(1.1) and math.isinf(hi)
-    lo, hi = g_limits(CurveParams(b=2.0, c=1.5, kappa=0.0, pgamma=1.1))
-    assert math.isinf(lo) and math.isinf(hi)
-    lo, hi = g_limits(CurveParams(b=2.0, c=2.0, kappa=0.0, pgamma=1.1))
-    assert hi == 1.0  # critical: mass ratio tends to one under concentration
+    lo, hi = log_g_limits(CurveParams(b=2.0, c=0.7, log_kappa=-math.inf, pgamma=1.1))
+    assert lo == -math.inf and hi == math.inf
+    lo, hi = log_g_limits(CurveParams(b=2.0, c=1.0, log_kappa=-math.inf, pgamma=1.1))
+    assert lo == pytest.approx(math.log(1.1)) and hi == math.inf
+    lo, hi = log_g_limits(CurveParams(b=2.0, c=1.5, log_kappa=-math.inf, pgamma=1.1))
+    assert lo == hi == math.inf
+    lo, hi = log_g_limits(CurveParams(b=2.0, c=2.0, log_kappa=-math.inf, pgamma=1.1))
+    assert hi == 0.0  # critical: mass ratio tends to one under concentration
 
 
 def _assert_sign_matches_slope(sign, cp, mode, t):
@@ -93,7 +102,7 @@ def test_m_factor_sign_matches_difference_quotient(cp):
 
 
 def test_argmax_is_a_sign_change_of_objective_sign():
-    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, kappa=90.0, pgamma=2.0 / 3.0)
+    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, log_kappa=math.log(90.0), pgamma=2.0 / 3.0)
     res = maximize_halfline(cp)
     assert res.attained
     x, G = res.log_argopt, objective_sign(cp)
@@ -103,7 +112,7 @@ def test_argmax_is_a_sign_change_of_objective_sign():
 def test_far_scale_argmax_is_a_sign_change_of_objective_sign():
     # a tiny weight puts f's interior maximum far outside any feasible
     # sampling grid; it ties with the limit 1, and still carries its log t
-    cp = CurveParams(b=0.875, c=0.875, kappa=1e-9, pgamma=0.5)
+    cp = CurveParams(b=0.875, c=0.875, log_kappa=math.log(1e-9), pgamma=0.5)
     res = maximize_halfline(cp)
     assert res.marginal
     x, G = res.log_argopt, objective_sign(cp)
@@ -112,40 +121,42 @@ def test_far_scale_argmax_is_a_sign_change_of_objective_sign():
 
 
 def test_curves_at_log_t():
-    for cp in (CurveParams(b=2.0, c=1.5, kappa=0.5, pgamma=1.0),
-               CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)):
+    for cp in (CurveParams(b=2.0, c=1.5, log_kappa=math.log(0.5), pgamma=1.0),
+               CurveParams(b=2.0, c=2.0, log_kappa=math.log(3.0), pgamma=1.0)):
         t = np.geomspace(1e-6, 1e6, 7)
         for at_log_t, mode in ((f_at_log_t, "max"), (g_at_log_t, "min")):
             np.testing.assert_allclose(at_log_t(cp, np.log(t)), curve_at_t(cp, mode, t),
                                        rtol=1e-12)
     # beyond the double range of t the log form still meets the limits
-    crit = CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
+    crit = CurveParams(b=2.0, c=2.0, log_kappa=math.log(3.0), pgamma=1.0)
     assert f_at_log_t(crit, -1e5) == 1.0
-    assert f_at_log_t(crit, 1e5) == 3.0
+    assert f_at_log_t(crit, 1e5) == crit.kappa
     assert g_at_log_t(crit, 1e5) == 1.0
 
 
 def test_critical_curve_limits():
-    cp = CurveParams(b=2.0, c=2.0, kappa=3.0, pgamma=1.0)
-    assert f_limits(cp) == (1.0, 3.0)
-    assert g_limits(cp) == (math.inf, 1.0)
+    cp = CurveParams(b=2.0, c=2.0, log_kappa=math.log(3.0), pgamma=1.0)
+    assert log_f_limits(cp) == (0.0, math.log(3.0))
+    assert log_g_limits(cp) == (math.inf, 0.0)
 
 
 def test_curve_params_validation():
     with pytest.raises(Exception):
-        CurveParams(b=1.0, c=1.5, kappa=1.0, pgamma=1.2)  # c beyond b
+        CurveParams(b=1.0, c=1.5, log_kappa=0.0, pgamma=1.2)  # c beyond b
     with pytest.raises(Exception):
-        CurveParams(b=1.0, c=0.5, kappa=-1.0, pgamma=0.5)  # negative kappa
+        CurveParams(b=1.0, c=0.5, log_kappa=math.nan, pgamma=0.5)  # kappa not a number
     with pytest.raises(ParamError):
-        CurveParams(b=1.0, c=0.5, kappa=1.0, pgamma=1.0)  # a = 0
+        CurveParams(b=1.0, c=0.5, log_kappa=0.0, pgamma=1.0)  # a = 0
     with pytest.raises(ParamError):
-        CurveParams(b=1.0, c=0.8, kappa=1.0, pgamma=1.5)  # a < 0
+        CurveParams(b=1.0, c=0.8, log_kappa=0.0, pgamma=1.5)  # a < 0
     with pytest.raises(ParamError):
-        CurveParams(b=1.0, c=0.5, kappa=math.inf, pgamma=0.5)  # kappa not finite
+        CurveParams(b=1.0, c=0.5, log_kappa=math.inf, pgamma=0.5)  # kappa not finite
+    # kappa beyond the doubles is a valid curve
+    assert CurveParams(b=1.0, c=0.5, log_kappa=2000.0, pgamma=0.5).kappa == math.inf
 
 
 def test_from_problem_fractional_base_two():
     params = ProblemParams.fractional(5, 0.6, 2.2, 1.1, 0.9)
-    cp = CurveParams.from_problem(params, 1.7)
+    cp = CurveParams.from_problem(params, log_C=math.log(1.7))
     assert cp.pgamma == pytest.approx(2.0 / 1.1, rel=1e-15)
     assert cp.b == pytest.approx(2.2 / 1.1, rel=1e-15)

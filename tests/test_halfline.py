@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import attainkit as ak
 from attainkit import CurveParams, OptResult, maximize_halfline, minimize_halfline
 from attainkit import halfline
+from attainkit.curves import log_f_limits
 from attainkit.halfline import objective_sign, ratio_sign
 from oracles import bisect_sign_change, curve_at_t, grid_oracle
 
@@ -20,24 +21,24 @@ def curve_params(draw):
     pgamma = draw(st.floats(0.2, 4.0))
     b = pgamma + draw(st.floats(0.05, 3.0))
     c = b if draw(st.booleans()) else draw(st.floats(0.2 * b, 0.95 * b))
-    kappa = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-    return CurveParams(b=b, c=c, kappa=kappa, pgamma=pgamma)
+    log_kappa = draw(st.one_of(st.just(-math.inf), st.floats(math.log(1e-3), math.log(1e3))))
+    return CurveParams(b=b, c=c, log_kappa=log_kappa, pgamma=pgamma)
 
 
 def _critical_cell(gamma: float, alpha_times_thr: float):
     """Curve for the 5-dim quadratic-energy critical family at the given weight."""
     params = ak.ProblemParams.local_critical(N=5, p=2.0, gamma=gamma, alpha=1.0)
     S = ak.sobolev_constant(5, 2.0)
-    C = S.value ** params.exponents.gamma_crit
+    log_C = params.exponents.gamma_crit * math.log(S.value)
     thr = ak.threshold_alpha(params)
     p2 = dataclasses.replace(params, alpha=alpha_times_thr * thr)
-    return CurveParams.from_problem(p2, C), thr, C
+    return CurveParams.from_problem(p2, log_C=log_C), thr, math.exp(log_C)
 
 
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
 def test_low_gamma_critical_sup_is_boundary(kappa):
     # gamma at the base exponent: the objective never beats its endpoint limits
-    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, kappa=kappa, pgamma=1.0)
+    cp = CurveParams(b=5.0 / 3.0, c=5.0 / 3.0, log_kappa=math.log(kappa), pgamma=1.0)
     res = maximize_halfline(cp)
     assert res.value == max(1.0, kappa)
     assert not res.attained
@@ -88,7 +89,7 @@ def test_ratio_infimum_is_one_for_low_gamma_critical(gamma):
 
 @pytest.mark.parametrize("c", [5.0 / 3.0, 1.2])
 def test_zero_kappa_sup_is_left_boundary(c):
-    cp = CurveParams(b=5.0 / 3.0, c=c, kappa=0.0, pgamma=1.0)
+    cp = CurveParams(b=5.0 / 3.0, c=c, log_kappa=-math.inf, pgamma=1.0)
     res = maximize_halfline(cp)
     assert res.value == 1.0
     assert not res.attained
@@ -96,7 +97,7 @@ def test_zero_kappa_sup_is_left_boundary(c):
 
 
 def test_subcritical_attained_matches_oracle_and_roots():
-    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
+    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, log_kappa=math.log(10.0), pgamma=4.0 / 3.0)
     res = maximize_halfline(cp)
     assert res.attained
     x = res.log_argopt
@@ -106,14 +107,14 @@ def test_subcritical_attained_matches_oracle_and_roots():
 
 
 def test_err_bound_small_when_attained():
-    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, kappa=10.0, pgamma=4.0 / 3.0)
+    cp = CurveParams(b=8.0 / 3.0, c=4.0 / 3.0, log_kappa=math.log(10.0), pgamma=4.0 / 3.0)
     res = maximize_halfline(cp)
     assert math.isfinite(res.err_bound)
     assert res.err_bound < 1e-8
 
 
 def test_grid_oracle_validation():
-    cp = CurveParams(b=2.0, c=1.5, kappa=1.0, pgamma=1.0)
+    cp = CurveParams(b=2.0, c=1.5, log_kappa=0.0, pgamma=1.0)
     with pytest.raises(ValueError):
         grid_oracle(cp, n=10**4)
     with pytest.raises(ValueError):
@@ -129,7 +130,7 @@ def test_grid_oracle_min_mode():
 
 
 def test_result_is_frozen_dataclass():
-    res = OptResult(value=1.0, attained=False, err_bound=0.0, n_evals=3)
+    res = OptResult(log_value=0.0, attained=False, err_bound=0.0, n_evals=3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.value = 2.0
 
@@ -144,13 +145,13 @@ def test_maximize_dominates_samples(cp, seed):
     assert res.value >= float(np.max(vals)) - 1e-7 * scale
 
 
-@given(cp=curve_params(), seed=st.integers(0, 2**16),
-       kappa=st.floats(0.0, 1e300, exclude_min=True))
-def test_minimize_dominated_by_samples(cp, seed, kappa):
+@given(cp=curve_params(), seed=st.integers(0, 2**16), log_kappa=st.floats(-2000.0, 2000.0))
+def test_minimize_dominated_by_samples(cp, seed, log_kappa):
     res = minimize_halfline(cp)
-    # the ratio curve does not read kappa, so neither does its infimum
-    assert minimize_halfline(dataclasses.replace(cp, kappa=0.0)) == res
-    assert minimize_halfline(dataclasses.replace(cp, kappa=kappa)) == res
+    # the ratio curve does not read kappa, so neither does its infimum, also
+    # at kappas no double holds
+    assert minimize_halfline(dataclasses.replace(cp, log_kappa=-math.inf)) == res
+    assert minimize_halfline(dataclasses.replace(cp, log_kappa=log_kappa)) == res
     rng = np.random.default_rng(seed)
     t = np.exp(rng.uniform(-20.0, 20.0, size=24))
     vals = curve_at_t(cp, "min", t)
@@ -164,9 +165,17 @@ def _G(cp, x):
     """G of the halfline docstring, naively; -inf where h < 0 outright."""
     inner = cp.c + (cp.c - cp.b) * np.exp(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(inner > 0, np.log(cp.kappa) + (cp.c - 1.0) * x
+        return np.where(inner > 0, cp.log_kappa + (cp.c - 1.0) * x
                         + np.log(np.where(inner > 0, inner, 1.0)) - np.log(cp.pgamma)
                         - cp.a * np.logaddexp(0.0, x), -np.inf)
+
+
+@given(cp=curve_params(), log_kappa=st.floats(-2000.0, 2000.0))
+def test_maximize_at_kappas_no_double_holds(cp, log_kappa):
+    cp = dataclasses.replace(cp, log_kappa=log_kappa)
+    res = maximize_halfline(cp)
+    assert math.isfinite(res.log_value)
+    assert all(res.log_value >= limit for limit in log_f_limits(cp))
 
 
 @given(cp=curve_params())
@@ -222,11 +231,11 @@ def test_newton_agrees_with_bisection_oracle(cp):
 
 @given(cp=curve_params())
 def test_objective_sign_matches_the_naive_form(cp):
-    if cp.kappa == 0.0:
+    if cp.log_kappa == -math.inf:
         return  # both are -inf throughout
     G = objective_sign(cp)
     x_max = math.inf if cp.is_critical else math.log(cp.c / (cp.b - cp.c))
-    K = math.log(cp.kappa * cp.c / cp.pgamma)
+    K = cp.log_kappa + math.log(cp.c / cp.pgamma)
     for x in (-30.0, -3.0, -0.5, 0.0, 0.7, 3.0, 30.0):
         if x > x_max - 1e-3:
             continue
@@ -255,7 +264,7 @@ def test_sign_functions_are_total(cp):
     x_max = math.inf if cp.is_critical else math.log(cp.c / (cp.b - cp.c))
     for x in (-1e300, -800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0, 1e300):
         v, d = G(x)
-        if cp.kappa == 0.0 or x >= x_max:
+        if cp.log_kappa == -math.inf or x >= x_max:
             assert v < 0.0  # f' < 0 outright
         assert not (math.isnan(v) or math.isnan(d))
         v, d = F(x)
@@ -305,7 +314,7 @@ def test_tie_and_far_roots_within_evaluation_budget():
         (ak.ProblemParams.local_critical(N=6, p=1.05, gamma=1.0502312310584088,
                                          alpha=1295.8598210709758), None, 21277.94),
     ]:
-        C = ak.kappa_multiplier(pp, ak.resolve_constants(pp, cs))
+        log_C = ak.log_kappa_multiplier(pp, ak.resolve_constants(pp, cs))
         res = _assert_within_budget(maximize_halfline,
-                                    CurveParams.from_problem(pp, C))
+                                    CurveParams.from_problem(pp, log_C=log_C))
         assert res.log_argopt == pytest.approx(log_t_star, abs=0.01)

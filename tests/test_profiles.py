@@ -162,8 +162,7 @@ def test_w_lambda_takes_its_curve_point_by_keyword(star5, star5_norms):
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 42.0, 1e6])
 def test_w_lambda_objective_equals_curve_value(crit5, constants_crit5, star5_norms, lam):
     gamma = crit5.gamma
-    C = ak.kappa_multiplier(crit5, constants_crit5)
-    cp = CurveParams.from_problem(crit5, C)
+    cp = CurveParams.from_problem(crit5, log_C=ak.log_kappa_multiplier(crit5, constants_crit5))
     w = build_w_lambda(N5, P2, gamma, star5_norms, log_t=_log_t(lam, gamma, star5_norms))
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
     J = j_oracle(w, crit5)
@@ -174,8 +173,9 @@ def test_w_lambda_objective_equals_curve_value(crit5, constants_crit5, star5_nor
 
 def test_w_lambda_quotient_equals_ratio_curve(crit5, constants_crit5, star5_norms):
     gamma = crit5.gamma
-    C = ak.kappa_multiplier(crit5, constants_crit5)
-    cp = CurveParams.from_problem(crit5, C)
+    log_C = ak.log_kappa_multiplier(crit5, constants_crit5)
+    C = math.exp(log_C)
+    cp = CurveParams.from_problem(crit5, log_C=log_C)
     lam = 7.5
     w = build_w_lambda(N5, P2, gamma, star5_norms, log_t=_log_t(lam, gamma, star5_norms))
     t = lam ** (gamma / N5) * (star5_norms.grad_lp.value / star5_norms.lp.value) ** gamma
@@ -244,7 +244,7 @@ def test_truncated_family_approaches_supremum(constants_crit3):
     pp = ProblemParams.local_critical(N=3, p=2.0, gamma=3.0, alpha=1.0)
     thr = ak.threshold_alpha(pp, constants_crit3)
     pp = dataclasses.replace(pp, alpha=2.0 * thr)
-    cp = CurveParams.from_problem(pp, ak.kappa_multiplier(pp, constants_crit3))
+    cp = CurveParams.from_problem(pp, log_C=ak.log_kappa_multiplier(pp, constants_crit3))
     opt = ak.maximize_halfline(cp)
     assert opt.value == ak.classify(pp, constants_crit3).D
     # one quadrature per radius: J of the cut bubble's normalized dilation to t*
@@ -279,7 +279,7 @@ def test_orbit_curve_is_J_on_the_normalized_dilations(case, lam, rel):
 def test_orbit_curve_quotient_is_invariant_and_sharp(crit5, constants_crit5, star5_norms):
     # the bubble is the Sobolev extremal: its quotient is C = S^(p*) itself
     cp_star, _ = orbit_curve(star5_norms, crit5)
-    C = ak.kappa_multiplier(crit5, constants_crit5)
+    C = math.exp(ak.log_kappa_multiplier(crit5, constants_crit5))
     assert cp_star.kappa == pytest.approx(crit5.alpha * C, rel=1e-10)
     # any other profile sits strictly below, at every amplitude and dilation
     prof = random_profiles(1, N=N5, seed=3)[0]
@@ -297,12 +297,13 @@ def test_orbit_curve_rejects_fractional_params(star5_norms):
         orbit_curve(star5_norms, pp)
 
 
-def test_orbit_curve_quotient_beyond_the_double_range_is_numerical(crit5):
-    # (|u|_q / |grad u|_p)^(p*) = 1e(200 * 10/3) holds in no double
+def test_orbit_curve_quotient_beyond_the_double_range_keeps_its_log(crit5):
+    # (|u|_q / |grad u|_p)^(p*) = 1e(200 * 10/3) holds in no double, its log does
     nm = Norms(lp=NormValue(1.0, 0.0), grad_lp=NormValue(1e-200, 0.0),
                lq=NormValue(1.0, 0.0))
-    with pytest.raises(NumericalError, match="log10 Q = 666.6"):
-        orbit_curve(nm, crit5)
+    cp, _ = orbit_curve(nm, crit5)
+    assert cp.log_kappa == pytest.approx(2000.0 / 3.0 * math.log(10.0), rel=1e-15)
+    assert cp.kappa == math.inf
 
 
 def _assert_honest_and_tight(nv, want, label):
@@ -378,8 +379,7 @@ def test_random_profiles_vanish_below_roundoff_past_their_support():
 
 def test_random_profiles_envelope(crit5, constants_crit5):
     # every admissible profile sits under the one-dimensional objective curve
-    C = ak.kappa_multiplier(crit5, constants_crit5)
-    cp = CurveParams.from_problem(crit5, C)
+    cp = CurveParams.from_problem(crit5, log_C=ak.log_kappa_multiplier(crit5, constants_crit5))
     for prof in random_profiles(20, N=N5, seed=7):
         nm = norms(prof, p=P2, q=Q_CRIT5)
         t = (nm.grad_lp.value / nm.lp.value) ** crit5.gamma
