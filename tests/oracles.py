@@ -1,6 +1,7 @@
 """Independent reference computations used only by the tests.
 
-Eight oracles, all methodologically independent of the library code:
+Nine oracles, all but the last methodologically independent of the library
+code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -28,7 +29,11 @@ Eight oracles, all methodologically independent of the library code:
   interpolant of nodal values and slopes, by the 8-point Gauss-Legendre
   rule on every cell, the reference for the library's Hermite profile of
   a shot ground state and its Gauss-Kronrod norms
-  (``hermite_ratio_oracle``).
+  (``hermite_ratio_oracle``);
+* the ground-state shooting loop as it was before its numpy calls were cut,
+  deciding each shot node by node and calling the general right-hand side
+  at p = 2 as well, the reference the library's ``_shoot`` must match bit
+  for bit up to each shot's decided node (``rk4_shoot_oracle``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -45,6 +50,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
 
+from attainkit import constants
 from attainkit.curves import CurveParams, log_f_limits, log_g_limits
 from attainkit.errors import NumericalError
 from attainkit.halfline import OptResult
@@ -328,6 +334,56 @@ def shooting_oracle_p2(N: int, q: float) -> float:
     P = sphere_area_oracle(N) * mass
     gc = N * (q - 2.0) / 2.0
     return q / (q - gc) * (gc / (q - gc)) ** (-gc / 2.0) * P ** (1.0 - q / 2.0)
+
+
+def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
+    """The per-node RK4 shooting loop that ``constants._shoot`` replaced,
+    copied verbatim; it reads the module's step constants at call time, so
+    a patched ``_MAX_STEPS`` applies to both.  Returns (fate, decided-at
+    index, r, w, psi) as ``_shoot`` does, the last three ending at the node
+    where the last shot was decided.
+    """
+    _START, _STEP_PER_R, _STEP_MAX, _MAX_STEPS = (
+        constants._START, constants._STEP_PER_R, constants._STEP_MAX, constants._MAX_STEPS)
+    e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
+
+    def rhs(r, w, psi):
+        wp = np.maximum(w, 0.0)
+        return (np.copysign(np.abs(psi) ** e, psi),
+                wp ** pm1 - wp ** qm1 - nm1 * psi / r)
+
+    r = _START * heights ** (-(q - p) / p)
+    c = (heights ** pm1 - heights ** qm1) / N
+    psi = c * r
+    w = heights - pm1 / p * np.abs(psi) ** e * r
+    fate = np.zeros(heights.size, dtype=int)
+    at = np.zeros(heights.size, dtype=int)
+    rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
+    for k in range(2, _MAX_STEPS):
+        h = coarsen * np.minimum(_STEP_PER_R * r, _STEP_MAX)
+        hh, h6 = 0.5 * h, h / 6.0
+        rm = r + hh
+        a1, b1 = rhs(r, w, psi)
+        a2, b2 = rhs(rm, w + hh * a1, psi + hh * b1)
+        a3, b3 = rhs(rm, w + hh * a2, psi + hh * b2)
+        r = r + h
+        a4, b4 = rhs(r, w + h * a3, psi + h * b3)
+        w = w + h6 * (a1 + a4 + 2.0 * (a2 + a3))
+        psi = psi + h6 * (b1 + b4 + 2.0 * (b2 + b3))
+        rs.append(r)
+        ws.append(w)
+        psis.append(psi)
+        done = (w <= 0) | (psi > 0)
+        if k % 4 == 0:
+            wp = np.maximum(w, 0.0)
+            done |= pm1 / p * np.abs(psi) ** (p * e) + wp**q / q < wp**p / p
+        new = done & (fate == 0)
+        if new.any():
+            fate[new] = np.where(w[new] <= 0, 1, -1)
+            at[new] = k
+            if fate.all():
+                break
+    return fate, at, np.array(rs), np.array(ws), np.array(psis)
 
 
 @lru_cache(maxsize=4)

@@ -12,6 +12,7 @@ from attainkit import (
     sobolev_constant,
     sphere_area,
 )
+from attainkit import constants
 from attainkit.constants import (
     _BATCH,
     _WINDOW_MIN,
@@ -30,6 +31,7 @@ from oracles import (
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
     hermite_ratio_oracle,
+    rk4_shoot_oracle,
     shooting_oracle_p2,
     sobolev_constant_oracle,
     sphere_area_oracle,
@@ -168,6 +170,62 @@ def test_batched_brackets_match_each_resolution_alone(Npq):
         assert np.array_equal(got["profile"].fn(breaks), alone["profile"].fn(alone_breaks))
     sweeps = gns_constant_estimate(*Npq).meta["sweeps"]
     assert sweeps == both[0]["rounds"] + both[1]["rounds"]
+
+
+def assert_shoot_matches_oracle(heights, Npq, coarsen):
+    """``_shoot`` against the per-node loop it replaced: the same fates and
+    decided-at nodes, the same nodes bit for bit up to each decision (to the
+    last node for an undecided shot) and the same crossing radii."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = _shoot(heights, *Npq, coarsen)
+        want = rk4_shoot_oracle(heights, *Npq, coarsen)
+        radii = [_crossing_radii(*shot, Npq[1], Npq[2]) for shot in (got, want)]
+    fate, at = got[:2]
+    assert np.array_equal(fate, want[0]) and np.array_equal(at, want[1])
+    # the loop stops at the end of a block of four nodes, the oracle at the decision
+    assert want[2].shape[0] <= got[2].shape[0] <= want[2].shape[0] + 3
+    for i in range(heights.size):
+        end = at[i] + 1 if fate[i] else want[2].shape[0]
+        for mine, theirs in zip(got[2:], want[2:]):
+            assert np.array_equal(mine[:end, i], theirs[:end, i]), (i, at[i])
+    assert np.array_equal(*radii, equal_nan=True)
+    return fate
+
+
+@pytest.mark.parametrize("Npq,h_star", [
+    ((2, 2.0, 4.0), 2.2062007004871105),
+    ((6, 1.1, 1.3), 15547.582338232978),
+    ((8, 5.0, 12.0), 11.342893452806813),
+    ((3, 2.0, 2.01), 4.476121467778853),
+])
+def test_shoot_matches_per_node_oracle_bit_for_bit(Npq, h_star):
+    # shots far from and close to the ground-state height, at both step sizes
+    miss = np.array([-0.5, -1e-3, -1e-6, 1e-6, 1e-3, 0.5])
+    heights = np.tile(h_star * (1.0 + miss), 2)
+    fate = assert_shoot_matches_oracle(heights, Npq, np.repeat([1.0, 2.0], miss.size))
+    assert np.all(fate != 0) and np.any(fate < 0) and np.any(fate > 0)
+
+
+@pytest.mark.parametrize("max_steps", [172, 173, 174, 175])
+def test_shoot_flushes_the_last_block_at_the_step_cap(monkeypatch, max_steps):
+    # coarse shots decide by node 100, fine overshoots at nodes 170-185: a
+    # cap in that range leaves some undecided and ends on a block of each
+    # length 1 to 4, which must decide as the per-node loop did
+    monkeypatch.setattr(constants, "_MAX_STEPS", max_steps)
+    lo = 2.0 ** 0.5
+    heights = np.tile(lo * 4.0 ** (np.arange(1, 17) / 16), 2)
+    fate = assert_shoot_matches_oracle(heights, (2, 2.0, 4.0), np.repeat([1.0, 2.0], 16))
+    assert np.any(fate == 0) and np.any(fate[:16] != 0)
+
+
+@pytest.mark.parametrize("N,q", [(2, 4.0), (3, 5.5)])
+def test_gns_is_continuous_across_the_p2_right_hand_side(N, q):
+    # p = 2 reads w' = psi and w^(p-1) = w; the next double down (the one
+    # up lies outside p <= N at N = 2) takes the general powers, and the two
+    # answers agree within their error bounds
+    at_two = gns_constant_estimate(N, 2.0, q)
+    below = gns_constant_estimate(N, math.nextafter(2.0, 1.0), q)
+    assert abs(at_two.value - below.value) <= at_two.err_bound + below.err_bound
 
 
 @pytest.mark.parametrize("Npq", sorted(FROZEN_ASCENT_LOWER_BOUNDS))
@@ -312,7 +370,19 @@ def test_fractional_constant_passthrough():
     assert got.meta["source"] == "user"
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_fractional_constant_takes_a_numpy_scalar():
+    got = fractional_constant(np.float32(1.7))
+    assert got.value == float(np.float32(1.7))
+    assert type(got.value) is float
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, np.float32(-1.7)])
 def test_fractional_constant_rejects_nonpositive(bad):
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match="finite and positive"):
+        fractional_constant(bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1.7", None])
+def test_fractional_constant_rejects_a_non_real(bad):
+    with pytest.raises(ParamError, match="must be a real number"):
         fractional_constant(bad)
