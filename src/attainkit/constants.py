@@ -8,10 +8,13 @@ Three constants are consumed downstream:
   B(N, p, q) = sup ||u||_q^q / ( ||grad u||_p^gc * ||u||_p^(q-gc) ),
   gc = N(q-p)/p  (bounded here from below by the quotient of the shot
   radial ground state's Hermite interpolant, integrated by the same
-  Gauss-Kronrod panel rule as every other norm, with err_bound the
-  step-halving distance plus that rule's bound; each round of shots is
-  placed in a window that a fit of how far the previous round's shots
-  rode points to, so (2, 2, 4) closes in six rounds per bracket),
+  Gauss-Kronrod panel rule as every other norm.  Every shot starts a
+  tenth of a core width out, on a power series of the solution regular at
+  r = 0.  err_bound is the distance to a second bracket that steps twice
+  as far, starts 100 times further in and closes 100 times wider, plus
+  that rule's bound.  Each round of shots is placed in a window that a fit
+  of how far the previous round's shots rode points to, so (2, 2, 4)
+  closes in six rounds per bracket),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -39,8 +42,9 @@ class SharpConstant:
     method "ground-state": value is a lower bound, the quotient of the shot
                            ground state's Hermite interpolant by the same
                            Gauss-Kronrod rule as every other norm; err_bound
-                           is the step-halving distance plus that rule's
-                           bound, an estimate, not an enclosure radius.
+                           is the distance to a bracket with doubled steps,
+                           an inner start and a wider cut, plus that rule's
+                           bound: an estimate, not an enclosure radius.
     method "user-input":   value passed through unchanged.
     """
 
@@ -92,13 +96,17 @@ def sobolev_constant(N: int, p: float) -> SharpConstant:
 #     psi' = -(N-1) psi / r + w^(p-1) - w^(q-1),   w' = sign(psi) |psi|^(1/(p-1)).
 
 _BATCH = 32            # trial heights integrated side by side per round
-_START = 1e-3          # first radius, in units of the core width
+_START = 0.1           # first radius, in core widths, unless the start series ...
+_SERIES_TERMS = 16     # ... cut after at most this many terms ...
+_SERIES_TOL = 2.0**-53  # ... would leave a last term above this fraction of its first
+_INNER = 12            # the profile's nodes inside the first radius, off the series, ...
+_INNER_RATIO = 1.5     # ... each this many times closer to r = 0 than the next
 _STEP_PER_R = 0.05     # steps grow with r (a geometric grid) ...
 _STEP_MAX = 0.04       # ... up to this cap
 _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
-_HEIGHT_RTOL = 1e-14   # the height bracket counts as closed at this width; the
-                       # value moves with the last undershoot's distance from
-                       # h*, by up to 2.6 err_bounds at 1e-13
+_HEIGHT_RTOL = 1e-14   # the fine height bracket counts as closed at this width
+_COARSE_START = 1e-2   # the step-doubled bracket starts this fraction of the fine radius
+_COARSE_CUT = 100.0    # out, and closes at this multiple of _HEIGHT_RTOL
 _MAX_ROUNDS = 64
 _MAX_HEIGHT = 1e100
 _FIT_SHOTS = 4         # decided shots per side that the miss-distance fit reads
@@ -108,11 +116,67 @@ _WINDOW_PER_RMS = 8    # ... this many times the fit's rms residual ...
 _WINDOW_MAX = 1 / 4    # ... and no wider, else the fit is too poor to use
 
 
+def _series_start(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray,
+                  depth: int = 1):
+    """(r, w, psi) where each shot starts, from the power series of the
+    solution that is regular at r = 0, each an array (depth, shots): the
+    start radius last, after depth - 1 radii each _INNER_RATIO times closer
+    to r = 0.
+
+    With p' = p/(p-1), u = h^(p-q), core = h^(-(q-p)/p) and x = (r/core)^p',
+
+        w = h (1 + sum_{k=1..K} a_k x^k),   psi = c r sum_{k=0..K-1} b_k x^k,
+
+    c = (h^(p-1) - h^(q-1))/N, a_0 = b_0 = 1.  (r^(N-1) psi)' = r^(N-1) F(w),
+    F(w) = w^(p-1) - w^(q-1), gives b_k = N f_k / (N + k p'), f_k the
+    coefficients of F(w)/(N c) = (u (1+A)^(p-1) - (1+A)^(q-1)) / (u - 1) with
+    1 + A = w/h; w' = sign(psi)|psi|^(1/(p-1)) gives a_(k+1) = a_1 g_k/(k+1),
+    g_k those of (sum_j b_j x^j)^(1/(p-1)), and a_1 = -((1-u)/N)^(1/(p-1))/p'.
+    Each power series follows J. C. P. Miller's recurrence (Henrici, Applied
+    and Computational Complex Analysis I, sec. 1.6): coefficient k of
+    (sum_i d_i x^i)^m, d_0 = 1, is sum_{i=1..k} ((m+1) i/k - 1) d_i y_(k-i).
+    The whole recurrence is triangular, and h enters it through u alone.  At
+    p = 2 it is the Taylor series in r^2; K = 1 is psi = c r, w = h (1 + a_1 x).
+
+    K = _SERIES_TERMS.  The radius is _START core widths, or less where
+    either sum's last term would pass _SERIES_TOL of its first there (p'
+    near 1 converges slowly); each shot's coefficients and radius depend on
+    its own height alone, so no batch changes them.  A column whose
+    ``coarsen`` is not 1 starts _COARSE_START times that, so the
+    step-doubled bracket also differs from the fine one in its start.
+    """
+    pp, e, K = p / (p - 1.0), 1.0 / (p - 1.0), _SERIES_TERMS
+    u = heights ** (p - q)
+    i = np.arange(K + 1.0)
+    miller = [(m + 1.0) * i / np.maximum(i[:, None], 1.0) - 1.0 for m in (p - 1.0, q - 1.0, e)]
+    a, b, g, f1, f2 = (np.zeros((K + 1, heights.size)) for _ in range(5))
+    a[0] = b[0] = g[0] = f1[0] = f2[0] = 1.0
+    a[1] = -(((1.0 - u) / N) ** e) / pp
+    # einsum, not BLAS, so that each shot's sums run in one order whatever
+    # the batch around it
+    for k in range(1, K):
+        f1[k] = np.einsum("i,in,in->n", miller[0][k, 1:k + 1], a[1:k + 1], f1[k - 1::-1])
+        f2[k] = np.einsum("i,in,in->n", miller[1][k, 1:k + 1], a[1:k + 1], f2[k - 1::-1])
+        b[k] = N / (N + k * pp) * (u * f1[k] - f2[k]) / (u - 1.0)
+        g[k] = np.einsum("i,in,in->n", miller[2][k, 1:k + 1], b[1:k + 1], g[k - 1::-1])
+        a[k + 1] = a[1] * g[k] / (k + 1)
+    reach = [(_SERIES_TOL / np.maximum(np.abs(last), _SERIES_TOL)) ** (1.0 / (n * pp))
+             for last, n in ((a[K], K), (b[K - 1], K - 1))]
+    frac = np.minimum(_START, np.minimum(*reach)) * np.where(coarsen == 1.0, 1.0, _COARSE_START)
+    frac = frac * _INNER_RATIO ** np.arange(1.0 - depth, 1.0)[:, None]
+    r, x = frac * heights ** ((p - q) / p), frac ** pp
+    w = heights + heights * x * polyval(x, a[1:], tensor=False)
+    psi = (heights ** (p - 1.0) - heights ** (q - 1.0)) / N * r * polyval(x, b[:K], tensor=False)
+    return r, w, psi
+
+
 def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
     """RK4-integrate the ground-state system from every height at once.
 
-    Each shot starts at r = _START * core, core = w0^(-(q-p)/p) its width,
-    from the series psi = c r, c = (w0^(p-1) - w0^(q-1))/N.  Steps are
+    Each shot starts where ``_series_start`` puts it, on the series of the
+    solution regular at r = 0: _START core widths out, core = w0^(-(q-p)/p)
+    its width, or less where the series converges slowly, and a hundredth
+    of that in a column whose ``coarsen`` is not 1.  Steps are
     _STEP_PER_R * r, capped at _STEP_MAX (both times the shot's entry of
     ``coarsen``), so the concentrated cores near q -> p* and at small p are
     resolved; once every shot's step is capped they no longer change.  At
@@ -141,10 +205,7 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
             return (np.copysign(np.abs(psi) ** e, psi),
                     wp ** pm1 - wp ** qm1 - nm1 * psi / r)
 
-    r = _START * heights ** (-(q - p) / p)
-    c = (heights ** pm1 - heights ** qm1) / N
-    psi = c * r
-    w = heights - pm1 / p * np.abs(psi) ** e * r
+    r, w, psi = (v[0] for v in _series_start(heights, N, p, q, coarsen))
     fate = np.zeros(heights.size, dtype=int)
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
@@ -276,15 +337,17 @@ def _fit_window(heights, fate, radii, lo: float, hi: float) -> tuple[float, floa
 
 class _Bracket:
     """One resolution's height bracket, the window its next round fills and
-    its last undershooting shot."""
+    its last undershooting shot.  A step-doubled bracket (coarsen != 1)
+    closes at _COARSE_CUT times the fine one's width."""
 
     def __init__(self, coarsen: float, lo: float):
         self.coarsen, self.lo, self.hi, self.spread = coarsen, lo, math.inf, 4.0
         self.window, self.rounds, self.best = None, 0, None
+        self.rtol = _HEIGHT_RTOL * (1.0 if coarsen == 1.0 else _COARSE_CUT)
 
     @property
     def closed(self) -> bool:
-        return self.hi - self.lo <= _HEIGHT_RTOL * self.lo
+        return self.hi - self.lo <= self.rtol * self.lo
 
     def heights(self) -> np.ndarray:
         """The next round's heights: spread geometrically above lo until a
@@ -331,8 +394,11 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
     heights of every open bracket side by side; each bracket reads only its
     own columns and leaves once it closes or decides nothing, so it ends as
     it would alone.  The profile is the last undershooting shot up to the
-    node before it was decided, minus its value there: nonnegative,
-    non-increasing and zero at the edge, so its quotient is a lower bound.
+    node before it was decided, with _INNER more nodes off the series inside
+    its first radius (one cubic on [0, r0] cannot follow w - w0 ~ r^p',
+    which cost (4, 4, 6) 7e-8 of its value), minus its value there:
+    nonnegative, non-increasing and zero at the edge, so its quotient is a
+    lower bound.
     """
     brackets = [_Bracket(c, (q / p) ** (1.0 / (q - p))) for c in coarsens]
     live, rounds = brackets, 0
@@ -361,7 +427,8 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
     for b in brackets:
         if b.best is None:
             raise NumericalError("shooting found no undershooting height")
-        r, w, psi = b.best
+        inner = _series_start(np.array([b.lo]), N, p, q, np.array([b.coarsen]), _INNER + 1)
+        r, w, psi = (np.concatenate([v[:1], i[:-1, 0], v[1:]]) for v, i in zip(b.best, inner))
         dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
         profile = _hermite_profile(N, r, w - w[-1], dw)
         nm = norms(profile, p, q)
@@ -386,10 +453,14 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
     integrated by the same Gauss-Kronrod panel rule as every other norm, so
     ``value <= B`` up to that rule's bound.
 
-    err_bound is the step-halving distance plus that quadrature bound: a
-    second bracket with every step doubled is shot side by side, and the two
-    values differ by about the coarse one's error, an overstatement of the
-    returned one's when the method converges.  Not an enclosure radius.
+    err_bound is the distance to a second bracket plus that quadrature
+    bound.  The second bracket is shot side by side with the first, but
+    every step is doubled, every shot starts _COARSE_START times as far out
+    (on the same series) and the bracket closes at _COARSE_CUT times the
+    width.  So the two values differ by about the coarse one's error in the
+    steps, in the start and in how far the last undershoot lies from the
+    ground-state height: an overstatement of the returned one's when the
+    method converges.  Not an enclosure radius.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ParamError("N", f"need integer N >= 1, got {N!r}")

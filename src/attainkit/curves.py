@@ -127,6 +127,9 @@ def _shape(out):
     return float(out) if out.ndim == 0 else out
 
 
+_LOG_T_SMALL = -700.0  # log t below which log_g_at_log_t reads 1 - u^pgamma off t
+
+
 def _log_s_u(x):
     """(log s, log u) = (log t/(1+t), -log(1+t)) from x = log t, by softplus."""
     x = np.asarray(x, dtype=float)
@@ -142,9 +145,21 @@ def log_f_at_log_t(cp: CurveParams, x):
 
 def log_g_at_log_t(cp: CurveParams, x):
     """log g, g = s^(-c) u^(c-b) (1 - u^pgamma), at t = e^x, for any x;
-    it does not read kappa."""
+    it does not read kappa.
+
+    Below x = _LOG_T_SMALL, log u = -log(1+t) nears the subnormals (and is 0
+    below x = -745), so 1 - u^pgamma is read off t instead: it is pgamma t
+    (1 - (pgamma+1) t/2 + ...), and with t < e^-700 the bracket is 1 in
+    doubles, so its log is log pgamma + x."""
+    x = np.asarray(x, dtype=float)
     log_s, log_u = _log_s_u(x)
-    return _shape(-cp.c * log_s + (cp.c - cp.b) * log_u + np.log(-np.expm1(cp.pgamma * log_u)))
+    if (float(x) if x.ndim == 0 else x.min(initial=math.inf)) >= _LOG_T_SMALL:
+        tail = np.log(-np.expm1(cp.pgamma * log_u))
+    else:
+        small = x < _LOG_T_SMALL
+        tail = np.where(small, math.log(cp.pgamma) + x,
+                        np.log(-np.expm1(cp.pgamma * np.where(small, -1.0, log_u))))
+    return _shape(-cp.c * log_s + (cp.c - cp.b) * log_u + tail)
 
 
 def f_at_log_t(cp: CurveParams, x):

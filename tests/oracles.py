@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Nine oracles, all but the last methodologically independent of the library
+Ten oracles, all but the last methodologically independent of the library
 code:
 
 * Beta-function closed forms for every power-weighted integral of the
@@ -30,6 +30,9 @@ code:
   rule on every cell, the reference for the library's Hermite profile of
   a shot ground state and its Gauss-Kronrod norms
   (``hermite_ratio_oracle``);
+* the ground-state solution regular at r = 0 near the origin by LSODA, the
+  reference for the library's power series that every shot starts from
+  (``regular_solution_oracle``);
 * the ground-state shooting loop as it was before its numpy calls were cut,
   deciding each shot node by node and calling the general right-hand side
   at p = 2 as well, the reference the library's ``_shoot`` must match bit
@@ -336,15 +339,44 @@ def shooting_oracle_p2(N: int, q: float) -> float:
     return q / (q - gc) * (gc / (q - gc)) ** (-gc / 2.0) * P ** (1.0 - q / 2.0)
 
 
+def regular_solution_oracle(height: float, N: int, p: float, q: float,
+                            radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, psi) at each of the ascending ``radii`` on the solution of the
+    ground-state system psi' = -(N-1) psi/r + w^(p-1) - w^(q-1), w' =
+    sign(psi)|psi|^(1/(p-1)) that is regular at r = 0 with w(0) = height.
+
+    LSODA at rtol 1e-13 (atol far below every value) from 1e-6 core widths,
+    core = height^(-(q-p)/p), starting as ``shooting_oracle_p2`` does from
+    the series' first term, psi = c r, w = height - (p-1)/p |c|^(1/(p-1))
+    r^(p/(p-1)), c = (height^(p-1) - height^(q-1))/N, whose error is far
+    below the tolerance there.
+    """
+    e = 1.0 / (p - 1.0)
+
+    def rhs(r, y):
+        w, psi = y
+        wp = max(w, 0.0)
+        return (math.copysign(abs(psi) ** e, psi), wp ** (p - 1.0) - wp ** (q - 1.0) - (N - 1) * psi / r)
+
+    r0 = 1e-6 * height ** (-(q - p) / p)
+    c = (height ** (p - 1.0) - height ** (q - 1.0)) / N
+    y0 = (height - (p - 1.0) / p * abs(c) ** e * r0 ** (p / (p - 1.0)), c * r0)
+    sol = solve_ivp(rhs, (r0, radii[-1]), y0, method="LSODA", rtol=1e-13, atol=1e-300,
+                    t_eval=radii)
+    return sol.y[0], sol.y[1]
+
+
 def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
     """The per-node RK4 shooting loop that ``constants._shoot`` replaced,
-    copied verbatim; it reads the module's step constants at call time, so
-    a patched ``_MAX_STEPS`` applies to both.  Returns (fate, decided-at
-    index, r, w, psi) as ``_shoot`` does, the last three ending at the node
-    where the last shot was decided.
+    copied verbatim but for its start, which it takes from the library's
+    series (``constants._series_start``) as ``_shoot`` does: the loop, not
+    the start, is what it checks.  It reads the module's step constants at
+    call time, so a patched ``_MAX_STEPS`` applies to both.  Returns (fate,
+    decided-at index, r, w, psi) as ``_shoot`` does, the last three ending
+    at the node where the last shot was decided.
     """
-    _START, _STEP_PER_R, _STEP_MAX, _MAX_STEPS = (
-        constants._START, constants._STEP_PER_R, constants._STEP_MAX, constants._MAX_STEPS)
+    _STEP_PER_R, _STEP_MAX, _MAX_STEPS = (
+        constants._STEP_PER_R, constants._STEP_MAX, constants._MAX_STEPS)
     e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
 
     def rhs(r, w, psi):
@@ -352,10 +384,7 @@ def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: n
         return (np.copysign(np.abs(psi) ** e, psi),
                 wp ** pm1 - wp ** qm1 - nm1 * psi / r)
 
-    r = _START * heights ** (-(q - p) / p)
-    c = (heights ** pm1 - heights ** qm1) / N
-    psi = c * r
-    w = heights - pm1 / p * np.abs(psi) ** e * r
+    r, w, psi = (v[0] for v in constants._series_start(heights, N, p, q, coarsen))
     fate = np.zeros(heights.size, dtype=int)
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]

@@ -1,6 +1,7 @@
 """Sharp constants: Sobolev closed form, ground-state bound, user-supplied values."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from attainkit.constants import (
     _fit_window,
     _ground_states,
     _hermite_profile,
+    _series_start,
     _shoot,
 )
 from attainkit.profiles import norms
@@ -31,6 +33,7 @@ from oracles import (
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
     hermite_ratio_oracle,
+    regular_solution_oracle,
     rk4_shoot_oracle,
     shooting_oracle_p2,
     sobolev_constant_oracle,
@@ -208,14 +211,45 @@ def test_shoot_matches_per_node_oracle_bit_for_bit(Npq, h_star):
 
 @pytest.mark.parametrize("max_steps", [172, 173, 174, 175])
 def test_shoot_flushes_the_last_block_at_the_step_cap(monkeypatch, max_steps):
-    # coarse shots decide by node 100, fine overshoots at nodes 170-185: a
-    # cap in that range leaves some undecided and ends on a block of each
-    # length 1 to 4, which must decide as the per-node loop did
+    # shots 1e-1 to 1e-8 from h* decide at nodes 76-301 (fine) and 88-176
+    # (step-doubled): a cap in 172-175 leaves some undecided and ends on a
+    # block of each length 1 to 4, which must decide as the per-node loop did
     monkeypatch.setattr(constants, "_MAX_STEPS", max_steps)
-    lo = 2.0 ** 0.5
-    heights = np.tile(lo * 4.0 ** (np.arange(1, 17) / 16), 2)
+    miss = 10.0 ** -np.arange(1.0, 9.0)
+    heights = np.tile(2.2062007004871105 * (1.0 + np.concatenate([-miss, miss])), 2)
     fate = assert_shoot_matches_oracle(heights, (2, 2.0, 4.0), np.repeat([1.0, 2.0], 16))
     assert np.any(fate == 0) and np.any(fate[:16] != 0)
+
+
+@pytest.mark.parametrize("Npq,height", [
+    ((6, 1.1, 1.3), 15547.582338232978),
+    ((2, 2.0, 4.0), 2.2062007004871105),
+    ((5, 3.0, 4.0), 3.2),
+    ((8, 5.0, 12.0), 11.342893452806813),
+])
+def test_series_start_matches_lsoda(Npq, height):
+    # p' = p/(p-1) from 11 down to 1.25: the fine start, the profile's nodes
+    # inside it, and the step-doubled start 100 times further in
+    depth = constants._INNER + 1
+    fine = _series_start(np.array([height]), *Npq, np.ones(1), depth)
+    coarse = _series_start(np.array([height]), *Npq, np.array([2.0]))
+    r, w, psi = (np.concatenate([c[:, 0], f[:, 0]]) for c, f in zip(coarse, fine))
+    order = np.argsort(r)
+    want_w, want_psi = regular_solution_oracle(height, *Npq, r[order])
+    np.testing.assert_allclose(w[order], want_w, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(psi[order], want_psi, rtol=1e-10, atol=0.0)
+
+
+def test_series_start_of_a_shot_ignores_the_batch_around_it():
+    # brackets share batches, so each shot's start must come out bit for bit
+    # as it would alone (a BLAS product in the recurrence broke this for 3
+    # of these 256 shots)
+    coarsen = np.repeat([1.0, 2.0], 32)
+    for heights in np.random.default_rng(1).uniform(3.0, 8.0, (4, 64)):
+        batch = _series_start(heights, 8, 5.0, 12.0, coarsen)
+        for j in range(heights.size):
+            alone = _series_start(heights[j:j + 1], 8, 5.0, 12.0, coarsen[j:j + 1])
+            assert all(np.array_equal(x[:, 0], y[:, j]) for x, y in zip(alone, batch)), j
 
 
 @pytest.mark.parametrize("N,q", [(2, 4.0), (3, 5.5)])
@@ -242,6 +276,42 @@ def test_gns_keeps_even_spacing_answer_in_no_more_sweeps(Npq):
     assert abs(got.value - value) <= err_bound
     assert got.meta["sweeps"] <= sweeps
     assert got.meta["converged"] is True
+
+
+@lru_cache(maxsize=None)
+def estimate(Npq):
+    return gns_constant_estimate(*Npq)
+
+
+def fine_value(Npq):
+    """The value alone: the fine bracket's, which ends as it would beside
+    the step-doubled one."""
+    return _ground_states(*Npq, (1.0,))[0]["value"]
+
+
+@pytest.mark.parametrize("Npq", sorted(FROZEN_EVEN_SPACING_GROUND_STATES))
+def test_gns_err_bound_covers_a_start_ten_times_further_in(monkeypatch, Npq):
+    # the step-doubled bracket starts 100 times further in than the fine
+    # one, so their distance also measures the error of where shots start
+    got = estimate(Npq)
+    _, p, q = Npq
+    height = got.meta["height"]
+    r = _series_start(np.array([height]), *Npq, np.ones(1))[0][0, 0]
+    assert r == pytest.approx(constants._START * height ** (-(q - p) / p), rel=1e-15)
+    monkeypatch.setattr(constants, "_START", constants._START / 10)
+    assert abs(fine_value(Npq) - got.value) < got.err_bound
+
+
+@pytest.mark.parametrize("Npq", [(2, 2.0, 4.0), (5, 3.0, 4.0), (4, 4.0, 6.0), (3, 2.5, 4.0),
+                                 (3, 3.0, 4.0)])
+def test_gns_err_bound_covers_a_bracket_closed_to_an_ulp(monkeypatch, Npq):
+    # the step-doubled bracket closes at a wider cut than the fine one, so
+    # their distance also measures how far the last undershoot lies from h*
+    # (at (3, 3, 4) by 4.9e-11, which a bracket closing at the fine cut,
+    # with an err_bound of 3.7e-11, would miss)
+    got = estimate(Npq)
+    monkeypatch.setattr(constants, "_HEIGHT_RTOL", 3e-16)
+    assert abs(fine_value(Npq) - got.value) <= got.err_bound
 
 
 def model_shots(heights, h_star, slope=2.0, quantize=False):

@@ -3,13 +3,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from attainkit.classify import log_kappa_multiplier
 from attainkit.curves import (CurveParams, f_at_log_t, g_at_log_t, log_f_limits,
-                              log_g_limits)
+                              log_g_at_log_t, log_g_limits)
 from attainkit.errors import ParamError
 from attainkit.halfline import maximize_halfline, objective_sign, ratio_sign
 from attainkit.params import ProblemParams
@@ -132,6 +133,28 @@ def test_curves_at_log_t():
     assert f_at_log_t(crit, -1e5) == 1.0
     assert f_at_log_t(crit, 1e5) == crit.kappa
     assert g_at_log_t(crit, 1e5) == 1.0
+
+
+def log_g_mpmath(cp, x):
+    """log g at log t = x in 50 digits, with log u = -log1p(t) kept exact
+    however small t is."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        log_u = -mpmath.log1p(mpmath.exp(x))
+        return float(-cp.c * (x + log_u) + (cp.c - cp.b) * log_u
+                     + mpmath.log(-mpmath.expm1(cp.pgamma * log_u)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b,c,pgamma", [(2.0, 1.5, 1.0), (3.5, 1.2, 2.5)])
+def test_log_g_below_the_normal_doubles_matches_mpmath(b, c, pgamma):
+    # below log t = -708, t is subnormal or zero, and so is log u = -log(1+t)
+    cp = CurveParams(b=b, c=c, log_kappa=0.0, pgamma=pgamma)
+    xs = [800.0, -10.0, -700.0, -740.0, -760.0, -1e4]
+    for x in xs:
+        assert log_g_at_log_t(cp, x) == pytest.approx(log_g_mpmath(cp, x), rel=1e-14), x
+    # an array mixing both sides takes the same value at each entry
+    assert np.array_equal(log_g_at_log_t(cp, np.array(xs)), [log_g_at_log_t(cp, x) for x in xs])
 
 
 def test_critical_curve_limits():
