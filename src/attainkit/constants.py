@@ -343,6 +343,7 @@ class _Bracket:
     def __init__(self, coarsen: float, lo: float):
         self.coarsen, self.lo, self.hi, self.spread = coarsen, lo, math.inf, 4.0
         self.window, self.rounds, self.best = None, 0, None
+        self.last = None  # (undecided shots, steps, farthest r) of its last round
         self.rtol = _HEIGHT_RTOL * (1.0 if coarsen == 1.0 else _COARSE_CUT)
 
     @property
@@ -415,6 +416,7 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         for b, col in zip(live, range(0, heights.size, _BATCH)):
             b.rounds = rounds
             own = slice(col, col + _BATCH)
+            b.last = (int(np.sum(fate[own] == 0)), len(rs) - 2, float(rs[-1, own].max()))
             i = b.narrow(heights[own], fate[own], radii[own])
             if i is not None:
                 i += col
@@ -426,7 +428,10 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
     results = []
     for b in brackets:
         if b.best is None:
-            raise NumericalError("shooting found no undershooting height")
+            raise NumericalError(
+                "shooting found no undershooting height: in round {}, {} of {} shots were "
+                "still undecided after {} RK4 steps, at r = {:.4g} (the ground state widens as "
+                "q -> p)".format(b.rounds, b.last[0], _BATCH, *b.last[1:]))
         inner = _series_start(np.array([b.lo]), N, p, q, np.array([b.coarsen]), _INNER + 1)
         r, w, psi = (np.concatenate([v[:1], i[:-1, 0], v[1:]]) for v, i in zip(b.best, inner))
         dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)

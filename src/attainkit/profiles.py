@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import CurveParams
+from .curves import CurveParams, _exp_or_inf
 from .errors import DivergentNormError, NumericalError, ParamError
 from .params import ProblemParams
 
@@ -62,12 +62,34 @@ _GRADED_PANELS = 16    # edges support * (i/K)^2 on a compact support
 _LOG_STEP = 0.5        # widest panel in log r
 _LOG_REFINE = tuple(2.0 ** (k / 2.0) / 32.0 for k in range(10))  # log-r edges this far from each break
 _TINY = 5e-324         # added before a log, so that log 0 is finite and exp of it 0
+_NORMAL = np.finfo(float).tiny  # the least normal double
 _CHUNK = 1 << 15       # nodes per fn/dfn call, so that their temporaries stay in cache
 
 
 def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere in R^N."""
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    """Surface measure of the unit sphere in R^N, 2 pi^(N/2) / Gamma(N/2).
+
+    Gamma(N/2) overflows from N = 344.  There Legendre's duplication formula
+    Gamma(2z) = 2^(2z-1) Gamma(z) Gamma(z + 1/2) / sqrt(pi), z = N/4, splits
+    the quotient into two factors that stay in the double range.  From
+    N = 439 the area lies below the normal doubles, where it would keep few
+    digits, and is 0.
+    """
+    if N < 344:
+        return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    if N >= 439:
+        return 0.0
+    half = (math.pi / 2.0) ** (N / 4.0)
+    return (4.0 * math.sqrt(math.pi) * (half / math.gamma(N / 4.0))
+            * (half / math.gamma(N / 4.0 + 0.5)))
+
+
+def _unheld(name: str, N: int, shown: str) -> NumericalError:
+    """The error for a norm outside [_NORMAL, inf): one that underflowed
+    (a subnormal keeps few digits), overflowed, or is the zero profile's,
+    which no quotient can read."""
+    return NumericalError(f"the {name} norm in dimension {N} is {shown}, "
+                          "outside the normal doubles")
 
 
 # Gauss-Kronrod 7-15 on [0, 1]: the 7 Gauss nodes, then the 8 Kronrod
@@ -283,7 +305,8 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
 
     u and u' are each evaluated once, over every row at once, at the nodes
     of one cut-off radius, and all three moments read those values.  A
-    family returns a tuple of Norms, one per row.
+    family returns a tuple of Norms, one per row.  A norm of any row that
+    comes out 0, subnormal or inf is a ``NumericalError``.
     """
     if not (p > 1 and q > 0):
         raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
@@ -295,7 +318,8 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
     r, log_measure, h, decade = _layout(profile, r_cut, rows)
     log_u, log_du = _log_abs(profile.fn, r), _log_abs(profile.dfn, r)
     out = []
-    for e, log_v, excess in zip((p, p, q), (log_u, log_du, log_u), excesses):
+    for name, e, log_v, excess in zip(("lp", "grad_lp", "lq"), (p, p, q),
+                                      (log_u, log_du, log_u), excesses):
         arg = e * log_v + log_measure
         y = _exp(arg)
         P = h.shape[1]
@@ -319,6 +343,9 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
             err = err + tail_err + 2.0 * eps * (y[:, -4] * ends[:, 0] / N
                                                 + y[:, -1] * ends[:, -1] / excess)
         value = (omega * raw) ** (1.0 / e)
+        held = (value >= _NORMAL) & (value < math.inf)
+        if not held.all():
+            raise _unheld(name, N, repr(float(value[~held][0])))
         err_norm = np.where(raw > 0, value * err / (e * np.where(raw > 0, raw, 1.0)),
                             err ** (1.0 / e))
         out.append((value, err_norm))
@@ -368,14 +395,20 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
     |u*|_e^e = |S^(N-1)| B(a, k-a) / pp with a = N/pp, k = e (N-p)/p, and
     |grad u*|_p^p = |S^(N-1)| ((N-p)/(p-1))^p B(a, k-a) / pp with
     a = N/pp + 1, k = N.  Evaluated with lgamma; err_bound is a roundoff
-    bound, as for ``sobolev_constant``.  A moment with k <= a diverges (the
-    mass exactly when p*p >= N) and raises ``DivergentNormError``.
+    bound, as for ``sobolev_constant``.  The area |S^(N-1)| is read from
+    ``sphere_area``, which keeps more digits, and where that is 0 as
+    log 2 + N/2 log pi - lgamma(N/2), so that any N works where the norms
+    themselves are doubles.  A moment with k <= a diverges (the mass
+    exactly when p*p >= N) and raises ``DivergentNormError``; a norm
+    outside the normal doubles is a ``NumericalError``.
     """
     _check_bubble(N, p)
     if not q > 0:
         raise ParamError("q", f"need q > 0, got {q}")
     pp = p / (p - 1.0)
-    log_area = math.log(sphere_area(N) / pp)
+    area = sphere_area(N)
+    log_area = ((math.log(area / pp),) if area > 0 else
+                (math.log(2.0 / pp), N / 2.0 * math.log(math.pi), -math.lgamma(N / 2.0)))
     out = {}
     for name, e, a, k, log_scale in (
             ("lp", p, N / pp, N - p, 0.0),
@@ -385,10 +418,12 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
             raise DivergentNormError(
                 name, f"the bubble's moment of exponent {e} diverges in dimension "
                       f"{N}: B({a}, {k - a}) needs a positive second argument")
-        terms = (log_area, log_scale, math.lgamma(a), math.lgamma(k - a), -math.lgamma(k))
+        terms = (*log_area, log_scale, math.lgamma(a), math.lgamma(k - a), -math.lgamma(k))
         # each argument y is off by a few ulps of k, and |lgamma'(y)| <= |log y| + 1/y
         slopes = sum(abs(math.log(y)) + 1.0 / y for y in (a, k - a, k))
-        value = math.exp(sum(terms) / e)
+        value = _exp_or_inf(sum(terms) / e)
+        if not _NORMAL <= value < math.inf:
+            raise _unheld(name, N, f"10^{sum(terms) / e / math.log(10.0):.6g}")
         err = 4.0 * math.ulp(1.0) * value * (1.0 + sum(map(abs, terms)) + k * slopes) / e
         out[name] = NormValue(value=value, err_bound=err)
     return Norms(**out)

@@ -384,6 +384,34 @@ def test_classify_kappa_overflow_exits_2(capsys):
     assert float(err[len(prefix):]) == pytest.approx(310.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv,message", [
+    # Gamma(N/2) overflows from N = 344; here the dilation leaves the doubles
+    (("maximizer", "--N", "400", "--p", "2", "--q", "critical", "--gamma", "300",
+      "--alpha", "1"), "log lambda = -2126.8"),
+    # the ground state's mass moment underflows
+    (("constants", "--N", "400", "--p", "100", "--q", "120"),
+     "the lp norm in dimension 400 is 0.0, outside the normal doubles"),
+    # the bubble's closed-form mass norm is 10^-1335
+    (("maximizer", "--N", "2000", "--p", "2", "--q", "critical", "--gamma", "3000",
+      "--alpha", "1"), "the lp norm in dimension 2000 is 10^-1334.93, outside the normal doubles"),
+])
+def test_large_dimension_exits_2_with_one_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_constants_as_q_nears_p_names_the_undecided_shots(capsys):
+    code, out, err = run_cli(capsys, "constants", "--N", "3", "--p", "2", "--q", "2.000001")
+    assert (code, out) == (2, "")
+    assert err == ("numerical failure: shooting found no undershooting height: in round 1, "
+                   "32 of 32 shots were still undecided after 19998 RK4 steps, at r = 799 "
+                   "(the ground state widens as q -> p)\n")
+
+
 def test_maximizer_rejects_subcritical(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the regime check must come before any numerics")

@@ -3,6 +3,7 @@
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,19 @@ def test_sobolev_rejects_bad_parameters(N, p):
 def test_sphere_area_closed_forms(N, want):
     assert sphere_area(N) == pytest.approx(want, rel=1e-14)
     assert sphere_area(N) == pytest.approx(sphere_area_oracle(N), rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 344, 400])
+def test_sphere_area_matches_mpmath(N):
+    # from N = 344 Gamma(N/2) overflows, and the area takes the duplication formula
+    with mpmath.workdps(40):
+        want = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2)
+    assert sphere_area(N) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_sphere_area_is_0_below_the_normal_doubles():
+    assert sphere_area(438) >= np.finfo(float).tiny
+    assert sphere_area(439) == sphere_area(10**6) == 0.0
 
 
 def test_bubble_moment_oracle_rejects_divergent():
@@ -262,9 +276,14 @@ def test_gns_is_continuous_across_the_p2_right_hand_side(N, q):
     assert abs(at_two.value - below.value) <= at_two.err_bound + below.err_bound
 
 
+@lru_cache(maxsize=None)
+def estimate(Npq):
+    return gns_constant_estimate(*Npq)
+
+
 @pytest.mark.parametrize("Npq", sorted(FROZEN_ASCENT_LOWER_BOUNDS))
 def test_gns_at_or_above_ascent_floor(Npq):
-    got = gns_constant_estimate(*Npq)
+    got = estimate(Npq)
     assert got.value >= FROZEN_ASCENT_LOWER_BOUNDS[Npq] * (1.0 - 1e-12)
     assert got.meta["converged"] is True
 
@@ -272,15 +291,10 @@ def test_gns_at_or_above_ascent_floor(Npq):
 @pytest.mark.parametrize("Npq", sorted(FROZEN_EVEN_SPACING_GROUND_STATES))
 def test_gns_keeps_even_spacing_answer_in_no_more_sweeps(Npq):
     value, err_bound, sweeps = FROZEN_EVEN_SPACING_GROUND_STATES[Npq]
-    got = gns_constant_estimate(*Npq)
+    got = estimate(Npq)
     assert abs(got.value - value) <= err_bound
     assert got.meta["sweeps"] <= sweeps
     assert got.meta["converged"] is True
-
-
-@lru_cache(maxsize=None)
-def estimate(Npq):
-    return gns_constant_estimate(*Npq)
 
 
 def fine_value(Npq):
