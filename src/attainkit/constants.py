@@ -10,11 +10,12 @@ Three constants are consumed downstream:
   radial ground state's Hermite interpolant, integrated by the same
   Gauss-Kronrod panel rule as every other norm.  Every shot starts a
   tenth of a core width out, on a power series of the solution regular at
-  r = 0.  err_bound is the distance to a second bracket that steps twice
-  as far, starts 100 times further in and closes 100 times wider, plus
-  that rule's bound.  Each round of shots is placed in a window that a fit
-  of how far the previous round's shots rode points to, so (2, 2, 4)
-  closes in six rounds per bracket),
+  r = 0, and steps further as it decays into its tail.  err_bound is the
+  distance to a second bracket that steps twice as far, starts 100 times
+  further in and closes 100 times wider, plus that rule's bound.  Each
+  round of shots is placed in a window that a fit of how far the previous
+  round's shots rode points to, read off the cubic through each shot's
+  miss and slope, so (2, 2, 4) closes in six rounds per bracket),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -102,7 +103,10 @@ _SERIES_TOL = 2.0**-53  # ... would leave a last term above this fraction of its
 _INNER = 12            # the profile's nodes inside the first radius, off the series, ...
 _INNER_RATIO = 1.5     # ... each this many times closer to r = 0 than the next
 _STEP_PER_R = 0.05     # steps grow with r (a geometric grid) ...
-_STEP_MAX = 0.04       # ... up to this cap
+_STEP_MAX = 0.04       # ... up to this cap, which grows as the shot decays, ...
+_STEP_GROWTH = 8.0     # ... to at most this many times itself at p = 2 (_tail_growth), ...
+_MASS_POWER = 1 / 7    # ... and no faster than this power of its mass density's fall
+_CROSSING_NEWTON = 3   # Newton steps to each crossing radius from the linear estimate
 _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
 _HEIGHT_RTOL = 1e-14   # the fine height bracket counts as closed at this width
 _COARSE_START = 1e-2   # the step-doubled bracket starts this fraction of the fine radius
@@ -114,6 +118,22 @@ _FIT_GRID = 48         # candidate heights per pass of the fit's two-pass search
 _WINDOW_MIN = 1 / 40   # fitted window half-width, in bracket widths, at least ...
 _WINDOW_PER_RMS = 8    # ... this many times the fit's rms residual ...
 _WINDOW_MAX = 1 / 4    # ... and no wider, else the fit is too poor to use
+
+
+def _tail_growth(p: float) -> float:
+    """How many times _STEP_MAX a shot's step may grow in its tail.
+
+    The tail decays like exp(-c r), c = (p-1)^(-1/p), and psi = |w'|^(p-2)
+    w' like exp(-(p-1) c r), so from p = 2 up the faster of the two rates is
+    (p-1) c, 1 at p = 2.  RK4's error per step goes like (rate * step)^5, so
+    the cap may grow _STEP_GROWTH times at p = 2 and that many times less
+    where the tail is faster (2.6 times at p = 5).  Below p = 2 it stays
+    put: growth there cost up to 43 times the fixed cap's error near q = p
+    in N = 3, and a flat 8 lifted (6, 1.1, 1.3)'s err_bound 14 times.
+    """
+    if p < 2.0:
+        return 1.0
+    return max(1.0, _STEP_GROWTH / (p - 1.0) ** ((p - 1.0) / p))
 
 
 def _series_start(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray,
@@ -177,23 +197,34 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
     solution regular at r = 0: _START core widths out, core = w0^(-(q-p)/p)
     its width, or less where the series converges slowly, and a hundredth
     of that in a column whose ``coarsen`` is not 1.  Steps are
-    _STEP_PER_R * r, capped at _STEP_MAX (both times the shot's entry of
-    ``coarsen``), so the concentrated cores near q -> p* and at small p are
-    resolved; once every shot's step is capped they no longer change.  At
-    p = 2 the right-hand side reads w' = psi and w^(p-1) = w, which is what
-    the general one computes there, bit for bit, with four fewer numpy
-    calls per evaluation.  A shot is decided at its first node with w <= 0
-    (fate +1: it crossed zero, the height was too large) or with psi > 0
-    or negative energy E = (p-1)/p |w'|^p - w^p/p + w^q/q (fate -1: it
-    turned, or can no longer reach zero since E is nonincreasing and E >= 0
-    there; the height was too small).  Energy is tested every fourth node
-    only, which may decide a shot a few nodes late but never wrongly.  The
-    tests are read once per block of four nodes, ending at an energy node
-    or at _MAX_STEPS, and each shot gets the first node in the block that
-    decides it.  Returns (fate, decided-at index, r, w, psi), the last
-    three at every node from r = 0, up to 3 nodes past the last decision.
+    _STEP_PER_R * r, so the concentrated cores near q -> p* and at small p
+    are resolved, capped at _STEP_MAX times the shot's tail growth, all
+    times its entry of ``coarsen``.  RK4's local error goes like h^5 times
+    the solution's size, so holding it at the core's in absolute terms lets
+    the step grow like (w0 / max(|w|, |w'|))^(1/5) as the shot decays into
+    its tail.  Its error weighs in the norms as the mass that lies beyond
+    it, so the growth is also held to (D_peak / D)^_MASS_POWER, D = max(|w|,
+    |w'|)^p r^(N-1) the mass density and D_peak its running maximum: near
+    q = p in N >= 3 the tail carries much of the mass, and w alone let the
+    error grow over 200 times.  The growth is clipped to [1, _tail_growth(p)].
+    The steps are set at the start and at the end of every block of four
+    nodes from that shot's own state, so no batch changes them.  At p = 2
+    the right-hand side reads w' = psi and w^(p-1) = w, which is what the
+    general one computes there, bit for bit, with four fewer numpy calls
+    per evaluation.  A shot is decided at its first node with w <= 0 (fate
+    +1: it crossed zero, the height was too large) or with psi > 0 or
+    negative energy E = (p-1)/p |w'|^p -
+    w^p/p + w^q/q (fate -1: it turned, or can no longer reach zero since E
+    is nonincreasing and E >= 0 there; the height was too small).  Energy
+    is tested every fourth node only, which may decide a shot a few nodes
+    late but never wrongly.  The tests are read once per block of four
+    nodes, ending at an energy node or at _MAX_STEPS, and each shot gets
+    the first node in the block that decides it.  Returns (fate,
+    decided-at index, r, w, psi), the last three at every node from r = 0,
+    up to 3 nodes past the last decision.
     """
     e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
+    growth = _tail_growth(p)
 
     if p == 2.0:
         def rhs(r, w, psi):
@@ -209,12 +240,15 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
     fate = np.zeros(heights.size, dtype=int)
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
-    capped, block = False, 2
+    block = 2
     for k in range(2, _MAX_STEPS):
-        if not capped:
-            step = _STEP_PER_R * r
-            capped = step.min() >= _STEP_MAX
-            h = coarsen * np.minimum(step, _STEP_MAX)
+        if k == block:
+            size = np.maximum(np.abs(w), np.abs(psi) ** e)
+            density = p * np.log(size) + nm1 * np.log(r)
+            peak = density if k == 2 else np.maximum(peak, density)
+            grow = np.minimum((heights / size) ** 0.2, np.exp(_MASS_POWER * (peak - density)))
+            cap = _STEP_MAX * np.clip(grow, 1.0, growth)
+            h = coarsen * np.minimum(_STEP_PER_R * r, cap)
             hh, h6 = 0.5 * h, h / 6.0
         rm = r + hh
         a1, b1 = rhs(r, w, psi)
@@ -268,25 +302,36 @@ def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Ra
                          dfn=lambda x: piece(x, dcoef))
 
 
-def _crossing_radii(fate, at, rs, ws, psis, p: float, q: float) -> np.ndarray:
+def _crossing_radii(fate, at, rs, ws, psis, N: int, p: float, q: float) -> np.ndarray:
     """Radius at which each decided shot's miss crossed zero: w for an
     overshoot, the energy E for an undershoot (E falls below zero before
     psi turns positive, and within the last four nodes, where E was last
-    tested).  Linear between the nodes around the first sign change among
-    the shot's last five, so the radius is not quantized to the step;
-    where no change shows, the node it was decided at.  Undecided shots
-    get a meaningless value.
+    tested).  The root of the cubic Hermite interpolant of the miss and its
+    slope (w', or E' = -(N-1)/r |w'|^p) between the nodes around the first
+    sign change among the shot's last five, by _CROSSING_NEWTON Newton
+    steps from the linear estimate, so the radius follows the miss between
+    nodes even where the steps are long; where no change shows, the node it
+    was decided at.  Undecided shots get a meaningless value.
     """
     cols = np.arange(fate.size)[:, None]
     nodes = np.maximum(at[:, None] + np.arange(-4, 1), 0)
     r, w, psi = rs[nodes, cols], ws[nodes, cols], psis[nodes, cols]
-    wp = np.maximum(w, 0.0)
-    energy = (p - 1.0) / p * np.abs(psi) ** (p / (p - 1.0)) + wp**q / q - wp**p / p
-    miss = np.where(fate[:, None] > 0, w, energy)
+    wp, dw = np.maximum(w, 0.0), np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
+    kinetic = np.abs(psi) ** (p / (p - 1.0))
+    over = fate[:, None] > 0
+    miss = np.where(over, w, (p - 1.0) / p * kinetic + wp**q / q - wp**p / p)
+    slope = np.where(over, dw, -(N - 1.0) / r * kinetic)
     j = np.argmax(miss <= 0.0, axis=1)
     i, k = np.arange(fate.size), np.maximum(j - 1, 0)
-    inside = r[i, k] + (r[i, j] - r[i, k]) * miss[i, k] / (miss[i, k] - miss[i, j])
-    return np.where(j > 0, inside, r[:, -1])
+    r0, width = r[i, k], r[i, j] - r[i, k]
+    m0, m1, s0, s1 = miss[i, k], miss[i, j], width * slope[i, k], width * slope[i, j]
+    # H(t) = m0 + s0 t + c2 t^2 + c3 t^3 on t = (x - r0) / width
+    c2, c3 = 3.0 * (m1 - m0) - 2.0 * s0 - s1, 2.0 * (m0 - m1) + s0 + s1
+    t = m0 / (m0 - m1)
+    for _ in range(_CROSSING_NEWTON):
+        t = np.clip(t - (m0 + t * (s0 + t * (c2 + t * c3))) / (s0 + t * (2.0 * c2 + 3.0 * t * c3)),
+                    0.0, 1.0)
+    return np.where(j > 0, r0 + width * t, r[:, -1])
 
 
 def _fit_window(heights, fate, radii, lo: float, hi: float) -> tuple[float, float] | None:
@@ -411,7 +456,7 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fate, at, rs, ws, psis = _shoot(heights, N, p, q,
                                             np.repeat([b.coarsen for b in live], _BATCH))
-            radii = _crossing_radii(fate, at, rs, ws, psis, p, q)
+            radii = _crossing_radii(fate, at, rs, ws, psis, N, p, q)
         still = []
         for b, col in zip(live, range(0, heights.size, _BATCH)):
             b.rounds = rounds
@@ -452,20 +497,24 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
         B = sup ||u||_q^q / ( ||grad u||_p^gc * ||u||_p^(q-gc) ),
         gc = N (q - p) / p,
 
-    from the radial ground state (see the note above ``_shoot``).  The
-    value is the quotient of an explicit admissible profile, the last
-    undershooting shot cut to compact support: its C^1 Hermite interpolant,
-    integrated by the same Gauss-Kronrod panel rule as every other norm, so
-    ``value <= B`` up to that rule's bound.
+    from the radial ground state (see the note above ``_shoot``), shot
+    with steps that grow as each shot and its mass density decay into the
+    tail, up to a cap read off the tail's decay rate (none below p = 2),
+    and each shot's crossing radius read off the cubic through its miss
+    and slope.  The value is the quotient of an explicit admissible
+    profile, the last undershooting shot cut to compact support: its C^1
+    Hermite interpolant, integrated by the same Gauss-Kronrod panel rule as
+    every other norm, so ``value <= B`` up to that rule's bound.
 
     err_bound is the distance to a second bracket plus that quadrature
     bound.  The second bracket is shot side by side with the first, but
-    every step is doubled, every shot starts _COARSE_START times as far out
-    (on the same series) and the bracket closes at _COARSE_CUT times the
-    width.  So the two values differ by about the coarse one's error in the
-    steps, in the start and in how far the last undershoot lies from the
-    ground-state height: an overstatement of the returned one's when the
-    method converges.  Not an enclosure radius.
+    every step is doubled (the tail growth too), every shot starts
+    _COARSE_START times as far out (on the same series) and the bracket
+    closes at _COARSE_CUT times the width.  So the two values differ by
+    about the coarse one's error in the steps, in the start and in how far
+    the last undershoot lies from the ground-state height: an
+    overstatement of the returned one's when the method converges.  Not an
+    enclosure radius.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ParamError("N", f"need integer N >= 1, got {N!r}")

@@ -7,7 +7,7 @@ support, or the rate of an algebraic decay) and the radii (breaks) where
 it is not smooth or changes scale; nothing is stored on a grid.  A family
 of profiles is one such object whose callables broadcast over a
 (rows, nodes) array.  This module computes the three norms every
-evaluation needs by Gauss panels (with ``sphere_area``), with analytic
+evaluation needs by Gauss panels (with ``log_sphere_area``), with analytic
 head and tail corrections, and turns them into J on the profile's
 normalized dilation orbit (``orbit_curve``).
 
@@ -82,6 +82,15 @@ def sphere_area(N: int) -> float:
     half = (math.pi / 2.0) ** (N / 4.0)
     return (4.0 * math.sqrt(math.pi) * (half / math.gamma(N / 4.0))
             * (half / math.gamma(N / 4.0 + 0.5)))
+
+
+def log_sphere_area(N: int) -> float:
+    """log |S^(N-1)|, for every N: the log of ``sphere_area``, which keeps
+    more digits, and where that is 0, log 2 + N/2 log pi - lgamma(N/2)."""
+    area = sphere_area(N)
+    if area > 0.0:
+        return math.log(area)
+    return math.log(2.0) + N / 2.0 * math.log(math.pi) - math.lgamma(N / 2.0)
 
 
 def _unheld(name: str, N: int, shown: str) -> NumericalError:
@@ -220,7 +229,9 @@ def _layout(profile: RadialProfile, r_cut, rows: int):
 
     Panels run in r over [0, support] for a compact profile and in log r
     over [r_min, r_cut] for an algebraic one; the log measure is that of
-    r^(N-1) dr in the panel's coordinate, and the decade index (log r only)
+    |S^(N-1)| r^(N-1) dr in the panel's coordinate, the area taken in as a
+    log so that no integrand overflows where its norm is a double, nor
+    vanishes with an area below the doubles; the decade index (log r only)
     is k for the panels in [r_cut/10^k, r_cut/10^(k-1)], k = 1, 2, else 0.
     r has shape (rows, 15 per panel), plus, for log r, the nodes r_min,
     r_cut/100, r_cut/10 and r_cut that the head and tails read; it is
@@ -229,6 +240,7 @@ def _layout(profile: RadialProfile, r_cut, rows: int):
     """
     breaks = np.asarray(profile.breaks, dtype=float).reshape(rows, -1)
     N = profile.N
+    log_area = log_sphere_area(N)
     compact = profile.decay is None
     if compact:
         top = np.asarray(r_cut, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
@@ -248,10 +260,10 @@ def _layout(profile: RadialProfile, r_cut, rows: int):
     a, h = edges[:, :-1], np.diff(edges, axis=1)
     s = (a.T[:, None, :] + h.T[:, None, :] * _X15[:, None]).reshape(-1, rows)
     if compact:
-        return s.T, (N - 1) * np.log(s.T + _TINY), h, None
+        return s.T, (N - 1) * np.log(s.T + _TINY) + log_area, h, None
     s = np.concatenate([s, np.broadcast_to(
         np.array([[math.log(_R_MIN)], *decades[:, None], [hi]]), (4, rows))]).T
-    return np.exp(s), N * s, h, 2 * (a >= decades[0]) - (a >= decades[1])
+    return np.exp(s), N * s + log_area, h, 2 * (a >= decades[0]) - (a >= decades[1])
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -312,7 +324,6 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
         raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
     N = profile.N
     rows = len(profile)
-    omega = sphere_area(N)
     eps = np.finfo(float).eps
     r_cut, excesses = _cut_off(profile, p, q)
     r, log_measure, h, decade = _layout(profile, r_cut, rows)
@@ -342,11 +353,11 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
             ends = 2.0 + np.abs(arg[:, -4:]) + np.abs(arg[:, -4:] - log_measure[:, -4:])
             err = err + tail_err + 2.0 * eps * (y[:, -4] * ends[:, 0] / N
                                                 + y[:, -1] * ends[:, -1] / excess)
-        value = (omega * raw) ** (1.0 / e)
+        value = raw ** (1.0 / e)
         held = (value >= _NORMAL) & (value < math.inf)
         if not held.all():
             raise _unheld(name, N, repr(float(value[~held][0])))
-        err_norm = np.where(raw > 0, value * err / (e * np.where(raw > 0, raw, 1.0)),
+        err_norm = np.where(raw > 0, value * (err / (e * np.where(raw > 0, raw, 1.0))),
                             err ** (1.0 / e))
         out.append((value, err_norm))
     columns = [map(NormValue, v.tolist(), b.tolist()) for v, b in out]
@@ -396,9 +407,8 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
     |grad u*|_p^p = |S^(N-1)| ((N-p)/(p-1))^p B(a, k-a) / pp with
     a = N/pp + 1, k = N.  Evaluated with lgamma; err_bound is a roundoff
     bound, as for ``sobolev_constant``.  The area |S^(N-1)| is read from
-    ``sphere_area``, which keeps more digits, and where that is 0 as
-    log 2 + N/2 log pi - lgamma(N/2), so that any N works where the norms
-    themselves are doubles.  A moment with k <= a diverges (the mass
+    ``log_sphere_area``, so that any N works where the norms themselves are
+    doubles.  A moment with k <= a diverges (the mass
     exactly when p*p >= N) and raises ``DivergentNormError``; a norm
     outside the normal doubles is a ``NumericalError``.
     """
@@ -406,9 +416,7 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
     if not q > 0:
         raise ParamError("q", f"need q > 0, got {q}")
     pp = p / (p - 1.0)
-    area = sphere_area(N)
-    log_area = ((math.log(area / pp),) if area > 0 else
-                (math.log(2.0 / pp), N / 2.0 * math.log(math.pi), -math.lgamma(N / 2.0)))
+    log_area = (log_sphere_area(N), -math.log(pp))
     out = {}
     for name, e, a, k, log_scale in (
             ("lp", p, N / pp, N - p, 0.0),

@@ -33,7 +33,7 @@ code:
 * the ground-state solution regular at r = 0 near the origin by LSODA, the
   reference for the library's power series that every shot starts from
   (``regular_solution_oracle``);
-* the ground-state shooting loop as it was before its numpy calls were cut,
+* the ground-state shooting loop node by node, with its step rule restated,
   deciding each shot node by node and calling the general right-hand side
   at p = 2 as well, the reference the library's ``_shoot`` must match bit
   for bit up to each shot's decided node (``rk4_shoot_oracle``).
@@ -367,17 +367,25 @@ def regular_solution_oracle(height: float, N: int, p: float, q: float,
 
 
 def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray):
-    """The per-node RK4 shooting loop that ``constants._shoot`` replaced,
-    copied verbatim but for its start, which it takes from the library's
-    series (``constants._series_start``) as ``_shoot`` does: the loop, not
-    the start, is what it checks.  It reads the module's step constants at
-    call time, so a patched ``_MAX_STEPS`` applies to both.  Returns (fate,
-    decided-at index, r, w, psi) as ``_shoot`` does, the last three ending
-    at the node where the last shot was decided.
+    """The ground-state shooting loop node by node, deciding each shot at
+    the node that decides it and calling the general right-hand side at
+    p = 2 as well.  It takes its start from the library's series
+    (``constants._series_start``) as ``_shoot`` does: the loop, not the
+    start, is what it checks.  Its step rule is restated here: 0.05 r up to
+    a cap of _STEP_MAX times the lesser of (w0 / max(|w|, |w'|))^(1/5) and
+    (D_peak / D)^_MASS_POWER, D = max(|w|, |w'|)^p r^(N-1) and D_peak its
+    largest value so far, clipped to [1, G] with G = 1 below p = 2 and
+    max(1, _STEP_GROWTH / (p-1)^((p-1)/p)) from there, set from the state at
+    the start and at every fourth node.  It reads the module's step
+    constants at call time, so a patched ``_MAX_STEPS`` or ``_STEP_GROWTH``
+    applies to both.  Returns (fate, decided-at index, r,
+    w, psi) as ``_shoot`` does, the last three ending at the node where the
+    last shot was decided.
     """
-    _STEP_PER_R, _STEP_MAX, _MAX_STEPS = (
-        constants._STEP_PER_R, constants._STEP_MAX, constants._MAX_STEPS)
+    _STEP_PER_R, _STEP_MAX, _MASS_POWER, _MAX_STEPS = (
+        constants._STEP_PER_R, constants._STEP_MAX, constants._MASS_POWER, constants._MAX_STEPS)
     e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
+    growth = 1.0 if p < 2.0 else max(1.0, constants._STEP_GROWTH / (p - 1.0) ** ((p - 1.0) / p))
 
     def rhs(r, w, psi):
         wp = np.maximum(w, 0.0)
@@ -389,7 +397,13 @@ def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: n
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
     for k in range(2, _MAX_STEPS):
-        h = coarsen * np.minimum(_STEP_PER_R * r, _STEP_MAX)
+        if k == 2 or k % 4 == 1:
+            size = np.maximum(np.abs(w), np.abs(psi) ** e)
+            density = p * np.log(size) + nm1 * np.log(r)
+            peak = density if k == 2 else np.maximum(peak, density)
+            grow = np.minimum((heights / size) ** 0.2, np.exp(_MASS_POWER * (peak - density)))
+            cap = _STEP_MAX * np.clip(grow, 1.0, growth)
+            h = coarsen * np.minimum(_STEP_PER_R * r, cap)
         hh, h6 = 0.5 * h, h / 6.0
         rm = r + hh
         a1, b1 = rhs(r, w, psi)

@@ -408,7 +408,7 @@ def test_constants_as_q_nears_p_names_the_undecided_shots(capsys):
     code, out, err = run_cli(capsys, "constants", "--N", "3", "--p", "2", "--q", "2.000001")
     assert (code, out) == (2, "")
     assert err == ("numerical failure: shooting found no undershooting height: in round 1, "
-                   "32 of 32 shots were still undecided after 19998 RK4 steps, at r = 799 "
+                   "32 of 32 shots were still undecided after 19998 RK4 steps, at r = 798.9 "
                    "(the ground state widens as q -> p)\n")
 
 

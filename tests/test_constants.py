@@ -30,6 +30,7 @@ from attainkit.profiles import norms
 from oracles import (
     FROZEN_ASCENT_LOWER_BOUNDS,
     FROZEN_EVEN_SPACING_GROUND_STATES,
+    FROZEN_GROUND_STATE_HEIGHT,
     FROZEN_INTERPOLATION_B_2_2_4,
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
@@ -196,7 +197,7 @@ def assert_shoot_matches_oracle(heights, Npq, coarsen):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         got = _shoot(heights, *Npq, coarsen)
         want = rk4_shoot_oracle(heights, *Npq, coarsen)
-        radii = [_crossing_radii(*shot, Npq[1], Npq[2]) for shot in (got, want)]
+        radii = [_crossing_radii(*shot, *Npq) for shot in (got, want)]
     fate, at = got[:2]
     assert np.array_equal(fate, want[0]) and np.array_equal(at, want[1])
     # the loop stops at the end of a block of four nodes, the oracle at the decision
@@ -223,10 +224,10 @@ def test_shoot_matches_per_node_oracle_bit_for_bit(Npq, h_star):
     assert np.all(fate != 0) and np.any(fate < 0) and np.any(fate > 0)
 
 
-@pytest.mark.parametrize("max_steps", [172, 173, 174, 175])
+@pytest.mark.parametrize("max_steps", [150, 151, 152, 153])
 def test_shoot_flushes_the_last_block_at_the_step_cap(monkeypatch, max_steps):
-    # shots 1e-1 to 1e-8 from h* decide at nodes 76-301 (fine) and 88-176
-    # (step-doubled): a cap in 172-175 leaves some undecided and ends on a
+    # shots 1e-1 to 1e-8 from h* decide at nodes 80-163 (fine) and 100-140
+    # (step-doubled): a cap in 150-153 leaves some undecided and ends on a
     # block of each length 1 to 4, which must decide as the per-node loop did
     monkeypatch.setattr(constants, "_MAX_STEPS", max_steps)
     miss = 10.0 ** -np.arange(1.0, 9.0)
@@ -314,6 +315,59 @@ def test_gns_err_bound_covers_a_start_ten_times_further_in(monkeypatch, Npq):
     assert r == pytest.approx(constants._START * height ** (-(q - p) / p), rel=1e-15)
     monkeypatch.setattr(constants, "_START", constants._START / 10)
     assert abs(fine_value(Npq) - got.value) < got.err_bound
+
+
+def test_gns_224_takes_at_most_1100_rk4_nodes(monkeypatch):
+    # tail steps grow as the shots decay: 1758 nodes when the cap stayed put
+    nodes = []
+
+    def counted(*args):
+        shot = _shoot(*args)
+        nodes.append(shot[2].shape[0])
+        return shot
+
+    monkeypatch.setattr(constants, "_shoot", counted)
+    got = gns_constant_estimate(2, 2.0, 4.0)
+    assert sum(nodes) <= 1100
+    assert got.meta["sweeps"] <= 12 and got.meta["converged"] is True
+
+
+@pytest.mark.parametrize("Npq", sorted(FROZEN_EVEN_SPACING_GROUND_STATES))
+def test_gns_err_bound_covers_steps_that_never_grow(monkeypatch, Npq):
+    # with the tail growth off, every step is capped at _STEP_MAX as before
+    got = estimate(Npq)
+    monkeypatch.setattr(constants, "_STEP_GROWTH", 1.0)
+    assert constants._tail_growth(Npq[1]) == 1.0
+    assert abs(fine_value(Npq) - got.value) <= got.err_bound
+
+
+@pytest.mark.parametrize("Npq", [(5, 1.725, 2.271), (7, 2.464, 2.838)])
+def test_gns_tail_steps_keep_the_error_where_the_tail_carries_mass(monkeypatch, Npq):
+    # near q = p in N >= 3 much of the norms' mass lies in the tail; a cap
+    # grown by w's decay alone missed the reference 42 and 53 times as far
+    # as the cap that never grows
+    got = estimate(Npq)
+    monkeypatch.setattr(constants, "_STEP_GROWTH", 1.0)
+    fixed = fine_value(Npq)
+    monkeypatch.setattr(constants, "_STEP_MAX", constants._STEP_MAX / 8)
+    monkeypatch.setattr(constants, "_STEP_PER_R", constants._STEP_PER_R / 4)
+    monkeypatch.setattr(constants, "_MAX_STEPS", 200_000)
+    reference = fine_value(Npq)
+    assert abs(got.value - reference) <= 10.0 * abs(fixed - reference)
+
+
+@pytest.mark.parametrize("miss", [-1e-3, 1e-3])
+def test_cubic_crossing_radius_matches_a_16_times_finer_shot(miss):
+    # the shot's miss is followed between nodes by its cubic, not a chord;
+    # a chord misses the undershoot's radius by 1.7e-3.  A height 1e-3 off
+    # h* keeps the crossing clear of h*'s own move with the step.
+    heights = np.array([FROZEN_GROUND_STATE_HEIGHT * (1.0 + miss)])
+    radii = []
+    for coarsen in (1.0, 1.0 / 16.0):
+        shot = _shoot(heights, 2, 2.0, 4.0, np.array([coarsen]))
+        assert shot[0][0] == np.sign(miss)
+        radii.append(_crossing_radii(*shot, 2, 2.0, 4.0)[0])
+    assert abs(radii[0] - radii[1]) <= 1e-3
 
 
 @pytest.mark.parametrize("Npq", [(2, 2.0, 4.0), (5, 3.0, 4.0), (4, 4.0, 6.0), (3, 2.5, 4.0),
@@ -419,9 +473,10 @@ def test_crossing_radii_make_a_real_round_fit(gns_224):
     heights = np.linspace(h_star - 1e-7, h_star + 1e-7, _BATCH + 2)[1:-1] + 1.1e-9
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fate, at, rs, ws, psis = _shoot(heights, 2, 2.0, 4.0, np.ones(_BATCH))
-        radii = _crossing_radii(fate, at, rs, ws, psis, 2.0, 4.0)
-    decided = rs[at, np.arange(_BATCH)]
-    assert np.all(radii <= decided) and np.all(radii > decided - 0.2)
+        radii = _crossing_radii(fate, at, rs, ws, psis, 2, 2.0, 4.0)
+    # each radius lies within the last four steps before its decided node
+    cols = np.arange(_BATCH)
+    assert np.all(radii <= rs[at, cols]) and np.all(radii >= rs[at - 4, cols])
     i = np.flatnonzero(fate < 0)[-1]
     lo, hi = heights[i], heights[i + 1]
     a, b = _fit_window(heights, fate, radii, lo, hi)

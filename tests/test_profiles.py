@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,8 @@ from attainkit import (
     orbit_curve,
     random_profiles,
 )
-from attainkit.profiles import _smoothstep_cutoff, _smoothstep_cutoff_deriv, build_w_lambda
+from attainkit.profiles import (_smoothstep_cutoff, _smoothstep_cutoff_deriv, build_w_lambda,
+                                log_sphere_area)
 from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle,
                      combined_norm_oracle, curve_at_t, j_oracle, norm_oracle,
                      sphere_area_oracle)
@@ -102,6 +104,40 @@ def test_bubble_mass_diverges_at_dimension_boundary():
     with pytest.raises(DivergentNormError) as exc:
         bubble_norms(4, 2.0, 4.0)
     assert exc.value.norm == "lp"
+
+
+def bump(N):
+    """exp(-(r-10)^2), cut to the support [0, 20]."""
+    def fn(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 20.0, np.exp(-(r - 10.0) ** 2), 0.0)
+
+    def dfn(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 20.0, -2.0 * (r - 10.0) * np.exp(-(r - 10.0) ** 2), 0.0)
+
+    return RadialProfile(N=N, fn=fn, dfn=dfn, support=20.0, breaks=(10.0,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [300, 500])
+def test_norms_hold_in_large_dimension_where_the_norm_is_a_double(N):
+    # without the sphere's area, the lp integral at N = 300 is 9.4e329, past
+    # the doubles, and from N = 439 the area itself lies below them
+    with mpmath.workdps(30):
+        log_area = mpmath.log(2) + N * mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(N / 2)
+        assert log_sphere_area(N) == pytest.approx(float(log_area), rel=1e-14)
+
+        def want(e, deriv):
+            f = ((lambda r: abs(2 * (r - 10)) ** e * mpmath.exp(-e * (r - 10) ** 2) * r ** (N - 1))
+                 if deriv else (lambda r: mpmath.exp(-e * (r - 10) ** 2) * r ** (N - 1)))
+            moment = mpmath.quad(f, [0, 10, 14, 16, 20])
+            return float(mpmath.exp((log_area + mpmath.log(moment)) / e))
+
+        got = norms(bump(N), 2.0, 3.0)
+        for name, e, deriv in (("lp", 2, False), ("grad_lp", 2, True), ("lq", 3, False)):
+            nv = getattr(got, name)
+            assert abs(nv.value - want(e, deriv)) <= nv.err_bound, name
 
 
 @given(lam=st.floats(1e-4, 1e4))
