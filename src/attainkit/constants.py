@@ -10,12 +10,14 @@ Three constants are consumed downstream:
   radial ground state's Hermite interpolant, integrated by the same
   Gauss-Kronrod panel rule as every other norm.  Every shot starts a
   tenth of a core width out, on a power series of the solution regular at
-  r = 0, and steps further as it decays into its tail.  err_bound is the
-  distance to a second bracket that steps twice as far, starts 100 times
-  further in and closes 100 times wider, plus that rule's bound.  Each
-  round of shots is placed in a window that a fit of how far the previous
-  round's shots rode points to, read off the cubic through each shot's
-  miss and slope, so (2, 2, 4) closes in six rounds per bracket),
+  r = 0, with steps that hold its local error near one tolerance of the
+  core's size, so they grow as it decays into its tail and as the ground
+  state widens toward q = p.  err_bound is the distance to a second
+  bracket that steps twice as far, starts 100 times further in and closes
+  100 times wider, plus that rule's bound.  Each round of shots is placed
+  in a window that a fit of how far the previous round's shots rode
+  points to, read off the cubic through each shot's miss and slope, so
+  (2, 2, 4) closes in six rounds per bracket),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -43,9 +45,10 @@ class SharpConstant:
     method "ground-state": value is a lower bound, the quotient of the shot
                            ground state's Hermite interpolant by the same
                            Gauss-Kronrod rule as every other norm; err_bound
-                           is the distance to a bracket with doubled steps,
-                           an inner start and a wider cut, plus that rule's
-                           bound: an estimate, not an enclosure radius.
+                           is the distance to a bracket with twice the
+                           error-controlled steps, an inner start and a
+                           wider cut, plus that rule's bound: an estimate,
+                           not an enclosure radius.
     method "user-input":   value passed through unchanged.
     """
 
@@ -102,10 +105,9 @@ _SERIES_TERMS = 16     # ... cut after at most this many terms ...
 _SERIES_TOL = 2.0**-53  # ... would leave a last term above this fraction of its first
 _INNER = 12            # the profile's nodes inside the first radius, off the series, ...
 _INNER_RATIO = 1.5     # ... each this many times closer to r = 0 than the next
-_STEP_PER_R = 0.05     # steps grow with r (a geometric grid) ...
-_STEP_MAX = 0.04       # ... up to this cap, which grows as the shot decays, ...
-_STEP_GROWTH = 8.0     # ... to at most this many times itself at p = 2 (_tail_growth), ...
-_MASS_POWER = 1 / 7    # ... and no faster than this power of its mass density's fall
+_FIRST_STEP = 0.05     # the first step, in start radii; later steps hold ...
+_STEP_TOL = 1.3e-8     # ... each shot's local error near this fraction of the core's scale ...
+_STEP_GROWTH = 2.0     # ... and grow at most this many times per block of four nodes
 _CROSSING_NEWTON = 3   # Newton steps to each crossing radius from the linear estimate
 _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
 _HEIGHT_RTOL = 1e-14   # the fine height bracket counts as closed at this width
@@ -118,22 +120,6 @@ _FIT_GRID = 48         # candidate heights per pass of the fit's two-pass search
 _WINDOW_MIN = 1 / 40   # fitted window half-width, in bracket widths, at least ...
 _WINDOW_PER_RMS = 8    # ... this many times the fit's rms residual ...
 _WINDOW_MAX = 1 / 4    # ... and no wider, else the fit is too poor to use
-
-
-def _tail_growth(p: float) -> float:
-    """How many times _STEP_MAX a shot's step may grow in its tail.
-
-    The tail decays like exp(-c r), c = (p-1)^(-1/p), and psi = |w'|^(p-2)
-    w' like exp(-(p-1) c r), so from p = 2 up the faster of the two rates is
-    (p-1) c, 1 at p = 2.  RK4's error per step goes like (rate * step)^5, so
-    the cap may grow _STEP_GROWTH times at p = 2 and that many times less
-    where the tail is faster (2.6 times at p = 5).  Below p = 2 it stays
-    put: growth there cost up to 43 times the fixed cap's error near q = p
-    in N = 3, and a flat 8 lifted (6, 1.1, 1.3)'s err_bound 14 times.
-    """
-    if p < 2.0:
-        return 1.0
-    return max(1.0, _STEP_GROWTH / (p - 1.0) ** ((p - 1.0) / p))
 
 
 def _series_start(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray,
@@ -196,35 +182,35 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
     Each shot starts where ``_series_start`` puts it, on the series of the
     solution regular at r = 0: _START core widths out, core = w0^(-(q-p)/p)
     its width, or less where the series converges slowly, and a hundredth
-    of that in a column whose ``coarsen`` is not 1.  Steps are
-    _STEP_PER_R * r, so the concentrated cores near q -> p* and at small p
-    are resolved, capped at _STEP_MAX times the shot's tail growth, all
-    times its entry of ``coarsen``.  RK4's local error goes like h^5 times
-    the solution's size, so holding it at the core's in absolute terms lets
-    the step grow like (w0 / max(|w|, |w'|))^(1/5) as the shot decays into
-    its tail.  Its error weighs in the norms as the mass that lies beyond
-    it, so the growth is also held to (D_peak / D)^_MASS_POWER, D = max(|w|,
-    |w'|)^p r^(N-1) the mass density and D_peak its running maximum: near
-    q = p in N >= 3 the tail carries much of the mass, and w alone let the
-    error grow over 200 times.  The growth is clipped to [1, _tail_growth(p)].
-    The steps are set at the start and at the end of every block of four
-    nodes from that shot's own state, so no batch changes them.  At p = 2
-    the right-hand side reads w' = psi and w^(p-1) = w, which is what the
-    general one computes there, bit for bit, with four fewer numpy calls
-    per evaluation.  A shot is decided at its first node with w <= 0 (fate
-    +1: it crossed zero, the height was too large) or with psi > 0 or
-    negative energy E = (p-1)/p |w'|^p -
-    w^p/p + w^q/q (fate -1: it turned, or can no longer reach zero since E
-    is nonincreasing and E >= 0 there; the height was too small).  Energy
-    is tested every fourth node only, which may decide a shot a few nodes
-    late but never wrongly.  The tests are read once per block of four
-    nodes, ending at an energy node or at _MAX_STEPS, and each shot gets
-    the first node in the block that decides it.  Returns (fate,
-    decided-at index, r, w, psi), the last three at every node from r = 0,
-    up to 3 nodes past the last decision.
+    of that in a column whose ``coarsen`` is not 1.  Each shot's step is
+    coarsen * h_c, h_c first _FIRST_STEP times its start radius and then set
+    by local error control (Hairer, Norsett and Wanner, Solving Ordinary
+    Differential Equations I, sec. II.4) at no extra right-hand-side call.
+    With k5 = f(r + h, y_(n+1)), the next step's k1, the companion
+    y_n + h (k1 + 2 k2 + 2 k3 + k5) / 6 is third order, so
+    err = h/6 max(|k4_w - k5_w| / (_STEP_TOL w0), |k4_psi - k5_psi| /
+    (_STEP_TOL w0^(q(p-1)/p))) estimates the step's local error on the
+    core's scales: w0 for w, and the core's slope w0^(q/p) raised to p - 1
+    for psi.  The error goes like h^4, so at the end of every block of four
+    nodes h_c becomes min(_STEP_GROWTH h_c, h err^(-1/4)), h the step just
+    taken, from that shot's own state, so no batch changes it.  No step is
+    rejected: every column advances each iteration, and a column with
+    coarsen = 2 takes twice the steps a fine one takes from the same state.
+    At p = 2 the right-hand side reads w' = psi and w^(p-1) = w, which is
+    what the general one computes there, bit for bit, with four fewer numpy
+    calls per evaluation.  A shot is decided at its first node with w <= 0
+    (fate +1: it crossed zero, the height was too large) or with psi > 0 or
+    negative energy E = (p-1)/p |w'|^p - w^p/p + w^q/q (fate -1: it turned,
+    or can no longer reach zero since E is nonincreasing and E >= 0 there;
+    the height was too small).  Energy is tested every fourth node only,
+    which may decide a shot a few nodes late but never wrongly.  The tests
+    are read once per block of four nodes, ending at an energy node or at
+    _MAX_STEPS, and each shot gets the first node in the block that decides
+    it.  Returns (fate, decided-at index, r, w, psi), the last three at
+    every node from r = 0, up to 3 nodes past the last decision.
     """
     e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
-    growth = _tail_growth(p)
+    tol_w, tol_psi = 6.0 * _STEP_TOL * heights, 6.0 * _STEP_TOL * heights ** (q * pm1 / p)
 
     if p == 2.0:
         def rhs(r, w, psi):
@@ -240,18 +226,17 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
     fate = np.zeros(heights.size, dtype=int)
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
-    block = 2
+    block, h_c = 2, _FIRST_STEP * r
     for k in range(2, _MAX_STEPS):
+        a1, b1 = rhs(r, w, psi)
         if k == block:
-            size = np.maximum(np.abs(w), np.abs(psi) ** e)
-            density = p * np.log(size) + nm1 * np.log(r)
-            peak = density if k == 2 else np.maximum(peak, density)
-            grow = np.minimum((heights / size) ** 0.2, np.exp(_MASS_POWER * (peak - density)))
-            cap = _STEP_MAX * np.clip(grow, 1.0, growth)
-            h = coarsen * np.minimum(_STEP_PER_R * r, cap)
+            if k > 2:
+                err = h * np.maximum(np.abs(a4 - a1) / tol_w, np.abs(b4 - b1) / tol_psi)
+                with np.errstate(divide="ignore"):  # err = 0 asks for an infinite step
+                    h_c = np.minimum(_STEP_GROWTH * h_c, h / err ** 0.25)
+            h = coarsen * h_c
             hh, h6 = 0.5 * h, h / 6.0
         rm = r + hh
-        a1, b1 = rhs(r, w, psi)
         a2, b2 = rhs(rm, w + hh * a1, psi + hh * b1)
         a3, b3 = rhs(rm, w + hh * a2, psi + hh * b2)
         r = r + h
@@ -475,8 +460,8 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         if b.best is None:
             raise NumericalError(
                 "shooting found no undershooting height: in round {}, {} of {} shots were "
-                "still undecided after {} RK4 steps, at r = {:.4g} (the ground state widens as "
-                "q -> p)".format(b.rounds, b.last[0], _BATCH, *b.last[1:]))
+                "still undecided after {} RK4 steps, at r = {:.4g} (the step budget per round "
+                "is {})".format(b.rounds, b.last[0], _BATCH, *b.last[1:], _MAX_STEPS - 2))
         inner = _series_start(np.array([b.lo]), N, p, q, np.array([b.coarsen]), _INNER + 1)
         r, w, psi = (np.concatenate([v[:1], i[:-1, 0], v[1:]]) for v, i in zip(b.best, inner))
         dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
@@ -498,17 +483,17 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
         gc = N (q - p) / p,
 
     from the radial ground state (see the note above ``_shoot``), shot
-    with steps that grow as each shot and its mass density decay into the
-    tail, up to a cap read off the tail's decay rate (none below p = 2),
-    and each shot's crossing radius read off the cubic through its miss
-    and slope.  The value is the quotient of an explicit admissible
-    profile, the last undershooting shot cut to compact support: its C^1
-    Hermite interpolant, integrated by the same Gauss-Kronrod panel rule as
-    every other norm, so ``value <= B`` up to that rule's bound.
+    with steps set by local error control against one tolerance of the
+    core's scale (_STEP_TOL), and each shot's crossing radius read off the
+    cubic through its miss and slope.  The value is the quotient of an
+    explicit admissible profile, the last undershooting shot cut to compact
+    support: its C^1 Hermite interpolant, integrated by the same
+    Gauss-Kronrod panel rule as every other norm, so ``value <= B`` up to
+    that rule's bound.
 
     err_bound is the distance to a second bracket plus that quadrature
     bound.  The second bracket is shot side by side with the first, but
-    every step is doubled (the tail growth too), every shot starts
+    every step is twice the one the control sets, every shot starts
     _COARSE_START times as far out (on the same series) and the bracket
     closes at _COARSE_CUT times the width.  So the two values differ by
     about the coarse one's error in the steps, in the start and in how far

@@ -1,7 +1,7 @@
 """Independent reference computations used only by the tests.
 
-Ten oracles, all but the last methodologically independent of the library
-code:
+Eleven oracles, all but ``rk4_shoot_oracle`` methodologically independent
+of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
   optimal bubble (so radial quadrature and the sharp Sobolev constant
@@ -36,7 +36,9 @@ code:
 * the ground-state shooting loop node by node, with its step rule restated,
   deciding each shot node by node and calling the general right-hand side
   at p = 2 as well, the reference the library's ``_shoot`` must match bit
-  for bit up to each shot's decided node (``rk4_shoot_oracle``).
+  for bit up to each shot's decided node (``rk4_shoot_oracle``);
+* the slope of log B(N, p, q) in q at q = p, from the optimal L^p
+  log-Sobolev constant in closed form (``log_sobolev_slope``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -228,6 +230,27 @@ def sobolev_constant_oracle(N: int, p: float) -> float:
     return lq / grad
 
 
+def log_sobolev_slope(N: int, p: float) -> float:
+    """(N/p^2) log L_p, the slope in q at q = p of log B(N, p, q).
+
+    With ||u||_p = 1, log of the interpolation quotient is log int |u|^q -
+    (N (q-p)/p) log ||grad u||_p: 0 at q = p and convex in q (L^q moments are
+    log-convex), with slope int |u|^p log|u| - (N/p) log ||grad u||_p there.
+    The sup of that slope over u is (N/p^2) log L_p, L_p the optimal
+    Euclidean L^p log-Sobolev constant (Del Pino and Dolbeault 2003, J.
+    Funct. Anal. 197; Weissler 1978 for p = 2):
+
+        L_p = (p/N) ((p-1)/e)^(p-1) pi^(-p/2)
+              [Gamma(N/2 + 1) / Gamma(N (p-1)/p + 1)]^(p/N).
+
+    So log B is convex in q with this slope at q = p, and B >= exp(slope
+    (q - p)).
+    """
+    log_l = (math.log(p / N) + (p - 1.0) * (math.log(p - 1.0) - 1.0) - p / 2.0 * math.log(math.pi)
+             + p / N * (math.lgamma(N / 2.0 + 1.0) - math.lgamma(N * (p - 1.0) / p + 1.0)))
+    return N / p**2 * log_l
+
+
 def _shoot(height: float, r_max: float = 25.0):
     """Integrate w'' + w'/r - w + w^3 = 0 from w(0)=height, w'(0)=0.
 
@@ -371,21 +394,20 @@ def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: n
     the node that decides it and calling the general right-hand side at
     p = 2 as well.  It takes its start from the library's series
     (``constants._series_start``) as ``_shoot`` does: the loop, not the
-    start, is what it checks.  Its step rule is restated here: 0.05 r up to
-    a cap of _STEP_MAX times the lesser of (w0 / max(|w|, |w'|))^(1/5) and
-    (D_peak / D)^_MASS_POWER, D = max(|w|, |w'|)^p r^(N-1) and D_peak its
-    largest value so far, clipped to [1, G] with G = 1 below p = 2 and
-    max(1, _STEP_GROWTH / (p-1)^((p-1)/p)) from there, set from the state at
-    the start and at every fourth node.  It reads the module's step
-    constants at call time, so a patched ``_MAX_STEPS`` or ``_STEP_GROWTH``
-    applies to both.  Returns (fate, decided-at index, r,
-    w, psi) as ``_shoot`` does, the last three ending at the node where the
-    last shot was decided.
+    start, is what it checks.  Its step control is restated here: the step
+    is coarsen * h_c, h_c first _FIRST_STEP times the start radius, and at
+    every node k = 1 (mod 4) from k = 5 on h_c becomes min(_STEP_GROWTH h_c,
+    h err^(-1/4)), h the step just taken and err = h/6 max(|k4_w - k1_w| /
+    (_STEP_TOL w0), |k4_psi - k1_psi| / (_STEP_TOL w0^(q(p-1)/p))) from the
+    last step's k4 and the coming step's k1.  It reads the module's step
+    constants at call time, so a patched ``_MAX_STEPS`` or ``_STEP_TOL``
+    applies to both.  Returns (fate, decided-at index, r, w, psi) as
+    ``_shoot`` does, the last three ending at the node where the last shot
+    was decided.
     """
-    _STEP_PER_R, _STEP_MAX, _MASS_POWER, _MAX_STEPS = (
-        constants._STEP_PER_R, constants._STEP_MAX, constants._MASS_POWER, constants._MAX_STEPS)
+    _FIRST_STEP, _STEP_TOL, _STEP_GROWTH, _MAX_STEPS = (
+        constants._FIRST_STEP, constants._STEP_TOL, constants._STEP_GROWTH, constants._MAX_STEPS)
     e, pm1, qm1, nm1 = 1.0 / (p - 1.0), p - 1.0, q - 1.0, N - 1.0
-    growth = 1.0 if p < 2.0 else max(1.0, constants._STEP_GROWTH / (p - 1.0) ** ((p - 1.0) / p))
 
     def rhs(r, w, psi):
         wp = np.maximum(w, 0.0)
@@ -396,17 +418,17 @@ def rk4_shoot_oracle(heights: np.ndarray, N: int, p: float, q: float, coarsen: n
     fate = np.zeros(heights.size, dtype=int)
     at = np.zeros(heights.size, dtype=int)
     rs, ws, psis = [np.zeros_like(r), r], [heights, w], [np.zeros_like(r), psi]
+    h_c = _FIRST_STEP * r
     for k in range(2, _MAX_STEPS):
+        a1, b1 = rhs(r, w, psi)
+        if k % 4 == 1:
+            err_w = np.abs(a4 - a1) / (6.0 * _STEP_TOL * heights)
+            err_psi = np.abs(b4 - b1) / (6.0 * _STEP_TOL * heights ** (q * pm1 / p))
+            h_c = np.minimum(_STEP_GROWTH * h_c, h / (h * np.maximum(err_w, err_psi)) ** 0.25)
         if k == 2 or k % 4 == 1:
-            size = np.maximum(np.abs(w), np.abs(psi) ** e)
-            density = p * np.log(size) + nm1 * np.log(r)
-            peak = density if k == 2 else np.maximum(peak, density)
-            grow = np.minimum((heights / size) ** 0.2, np.exp(_MASS_POWER * (peak - density)))
-            cap = _STEP_MAX * np.clip(grow, 1.0, growth)
-            h = coarsen * np.minimum(_STEP_PER_R * r, cap)
+            h = coarsen * h_c
         hh, h6 = 0.5 * h, h / 6.0
         rm = r + hh
-        a1, b1 = rhs(r, w, psi)
         a2, b2 = rhs(rm, w + hh * a1, psi + hh * b1)
         a3, b3 = rhs(rm, w + hh * a2, psi + hh * b2)
         r = r + h

@@ -404,12 +404,21 @@ def test_large_dimension_exits_2_with_one_line(capsys, argv, message):
     assert err.count("\n") == 1
 
 
-def test_constants_as_q_nears_p_names_the_undecided_shots(capsys):
+@pytest.mark.parametrize("N,p,q", [("3", "2", "2.000001"), ("6", "1.1", "1.101")])
+def test_constants_as_q_nears_p_converge(capsys, N, p, q):
+    code, out, _ = run_cli(capsys, "constants", "--N", N, "--p", p, "--q", q)
+    assert code == 0
+    assert json.loads(out)["interpolation"]["meta"]["converged"] is True
+
+
+def test_constants_as_q_nears_p_names_the_undecided_shots(capsys, monkeypatch):
+    # a step budget too small for the widening ground state leaves every shot undecided
+    monkeypatch.setattr(ak.constants, "_MAX_STEPS", 40)
     code, out, err = run_cli(capsys, "constants", "--N", "3", "--p", "2", "--q", "2.000001")
     assert (code, out) == (2, "")
     assert err == ("numerical failure: shooting found no undershooting height: in round 1, "
-                   "32 of 32 shots were still undecided after 19998 RK4 steps, at r = 798.9 "
-                   "(the ground state widens as q -> p)\n")
+                   "32 of 32 shots were still undecided after 38 RK4 steps, at r = 17.99 "
+                   "(the step budget per round is 38)\n")
 
 
 def test_maximizer_rejects_subcritical(capsys, monkeypatch):

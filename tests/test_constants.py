@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from attainkit import (
+    ConstantSet,
     ParamError,
+    ProblemParams,
+    classify,
     fractional_constant,
     gns_constant_estimate,
     sobolev_constant,
@@ -35,6 +38,7 @@ from oracles import (
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
     hermite_ratio_oracle,
+    log_sobolev_slope,
     regular_solution_oracle,
     rk4_shoot_oracle,
     shooting_oracle_p2,
@@ -226,9 +230,10 @@ def test_shoot_matches_per_node_oracle_bit_for_bit(Npq, h_star):
 
 @pytest.mark.parametrize("max_steps", [150, 151, 152, 153])
 def test_shoot_flushes_the_last_block_at_the_step_cap(monkeypatch, max_steps):
-    # shots 1e-1 to 1e-8 from h* decide at nodes 80-163 (fine) and 100-140
-    # (step-doubled): a cap in 150-153 leaves some undecided and ends on a
+    # shots 1e-1 to 1e-8 from h* decide at nodes 72-158 (fine) and 68-113
+    # (step-doubled): a cap in 150-153 leaves four or five undecided, ends on a
     # block of each length 1 to 4, which must decide as the per-node loop did
+    # (at 153, one shot decides inside that last block, at node 152)
     monkeypatch.setattr(constants, "_MAX_STEPS", max_steps)
     miss = 10.0 ** -np.arange(1.0, 9.0)
     heights = np.tile(2.2062007004871105 * (1.0 + np.concatenate([-miss, miss])), 2)
@@ -318,7 +323,7 @@ def test_gns_err_bound_covers_a_start_ten_times_further_in(monkeypatch, Npq):
 
 
 def test_gns_224_takes_at_most_1100_rk4_nodes(monkeypatch):
-    # tail steps grow as the shots decay: 1758 nodes when the cap stayed put
+    # the error control lets steps grow as the shots decay: 906 nodes
     nodes = []
 
     def counted(*args):
@@ -333,27 +338,47 @@ def test_gns_224_takes_at_most_1100_rk4_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("Npq", sorted(FROZEN_EVEN_SPACING_GROUND_STATES))
-def test_gns_err_bound_covers_steps_that_never_grow(monkeypatch, Npq):
-    # with the tail growth off, every step is capped at _STEP_MAX as before
+def test_gns_err_bound_covers_a_sixteenth_of_the_step_tolerance(monkeypatch, Npq):
+    # a sixteenth of the tolerance halves every step the control sets
     got = estimate(Npq)
-    monkeypatch.setattr(constants, "_STEP_GROWTH", 1.0)
-    assert constants._tail_growth(Npq[1]) == 1.0
+    monkeypatch.setattr(constants, "_STEP_TOL", constants._STEP_TOL / 16)
     assert abs(fine_value(Npq) - got.value) <= got.err_bound
 
 
 @pytest.mark.parametrize("Npq", [(5, 1.725, 2.271), (7, 2.464, 2.838)])
 def test_gns_tail_steps_keep_the_error_where_the_tail_carries_mass(monkeypatch, Npq):
-    # near q = p in N >= 3 much of the norms' mass lies in the tail; a cap
-    # grown by w's decay alone missed the reference 42 and 53 times as far
-    # as the cap that never grows
+    # near q = p in N >= 3 much of the norms' mass lies in the tail, which
+    # the control's steps, scaled to the core, must still resolve: against
+    # a reference with steps 8 times shorter
     got = estimate(Npq)
-    monkeypatch.setattr(constants, "_STEP_GROWTH", 1.0)
-    fixed = fine_value(Npq)
-    monkeypatch.setattr(constants, "_STEP_MAX", constants._STEP_MAX / 8)
-    monkeypatch.setattr(constants, "_STEP_PER_R", constants._STEP_PER_R / 4)
+    monkeypatch.setattr(constants, "_STEP_TOL", constants._STEP_TOL / 4096)
     monkeypatch.setattr(constants, "_MAX_STEPS", 200_000)
-    reference = fine_value(Npq)
-    assert abs(got.value - reference) <= 10.0 * abs(fixed - reference)
+    assert abs(got.value - fine_value(Npq)) <= got.err_bound
+
+
+@pytest.mark.parametrize("Npq", [
+    (3, 2.0, 2.0 + 1e-6), (6, 1.1, 1.1 + 1e-3), (6, 1.1, 1.1 + 1e-10),
+    (2, 2.0, math.nextafter(2.0, 3.0)), (8, 5.0, 5.0 + 1e-12), (10, 9.5, 9.5 + 1e-14),
+    (2, 1.2, 1.2 + 1e-12),
+])
+def test_gns_converges_and_classify_answers_as_q_nears_p(Npq):
+    # the ground state widens like (q - p)^(-1/p); the steps grow with it
+    got = gns_constant_estimate(*Npq)
+    assert got.meta["converged"] is True
+    constants_set = ConstantSet(interpolation=got)
+    for gamma in (1.0, got.meta["gamma_c"] / 2.0):
+        classify(ProblemParams.local(*Npq, gamma=gamma, alpha=1.0), constants_set)
+
+
+@pytest.mark.parametrize("q_minus_p", [1e-3, 1e-5])
+@pytest.mark.parametrize("N,p", [(2, 2.0), (3, 2.0), (5, 3.0), (3, 1.5), (2, 1.2), (6, 1.1)])
+def test_gns_near_q_equals_p_follows_the_log_sobolev_slope(N, p, q_minus_p):
+    # log B is convex in q, 0 at q = p with the closed-form slope s there,
+    # so B >= exp(s (q - p)) and log B / (q - p) falls to s as q -> p
+    got = estimate((N, p, p + q_minus_p))
+    q, s = p + q_minus_p, log_sobolev_slope(N, p)
+    assert got.value + got.err_bound >= math.exp(s * (q - p))
+    assert 0.0 <= math.log(got.value) / (q - p) - s <= 2e-4 * abs(s)
 
 
 @pytest.mark.parametrize("miss", [-1e-3, 1e-3])
