@@ -7,17 +7,15 @@ Three constants are consumed downstream:
 * the sharp subcritical interpolation constant
   B(N, p, q) = sup ||u||_q^q / ( ||grad u||_p^gc * ||u||_p^(q-gc) ),
   gc = N(q-p)/p  (bounded here from below by the quotient of the shot
-  radial ground state's Hermite interpolant, integrated by the same
-  Gauss-Kronrod panel rule as every other norm.  Every shot starts a
-  tenth of a core width out, on a power series of the solution regular at
-  r = 0, with steps that hold its local error near one tolerance of the
-  core's size, so they grow as it decays into its tail and as the ground
-  state widens toward q = p.  err_bound is the distance to a second
-  bracket that steps twice as far, starts 100 times further in and closes
-  100 times wider, plus that rule's bound.  Each round of shots is placed
-  in a window that a fit of how far the previous round's shots rode
-  points to, read off the cubic through each shot's miss and slope, so
-  (2, 2, 4) closes in six rounds per bracket),
+  radial ground state: the last undershoot's Hermite interpolant glued at
+  its best node to the exponential that continues it C^1, by the same
+  Gauss-Kronrod panel rule as every other norm and the tail in closed
+  form.  Every shot starts a tenth of a core width out, on a power series
+  of the solution regular at r = 0, with steps that hold its local error
+  near one tolerance of the core's size.  Even rounds of shots close the
+  height bracket at 1e-8, to which the glued value is only second order.
+  err_bound is the distance to a second bracket that steps twice as far
+  and starts 100 times further in, plus that rule's bound),
 * the fractional seminorm constant, which has no elementary closed form
   and is supplied by the caller.
 """
@@ -34,7 +32,8 @@ from numpy.polynomial.polynomial import polyval
 from .curves import _exp_or_inf
 from .errors import NumericalError, ParamError
 from .params import critical_exponent, gamma_threshold_exponent
-from .profiles import RadialProfile, _log_quotient, norms
+from .profiles import (_NORMAL, RadialProfile, _gauss_err, _panel_sums, _unheld,
+                       log_sphere_area)
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,13 @@ class SharpConstant:
 
     method "closed-form":  value carries a roundoff err_bound.
     method "ground-state": value is a lower bound, the quotient of the shot
-                           ground state's Hermite interpolant by the same
-                           Gauss-Kronrod rule as every other norm; err_bound
-                           is the distance to a bracket with twice the
-                           error-controlled steps, an inner start and a
-                           wider cut, plus that rule's bound: an estimate,
-                           not an enclosure radius.
+                           ground state's Hermite interpolant glued to an
+                           exponential tail, by the same Gauss-Kronrod rule
+                           as every other norm and the tail in closed form;
+                           err_bound is the distance to a bracket with twice
+                           the error-controlled steps and an inner start,
+                           plus that rule's bound: an estimate, not an
+                           enclosure radius.
     method "user-input":   value passed through unchanged.
     """
 
@@ -108,18 +108,11 @@ _INNER_RATIO = 1.5     # ... each this many times closer to r = 0 than the next
 _FIRST_STEP = 0.05     # the first step, in start radii; later steps hold ...
 _STEP_TOL = 1.3e-8     # ... each shot's local error near this fraction of the core's scale ...
 _STEP_GROWTH = 2.0     # ... and grow at most this many times per block of four nodes
-_CROSSING_NEWTON = 3   # Newton steps to each crossing radius from the linear estimate
 _MAX_STEPS = 20_000    # per round; shots still undecided then stay so
-_HEIGHT_RTOL = 1e-14   # the fine height bracket counts as closed at this width
-_COARSE_START = 1e-2   # the step-doubled bracket starts this fraction of the fine radius
-_COARSE_CUT = 100.0    # out, and closes at this multiple of _HEIGHT_RTOL
+_HEIGHT_RTOL = 1e-8    # a height bracket counts as closed at this relative width
+_COARSE_START = 1e-2   # the step-doubled bracket starts this fraction of the fine radius out
 _MAX_ROUNDS = 64
 _MAX_HEIGHT = 1e100
-_FIT_SHOTS = 4         # decided shots per side that the miss-distance fit reads
-_FIT_GRID = 48         # candidate heights per pass of the fit's two-pass search
-_WINDOW_MIN = 1 / 40   # fitted window half-width, in bracket widths, at least ...
-_WINDOW_PER_RMS = 8    # ... this many times the fit's rms residual ...
-_WINDOW_MAX = 1 / 4    # ... and no wider, else the fit is too poor to use
 
 
 def _series_start(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray,
@@ -266,9 +259,9 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
 
 
 def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> RadialProfile:
-    """The C^1 piecewise-cubic Hermite interpolant of nodal (w, w'), w[-1] = 0,
-    on [0, r[-1]] with a break at every interior node.  Values are clipped
-    at zero, which only overstates the gradient term.
+    """The C^1 piecewise-cubic Hermite interpolant of nodal (w, w') on
+    [0, r[-1]], with a break at every interior node, and 0 from r[-1] on.
+    Values are clipped at zero, which only overstates the gradient term.
     """
     h, dv = np.diff(r), np.diff(w)
     # on cell i, u = sum_k coef[k, i] t^k and u' = sum_k dcoef[k, i] t^k, t = (x - r[i]) / h[i]
@@ -287,149 +280,132 @@ def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Ra
                          dfn=lambda x: piece(x, dcoef))
 
 
-def _crossing_radii(fate, at, rs, ws, psis, N: int, p: float, q: float) -> np.ndarray:
-    """Radius at which each decided shot's miss crossed zero: w for an
-    overshoot, the energy E for an undershoot (E falls below zero before
-    psi turns positive, and within the last four nodes, where E was last
-    tested).  The root of the cubic Hermite interpolant of the miss and its
-    slope (w', or E' = -(N-1)/r |w'|^p) between the nodes around the first
-    sign change among the shot's last five, by _CROSSING_NEWTON Newton
-    steps from the linear estimate, so the radius follows the miss between
-    nodes even where the steps are long; where no change shows, the node it
-    was decided at.  Undecided shots get a meaningless value.
+def _glued_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> RadialProfile:
+    """``_hermite_profile`` continued C^1 past r[-1] as w[-1] exp(-kappa s),
+    s = x - r[-1], kappa = -w'[-1]/w[-1] > 0, up to where the tail falls
+    below w[-1] times the least normal double: its support.  Breaks at
+    r[-1] and ten radii graded toward it by halves let ``norms`` resolve
+    the tail on its scale 1/kappa."""
+    core = _hermite_profile(N, r, w, dw)
+    kappa = -dw[-1] / w[-1]
+    reach = -math.log(_NORMAL) / kappa
+    support = r[-1] + reach
+
+    def tail(x, slope):
+        x = np.asarray(x, dtype=float)
+        s = np.maximum(x - r[-1], 0.0)
+        return np.where((x >= r[-1]) & (x < support), slope * w[-1] * np.exp(-kappa * s), 0.0)
+
+    return RadialProfile(N=N, support=support,
+                         breaks=np.concatenate([r[1:], r[-1] + reach / 2.0 ** np.arange(10, 0, -1)]),
+                         fn=lambda x: core.fn(x) + tail(x, 1.0),
+                         dfn=lambda x: core.dfn(x) + tail(x, -kappa))
+
+
+def _best_glue(N: int, p: float, q: float, r: np.ndarray, w: np.ndarray,
+               dw: np.ndarray) -> tuple[int, float, float]:
+    """(k, log Q, relative quadrature bound) of the best glued profile: of
+    every node k with w'_k < 0, the one whose ``_glued_profile`` of the
+    nodes up to k has the largest quotient Q.
+
+    Each such profile is admissible, so each Q is a lower bound on B.  The
+    panel sums of ``norms`` are taken once, on the whole shot's Hermite
+    interpolant, and summed up to each r_k, which is a panel edge.  The
+    tail adds, to the moment of |u|^e, |S^(N-1)| w_k^e I(e kappa_k) (with
+    (kappa_k w_k)^p for the gradient), where, N being an integer,
+
+        I(a) = int_0^inf e^(-a s) (r_k + s)^(N-1) ds
+             = sum_{j<N} (N-1)!/(N-1-j)! r_k^(N-1-j) / a^(j+1),
+
+    summed in logs, as a flat core's long tail would overflow it.  The
+    quadrature bound is the sum of the panels' bounds in ``norms`` up to the
+    chosen r_k; the tails are closed forms, exact up to roundoff.  A norm of
+    the whole shot outside the normal doubles raises as in ``norms``.
     """
-    cols = np.arange(fate.size)[:, None]
-    nodes = np.maximum(at[:, None] + np.arange(-4, 1), 0)
-    r, w, psi = rs[nodes, cols], ws[nodes, cols], psis[nodes, cols]
-    wp, dw = np.maximum(w, 0.0), np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
-    kinetic = np.abs(psi) ** (p / (p - 1.0))
-    over = fate[:, None] > 0
-    miss = np.where(over, w, (p - 1.0) / p * kinetic + wp**q / q - wp**p / p)
-    slope = np.where(over, dw, -(N - 1.0) / r * kinetic)
-    j = np.argmax(miss <= 0.0, axis=1)
-    i, k = np.arange(fate.size), np.maximum(j - 1, 0)
-    r0, width = r[i, k], r[i, j] - r[i, k]
-    m0, m1, s0, s1 = miss[i, k], miss[i, j], width * slope[i, k], width * slope[i, j]
-    # H(t) = m0 + s0 t + c2 t^2 + c3 t^3 on t = (x - r0) / width
-    c2, c3 = 3.0 * (m1 - m0) - 2.0 * s0 - s1, 2.0 * (m0 - m1) + s0 + s1
-    t = m0 / (m0 - m1)
-    for _ in range(_CROSSING_NEWTON):
-        t = np.clip(t - (m0 + t * (s0 + t * (c2 + t * c3))) / (s0 + t * (2.0 * c2 + 3.0 * t * c3)),
-                    0.0, 1.0)
-    return np.where(j > 0, r0 + width * t, r[:, -1])
-
-
-def _fit_window(heights, fate, radii, lo: float, hi: float) -> tuple[float, float] | None:
-    """The window that the next round's heights fill evenly, or None when
-    the fit is too poor to place one.
-
-    Near the ground-state height h*, a shot leaves the ground state along
-    the growing tail mode, whose coefficient is linear in h - h*.  So
-    log|h - h*| = a - s r, with r the shot's crossing radius, holds on each
-    side of h*; each side has its own a and s, as the two sides cross on
-    different quantities.  The _FIT_SHOTS decided shots nearest the new
-    bracket (lo, hi) on each side are fitted by least squares, and h* by
-    a two-pass grid search over (lo, hi): the design does not depend on
-    h*, so every candidate's residual is one projection of its log
-    distances.  The window is centred on the estimate, _WINDOW_PER_RMS rms
-    residuals but at least _WINDOW_MIN bracket widths to each side, and
-    clipped to (lo, hi).  The fit is poor when a slope is not positive or
-    the half-width would pass _WINDOW_MAX bracket widths.  This is shooting
-    with a smooth miss distance in place of bisection (Keller 1968,
-    Numerical Methods for Two-Point Boundary-Value Problems; Stoer and
-    Bulirsch, Introduction to Numerical Analysis, sec. 7.3).
-    """
-    under = np.flatnonzero((fate < 0) & (heights <= lo))[-_FIT_SHOTS:]
-    over = np.flatnonzero((fate > 0) & (heights >= hi))[:_FIT_SHOTS]
-    if under.size < _FIT_SHOTS or over.size < _FIT_SHOTS:
-        return None
-    shots = np.concatenate([under, over])
-    h, r = heights[shots], radii[shots]
-    side = np.repeat([1.0, 0.0], _FIT_SHOTS)
-    design = np.column_stack([side, 1.0 - side, -r * side, -r * (1.0 - side)])
-    solve = np.linalg.pinv(design)
-    residual = np.eye(h.size) - design @ solve
-    a, b, floor = lo, hi, np.spacing(hi)
-    for _ in range(2):
-        width = (b - a) / _FIT_GRID
-        guess = a + width * (np.arange(_FIT_GRID) + 0.5)
-        logd = np.log(np.maximum(np.abs(h - guess[:, None]), floor))
-        ssr = np.sum((logd @ residual) ** 2, axis=1)
-        k = int(np.argmin(ssr))
-        a, b = max(lo, guess[k] - width), min(hi, guess[k] + width)
-    rms = math.sqrt(ssr[k] / (h.size - design.shape[1] - 1))
-    half = max(_WINDOW_MIN, _WINDOW_PER_RMS * rms)
-    if np.min((solve @ logd[k])[2:]) <= 0.0 or half > _WINDOW_MAX:
-        return None
-    half *= hi - lo
-    return max(lo, guess[k] - half), min(hi, guess[k] + half)
+    gc = N * (q - p) / p
+    edges, _, _, moments = _panel_sums(_hermite_profile(N, r, w, dw), p, q)
+    k = np.flatnonzero((dw < 0.0) & (w > 0.0))
+    panels = np.searchsorted(edges[0, 1:], r[k], side="right")
+    kappa = -dw[k] / w[k]
+    j = np.arange(N)
+    falling = np.array([math.lgamma(N) - math.lgamma(N - i) for i in j])
+    log_m, log_w, log_r = [], np.log(w[k]), np.log(r[k])[:, None]
+    for name, (kg, _, _, _), e, log_amp in zip(("lp", "grad_lp", "lq"), moments, (p, p, q),
+                                               (log_w, log_w + np.log(kappa), log_w)):
+        gauss = kg[:, 1, 0]
+        norm = gauss.sum() ** (1.0 / e)
+        if not _NORMAL <= norm < math.inf:  # as ``norms`` would find for the whole shot
+            raise _unheld(name, N, repr(float(norm)))
+        body = np.cumsum(gauss)[panels - 1]
+        terms = falling + (N - 1 - j) * log_r - (j + 1) * np.log(e * kappa)[:, None]
+        tail = log_sphere_area(N) + e * log_amp + np.logaddexp.reduce(terms, axis=1)
+        with np.errstate(divide="ignore"):  # a moment that underflows near r = 0 scores -inf
+            log_m.append(np.logaddexp(np.log(body), tail))
+    log_q = log_m[2] - gc / p * log_m[1] - (q - gc) / p * log_m[0]
+    best = int(np.argmax(log_q))
+    n = panels[best]
+    rel_err = 0.0
+    for (kg, size, _, _), m, weight in zip(moments, log_m, ((q - gc) / p, gc / p, 1.0)):
+        rel_err += weight * float(_gauss_err(kg[:n], size[:n])[0]) / math.exp(m[best])
+    return int(k[best]), float(log_q[best]), rel_err
 
 
 class _Bracket:
-    """One resolution's height bracket, the window its next round fills and
-    its last undershooting shot.  A step-doubled bracket (coarsen != 1)
-    closes at _COARSE_CUT times the fine one's width."""
+    """One resolution's height bracket and its last undershooting shot."""
 
     def __init__(self, coarsen: float, lo: float):
         self.coarsen, self.lo, self.hi, self.spread = coarsen, lo, math.inf, 4.0
-        self.window, self.rounds, self.best = None, 0, None
+        self.rounds, self.best = 0, None
         self.last = None  # (undecided shots, steps, farthest r) of its last round
-        self.rtol = _HEIGHT_RTOL * (1.0 if coarsen == 1.0 else _COARSE_CUT)
 
     @property
     def closed(self) -> bool:
-        return self.hi - self.lo <= self.rtol * self.lo
+        return self.hi - self.lo <= _HEIGHT_RTOL * self.lo
 
     def heights(self) -> np.ndarray:
         """The next round's heights: spread geometrically above lo until a
-        shot overshoots, then evenly inside the window, or inside (lo, hi)
-        when there is none."""
+        shot overshoots, then evenly inside (lo, hi)."""
         if math.isinf(self.hi):
             return self.lo * self.spread ** (np.arange(1, _BATCH + 1) / _BATCH)
-        a, b = self.window or (self.lo, self.hi)
-        return np.linspace(a, b, _BATCH + 2)[1:-1]
+        return np.linspace(self.lo, self.hi, _BATCH + 2)[1:-1]
 
-    def narrow(self, heights, fate, radii) -> int | None:
+    def narrow(self, heights, fate) -> int | None:
         """Narrow the bracket to the last undershooting and the first
-        overshooting height of a round, and fit the next round's window to
-        its shots.  No window follows the geometric round or a round whose
-        fates all fall on one side.  Returns the index of the new last
+        overshooting height of a round.  Returns the index of the new last
         undershoot, if the round has one."""
         over = np.flatnonzero(fate > 0)
         first_over = over[0] if over.size else heights.size
         under = np.flatnonzero(fate[:first_over] < 0)
-        spread_round, self.window = math.isinf(self.hi), None
         if under.size:
             self.lo = float(heights[under[-1]])
         if over.size:
             self.hi = float(heights[first_over])
         else:
             self.spread *= self.spread
-        if under.size and over.size and not (spread_round or self.closed):
-            self.window = _fit_window(heights, fate, radii, self.lo, self.hi)
         return int(under[-1]) if under.size else None
 
 
 def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> list[dict]:
     """Bracket the ground-state height by batched shooting, once per step
-    multiplier in ``coarsens``; profile quotients.
+    multiplier in ``coarsens``; glued profile quotients.
 
     A bracket starts at lo = (q/p)^(1/(q-p)), where the energy at the
     origin vanishes, so every lower height undershoots.  Rounds first
-    spread the batch geometrically above lo until a shot crosses zero;
-    each narrows the bracket to the last undershooting and the first
-    overshooting height.  The next round fills a window around the height
-    that a fit of how far the shots rode points to (``_fit_window``), or
-    (lo, hi) evenly when there is no fit: the fates, not the fit, decide
-    the bracket, so a missed window still narrows it.  A round shoots the
-    heights of every open bracket side by side; each bracket reads only its
-    own columns and leaves once it closes or decides nothing, so it ends as
-    it would alone.  The profile is the last undershooting shot up to the
-    node before it was decided, with _INNER more nodes off the series inside
-    its first radius (one cubic on [0, r0] cannot follow w - w0 ~ r^p',
-    which cost (4, 4, 6) 7e-8 of its value), minus its value there:
-    nonnegative, non-increasing and zero at the edge, so its quotient is a
-    lower bound.
+    spread the batch geometrically above lo until a shot crosses zero,
+    then fill (lo, hi) evenly, so each shrinks the bracket 33-fold; each
+    narrows it to the last undershooting and the first overshooting
+    height, until it closes at _HEIGHT_RTOL.  A round shoots the heights of
+    every open bracket side by side; each bracket reads only its own
+    columns and leaves once it closes or decides nothing, so it ends as it
+    would alone.  The profile is the last undershooting shot up to the
+    node before it was decided, with _INNER more nodes off the series
+    inside its first radius (one cubic on [0, r0] cannot follow
+    w - w0 ~ r^p', which cost (4, 4, 6) 7e-8 of its value), glued to an
+    exponential tail at its best node (``_best_glue``).  The ground state
+    maximizes the quotient, so a profile that leaves it by epsilon loses
+    only O(epsilon^2) of the value, and the node where the shot has not
+    yet left it along the growing mode wins.  Each result carries the
+    shot's nodes (r, w, w') and the glue's node index.
     """
     brackets = [_Bracket(c, (q / p) ** (1.0 / (q - p))) for c in coarsens]
     live, rounds = brackets, 0
@@ -441,20 +417,18 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fate, at, rs, ws, psis = _shoot(heights, N, p, q,
                                             np.repeat([b.coarsen for b in live], _BATCH))
-            radii = _crossing_radii(fate, at, rs, ws, psis, N, p, q)
         still = []
         for b, col in zip(live, range(0, heights.size, _BATCH)):
             b.rounds = rounds
             own = slice(col, col + _BATCH)
             b.last = (int(np.sum(fate[own] == 0)), len(rs) - 2, float(rs[-1, own].max()))
-            i = b.narrow(heights[own], fate[own], radii[own])
+            i = b.narrow(heights[own], fate[own])
             if i is not None:
                 i += col
                 b.best = (rs[:at[i], i], ws[:at[i], i], psis[:at[i], i])
             if fate[own].any() and not b.closed:
                 still.append(b)
         live = still
-    gc = gamma_threshold_exponent(N, p, q)
     results = []
     for b in brackets:
         if b.best is None:
@@ -465,14 +439,12 @@ def _ground_states(N: int, p: float, q: float, coarsens: tuple[float, ...]) -> l
         inner = _series_start(np.array([b.lo]), N, p, q, np.array([b.coarsen]), _INNER + 1)
         r, w, psi = (np.concatenate([v[:1], i[:-1, 0], v[1:]]) for v, i in zip(b.best, inner))
         dw = np.copysign(np.abs(psi) ** (1.0 / (p - 1.0)), psi)
-        profile = _hermite_profile(N, r, w - w[-1], dw)
-        nm = norms(profile, p, q)
-        value = _exp_or_inf(_log_quotient(nm, q, gc))
-        rel_err = sum(k * n.err_bound / n.value
-                      for k, n in ((q, nm.lq), (gc, nm.grad_lp), (q - gc, nm.lp)))
+        k, log_q, rel_err = _best_glue(N, p, q, r, w, dw)
+        value = _exp_or_inf(log_q)
         results.append({"value": value, "quadrature_err": value * rel_err,
-                        "height": b.lo, "rounds": b.rounds, "profile": profile,
-                        "converged": b.closed})
+                        "height": b.lo, "rounds": b.rounds,
+                        "profile": _glued_profile(N, r[:k + 1], w[:k + 1], dw[:k + 1]),
+                        "converged": b.closed, "nodes": (r, w, dw), "glue": k})
     return results
 
 
@@ -484,22 +456,23 @@ def gns_constant_estimate(N: int, p: float, q: float) -> SharpConstant:
 
     from the radial ground state (see the note above ``_shoot``), shot
     with steps set by local error control against one tolerance of the
-    core's scale (_STEP_TOL), and each shot's crossing radius read off the
-    cubic through its miss and slope.  The value is the quotient of an
-    explicit admissible profile, the last undershooting shot cut to compact
-    support: its C^1 Hermite interpolant, integrated by the same
-    Gauss-Kronrod panel rule as every other norm, so ``value <= B`` up to
-    that rule's bound.
+    core's scale (_STEP_TOL), its height bracketed by even rounds to
+    _HEIGHT_RTOL.  The value is the quotient of an explicit admissible
+    profile, the last undershooting shot's C^1 Hermite interpolant glued
+    at its best node to the exponential that continues it C^1
+    (``_best_glue``): the interpolant integrated by the same Gauss-Kronrod
+    panel rule as every other norm, the tail in closed form, so
+    ``value <= B`` up to that rule's bound.  The ground state maximizes
+    the quotient, so the glue leaves the value only second order in how
+    far the last undershoot lies from the ground-state height.
 
     err_bound is the distance to a second bracket plus that quadrature
     bound.  The second bracket is shot side by side with the first, but
-    every step is twice the one the control sets, every shot starts
-    _COARSE_START times as far out (on the same series) and the bracket
-    closes at _COARSE_CUT times the width.  So the two values differ by
-    about the coarse one's error in the steps, in the start and in how far
-    the last undershoot lies from the ground-state height: an
-    overstatement of the returned one's when the method converges.  Not an
-    enclosure radius.
+    every step is twice the one the control sets and every shot starts
+    _COARSE_START times as far out (on the same series).  So the two
+    values differ by about the coarse one's error in the steps and in the
+    start: an overstatement of the returned one's when the method
+    converges.  Not an enclosure radius.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ParamError("N", f"need integer N >= 1, got {N!r}")

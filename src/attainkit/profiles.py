@@ -225,7 +225,7 @@ def _cut_off(profile: RadialProfile, p: float,
 
 
 def _layout(profile: RadialProfile, r_cut, rows: int):
-    """Nodes of one cut-off: (r, log measure, panel widths, tail-check panels).
+    """Nodes of one cut-off: (r, log measure, panel edges, tail-check panels).
 
     Panels run in r over [0, support] for a compact profile and in log r
     over [r_min, r_cut] for an algebraic one; the log measure is that of
@@ -260,10 +260,10 @@ def _layout(profile: RadialProfile, r_cut, rows: int):
     a, h = edges[:, :-1], np.diff(edges, axis=1)
     s = (a.T[:, None, :] + h.T[:, None, :] * _X15[:, None]).reshape(-1, rows)
     if compact:
-        return s.T, (N - 1) * np.log(s.T + _TINY) + log_area, h, None
+        return s.T, (N - 1) * np.log(s.T + _TINY) + log_area, edges, None
     s = np.concatenate([s, np.broadcast_to(
         np.array([[math.log(_R_MIN)], *decades[:, None], [hi]]), (4, rows))]).T
-    return np.exp(s), N * s + log_area, h, 2 * (a >= decades[0]) - (a >= decades[1])
+    return np.exp(s), N * s + log_area, edges, 2 * (a >= decades[0]) - (a >= decades[1])
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -311,48 +311,70 @@ def _head_and_tail(y: np.ndarray, kronrod: np.ndarray, decade: np.ndarray,
         excess * math.log(10.0)))
 
 
+def _gauss_err(kg: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Bound on the Gauss sum over ``_panel_sums``'s panels: the Kronrod-Gauss
+    difference, up to the Kronrod sums' own errors, taken as at most 1% of
+    each panel's difference (far below it wherever a panel's integrand is
+    smooth), plus the roundoff of each panel's scale."""
+    diff = kg[:, 0] - kg[:, 1]
+    return (2.0 * np.abs(diff.sum(axis=0)) + 0.01 * np.abs(diff).sum(axis=0)
+            + 2.0 * np.finfo(float).eps * size.sum(axis=0))
+
+
+def _panel_sums(profile: RadialProfile, p: float, q: float):
+    """What ``norms`` adds up: (panel edges (rows, panels + 1) from
+    ``_layout``, tail excesses, decade index, moments), ``moments`` holding
+    for lp, grad_lp and lq (kg, size, y_end, ends): the panels' (Kronrod,
+    Gauss) sums (panels, 2, rows) and roundoff scales, and the integrand
+    and its roundoff scale at the last four nodes, for an algebraic head
+    and tail."""
+    N = profile.N
+    rows = len(profile)
+    r_cut, excesses = _cut_off(profile, p, q)
+    r, log_measure, edges, decade = _layout(profile, r_cut, rows)
+    h = np.diff(edges, axis=1)
+    P = h.shape[1]
+    log_u, log_du = _log_abs(profile.fn, r), _log_abs(profile.dfn, r)
+    moments = []
+    for e, log_v in zip((p, p, q), (log_u, log_du, log_u)):
+        arg = e * log_v + log_measure
+        y = _exp(arg)
+        kg = (_RULES.T @ y[:, :15 * P].T.reshape(P, 15, rows)) * h.T[:, None, :]  # (P, 2, rows)
+        # rounding the argument and the exponential costs y about
+        # |arg| + |e log|u|| + 2 ulps, read at each panel's middle node
+        mid = arg[:, 3:15 * P:15].T
+        size = kg[:, 0] * (2.0 + np.abs(mid) + np.abs(mid - log_measure[:, 3:15 * P:15].T))
+        ends = 2.0 + np.abs(arg[:, -4:]) + np.abs(arg[:, -4:] - log_measure[:, -4:])
+        moments.append((kg, size, y[:, -4:], ends))
+    return edges, excesses, decade, moments
+
+
 def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ...]:
     """All three norms of a radial profile, or of each row of a family, by
     Gauss panels.
 
     u and u' are each evaluated once, over every row at once, at the nodes
-    of one cut-off radius, and all three moments read those values.  A
-    family returns a tuple of Norms, one per row.  A norm of any row that
-    comes out 0, subnormal or inf is a ``NumericalError``.
+    of one cut-off radius, and all three moments read those values
+    (``_panel_sums``).  A family returns a tuple of Norms, one per row.  A
+    norm of any row that comes out 0, subnormal or inf is a
+    ``NumericalError``.
     """
     if not (p > 1 and q > 0):
         raise ParamError("p", f"need p > 1, q > 0; got {p}, {q}")
     N = profile.N
-    rows = len(profile)
     eps = np.finfo(float).eps
-    r_cut, excesses = _cut_off(profile, p, q)
-    r, log_measure, h, decade = _layout(profile, r_cut, rows)
-    log_u, log_du = _log_abs(profile.fn, r), _log_abs(profile.dfn, r)
+    _, excesses, decade, moments = _panel_sums(profile, p, q)
     out = []
-    for name, e, log_v, excess in zip(("lp", "grad_lp", "lq"), (p, p, q),
-                                      (log_u, log_du, log_u), excesses):
-        arg = e * log_v + log_measure
-        y = _exp(arg)
-        P = h.shape[1]
-        kg = (_RULES.T @ y[:, :15 * P].T.reshape(P, 15, rows)) * h.T[:, None, :]  # (P, 2, rows)
+    for name, e, (kg, size, y_end, ends), excess in zip(("lp", "grad_lp", "lq"), (p, p, q),
+                                                       moments, excesses):
         gauss = kg[:, 1].sum(axis=0)
-        # rounding the argument and the exponential costs y about
-        # |arg| + |e log|u|| + 2 ulps, read at each panel's middle node
-        mid = arg[:, 3:15 * P:15].T
-        size = kg[:, 0] * (2.0 + np.abs(mid) + np.abs(mid - log_measure[:, 3:15 * P:15].T))
-        # the Gauss sum is off by the Kronrod-Gauss difference, up to the
-        # Kronrod sums' own errors, taken as at most 1% of each panel's
-        # difference (far below it wherever a panel's integrand is smooth)
-        diff = kg[:, 0] - kg[:, 1]
-        err = (2.0 * np.abs(diff.sum(axis=0)) + 0.01 * np.abs(diff).sum(axis=0)
-               + 2.0 * eps * size.sum(axis=0))
+        err = _gauss_err(kg, size)
         raw = gauss
         if excess is not None:
-            raw, tail_err = _head_and_tail(y[:, -4:], kg[:, 0], decade, N, excess)
+            raw, tail_err = _head_and_tail(y_end, kg[:, 0], decade, N, excess)
             raw = raw + gauss
-            ends = 2.0 + np.abs(arg[:, -4:]) + np.abs(arg[:, -4:] - log_measure[:, -4:])
-            err = err + tail_err + 2.0 * eps * (y[:, -4] * ends[:, 0] / N
-                                                + y[:, -1] * ends[:, -1] / excess)
+            err = err + tail_err + 2.0 * eps * (y_end[:, 0] * ends[:, 0] / N
+                                                + y_end[:, -1] * ends[:, -1] / excess)
         value = raw ** (1.0 / e)
         held = (value >= _NORMAL) & (value < math.inf)
         if not held.all():

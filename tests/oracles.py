@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Eleven oracles, all but ``rk4_shoot_oracle`` methodologically independent
+Twelve oracles, all but ``rk4_shoot_oracle`` methodologically independent
 of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
@@ -38,7 +38,9 @@ of the library code:
   at p = 2 as well, the reference the library's ``_shoot`` must match bit
   for bit up to each shot's decided node (``rk4_shoot_oracle``);
 * the slope of log B(N, p, q) in q at q = p, from the optimal L^p
-  log-Sobolev constant in closed form (``log_sobolev_slope``).
+  log-Sobolev constant in closed form (``log_sobolev_slope``);
+* the interpolation quotient of exp(-r^p'), that constant's optimizer, as
+  Gamma functions: a closed-form floor on B (``exp_power_quotient_oracle``).
 
 It also keeps ``json_reference``, the standard library's rendering of CLI
 documents, against which the CLI's own JSON writer is checked.
@@ -249,6 +251,31 @@ def log_sobolev_slope(N: int, p: float) -> float:
     log_l = (math.log(p / N) + (p - 1.0) * (math.log(p - 1.0) - 1.0) - p / 2.0 * math.log(math.pi)
              + p / N * (math.lgamma(N / 2.0 + 1.0) - math.lgamma(N * (p - 1.0) / p + 1.0)))
     return N / p**2 * log_l
+
+
+def exp_power_quotient_oracle(N: int, p: float, q: float) -> tuple[float, float]:
+    """(Q, roundoff bound) of u = exp(-r^b), b = p' = p/(p-1), where
+    Q = ||u||_q^q / (||grad u||_p^gc ||u||_p^(q-gc)), gc = N (q-p)/p.
+
+    With a = N/b, t = e r^b turns each moment into a Gamma function:
+    int u^e = |S^(N-1)| Gamma(a) / (b e^a), and, as |u'|^p = b^p r^b e^(-p r^b),
+    int |u'|^p = |S^(N-1)| b^(p-1) Gamma(a+1) / p^(a+1).  u is admissible, so
+    Q <= B(N, p, q): a floor, exact at q = p and at (2, 2, 4) equal to
+    1/(2 pi).  Evaluated in logs with lgamma; the bound is 4 ulps of every
+    weighted summand, carried through the exponential, as for the library's
+    ``sobolev_constant``.
+    """
+    b = p / (p - 1.0)
+    a, gc = N / b, N * (q - p) / p
+    log_area = math.log(sphere_area_oracle(N))
+
+    def moment(e):
+        return (log_area, math.lgamma(a), -math.log(b), -a * math.log(e))
+
+    grad = (log_area, (p - 1.0) * math.log(b), math.lgamma(a + 1.0), -(a + 1.0) * math.log(p))
+    terms = [*moment(q), *(-gc / p * t for t in grad), *(-(q - gc) / p * t for t in moment(p))]
+    value = math.exp(sum(terms))
+    return value, 4.0 * math.ulp(1.0) * value * (1.0 + sum(map(abs, terms)))
 
 
 def _shoot(height: float, r_max: float = 25.0):

@@ -20,16 +20,14 @@ from attainkit import (
 from attainkit import constants
 from attainkit.constants import (
     _BATCH,
-    _WINDOW_MIN,
     _Bracket,
-    _crossing_radii,
-    _fit_window,
+    _glued_profile,
     _ground_states,
     _hermite_profile,
     _series_start,
     _shoot,
 )
-from attainkit.profiles import norms
+from attainkit.profiles import _log_quotient, norms
 from oracles import (
     FROZEN_ASCENT_LOWER_BOUNDS,
     FROZEN_EVEN_SPACING_GROUND_STATES,
@@ -37,6 +35,7 @@ from oracles import (
     FROZEN_INTERPOLATION_B_2_2_4,
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
+    exp_power_quotient_oracle,
     hermite_ratio_oracle,
     log_sobolev_slope,
     regular_solution_oracle,
@@ -147,7 +146,7 @@ def test_gns_meta_coherent(gns_224):
     assert gns_224.meta["gamma_c"] == 2.0
     assert gns_224.meta["converged"] is True
     assert 1 <= gns_224.meta["sweeps"] <= 12  # six rounds per bracket
-    assert gns_224.meta["height"] == pytest.approx(2.2062008646442175, rel=1e-6)
+    assert gns_224.meta["height"] == pytest.approx(FROZEN_GROUND_STATE_HEIGHT, rel=1e-6)
     assert "grid" not in gns_224.meta and "profile" not in gns_224.meta
 
 
@@ -158,7 +157,7 @@ def test_ground_state_profile_shape(ground_states_224):
     u = prof.fn(np.concatenate([[0.0], breaks]))
     assert np.all(u >= 0.0)
     assert np.all(np.diff(u) <= 0.0)
-    assert prof.fn(prof.support) == 0.0  # cut to compact support
+    assert prof.fn(prof.support) == 0.0  # its glued tail cut to compact support
     outside = prof.support * np.array([1.5, 2.0])
     assert np.all(prof.fn(outside) == 0.0) and np.all(prof.dfn(outside) == 0.0)
 
@@ -196,12 +195,11 @@ def test_batched_brackets_match_each_resolution_alone(Npq):
 
 def assert_shoot_matches_oracle(heights, Npq, coarsen):
     """``_shoot`` against the per-node loop it replaced: the same fates and
-    decided-at nodes, the same nodes bit for bit up to each decision (to the
-    last node for an undecided shot) and the same crossing radii."""
+    decided-at nodes, and the same nodes bit for bit up to each decision (to
+    the last node for an undecided shot)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         got = _shoot(heights, *Npq, coarsen)
         want = rk4_shoot_oracle(heights, *Npq, coarsen)
-        radii = [_crossing_radii(*shot, *Npq) for shot in (got, want)]
     fate, at = got[:2]
     assert np.array_equal(fate, want[0]) and np.array_equal(at, want[1])
     # the loop stops at the end of a block of four nodes, the oracle at the decision
@@ -210,7 +208,6 @@ def assert_shoot_matches_oracle(heights, Npq, coarsen):
         end = at[i] + 1 if fate[i] else want[2].shape[0]
         for mine, theirs in zip(got[2:], want[2:]):
             assert np.array_equal(mine[:end, i], theirs[:end, i]), (i, at[i])
-    assert np.array_equal(*radii, equal_nan=True)
     return fate
 
 
@@ -322,8 +319,19 @@ def test_gns_err_bound_covers_a_start_ten_times_further_in(monkeypatch, Npq):
     assert abs(fine_value(Npq) - got.value) < got.err_bound
 
 
+@pytest.mark.parametrize("Npq", [(3, 3.0, 4.0), (5, 3.0, 4.0), (3, 2.96, 6.399), (8, 5.0, 12.0)])
+def test_gns_err_bound_covers_fine_starts_across_the_first_tenth_of_the_core(monkeypatch, Npq):
+    # the value jitters with where the fine shots start; err_bound must
+    # cover every start from 0.01 to 0.09 core widths (with a cut last
+    # undershoot, a start of 0.09 moved (3, 3, 4) by 1.45 err_bounds)
+    got = estimate(Npq)
+    for start in (0.01, 0.02, 0.03, 0.05, 0.07, 0.09):
+        monkeypatch.setattr(constants, "_START", start)
+        assert abs(fine_value(Npq) - got.value) < got.err_bound, start
+
+
 def test_gns_224_takes_at_most_1100_rk4_nodes(monkeypatch):
-    # the error control lets steps grow as the shots decay: 906 nodes
+    # the error control lets steps grow as the shots decay: 874 nodes
     nodes = []
 
     def counted(*args):
@@ -370,143 +378,98 @@ def test_gns_converges_and_classify_answers_as_q_nears_p(Npq):
         classify(ProblemParams.local(*Npq, gamma=gamma, alpha=1.0), constants_set)
 
 
-@pytest.mark.parametrize("q_minus_p", [1e-3, 1e-5])
-@pytest.mark.parametrize("N,p", [(2, 2.0), (3, 2.0), (5, 3.0), (3, 1.5), (2, 1.2), (6, 1.1)])
+@pytest.mark.parametrize("N,p,q_minus_p", [
+    *((N, p, q_minus_p) for N, p in [(2, 2.0), (3, 2.0), (5, 3.0), (3, 1.5), (2, 1.2), (6, 1.1)]
+      for q_minus_p in (1e-3, 1e-5)),
+    (4, 4.0, 1e-6), (8, 5.0, 1e-6),
+])
 def test_gns_near_q_equals_p_follows_the_log_sobolev_slope(N, p, q_minus_p):
     # log B is convex in q, 0 at q = p with the closed-form slope s there,
-    # so B >= exp(s (q - p)) and log B / (q - p) falls to s as q -> p
+    # so B >= exp(s (q - p)) and log B / (q - p) falls to s as q -> p (at
+    # p >= 4 and q - p = 1e-6 a cut last undershoot fell below s)
     got = estimate((N, p, p + q_minus_p))
     q, s = p + q_minus_p, log_sobolev_slope(N, p)
     assert got.value + got.err_bound >= math.exp(s * (q - p))
     assert 0.0 <= math.log(got.value) / (q - p) - s <= 2e-4 * abs(s)
 
 
-@pytest.mark.parametrize("miss", [-1e-3, 1e-3])
-def test_cubic_crossing_radius_matches_a_16_times_finer_shot(miss):
-    # the shot's miss is followed between nodes by its cubic, not a chord;
-    # a chord misses the undershoot's radius by 1.7e-3.  A height 1e-3 off
-    # h* keeps the crossing clear of h*'s own move with the step.
-    heights = np.array([FROZEN_GROUND_STATE_HEIGHT * (1.0 + miss)])
-    radii = []
-    for coarsen in (1.0, 1.0 / 16.0):
-        shot = _shoot(heights, 2, 2.0, 4.0, np.array([coarsen]))
-        assert shot[0][0] == np.sign(miss)
-        radii.append(_crossing_radii(*shot, 2, 2.0, 4.0)[0])
-    assert abs(radii[0] - radii[1]) <= 1e-3
-
-
 @pytest.mark.parametrize("Npq", [(2, 2.0, 4.0), (5, 3.0, 4.0), (4, 4.0, 6.0), (3, 2.5, 4.0),
-                                 (3, 3.0, 4.0)])
+                                 (3, 3.0, 4.0), (3, 2.96, 6.399)])
 def test_gns_err_bound_covers_a_bracket_closed_to_an_ulp(monkeypatch, Npq):
-    # the step-doubled bracket closes at a wider cut than the fine one, so
-    # their distance also measures how far the last undershoot lies from h*
-    # (at (3, 3, 4) by 4.9e-11, which a bracket closing at the fine cut,
-    # with an err_bound of 3.7e-11, would miss)
+    # the glued value is second order in how far the last undershoot lies
+    # from h*, so closing the bracket at 1e-8 rather than at an ulp moves
+    # it by far less than err_bound (a last undershoot cut where it was
+    # decided moved (3, 2.96, 6.399) by 2.7e-10 relative from a 1e-14 cut)
     got = estimate(Npq)
     monkeypatch.setattr(constants, "_HEIGHT_RTOL", 3e-16)
     assert abs(fine_value(Npq) - got.value) <= got.err_bound
 
 
-def model_shots(heights, h_star, slope=2.0, quantize=False):
-    """Fates and crossing radii of shots that follow the miss-distance
-    model log|h - h*| = a - slope r exactly; with ``quantize`` each radius
-    is rounded up to the next node of a 0.04 step, and an undershoot's to
-    every fourth node, where the energy is tested."""
-    fate = np.where(heights < h_star, -1, 1)
-    miss = np.maximum(np.abs(heights - h_star), np.spacing(h_star))
-    radii = (np.where(fate < 0, 1.0, 3.3) - np.log(miss)) / slope
-    if quantize:
-        node = np.where(fate < 0, 0.16, 0.04)
-        radii = np.ceil(radii / node) * node
-    return fate, radii
-
-
-def even_round(h_star, lo, hi, **model):
-    heights = np.linspace(lo, hi, _BATCH + 2)[1:-1]
-    fate, radii = model_shots(heights, h_star, **model)
-    i = np.flatnonzero(fate < 0)[-1]
-    return heights, fate, radii, heights[i], heights[i + 1]
-
-
-@pytest.mark.parametrize("slope", [2.0, 6.0, 30.0])
-@pytest.mark.parametrize("where", [0.2, 0.43, 0.5, 0.77])
-def test_fit_window_recovers_model_height(slope, where):
-    h_star = 2.2 + (where - 0.5) * 2e-6
-    heights, fate, radii, lo, hi = even_round(h_star, 2.2 - 1e-6, 2.2 + 1e-6, slope=slope)
-    a, b = _fit_window(heights, fate, radii, lo, hi)
-    assert lo <= a < h_star < b <= hi
-    # an exact fit earns the narrowest window
-    assert b - a <= 2.0 * _WINDOW_MIN * (hi - lo) * (1.0 + 1e-6)
-
-
-def test_fit_window_on_node_quantized_radii_never_excludes_the_height():
-    # radii rounded to the integration nodes leave residuals that widen the
-    # window or refuse it; a window that is placed still holds h*
-    placed = 0
-    for where in np.linspace(0.15, 0.85, 36):
-        h_star = 2.2 + (where - 0.5) * 2e-6
-        heights, fate, radii, lo, hi = even_round(h_star, 2.2 - 1e-6, 2.2 + 1e-6,
-                                                  quantize=True)
-        window = _fit_window(heights, fate, radii, lo, hi)
-        if window is not None:
-            placed += 1
-            assert window[0] < h_star < window[1]
-    assert placed > 0
-
-
-def test_fit_window_refuses_one_sided_or_flat_rounds():
-    heights = np.linspace(2.2, 2.2 + 1e-6, _BATCH + 2)[1:-1]
-    fate, radii = model_shots(heights, heights[2] + 1e-9)  # three undershoots only
-    assert _fit_window(heights, fate, radii, heights[2], heights[3]) is None
-    fate, _ = model_shots(heights, heights[15] + 1e-9)
-    flat = np.full(heights.size, 5.0)  # the radius tells nothing: slope 0
-    assert _fit_window(heights, fate, flat, heights[15], heights[16]) is None
-
-
-def test_missed_window_falls_back_to_even_spacing_and_fates_still_bracket():
+def test_fates_alone_keep_the_height_bracketed_as_even_rounds_shrink_it_33_fold():
+    # each round fills (lo, hi) evenly, and only the shots' fates move the
+    # bracket, to one of its 33 gaps
     h_star = 2.2 + 0.73e-6
     b = _Bracket(1.0, 2.0)
     b.lo, b.hi = 2.2 - 1e-6, 2.2 + 1e-6
-    b.window = (2.2 - 0.5e-6, 2.2 + 0.5e-6)  # misses h*: every shot undershoots
-    heights = b.heights()
-    assert heights[0] > b.window[0] and heights[-1] < b.window[1]
-    fate, radii = model_shots(heights, h_star)
-    assert np.all(fate < 0)
-    hi = b.hi
-    assert b.narrow(heights, fate, radii) == _BATCH - 1
-    assert (b.lo, b.hi, b.window) == (heights[-1], hi, None)
-    assert np.array_equal(b.heights(), np.linspace(b.lo, b.hi, _BATCH + 2)[1:-1])
     rounds = 0
     while not b.closed:
-        heights = b.heights()
-        fate, radii = model_shots(heights, h_star)
-        i = b.narrow(heights, fate, radii)
+        width, heights = b.hi - b.lo, b.heights()
+        assert np.array_equal(heights, np.linspace(b.lo, b.hi, _BATCH + 2)[1:-1])
+        fate = np.where(heights < h_star, -1, 1)
+        i = b.narrow(heights, fate)
         rounds += 1
-        # the bracket is an undershoot and an overshoot, whatever the fit said
         assert b.lo < h_star <= b.hi
-        if i is not None:
-            assert fate[i] < 0 and heights[i] == b.lo
-    # one even round, then fitted windows narrow the bracket about 660-fold
-    assert rounds <= 4
+        assert fate[i] < 0 and heights[i] == b.lo
+        assert b.hi - b.lo == pytest.approx(width / (_BATCH + 1), rel=1e-4)
+    assert rounds == 2
 
 
-def test_crossing_radii_make_a_real_round_fit(gns_224):
-    # one evenly spaced round of real shots around the converged height:
-    # interpolated crossing radii fit the model well enough for a narrow
-    # window, and it holds the converged height
-    h_star = gns_224.meta["height"]
-    heights = np.linspace(h_star - 1e-7, h_star + 1e-7, _BATCH + 2)[1:-1] + 1.1e-9
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fate, at, rs, ws, psis = _shoot(heights, 2, 2.0, 4.0, np.ones(_BATCH))
-        radii = _crossing_radii(fate, at, rs, ws, psis, 2, 2.0, 4.0)
-    # each radius lies within the last four steps before its decided node
-    cols = np.arange(_BATCH)
-    assert np.all(radii <= rs[at, cols]) and np.all(radii >= rs[at - 4, cols])
-    i = np.flatnonzero(fate < 0)[-1]
-    lo, hi = heights[i], heights[i + 1]
-    a, b = _fit_window(heights, fate, radii, lo, hi)
-    assert a < h_star < b
-    assert b - a <= 0.2 * (hi - lo)
+@lru_cache(maxsize=None)
+def fine_ground_state(Npq):
+    return _ground_states(*Npq, (1.0,))[0]
+
+
+GLUE_POINTS = [(2, 2.0, 4.0), (5, 3.0, 4.0), (4, 4.0, 6.0), (8, 5.0, 12.0), (6, 1.1, 1.3)]
+
+
+@pytest.mark.parametrize("Npq", GLUE_POINTS)
+def test_glue_node_is_the_argmax_of_a_brute_force_norms_scan(Npq):
+    # the prefix panel sums and closed-form tails score each node as
+    # integrating its whole glued profile would
+    N, p, q = Npq
+    got = fine_ground_state(Npq)
+    r, w, dw = got["nodes"]
+    gc = N * (q - p) / p
+    scores = {int(k): _log_quotient(norms(_glued_profile(N, r[:k + 1], w[:k + 1], dw[:k + 1]),
+                                          p, q), q, gc)
+              for k in np.flatnonzero(dw < 0.0)}
+    assert max(scores, key=scores.get) == got["glue"]
+
+
+@pytest.mark.parametrize("Npq", GLUE_POINTS)
+def test_norms_of_the_glued_profile_reproduce_the_value(Npq):
+    N, p, q = Npq
+    got = fine_ground_state(Npq)
+    value = math.exp(_log_quotient(norms(got["profile"], p, q), q, N * (q - p) / p))
+    assert abs(value - got["value"]) <= got["quadrature_err"]
+
+
+@pytest.mark.parametrize("Npq", [*sorted({*FROZEN_EVEN_SPACING_GROUND_STATES,
+                                         *FROZEN_ASCENT_LOWER_BOUNDS}),
+                                 (4, 4.0, 4.0 + 1e-6), (3, 2.0, 2.0 + 1e-6), (30, 3.0, 3.2)])
+def test_gns_lies_above_the_exp_power_floor(Npq):
+    # exp(-r^p'), the log-Sobolev optimizer, is admissible, so its quotient
+    # is a closed-form floor on B (a cut last undershoot fell 6e-14 below
+    # it at (4, 4, 4 + 1e-6), and 76-fold below it at (30, 3, 3.2), where
+    # the tail carries much of the mass)
+    got = estimate(Npq)
+    floor, floor_err = exp_power_quotient_oracle(*Npq)
+    assert got.value + got.err_bound >= floor - floor_err
+
+
+def test_exp_power_floor_is_one_over_two_pi_at_2_2_4():
+    floor, floor_err = exp_power_quotient_oracle(2, 2.0, 4.0)
+    assert abs(floor - 1.0 / (2.0 * math.pi)) <= floor_err
 
 
 @pytest.mark.parametrize("N,q", [(3, 3.0), (3, 5.5), (5, 3.0)])
