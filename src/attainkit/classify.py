@@ -365,7 +365,7 @@ def maximizer(params: ProblemParams, constants: ConstantSet | None = None, *,
     if 1e-6 < r_max < math.inf:
         r = np.geomspace(1e-6, r_max, 512)
         w = build_w_lambda(N, p, gamma, nm, log_t=log_t)
-        u = w.fn(r)
+        u = w.values(r)[0]
     if not (1e-6 < r_max < math.inf and np.all((0.0 < u) & (u < math.inf))):
         raise NumericalError(
             f"the maximizer needs log lambda = {log_lam!r}, where its profile "

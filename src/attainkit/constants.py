@@ -261,7 +261,8 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
 def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> RadialProfile:
     """The C^1 piecewise-cubic Hermite interpolant of nodal (w, w') on
     [0, r[-1]], with a break at every interior node, and 0 from r[-1] on.
-    Values are clipped at zero, which only overstates the gradient term.
+    Each call finds the cells of its radii once, for u and u' both.  Values
+    are clipped at zero, which only overstates the gradient term.
     """
     h, dv = np.diff(r), np.diff(w)
     # on cell i, u = sum_k coef[k, i] t^k and u' = sum_k dcoef[k, i] t^k, t = (x - r[i]) / h[i]
@@ -269,15 +270,14 @@ def _hermite_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Ra
                      h * (dw[:-1] + dw[1:]) - 2.0 * dv])
     dcoef = coef[1:] * np.array([[1.0], [2.0], [3.0]]) / h
 
-    def piece(x, c):
+    def values(x):
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
-        u = polyval(np.clip((x - r[i]) / h[i], 0.0, 1.0), c[:, i], tensor=False)
-        return np.where(x < r[-1], u, 0.0)
+        t, inside = np.clip((x - r[i]) / h[i], 0.0, 1.0), x < r[-1]
+        return (np.maximum(np.where(inside, polyval(t, coef[:, i], tensor=False), 0.0), 0.0),
+                np.where(inside, polyval(t, dcoef[:, i], tensor=False), 0.0))
 
-    return RadialProfile(N=N, support=float(r[-1]), breaks=r[1:-1],
-                         fn=lambda x: np.maximum(piece(x, coef), 0.0),
-                         dfn=lambda x: piece(x, dcoef))
+    return RadialProfile(N=N, values=values, support=float(r[-1]), breaks=r[1:-1])
 
 
 def _glued_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> RadialProfile:
@@ -285,28 +285,30 @@ def _glued_profile(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray) -> Radi
     s = x - r[-1], kappa = -w'[-1]/w[-1] > 0, up to where the tail falls
     below w[-1] times the least normal double: its support.  Breaks at
     r[-1] and ten radii graded toward it by halves let ``norms`` resolve
-    the tail on its scale 1/kappa."""
-    core = _hermite_profile(N, r, w, dw)
+    the tail on its scale 1/kappa.  Each call evaluates the core and the
+    exponential once, for u and u' both."""
+    core = _hermite_profile(N, r, w, dw).values
     kappa = -dw[-1] / w[-1]
     reach = -math.log(_NORMAL) / kappa
     support = r[-1] + reach
 
-    def tail(x, slope):
+    def values(x):
         x = np.asarray(x, dtype=float)
-        s = np.maximum(x - r[-1], 0.0)
-        return np.where((x >= r[-1]) & (x < support), slope * w[-1] * np.exp(-kappa * s), 0.0)
+        u, du = core(x)
+        on = (x >= r[-1]) & (x < support)
+        tail = np.exp(-kappa * np.maximum(x - r[-1], 0.0))
+        return (u + np.where(on, w[-1] * tail, 0.0),
+                du + np.where(on, (-kappa * w[-1]) * tail, 0.0))
 
-    return RadialProfile(N=N, support=support,
-                         breaks=np.concatenate([r[1:], r[-1] + reach / 2.0 ** np.arange(10, 0, -1)]),
-                         fn=lambda x: core.fn(x) + tail(x, 1.0),
-                         dfn=lambda x: core.dfn(x) + tail(x, -kappa))
+    breaks = np.concatenate([r[1:], r[-1] + reach / 2.0 ** np.arange(10, 0, -1)])
+    return RadialProfile(N=N, values=values, support=support, breaks=breaks)
 
 
 def _best_glue(N: int, p: float, q: float, r: np.ndarray, w: np.ndarray,
                dw: np.ndarray) -> tuple[int, float, float]:
     """(k, log Q, relative quadrature bound) of the best glued profile: of
-    every node k with w'_k < 0, the one whose ``_glued_profile`` of the
-    nodes up to k has the largest quotient Q.
+    every node k with w'_k < 0 whose glued support is a double, the one
+    whose ``_glued_profile`` of the nodes up to k has the largest quotient Q.
 
     Each such profile is admissible, so each Q is a lower bound on B.  The
     panel sums of ``norms`` are taken once, on the whole shot's Hermite
@@ -319,14 +321,20 @@ def _best_glue(N: int, p: float, q: float, r: np.ndarray, w: np.ndarray,
 
     summed in logs, as a flat core's long tail would overflow it.  The
     quadrature bound is the sum of the panels' bounds in ``norms`` up to the
-    chosen r_k; the tails are closed forms, exact up to roundoff.  A norm of
-    the whole shot outside the normal doubles raises as in ``norms``.
+    chosen r_k over each moment, formed in logs for the same reason, plus
+    the roundoff of log Q; the tails are closed forms, exact up to
+    roundoff.  A norm of the whole shot outside the normal doubles raises
+    as in ``norms``.
     """
     gc = N * (q - p) / p
     edges, _, _, moments = _panel_sums(_hermite_profile(N, r, w, dw), p, q)
     k = np.flatnonzero((dw < 0.0) & (w > 0.0))
-    panels = np.searchsorted(edges[0, 1:], r[k], side="right")
     kappa = -dw[k] / w[k]
+    # a tail too flat for its support to be a double (kappa 0 among them) is no candidate
+    with np.errstate(divide="ignore", over="ignore"):
+        held = np.isfinite(r[k] + -math.log(_NORMAL) / kappa)
+    k, kappa = k[held], kappa[held]
+    panels = np.searchsorted(edges[0, 1:], r[k], side="right")
     j = np.arange(N)
     falling = np.array([math.lgamma(N) - math.lgamma(N - i) for i in j])
     log_m, log_w, log_r = [], np.log(w[k]), np.log(r[k])[:, None]
@@ -346,8 +354,11 @@ def _best_glue(N: int, p: float, q: float, r: np.ndarray, w: np.ndarray,
     n = panels[best]
     rel_err = 0.0
     for (kg, size, _, _), m, weight in zip(moments, log_m, ((q - gc) / p, gc / p, 1.0)):
-        rel_err += weight * float(_gauss_err(kg[:n], size[:n])[0]) / math.exp(m[best])
-    return int(k[best]), float(log_q[best]), rel_err
+        with np.errstate(divide="ignore"):
+            log_err = np.log(_gauss_err(kg[:n], size[:n])[0])
+        # the panels' bound over the moment, and the roundoff of weight * log m in log Q
+        rel_err += weight * math.exp(log_err - m[best]) + math.ulp(1.0) * abs(weight * m[best])
+    return int(k[best]), float(log_q[best]), float(rel_err)
 
 
 class _Bracket:

@@ -2,11 +2,11 @@
 
 Everything the functional sees is a radial profile: the optimal bubble,
 its dilations, its truncations, and random trial functions.  Each one is
-its two closed-form callables, u and u', plus where it ends (a compact
-support, or the rate of an algebraic decay) and the radii (breaks) where
-it is not smooth or changes scale; nothing is stored on a grid.  A family
-of profiles is one such object whose callables broadcast over a
-(rows, nodes) array.  This module computes the three norms every
+one closed-form callable that returns u and u' together, plus where it
+ends (a compact support, or the rate of an algebraic decay) and the radii
+(breaks) where it is not smooth or changes scale; nothing is stored on a
+grid.  A family of profiles is one such object whose callable broadcasts
+over a (rows, nodes) array.  This module computes the three norms every
 evaluation needs by Gauss panels (with ``log_sphere_area``), with analytic
 head and tail corrections, and turns them into J on the profile's
 normalized dilation orbit (``orbit_curve``).
@@ -30,9 +30,9 @@ same for every profile and every row of a family:
   (the mass moment's when q > p), capped when slow decay would push it
   astronomically far.
 
-u and u' are each evaluated once per profile, over all rows at once (in
-node blocks of _CHUNK for a large family), and all three moments are read
-from those values.
+u and u' are evaluated together, once per profile, over all rows at once
+(in node blocks of _CHUNK for a large family), and all three moments are
+read from those values.
 
 A moment whose tail exponent fails d*e > N is divergent and raises
 ``DivergentNormError`` rather than returning a large number.
@@ -63,7 +63,7 @@ _LOG_STEP = 0.5        # widest panel in log r
 _LOG_REFINE = tuple(2.0 ** (k / 2.0) / 32.0 for k in range(10))  # log-r edges this far from each break
 _TINY = 5e-324         # added before a log, so that log 0 is finite and exp of it 0
 _NORMAL = np.finfo(float).tiny  # the least normal double
-_CHUNK = 1 << 15       # nodes per fn/dfn call, so that their temporaries stay in cache
+_CHUNK = 1 << 15       # nodes per values call, so that its temporaries stay in cache
 
 
 def sphere_area(N: int) -> float:
@@ -126,21 +126,20 @@ class RadialProfile:
     """A radial function given by exact callables, or a family of them.
 
     N         ambient dimension (fixes the r^(N-1) measure)
-    fn / dfn  closed-form u(r) and u'(r), vectorized over r
+    values    closed-form r -> (u(r), u'(r)), vectorized over r
     support   u(r) = 0 for r >= support (one per row for a family), or
     decay     u(r) ~ const * r^(-decay) as r -> inf: exactly one is given
     breaks    radii where u or u' is not smooth or changes scale; the
               quadrature puts panel edges there
     rows      None for one profile; for a family, its number of profiles:
-              fn and dfn then broadcast over r of shape (rows, nodes), and
+              values then broadcasts over r of shape (rows, nodes), and
               a support and the breaks carry one row per profile
 
     A family reads as a sequence of its rows, each one profile.
     """
 
     N: int
-    fn: Callable = field(repr=False)
-    dfn: Callable = field(repr=False)
+    values: Callable = field(repr=False)
     support: float | np.ndarray | None = None
     decay: float | None = None
     breaks: tuple | np.ndarray = field(default=(), repr=False)
@@ -149,37 +148,40 @@ class RadialProfile:
     def __post_init__(self):
         if not (isinstance(self.N, int) and self.N >= 1):
             raise ParamError("N", f"need integer N >= 1, got {self.N!r}")
-        if not (callable(self.fn) and callable(self.dfn)):
-            raise ParamError("profile", "a profile needs callables fn and dfn")
+        if not callable(self.values):
+            raise ParamError("profile", "a profile needs a callable values(r) -> (u, du)")
+        if self.rows is not None and not (isinstance(self.rows, int) and self.rows >= 1):
+            raise ParamError("rows", f"a family needs an integer rows >= 1, got {self.rows!r}")
         if (self.support is None) == (self.decay is None):
             raise ParamError("tail", "a profile needs exactly one of support and decay")
         if self.support is not None and not np.all(np.asarray(self.support) > 0):
             raise ParamError("tail", f"a support must be > 0, got {self.support}")
         if self.decay is not None and not self.decay > 0:
             raise ParamError("tail", f"a decay rate must be > 0, got {self.decay}")
-        if self.rows is not None and not (isinstance(self.rows, int) and self.rows >= 1):
-            raise ParamError("rows", f"a family needs an integer rows >= 1, got {self.rows!r}")
+        if self.support is not None and np.size(self.support) != len(self):
+            raise ParamError("tail", f"need one support per row, got {np.size(self.support)} "
+                                     f"for {len(self)}")
+        if np.size(self.breaks) % len(self):
+            raise ParamError("breaks", f"need the same number of breaks in every row, got "
+                                       f"{np.size(self.breaks)} for {len(self)}")
 
     def __len__(self) -> int:
         return 1 if self.rows is None else self.rows
 
     def __getitem__(self, i: int) -> "RadialProfile":
-        """Row i of a family as one profile, whose fn and dfn evaluate the
+        """Row i of a family as one profile, whose values evaluate the
         whole family and keep row i; a single profile is its own row 0."""
         i = range(len(self))[i]
         if self.rows is None:
             return self
-        fam_fn, fam_dfn = self.fn, self.dfn
+        family = self.values
 
-        def row(f):
-            def g(r):
-                r = np.asarray(r, dtype=float)
-                return f(r.reshape(1, -1))[i].reshape(r.shape)
-            return g
+        def values(r):
+            r = np.asarray(r, dtype=float)
+            return tuple(v[i].reshape(r.shape) for v in family(r.reshape(1, -1)))
 
         support = None if self.support is None else float(np.asarray(self.support)[i])
-        return RadialProfile(N=self.N, fn=row(fam_fn), dfn=row(fam_dfn), support=support,
-                             decay=self.decay,
+        return RadialProfile(N=self.N, values=values, support=support, decay=self.decay,
                              breaks=np.asarray(self.breaks, dtype=float).reshape(self.rows, -1)[i])
 
 
@@ -275,16 +277,18 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _log_abs(f, r: np.ndarray) -> np.ndarray:
-    """log |f(r)|, with log 0 finite, from calls on whole panels of every
-    row at once, _CHUNK nodes at a time (one call for a single profile)."""
-    out = np.empty(r.shape, order="F")
+def _log_abs(values, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |u|, log |u'|) at r, with log 0 finite, from calls of ``values``
+    on whole panels of every row at once, _CHUNK nodes at a time (one call
+    for a single profile)."""
+    logs = np.empty(r.shape, order="F"), np.empty(r.shape, order="F")
     step = max(1, _CHUNK // (15 * len(r))) * 15
     for c in range(0, r.shape[1], step):
         part = r[:, c:c + step]
-        out[:, c:c + step] = np.log(np.abs(np.broadcast_to(
-            np.asarray(f(part), dtype=float), part.shape)) + _TINY)
-    return out
+        for out, v in zip(logs, values(part)):
+            out[:, c:c + step] = np.log(np.abs(np.broadcast_to(
+                np.asarray(v, dtype=float), part.shape)) + _TINY)
+    return logs
 
 
 def _head_and_tail(y: np.ndarray, kronrod: np.ndarray, decade: np.ndarray,
@@ -334,7 +338,7 @@ def _panel_sums(profile: RadialProfile, p: float, q: float):
     r, log_measure, edges, decade = _layout(profile, r_cut, rows)
     h = np.diff(edges, axis=1)
     P = h.shape[1]
-    log_u, log_du = _log_abs(profile.fn, r), _log_abs(profile.dfn, r)
+    log_u, log_du = _log_abs(profile.values, r)
     moments = []
     for e, log_v in zip((p, p, q), (log_u, log_du, log_u)):
         arg = e * log_v + log_measure
@@ -353,8 +357,8 @@ def norms(profile: RadialProfile, p: float, q: float) -> Norms | tuple[Norms, ..
     """All three norms of a radial profile, or of each row of a family, by
     Gauss panels.
 
-    u and u' are each evaluated once, over every row at once, at the nodes
-    of one cut-off radius, and all three moments read those values
+    u and u' are evaluated together, once, over every row at once, at the
+    nodes of one cut-off radius, and all three moments read those values
     (``_panel_sums``).  A family returns a tuple of Norms, one per row.  A
     norm of any row that comes out 0, subnormal or inf is a
     ``NumericalError``.
@@ -408,17 +412,13 @@ def build_u_star(N: int, p: float) -> RadialProfile:
     expo = (N - p) / p
     rate = (N - p) / (p - 1.0)
 
-    def fn(r):
+    def values(r):
         r = np.asarray(r, dtype=float)
-        return np.exp(-expo * np.log1p(r ** pp))
-
-    def dfn(r):
-        r = np.asarray(r, dtype=float)
-        return (-expo * pp * r ** (pp - 1.0)
-                * np.exp(-(expo + 1.0) * np.log1p(r ** pp)))
+        log1p = np.log1p(r ** pp)
+        return np.exp(-expo * log1p), -expo * pp * r ** (pp - 1.0) * np.exp(-(expo + 1.0) * log1p)
 
     # r = 1 is its core, where it turns from flat to the algebraic tail
-    return RadialProfile(N=N, fn=fn, dfn=dfn, decay=rate, breaks=(1.0,))
+    return RadialProfile(N=N, values=values, decay=rate, breaks=(1.0,))
 
 
 def bubble_norms(N: int, p: float, q: float) -> Norms:
@@ -462,20 +462,18 @@ def bubble_norms(N: int, p: float, q: float) -> Norms:
 def _rescaled(profile: RadialProfile, amp, scale, rows: int | None = None) -> RadialProfile:
     """u -> amp * u(scale * r), with a compact support and the breaks shrunk
     by scale; amp and scale of shape (rows, 1) make a family of one profile."""
-    base_fn, base_dfn = profile.fn, profile.dfn
+    base = profile.values
 
-    def fn(r):
-        return amp * base_fn(scale * np.asarray(r, dtype=float))
-
-    def dfn(r):
-        return amp * scale * base_dfn(scale * np.asarray(r, dtype=float))
+    def values(r):
+        u, du = base(scale * np.asarray(r, dtype=float))
+        return amp * u, amp * scale * du
 
     support = profile.support
     if support is not None:
         support = np.reshape(support / scale, -1) if rows else support / scale
     with np.errstate(divide="ignore"):  # a scale that underflowed to 0 moves them to inf
         breaks = np.asarray(profile.breaks, dtype=float) / scale
-    return RadialProfile(N=profile.N, fn=fn, dfn=dfn, support=support, decay=profile.decay,
+    return RadialProfile(N=profile.N, values=values, support=support, decay=profile.decay,
                          rows=rows or profile.rows, breaks=breaks)
 
 
@@ -529,17 +527,11 @@ def log_lambda(log_t_star: float, u_norms: Norms, gamma: float, N: int) -> float
 
 
 def _smoothstep_cutoff(rho):
-    """C^2 cutoff: 1 below 1, 0 above 2, quintic smoothstep between."""
+    """C^2 cutoff of rho and its derivative: 1 below 1, 0 above 2, quintic
+    smoothstep between."""
     rho = np.asarray(rho, dtype=float)
     chi = np.clip(rho - 1.0, 0.0, 1.0)
-    return 1.0 - chi**3 * (10.0 - 15.0 * chi + 6.0 * chi**2)
-
-
-def _smoothstep_cutoff_deriv(rho):
-    """Derivative of the cutoff with respect to rho."""
-    rho = np.asarray(rho, dtype=float)
-    chi = np.clip(rho - 1.0, 0.0, 1.0)
-    return -30.0 * chi**2 * (1.0 - chi) ** 2
+    return 1.0 - chi**3 * (10.0 - 15.0 * chi + 6.0 * chi**2), -30.0 * chi**2 * (1.0 - chi) ** 2
 
 
 def build_truncated(N: int, p: float, R: float) -> RadialProfile:
@@ -553,19 +545,16 @@ def build_truncated(N: int, p: float, R: float) -> RadialProfile:
     if not (R > 0 and math.isfinite(R)):
         raise ParamError("R", f"need truncation radius R > 0, got {R}")
     star = build_u_star(N, p)
-    star_fn, star_dfn = star.fn, star.dfn
 
-    def fn(r):
-        return star_fn(r) * _smoothstep_cutoff(r / R)
-
-    def dfn(r):
-        return (star_dfn(r) * _smoothstep_cutoff(r / R)
-                + star_fn(r) * _smoothstep_cutoff_deriv(r / R) / R)
+    def values(r):
+        u, du = star.values(r)
+        cut, dcut = _smoothstep_cutoff(r / R)
+        return u * cut, du * cut + u * dcut / R
 
     # the cutoff is only C^2 at R and 2R; from half its core radius (1) out
     # to R the bubble turns algebraic, so its scale changes by each octave
     octaves = [2.0 ** k for k in range(-1, math.ceil(math.log2(R))) if k]
-    return RadialProfile(N=N, fn=fn, dfn=dfn, support=2.0 * R,
+    return RadialProfile(N=N, values=values, support=2.0 * R,
                          breaks=(*star.breaks, *octaves, R, 2.0 * R))
 
 
@@ -622,27 +611,19 @@ def random_profiles(count: int, N: int, seed: int = 2024) -> RadialProfile:
     bumps = [(np.where(j < n_bump, rng.uniform(0.2, 1.0, shape), 0.0),
               rng.uniform(0.3, 2.0, shape), rng.uniform(0.0, 3.0, shape)) for j in range(2)]
 
-    def fn(r):
+    def values(r):
         r = np.asarray(r, dtype=float)
-        total = 0.0
+        u = du = 0.0
         for a, b, c in gauss:
-            total = total + a * _exp(-b * (r - c) ** 2)
+            g = _exp(-b * (r - c) ** 2)
+            u = u + a * g
+            du = du + a * (-2.0 * b * (r - c)) * g
         for a, w, c in bumps:
             z = (r - c) / w
             inside = np.maximum(1.0 - z * z, 0.0)
-            total = total + a * inside * inside * inside
-        return total
-
-    def dfn(r):
-        r = np.asarray(r, dtype=float)
-        total = 0.0
-        for a, b, c in gauss:
-            total = total + a * (-2.0 * b * (r - c)) * _exp(-b * (r - c) ** 2)
-        for a, w, c in bumps:
-            z = (r - c) / w
-            inside = np.maximum(1.0 - z * z, 0.0)
-            total = total + (-6.0 * a / w) * z * inside * inside
-        return total
+            u = u + a * inside * inside * inside
+            du = du + (-6.0 * a / w) * z * inside * inside
+        return u, du
 
     # a Gaussian is cut where it has fallen by e^-64 (below 2e-28), past
     # which no moment of it changes in double precision
@@ -650,4 +631,4 @@ def random_profiles(count: int, N: int, seed: int = 2024) -> RadialProfile:
                      + [np.where(a > 0, c + w, 0.0) for a, w, c in bumps], axis=0)[:, 0]
     breaks = np.concatenate([np.where(a > 0, c + w * np.array([-1.0, 0.0, 1.0]), 0.0)
                              for a, w, c in bumps], axis=1)
-    return RadialProfile(N=N, fn=fn, dfn=dfn, support=support, breaks=breaks, rows=count)
+    return RadialProfile(N=N, values=values, support=support, breaks=breaks, rows=count)

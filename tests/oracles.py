@@ -1,6 +1,6 @@
 """Independent reference computations used only by the tests.
 
-Twelve oracles, all but ``rk4_shoot_oracle`` methodologically independent
+Thirteen oracles, all but ``rk4_shoot_oracle`` methodologically independent
 of the library code:
 
 * Beta-function closed forms for every power-weighted integral of the
@@ -25,6 +25,9 @@ of the library code:
   Gauss-Legendre on 128 even panels of its support split at its declared
   breaks, with plain powers, the reference for the library's graded
   Gauss-Kronrod panels and their error bounds (``norm_oracle``);
+* a central difference of a profile's u, away from its declared breaks,
+  the reference for the u' every profile returns with it
+  (``central_difference_oracle``);
 * the interpolation quotient of the C^1 piecewise-cubic Hermite
   interpolant of nodal values and slopes, by the 8-point Gauss-Legendre
   rule on every cell, the reference for the library's Hermite profile of
@@ -159,8 +162,8 @@ def j_oracle(profile, params) -> float:
 def norm_oracle(profile, p: float, q: float) -> dict[str, np.ndarray]:
     """{"lp", "grad_lp", "lq"} of a compactly supported profile (one entry)
     or family (one per row), by 20-point Gauss-Legendre on 128 even panels
-    of [0, support] split at the declared breaks, with fn and dfn called
-    on 64-node column blocks."""
+    of [0, support] split at the declared breaks, with values called on
+    64-node column blocks."""
     rows = 1 if profile.rows is None else profile.rows
     top = np.asarray(profile.support, dtype=float).reshape(-1, 1) * np.ones((rows, 1))
     breaks = np.clip(np.asarray(profile.breaks, dtype=float).reshape(rows, -1), 0.0, top)
@@ -171,11 +174,27 @@ def norm_oracle(profile, p: float, q: float) -> dict[str, np.ndarray]:
     weight = (h * w / 2.0).reshape(rows, -1) * r ** (profile.N - 1)
     u, du = np.empty_like(r), np.empty_like(r)
     for c in range(0, r.shape[1], 64):
-        u[:, c:c + 64] = np.abs(profile.fn(r[:, c:c + 64]))
-        du[:, c:c + 64] = np.abs(profile.dfn(r[:, c:c + 64]))
+        u[:, c:c + 64], du[:, c:c + 64] = map(np.abs, profile.values(r[:, c:c + 64]))
     area = sphere_area_oracle(profile.N)
     return {name: (area * (v ** e * weight).sum(axis=1)) ** (1.0 / e)
             for name, v, e in (("lp", u, p), ("grad_lp", du, p), ("lq", u, q))}
+
+
+def central_difference_oracle(profile, r: np.ndarray):
+    """(du, central difference of u, scale |u|/r + |du|) of one profile at
+    those of the radii r that lie more than 1e-4 r from every declared break
+    and from its support, so that u is smooth on [r - h, r + h].  The step
+    h = 3e-7 r balances the difference's truncation, h^2 |u^(3)| / 6 (a
+    glued exponential tail's, far out), against the roundoff of u over h (a
+    cutoff's, near its end); on the library's profiles each stays near 1e-8
+    of the scale."""
+    edges = np.append(np.asarray(profile.breaks, dtype=float).ravel(),
+                      math.inf if profile.support is None else profile.support)
+    r = r[np.abs(r[:, None] - edges).min(axis=1) > 1e-4 * r]
+    u, du = profile.values(r)
+    h = 3e-7 * r
+    fd = (profile.values(r + h)[0] - profile.values(r - h)[0]) / (2.0 * h)
+    return du, fd, np.abs(u) / r + np.abs(du)
 
 
 def hermite_ratio_oracle(r: np.ndarray, w: np.ndarray, dw: np.ndarray,

@@ -39,13 +39,15 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
-def test_radial_profile_requires_both_callables():
+def test_radial_profile_requires_a_values_callable():
     with pytest.raises(TypeError):
         RadialProfile(N=3, support=1.0)
-    with pytest.raises(TypeError):
-        RadialProfile(N=3, support=1.0, fn=np.cos)
     with pytest.raises(ParamError):
-        RadialProfile(N=3, support=1.0, fn=np.cos, dfn=None)
+        RadialProfile(N=3, support=1.0, values=None)
     with pytest.raises(ParamError):
-        RadialProfile(N=3, support=1.0, fn=np.ones(4), dfn=np.sin)
-    assert RadialProfile(N=3, support=1.0, fn=np.cos, dfn=np.sin).fn is np.cos
+        RadialProfile(N=3, support=1.0, values=np.ones(4))
+
+    def values(r):
+        return np.cos(r), -np.sin(r)
+
+    assert RadialProfile(N=3, support=1.0, values=values).values is values

@@ -439,7 +439,7 @@ def test_maximizer_record_is_the_dilated_bubble_and_its_table(constants_crit5):
     # J_check (u*'s Beta quotient) and D (Talenti's S^q) are one number
     assert abs(m.J_check / v.D - 1.0) <= 1e-12
     assert np.array_equal(m.r, np.geomspace(1e-6, 1e4 * math.exp(-m.log_lambda / 5), 512))
-    assert np.array_equal(m.u, m.profile.fn(m.r))
+    assert np.array_equal(m.u, m.profile.values(m.r)[0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.J_check = v.D
 

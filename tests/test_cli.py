@@ -21,7 +21,7 @@ from attainkit import (CheckReport, ConstantSet, CurveParams, NearCriticalWarnin
 from attainkit.cli import main
 from oracles import (FROZEN_INTERPOLATION_B_2_2_4, bubble_grad_moment_oracle,
                      bubble_moment_oracle, curve_at_t, json_reference,
-                     sphere_area_oracle)
+                     log_sobolev_slope, sphere_area_oracle)
 
 
 def run_cli(capsys, *argv):
@@ -409,6 +409,23 @@ def test_constants_as_q_nears_p_converge(capsys, N, p, q):
     code, out, _ = run_cli(capsys, "constants", "--N", N, "--p", p, "--q", q)
     assert code == 0
     assert json.loads(out)["interpolation"]["meta"]["converged"] is True
+
+
+@pytest.mark.parametrize("N,p,q", [
+    (5, 1.2761714570272076, 1.2761714570272087), (4, 1.0356738560349097, 1.0356738560349104),
+    (2, 1.0481264628177107, 1.0481264628177318), (3, 1.0768042365764503, 1.076804236576467)])
+def test_constants_as_q_nears_p_at_small_p_reach_the_log_sobolev_floor(capsys, N, p, q):
+    # the glued tail of a flat core is long: its moments pass the doubles,
+    # some candidates' kappa underflows or their support overflows, and
+    # log Q rounds by more than the quadrature's bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "constants", "--N", str(N), "--p", repr(p), "--q", repr(q))
+    assert code == 0
+    got = json.loads(out)["interpolation"]
+    floor = math.exp(log_sobolev_slope(N, p) * (q - p))
+    assert got["value"] - got["err_bound"] <= floor * (1.0 + 4.0 * sys.float_info.epsilon)
+    assert got["value"] + got["err_bound"] >= floor
 
 
 def test_constants_as_q_nears_p_names_the_undecided_shots(capsys, monkeypatch):

@@ -35,6 +35,7 @@ from oracles import (
     FROZEN_INTERPOLATION_B_2_2_4,
     FROZEN_SOBOLEV_50_DIGITS,
     bubble_moment_oracle,
+    central_difference_oracle,
     exp_power_quotient_oracle,
     hermite_ratio_oracle,
     log_sobolev_slope,
@@ -154,12 +155,22 @@ def test_ground_state_profile_shape(ground_states_224):
     prof = ground_states_224[0]["profile"]
     breaks = np.asarray(prof.breaks)
     assert np.all(np.diff(breaks) > 0.0)
-    u = prof.fn(np.concatenate([[0.0], breaks]))
+    u = prof.values(np.concatenate([[0.0], breaks]))[0]
     assert np.all(u >= 0.0)
     assert np.all(np.diff(u) <= 0.0)
-    assert prof.fn(prof.support) == 0.0  # its glued tail cut to compact support
+    assert prof.values(prof.support)[0] == 0.0  # its glued tail cut to compact support
     outside = prof.support * np.array([1.5, 2.0])
-    assert np.all(prof.fn(outside) == 0.0) and np.all(prof.dfn(outside) == 0.0)
+    assert np.all(np.array(prof.values(outside)) == 0.0)
+
+
+@pytest.mark.parametrize("glued", [False, True])
+def test_ground_state_du_is_the_derivative_of_u(ground_states_224, glued):
+    fine = ground_states_224[0]
+    r, w, dw = (v[:fine["glue"] + 1] for v in fine["nodes"])
+    prof = (_glued_profile if glued else _hermite_profile)(2, r, w, dw)
+    du, fd, scale = central_difference_oracle(prof, np.geomspace(1e-3, prof.support, 400))
+    assert du.size >= 300
+    assert np.all(np.abs(du - fd) <= 1e-7 * scale)
 
 
 @pytest.mark.parametrize("Npq,height", [((2, 2.0, 4.0), 2.2), ((6, 1.1, 1.3), 15000.0)])
@@ -188,7 +199,7 @@ def test_batched_brackets_match_each_resolution_alone(Npq):
             assert got[key] == alone[key], (coarsen, key)
         breaks, alone_breaks = got["profile"].breaks, alone["profile"].breaks
         assert np.array_equal(breaks, alone_breaks)
-        assert np.array_equal(got["profile"].fn(breaks), alone["profile"].fn(alone_breaks))
+        assert np.array_equal(got["profile"].values(breaks), alone["profile"].values(alone_breaks))
     sweeps = gns_constant_estimate(*Npq).meta["sweeps"]
     assert sweeps == both[0]["rounds"] + both[1]["rounds"]
 

@@ -27,9 +27,8 @@ from attainkit import (
     orbit_curve,
     random_profiles,
 )
-from attainkit.profiles import (_smoothstep_cutoff, _smoothstep_cutoff_deriv, build_w_lambda,
-                                log_sphere_area)
-from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle,
+from attainkit.profiles import _smoothstep_cutoff, build_w_lambda, log_sphere_area
+from oracles import (bubble_grad_moment_oracle, bubble_moment_oracle, central_difference_oracle,
                      combined_norm_oracle, curve_at_t, j_oracle, norm_oracle,
                      sphere_area_oracle)
 
@@ -84,8 +83,8 @@ def test_closed_form_bubble_norms(N, p):
 
 def test_bubble_height_closed_form(star5):
     # (1 + r^{p'})^{-(N-p)/p} at r=1 for N=5, p=2
-    assert star5.fn(1.0) == pytest.approx(2.0 ** (-1.5), rel=1e-15)
-    assert star5.fn(0.0) == 1.0
+    assert star5.values(1.0)[0] == pytest.approx(2.0 ** (-1.5), rel=1e-15)
+    assert star5.values(0.0)[0] == 1.0
 
 
 def test_bubble_mass_diverges_in_low_dimension():
@@ -108,15 +107,12 @@ def test_bubble_mass_diverges_at_dimension_boundary():
 
 def bump(N):
     """exp(-(r-10)^2), cut to the support [0, 20]."""
-    def fn(r):
+    def values(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r < 20.0, np.exp(-(r - 10.0) ** 2), 0.0)
+        u = np.where(r < 20.0, np.exp(-(r - 10.0) ** 2), 0.0)
+        return u, -2.0 * (r - 10.0) * u
 
-    def dfn(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 20.0, -2.0 * (r - 10.0) * np.exp(-(r - 10.0) ** 2), 0.0)
-
-    return RadialProfile(N=N, fn=fn, dfn=dfn, support=20.0, breaks=(10.0,))
+    return RadialProfile(N=N, values=values, support=20.0, breaks=(10.0,))
 
 
 @pytest.mark.filterwarnings("error")
@@ -187,10 +183,10 @@ def test_w_lambda_takes_its_curve_point_by_keyword(star5, star5_norms):
     w = build_w_lambda(N5, P2, 2.5, star5_norms, log_t=log_t)
     lam = math.exp(log_lambda(log_t, star5_norms, 2.5, N5))
     r = np.geomspace(1e-3, 1e3, 7)
-    want = dilate(star5, lam, P2).fn(r) / (star5_norms.lp.value * 2.0 ** (1.0 / 2.5))
-    np.testing.assert_allclose(w.fn(r), want, rtol=1e-13)
+    want = dilate(star5, lam, P2).values(r)[0] / (star5_norms.lp.value * 2.0 ** (1.0 / 2.5))
+    np.testing.assert_allclose(w.values(r)[0], want, rtol=1e-13)
     # an amplitude below the double range rounds to 0, one above it is refused
-    assert not np.any(build_w_lambda(N5, P2, 2.5, star5_norms, log_t=-3000.0).fn(r))
+    assert not np.any(build_w_lambda(N5, P2, 2.5, star5_norms, log_t=-3000.0).values(r))
     with pytest.raises(NumericalError, match="log lambda"):
         build_w_lambda(N5, P2, 2.5, star5_norms, log_t=3000.0)
 
@@ -250,30 +246,26 @@ def test_log_lambda_roundtrip_beyond_the_double_range(star5_norms):
 
 
 def test_smoothstep_cutoff_shape():
-    assert _smoothstep_cutoff(0.0) == 1.0
-    assert _smoothstep_cutoff(1.0) == 1.0
-    assert _smoothstep_cutoff(2.0) == 0.0
-    assert _smoothstep_cutoff(3.0) == 0.0
+    cut, dcut = _smoothstep_cutoff(np.array([0.0, 1.0, 1.5, 2.0, 3.0]))
+    assert cut.tolist()[:2] == [1.0, 1.0] and cut.tolist()[3:] == [0.0, 0.0]
     rho = np.linspace(1.0, 2.0, 257)
-    vals = _smoothstep_cutoff(rho)
-    assert np.all(np.diff(vals) <= 0.0)
+    assert np.all(np.diff(_smoothstep_cutoff(rho)[0]) <= 0.0)
     # C^1 at both junctions
-    assert _smoothstep_cutoff_deriv(1.0) == 0.0
-    assert _smoothstep_cutoff_deriv(2.0) == 0.0
-    assert _smoothstep_cutoff_deriv(1.5) < 0.0
+    assert dcut[1] == 0.0 and dcut[3] == 0.0
+    assert dcut[2] < 0.0
     # derivative matches central differences in the transition zone
     h = 1e-6
     mid = np.linspace(1.05, 1.95, 19)
-    fd = (_smoothstep_cutoff(mid + h) - _smoothstep_cutoff(mid - h)) / (2 * h)
-    np.testing.assert_allclose(_smoothstep_cutoff_deriv(mid), fd, rtol=1e-7, atol=1e-9)
+    fd = (_smoothstep_cutoff(mid + h)[0] - _smoothstep_cutoff(mid - h)[0]) / (2 * h)
+    np.testing.assert_allclose(_smoothstep_cutoff(mid)[1], fd, rtol=1e-7, atol=1e-9)
 
 
 def test_truncated_profile_support_is_exact():
     w = build_truncated(3, 2.0, R=10.0)
     assert w.support == 20.0 and w.decay is None
-    assert w.fn(20.0) == 0.0
-    assert w.fn(20.0 + 1e-9) == 0.0
-    assert w.fn(19.999) > 0.0
+    assert w.values(20.0)[0] == 0.0
+    assert w.values(20.0 + 1e-9)[0] == 0.0
+    assert w.values(19.999)[0] > 0.0
 
 
 def test_truncated_family_approaches_supremum(constants_crit3):
@@ -319,8 +311,7 @@ def test_orbit_curve_quotient_is_invariant_and_sharp(crit5, constants_crit5, sta
     assert cp_star.kappa == pytest.approx(crit5.alpha * C, rel=1e-10)
     # any other profile sits strictly below, at every amplitude and dilation
     prof = random_profiles(1, N=N5, seed=3)[0]
-    louder = dataclasses.replace(prof, fn=lambda r: 3.7 * prof.fn(r),
-                                 dfn=lambda r: 3.7 * prof.dfn(r))
+    louder = dataclasses.replace(prof, values=lambda r: tuple(3.7 * v for v in prof.values(r)))
     kappas = [orbit_curve(norms(v, P2, Q_CRIT5), crit5)[0].kappa
               for v in (prof, louder, dilate(prof, 42.0, P2))]
     assert kappas == pytest.approx([kappas[0]] * 3, rel=1e-10)
@@ -395,8 +386,8 @@ def test_random_profiles_deterministic_and_nonnegative():
     assert len(a) == 5
     for pa, pb in zip(a, b):
         r = np.geomspace(1e-4, 50.0, 200)
-        np.testing.assert_array_equal(pa.fn(r), pb.fn(r))
-        assert np.all(pa.fn(r) >= 0.0)
+        np.testing.assert_array_equal(pa.values(r), pb.values(r))
+        assert np.all(pa.values(r)[0] >= 0.0)
         assert pa.support > 0.0 and pa.decay is None
 
 
@@ -408,8 +399,8 @@ def test_random_profiles_vanish_below_roundoff_past_their_support():
     r = support[:, None] * np.array([1.0, 1.5, 3.0])
     nms = norms(fam, P2, Q_CRIT5)
     scale = np.array([[nm.lp.value, nm.grad_lp.value] for nm in nms])
-    for k, f in enumerate((fam.fn, fam.dfn)):
-        past = np.abs(f(r)) ** P2 * r ** N5
+    for k, v in enumerate(fam.values(r)):
+        past = np.abs(v) ** P2 * r ** N5
         assert np.all(past <= 1e-40 * scale[:, k:k + 1] ** P2)
 
 
@@ -423,23 +414,21 @@ def test_random_profiles_envelope(crit5, constants_crit5):
 
 
 def _counting(profile):
-    """The profile with fn/dfn wrapped to record the radii of every call."""
-    calls = {"fn": [], "dfn": []}
+    """The profile with its values wrapped to record the largest radius of
+    every call."""
+    calls = []
 
-    def wrap(name, f):
-        def counted(r):
-            calls[name].append(float(np.max(r)))
-            return f(r)
-        return counted
+    def counted(r):
+        calls.append(float(np.max(r)))
+        return profile.values(r)
 
-    return dataclasses.replace(profile, fn=wrap("fn", profile.fn),
-                               dfn=wrap("dfn", profile.dfn)), calls
+    return dataclasses.replace(profile, values=counted), calls
 
 
 def test_norms_sample_a_compact_profile_once():
     prof, calls = _counting(random_profiles(1, N=N5, seed=11)[0])
     norms(prof, p=P2, q=Q_CRIT5)
-    assert len(calls["fn"]) == 1 and len(calls["dfn"]) == 1
+    assert len(calls) == 1
 
 
 def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
@@ -447,8 +436,43 @@ def test_norms_sample_the_bubble_once_per_cut_off(star5, star5_norms):
     got = norms(prof, p=P2, q=Q_CRIT5)
     assert got == star5_norms
     # the three moments decay at different rates, and all read one cut-off
-    assert len(calls["fn"]) == len(calls["dfn"]) == 1
-    assert calls["fn"] == calls["dfn"]
+    assert len(calls) == 1
+
+
+def assert_du_is_the_derivative_of_u(profile):
+    top = 1e3 if profile.support is None else profile.support
+    du, fd, scale = central_difference_oracle(profile, np.geomspace(1e-3 * top, top, 400))
+    assert du.size >= 300
+    assert np.all(np.abs(du - fd) <= 1e-7 * scale)
+
+
+DERIVATIVE_CASES = {
+    "bubble": lambda: [build_u_star(5, 2.0), build_u_star(6, 1.5)],
+    "scalar dilate": lambda: [dilate(build_u_star(5, 2.0), 42.0, 2.0)],
+    "array dilate": lambda: list(dilate(build_u_star(5, 2.0), np.array([1e-2, 1.0, 42.0]), 2.0)),
+    "w_lambda": lambda: [build_w_lambda(5, 2.0, 2.5, bubble_norms(5, 2.0, Q_CRIT5), log_t=1.0)],
+    "truncated": lambda: [build_truncated(3, 2.0, R) for R in (10.0, 1000.0)],
+    "random rows": lambda: list(random_profiles(20, N=5, seed=7)),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVATIVE_CASES))
+def test_du_is_the_derivative_of_u(case):
+    for prof in DERIVATIVE_CASES[case]():
+        assert_du_is_the_derivative_of_u(prof)
+
+
+@pytest.mark.parametrize("shape", [
+    {"support": np.full(3, 5.0), "breaks": np.ones(4), "rows": 3},
+    {"support": np.full(2, 5.0), "rows": 3},
+    {"support": np.full(3, 5.0)},
+])
+def test_family_shape_validation(shape):
+    # a support per row and the same number of breaks in each, or norms
+    # would fail in numpy or read the first row only
+    with pytest.raises(ParamError) as info:
+        RadialProfile(N=3, values=np.cos, **shape)
+    assert info.value.code == ("breaks" if "breaks" in shape else "tail")
 
 
 def test_tail_validation():
@@ -456,5 +480,5 @@ def test_tail_validation():
     for extent in ({}, {"support": 1.0, "decay": 2.0}, {"support": -2.0},
                    {"support": np.array([1.0, 0.0])}, {"decay": 0.0}, {"decay": math.nan}):
         with pytest.raises(ParamError) as info:
-            RadialProfile(N=3, fn=np.cos, dfn=np.sin, **extent)
+            RadialProfile(N=3, values=np.cos, **extent)
         assert info.value.code == "tail", extent
