@@ -131,16 +131,12 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 # -- parameter assembly ----------------------------------------------------
 
-def _weight(ns) -> float:
-    alpha, beta = getattr(ns, "alpha", None), getattr(ns, "beta", None)
-    if alpha is not None and beta is not None and alpha != beta:
+def _weight(ns) -> float | None:
+    """--alpha, or its synonym --beta; None when neither is given."""
+    if ns.alpha is not None and ns.beta is not None and ns.alpha != ns.beta:
         raise ParamError("alpha", "--alpha and --beta are synonyms; "
-                                  f"got conflicting values {alpha} and {beta}")
-    value = alpha if alpha is not None else beta
-    if value is None:
-        raise ParamError("alpha", "a weight is required (--alpha, or --beta "
-                                  "for the fractional family)")
-    return value
+                                  f"got conflicting values {ns.alpha} and {ns.beta}")
+    return ns.alpha if ns.alpha is not None else ns.beta
 
 
 def _numeric_q(text: str) -> float:
@@ -150,46 +146,56 @@ def _numeric_q(text: str) -> float:
         raise ParamError("q", f"--q wants a number or 'critical', got {text!r}") from None
 
 
-def _build_params(ns) -> ProblemParams:
+def _build_params(ns, gamma: float | None, weight: float | None, q: str | None) -> ProblemParams:
+    """The problem of --N, --p and --s with this gamma, weight and q."""
     if ns.N is None:
         raise ParamError("N", "--N is required")
-    if ns.gamma is None:
+    if gamma is None:
         raise ParamError("gamma", "--gamma is required")
-    weight = _weight(ns)
-    q_critical = ns.q == "critical"
+    if weight is None:
+        raise ParamError("alpha", "a weight is required (--alpha, or --beta "
+                                  "for the fractional family)")
+    q_critical = q == "critical"
     if ns.s is not None:
         if q_critical:
             params = ProblemParams.fractional_critical(N=ns.N, s=ns.s,
-                                                       gamma=ns.gamma, alpha=weight)
-        elif ns.q is None:
+                                                       gamma=gamma, alpha=weight)
+        elif q is None:
             raise ParamError("q", "--q (numeric or 'critical') is required")
         else:
-            params = ProblemParams.fractional(N=ns.N, s=ns.s, q=_numeric_q(ns.q),
-                                              gamma=ns.gamma, alpha=weight)
+            params = ProblemParams.fractional(N=ns.N, s=ns.s, q=_numeric_q(q),
+                                              gamma=gamma, alpha=weight)
         # the family is posed for p = 2: a --p given with it is validated, not dropped
         return params if ns.p is None else dataclasses.replace(params, p=ns.p)
     if ns.p is None:
         raise ParamError("p", "--p is required for the local family")
     if q_critical:
-        return ProblemParams.local_critical(N=ns.N, p=ns.p, gamma=ns.gamma,
-                                            alpha=weight)
-    if ns.q is None:
+        return ProblemParams.local_critical(N=ns.N, p=ns.p, gamma=gamma, alpha=weight)
+    if q is None:
         raise ParamError("q", "--q (numeric or 'critical') is required")
-    return ProblemParams.local(N=ns.N, p=ns.p, q=_numeric_q(ns.q),
-                               gamma=ns.gamma, alpha=weight)
+    return ProblemParams.local(N=ns.N, p=ns.p, q=_numeric_q(q), gamma=gamma, alpha=weight)
 
 
-def _given_constants(ns) -> ConstantSet:
-    """The constants the command line supplies: at most --frac-constant."""
-    value = getattr(ns, "frac_constant", None)
-    return ConstantSet() if value is None else ConstantSet(fractional=fractional_constant(value))
+def _given_constants(ns, params: ProblemParams) -> ConstantSet:
+    """The constants the command line supplies: --frac-constant, fractional family only."""
+    if ns.frac_constant is None:
+        return ConstantSet()
+    if params.s is None:
+        raise ParamError("frac-constant", "--frac-constant supplies the fractional family's "
+                                          "constant; the local family computes its own")
+    return ConstantSet(fractional=fractional_constant(ns.frac_constant))
 
 
 def _constants_for(ns, params: ProblemParams) -> ConstantSet:
-    given = _given_constants(ns)
+    given = _given_constants(ns, params)
     if given.fractional is None and params.s is not None:
         raise ParamError("frac-constant", "the fractional family needs --frac-constant")
     return resolve_constants(params, given)
+
+
+def _document(command: str, **fields) -> dict:
+    """The JSON document of ``command``: schema tag, command name, ``fields``."""
+    return {"schema": SCHEMA, "command": command, **fields}
 
 
 def _problem_dict(params: ProblemParams) -> dict:
@@ -221,27 +227,22 @@ def _verdict_dict(v) -> dict:
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_classify(ns) -> int:
-    params = _build_params(ns)
-    cset = _constants_for(ns, params)
-    v = classify(params, constants=cset)
-    doc = {"schema": SCHEMA, "command": "classify",
-           "problem": _problem_dict(params), "verdict": _verdict_dict(v)}
+    params = _build_params(ns, ns.gamma, _weight(ns), ns.q)
+    v = classify(params, constants=_constants_for(ns, params))
+    doc = _document("classify", problem=_problem_dict(params), verdict=_verdict_dict(v))
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 
 
 def _cmd_constants(ns) -> int:
     # no constant reads gamma or the weight; the problem needs them only to validate
-    ns.gamma, ns.alpha, ns.beta = 1.0, 1.0, None
-    ns.q = "critical" if ns.q is None else ns.q
-    params = _build_params(ns)
-    doc: dict = {"schema": SCHEMA, "command": "constants", "N": params.N}
+    params = _build_params(ns, 1.0, 1.0, "critical" if ns.q is None else ns.q)
+    cset = _constants_for(ns, params)
+    doc = _document("constants", N=params.N)
     if params.s is None:
         doc["p"] = params.p
-        cset = resolve_constants(params)  # the local family reads no --frac-constant
     else:
         doc["s"] = params.s
-        cset = _constants_for(ns, params)
     # the one field resolve_constants filled, or checked, for the regime
     [(name, constant)] = [(f.name, getattr(cset, f.name)) for f in dataclasses.fields(cset)
                           if getattr(cset, f.name) is not None]
@@ -256,7 +257,7 @@ def _cmd_curve(ns) -> int:
     if not 1 <= ns.grid <= MAX_SAMPLES:
         raise ParamError("grid", f"--grid must be between 1 and {MAX_SAMPLES}, "
                                  f"got {ns.grid}")
-    params = _build_params(ns)
+    params = _build_params(ns, ns.gamma, _weight(ns), ns.q)
     cset = _constants_for(ns, params)
     cp = CurveParams.from_problem(params, log_C=log_kappa_multiplier(params, cset))
     t = np.geomspace(1e-4, 1e4, ns.grid)
@@ -272,29 +273,26 @@ def _cmd_curve(ns) -> int:
         _emit(_csv_text(list(columns), list(zip(*columns.values()))), ns.out)
         return EXIT_OK
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    doc = {"schema": SCHEMA, "command": "curve",
-           "problem": _problem_dict(params),
-           "curve_params": {"a": cp.a, "b": cp.b, "c": cp.c,
-                            "kappa": cp.kappa, "pgamma": cp.pgamma},
-           "rows": rows}
+    doc = _document("curve", problem=_problem_dict(params),
+                    curve_params={"a": cp.a, "b": cp.b, "c": cp.c,
+                                  "kappa": cp.kappa, "pgamma": cp.pgamma},
+                    rows=rows)
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 
 
 def _cmd_maximizer(ns) -> int:
-    params = _build_params(ns)
-    v, m = maximizer(params, _given_constants(ns), tol=ns.tol)
+    params = _build_params(ns, ns.gamma, _weight(ns), ns.q)
+    v, m = maximizer(params, _given_constants(ns, params), tol=ns.tol)
     if m is None:
-        doc = {"schema": SCHEMA, "command": "maximizer",
-               "problem": _problem_dict(params), "verdict": _verdict_dict(v),
-               "maximizer": None,
-               "note": "no maximizer exists for these parameters"}
+        doc = _document("maximizer", problem=_problem_dict(params), verdict=_verdict_dict(v),
+                        maximizer=None, note="no maximizer exists for these parameters")
         _emit(to_json(doc), ns.out)
         return EXIT_OK
-    header = {"schema": SCHEMA, "command": "maximizer",
-              "problem": _problem_dict(params),
-              "lambda": t_from_log(m.log_lambda), "log_lambda": m.log_lambda,
-              "t_star": v.t_star, "D": v.D, "J_check": m.J_check}
+    # "lambda" is a Python keyword, so it cannot be a keyword argument's name
+    header = _document("maximizer", problem=_problem_dict(params),
+                       **{"lambda": t_from_log(m.log_lambda)}, log_lambda=m.log_lambda,
+                       t_star=v.t_star, D=v.D, J_check=m.J_check)
     r, u = m.r.tolist(), m.u.tolist()
     if ns.csv:
         # the header goes to stdout when the table goes to a file, else to stderr
@@ -330,8 +328,7 @@ def _cmd_sweep(ns) -> int:
     if ns.gamma_range is None:
         raise ParamError("gamma-range", "--gamma-range start:stop:step is required")
     gammas = _parse_gamma_range(ns.gamma_range)
-    ns.gamma = float(gammas[0])
-    params = _build_params(ns)
+    params = _build_params(ns, float(gammas[0]), _weight(ns), ns.q)
     cset = _constants_for(ns, params)
     rows = []
     for g in gammas:
@@ -342,19 +339,17 @@ def _cmd_sweep(ns) -> int:
         header = ["gamma", "threshold", "D", "attained"]
         _emit(_csv_text(header, [[row[k] for k in header] for row in rows]), ns.out)
         return EXIT_OK
-    doc = {"schema": SCHEMA, "command": "sweep",
-           "problem": _problem_dict(params), "rows": rows}
+    doc = _document("sweep", problem=_problem_dict(params), rows=rows)
     _emit(to_json(doc), ns.out)
     return EXIT_OK
 
 
 def _cmd_verify(ns) -> int:
     reports = run_all()
-    doc = {"schema": SCHEMA, "command": "verify",
-           "reports": [{"name": r.name, "passed": r.passed,
-                        "worst_violation": r.worst_violation,
-                        "n_cases": r.n_cases, "tolerance": r.tolerance,
-                        "details": list(r.details)} for r in reports]}
+    doc = _document("verify", reports=[{"name": r.name, "passed": r.passed,
+                                        "worst_violation": r.worst_violation,
+                                        "n_cases": r.n_cases, "tolerance": r.tolerance,
+                                        "details": list(r.details)} for r in reports])
     _emit(to_json(doc), ns.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
@@ -370,21 +365,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _add_problem_flags(sub, with_gamma=True):
+def _add_problem_flags(sub, gamma=True, weight=True):
     sub.add_argument("--N", type=int, help="ambient dimension")
     sub.add_argument("--p", type=float, help="base integrability exponent (local family)")
     sub.add_argument("--q", help="secondary exponent: a number, or 'critical'")
     sub.add_argument("--s", type=float, help="fractional smoothing order (selects the fractional family)")
-    if with_gamma:
+    if gamma:
         sub.add_argument("--gamma", type=float, help="constraint coupling exponent")
-    sub.add_argument("--alpha", type=float, help="weight of the q-term")
-    sub.add_argument("--beta", type=float, help="synonym for --alpha (fractional naming)")
+    if weight:
+        sub.add_argument("--alpha", type=float, help="weight of the q-term")
+        sub.add_argument("--beta", type=float, help="synonym for --alpha (fractional naming)")
     sub.add_argument("--frac-constant", type=float, dest="frac_constant",
                      help="user-supplied sharp constant for the fractional family")
 
 
 def _add_output_flags(sub, csv=True):
-    sub.add_argument("--json", action="store_true", help="JSON output (the default)")
     if csv:
         sub.add_argument("--csv", action="store_true", help="CSV output")
     sub.add_argument("--out", help="write to this path instead of stdout")
@@ -396,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Sobolev-type maximization problems.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subs.add_parser("classify", parents=[], help="full attainability verdict")
+    sub = subs.add_parser("classify", help="full attainability verdict")
     _add_problem_flags(sub)
     _add_output_flags(sub, csv=False)
     sub.set_defaults(handler=_cmd_classify)
 
     sub = subs.add_parser("constants", help="sharp constants")
-    _add_problem_flags(sub, with_gamma=False)
+    _add_problem_flags(sub, gamma=False, weight=False)
     _add_output_flags(sub, csv=False)
     sub.set_defaults(handler=_cmd_constants)
 
@@ -421,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_maximizer)
 
     sub = subs.add_parser("sweep", help="threshold and verdict along a gamma range")
-    _add_problem_flags(sub, with_gamma=False)
+    _add_problem_flags(sub, gamma=False)
     sub.add_argument("--gamma-range", dest="gamma_range",
                      help="start:stop:step, e.g. 0.5:4:0.01")
     _add_output_flags(sub)

@@ -252,8 +252,9 @@ def _shoot(heights: np.ndarray, N: int, p: float, q: float, coarsen: np.ndarray)
             node = done[:, new].argmax(axis=0)
             fate[new] = np.where(w_block[node, new] <= 0, 1, -1)
             at[new] = block + node
-            if fate.all():
-                break
+        # nan propagates through every step and fails every test, so a nan shot is never decided
+        if np.all((fate != 0) | np.isnan(w) | np.isnan(psi)):
+            break
         block = k + 1
     return fate, at, np.array(rs), np.array(ws), np.array(psis)
 

@@ -13,7 +13,8 @@ with exponents
     a = (q - p)/gamma,   b = q/gamma,   c = gamma_crit/gamma,
     pgamma = p/gamma,    kappa = alpha * C, C the sharp constant normalization,
 
-satisfying a = b - pgamma > 0, 0 < c <= b; ``CurveParams`` stores b, c,
+satisfying a = b - pgamma > 0, 0 < c <= b, formed and checked in doubles
+by ``params.validate`` (``Exponents``); ``CurveParams`` stores b, c,
 log kappa (kappa reaches 1e2495 on valid input) and pgamma.  The problem's
 supremum is sup_t f(t) and the attainability threshold weight is inf_t g(t)
 divided by C.  The critical case is exactly c = b.
@@ -108,13 +109,9 @@ class CurveParams:
         local case, the sharp interpolation constant in the subcritical
         local case, and the user-supplied constant in the fractional cases.
         """
-        exps = params.exponents
-        gamma, alpha = params.gamma, params.alpha
-        b = params.q / gamma
-        # c = b exactly when critical, so is_critical round-trips bit-for-bit
-        c = b if exps.regime.is_critical else exps.gamma_crit / gamma
+        exps, alpha = params.exponents, params.alpha
         log_kappa = math.log(alpha) + log_C if alpha > 0 else -math.inf
-        return cls(b=b, c=c, log_kappa=log_kappa, pgamma=params.p / gamma)
+        return cls(b=exps.b, c=exps.c, log_kappa=log_kappa, pgamma=exps.pgamma)
 
     @property
     def is_critical(self) -> bool:

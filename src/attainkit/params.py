@@ -192,17 +192,26 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class Exponents:
-    """Regime and upper gamma boundary of a validated problem.
+    """Regime, upper gamma boundary and curve exponents of a validated problem.
 
     regime:      which of the four families the problem belongs to
     gamma_crit:  the upper gamma boundary: p* in the critical regimes,
                  gamma_c in the subcritical ones
+    b, c, pgamma: the exponents q/gamma, gamma_crit/gamma and p/gamma of
+                 the half-line curves (``curves.CurveParams``); b is formed
+                 as p/gamma + (q - p)/gamma, whose q - p is exact as q nears
+                 p, so b - pgamma > 0 holds in doubles; c is b itself in the
+                 critical regimes and at most b in the subcritical ones,
+                 where gamma_c < q can round to q or past it as q nears p*
 
     The base exponent is ``params.p`` itself (2 in the fractional family).
     """
 
     regime: Regime
     gamma_crit: float
+    b: float
+    c: float
+    pgamma: float
 
 
 def validate(params: ProblemParams) -> Exponents:
@@ -243,13 +252,24 @@ def validate(params: ProblemParams) -> Exponents:
 
     order = _order(params)
     crit = _q_critical(N, p, order) if order * p < N else math.inf
+    if crit <= p:  # 2N/(N - 2s) rounds to 2 for s below about N eps / 4
+        raise ParamError("s", f"s={s} leaves no q window: p* = 2N/(N - 2s) rounds to p = {p}")
     if params.q_critical and q != crit:
         raise ParamError("q", f"q_critical needs q = p* = {crit}, got q={q}")
     if params.q_critical or (crit < math.inf and _q_critical_match(N, p, q, order, crit)):
-        return Exponents(critical, crit)
-    if not p < q < crit:
+        regime, gamma_crit = critical, crit
+    elif not p < q < crit:
         raise ParamError("q", f"{family} family needs {p} < q <= {crit}, got q={q}")
-    return Exponents(subcritical, _gamma_c(N, p, q, order))
+    else:
+        regime, gamma_crit = subcritical, _gamma_c(N, p, q, order)
+    pgamma = p / gamma
+    b = pgamma + (q - p) / gamma
+    c = b if regime.is_critical else min(gamma_crit / gamma, b)
+    if not (pgamma < b < math.inf and 0.0 < c):
+        raise ParamError("gamma", f"gamma={gamma} puts the curve exponents outside the "
+                                  f"doubles: p/gamma = {pgamma}, q/gamma = {b}, "
+                                  f"gamma_crit/gamma = {c}")
+    return Exponents(regime, gamma_crit, b, c, pgamma)
 
 
 def extremal_in_energy_space(params: ProblemParams) -> bool:

@@ -152,6 +152,18 @@ def test_grid_and_budget_flags_are_gone(capsys, sub, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *[(sub, "--json") for sub in ("classify", "constants", "curve", "maximizer", "sweep", "verify")],
+    # no constant reads a weight
+    ("constants", "--alpha", "1"), ("constants", "--beta", "1"),
+])
+def test_flags_no_command_reads_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--N", "5", "--p", "2", "--q", "critical"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_constants_fractional_passthrough(capsys):
     code, out, _ = run_cli(capsys, "constants", "--N", "5", "--s", "0.6",
                            "--q", "critical", "--frac-constant", "1.7")
@@ -649,6 +661,18 @@ _CRIT = ("--N", "5", "--p", "2", "--q", "critical")
     ("gamma-range", ("sweep", *_CRIT, "--alpha", "100")),
     ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "1:2")),
     ("gamma-range", ("sweep", *_CRIT, "--alpha", "100", "--gamma-range", "a:b:c")),
+    # the local family computes its constant: a --frac-constant given with it is refused
+    ("frac-constant", ("classify", *_CRIT, "--gamma", "2.2", "--alpha", "1",
+                       "--frac-constant", "3")),
+    ("frac-constant", ("constants", "--N", "2", "--p", "2", "--q", "4", "--frac-constant", "3")),
+    ("frac-constant", ("maximizer", *_CRIT, "--gamma", "2.2", "--alpha", "180",
+                       "--frac-constant", "3")),
+    # curve exponents outside the doubles name the parameter that put them there
+    ("gamma", ("classify", "--N", "2", "--p", "2", "--q", "4", "--gamma", "1e-308",
+               "--alpha", "1")),
+    ("gamma", ("sweep", *_CRIT, "--alpha", "1", "--gamma-range", "1e-320:1e-319:1e-320")),
+    ("s", ("classify", "--N", "5", "--s", "1e-300", "--q", "critical", "--gamma", "3",
+           "--alpha", "1", "--frac-constant", "1")),
 ])
 def test_boundary_input_exits_validation(capsys, code, argv):
     got, out, err = run_cli(capsys, *argv)
@@ -748,3 +772,10 @@ _DOCS = st.recursive(
           "a": np.array([[1.5, np.nan], [np.inf, -0.0]])})
 def test_to_json_is_json_dumps_byte_for_byte(doc):
     assert cli.to_json(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize("cell,text", [
+    ("plain", "plain"), ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"'),
+])
+def test_csv_quotes_a_cell_with_a_comma_quote_or_newline(cell, text):
+    assert cli._csv_text(["name", "x"], [[cell, 1.5]]) == f"name,x\n{text},1.5\n"

@@ -524,3 +524,19 @@ def test_fractional_constant_rejects_nonpositive(bad):
 def test_fractional_constant_rejects_a_non_real(bad):
     with pytest.raises(ParamError, match="must be a real number"):
         fractional_constant(bad)
+
+
+@pytest.mark.parametrize("code,N,p", [("N", 0, 2.0), ("N", 2.5, 2.0), ("p", 3, 1.0), ("p", 3, 3.5)])
+def test_gns_estimate_refuses_N_and_p_outside_its_family(code, N, p):
+    with pytest.raises(ParamError) as err:
+        gns_constant_estimate(N, p, 4.0)
+    assert err.value.code == code
+
+
+def test_a_shot_whose_start_leaves_the_doubles_does_not_hold_the_round():
+    # h^(q-1) = 1e4^119 overflows: the shot is nan from its start, never decided, and
+    # the round ends at its first block of nodes, not after _MAX_STEPS
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fate, at, rs, _, _ = _shoot(np.array([3.0, 1e4]), 400, 100.0, 120.0, np.ones(2))
+    assert fate[1] == 0 and fate[0] != 0
+    assert len(rs) <= 5

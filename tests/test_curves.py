@@ -183,3 +183,16 @@ def test_from_problem_fractional_base_two():
     cp = CurveParams.from_problem(params, log_C=math.log(1.7))
     assert cp.pgamma == pytest.approx(2.0 / 1.1, rel=1e-15)
     assert cp.b == pytest.approx(2.2 / 1.1, rel=1e-15)
+
+
+@pytest.mark.parametrize("code,fields", [
+    ("b", dict(b=math.nan)),
+    ("c", dict(c=math.inf)),
+    ("pgamma", dict(pgamma=math.nan)),
+    ("pgamma", dict(pgamma=0.0)),
+    ("pgamma", dict(pgamma=-1.0)),
+])
+def test_curve_params_refuse_nonfinite_exponents_and_a_nonpositive_pgamma(code, fields):
+    with pytest.raises(ParamError) as err:
+        CurveParams(**{"b": 2.0, "c": 1.0, "log_kappa": 0.0, "pgamma": 1.0, **fields})
+    assert err.value.code == code

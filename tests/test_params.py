@@ -6,9 +6,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attainkit import classify
+from attainkit.curves import CurveParams
 from attainkit.errors import NearCriticalWarning, ParamError
 from attainkit.params import (ProblemParams, Regime, _q_critical, _q_critical_match,
                               critical_exponent,
@@ -217,3 +218,61 @@ def test_q_critical_flag_is_exact():
     params = ProblemParams.local_critical(7, 2.0, 1.0, 1.0)
     assert params.q_critical
     assert math.isclose(params.q, 14.0 / 5.0, rel_tol=1e-15)
+
+
+@st.composite
+def problems_across_the_doubles(draw):
+    """A problem of either family with gamma log-uniform in [1e-320, 1e308],
+    s down to 1e-300, and q a few ulps above p, inside the window or at p*."""
+    N = draw(st.integers(2, 12))
+    gamma = 10.0 ** draw(st.floats(-320.0, 308.0))
+    if draw(st.booleans()):
+        s = min(10.0 ** draw(st.floats(-300.0, math.log10(N / 2))), math.nextafter(N / 2, 0.0))
+        p, order = 2.0, s
+    else:
+        s, p, order = None, draw(st.floats(1.0, float(N), exclude_min=True)), 1
+    top = _q_critical(N, p, order) if order * p < N else p + 10.0
+    where = draw(st.sampled_from(["ulps", "window", "critical"]))
+    if where == "critical" and order * p < N:
+        return ProblemParams(N=N, p=p, q=top, gamma=gamma, alpha=1.0, s=s, q_critical=True)
+    if where == "ulps":
+        q = p
+        for _ in range(draw(st.integers(1, 4))):
+            q = math.nextafter(q, math.inf)
+    else:
+        q = p + draw(st.floats(0.0, 1.0)) * (top - p)
+    return ProblemParams(N=N, p=p, q=q, gamma=gamma, alpha=1.0, s=s)
+
+
+@settings(max_examples=400)
+@given(problems_across_the_doubles())
+# b = q/gamma rounded onto p/gamma, so a = b - p/gamma was 0
+@example(ProblemParams.local(8, 6.863062071840444, 6.863062071840445, 0.01304480511791535, 1.0))
+@example(ProblemParams.local(2, 2.0, 4.0, 1e-308, 1.0))  # q/gamma overflows
+@example(ProblemParams.fractional_critical(5, 1e-300, 3.0, 1.0))  # p* rounds to 2
+# gamma_c < q rounds past q: c must still not exceed b
+@example(ProblemParams.local(3, 2.999999285043073, 12588167.923529945, 0.3950048312272973, 1.0))
+def test_every_problem_validate_accepts_has_its_curves(params):
+    # a problem outside the doubles is refused with the user's own parameter as the code
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearCriticalWarning)
+        try:
+            params.exponents  # validate, once per instance
+        except ParamError as exc:
+            assert exc.code in {"q", "gamma", "s"}, exc
+            return
+    cp = CurveParams.from_problem(params, log_C=0.0)
+    assert cp.a > 0.0 and 0.0 < cp.c <= cp.b
+
+
+@pytest.mark.parametrize("code,params", [
+    ("N", ProblemParams.local(0, 2.0, 3.0, 1.0, 1.0)),
+    ("p", ProblemParams.local(3, math.nan, 3.0, 1.0, 1.0)),
+    ("q", ProblemParams.local(3, 2.0, math.inf, 1.0, 1.0)),
+    ("gamma", ProblemParams.local(3, 2.0, 3.0, math.inf, 1.0)),
+    ("alpha", ProblemParams.local(3, 2.0, 3.0, 1.0, math.nan)),
+])
+def test_validate_refuses_a_nonpositive_N_and_nonfinite_numbers(code, params):
+    with pytest.raises(ParamError) as err:
+        validate(params)
+    assert err.value.code == code

@@ -482,3 +482,21 @@ def test_tail_validation():
         with pytest.raises(ParamError) as info:
             RadialProfile(N=3, values=np.cos, **extent)
         assert info.value.code == "tail", extent
+
+
+@pytest.mark.parametrize("code,call", [
+    ("N", lambda: RadialProfile(N=0, values=np.cos, support=1.0)),
+    ("rows", lambda: RadialProfile(N=2, values=np.cos, support=1.0, rows=0)),
+    ("p", lambda: norms(build_truncated(3, 2.0, 1.0), 1.0, 2.0)),
+    ("p", lambda: norms(build_truncated(3, 2.0, 1.0), 2.0, 0.0)),
+    ("N", lambda: build_u_star(1, 1.5)),
+    ("p", lambda: build_u_star(3, 3.0)),
+    ("q", lambda: bubble_norms(3, 1.5, 0.0)),
+    ("R", lambda: build_truncated(3, 2.0, 0.0)),
+    ("R", lambda: build_truncated(3, 2.0, math.inf)),
+    ("count", lambda: random_profiles(0, 3)),
+])
+def test_profile_inputs_outside_their_range_are_refused(code, call):
+    with pytest.raises(ParamError) as err:
+        call()
+    assert err.value.code == code
